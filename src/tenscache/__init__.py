@@ -1,107 +1,14 @@
-"""Rank-budgeted Frank-Wolfe tensor completion with an edge-caching pipeline."""
+"""Rank-budgeted Frank-Wolfe tensor completion with an edge-caching pipeline.
+
+The package exports the names of the documented library example; everything
+else is imported from its submodule (``tenscache.caching``,
+``tenscache.completion``, ``tenscache.ingest``, ``tenscache.prediction``,
+``tenscache.svd``, ``tenscache.tensors``).
+"""
 
 __version__ = "0.1.0"
 
-from .caching import (
-    CachePlan,
-    OnlineConfig,
-    OnlineRunReport,
-    SlotOutcome,
-    hit_rate,
-    mpc_place,
-    oracle_place,
-    run_online,
-)
-from .completion import (
-    FwConfig,
-    FwState,
-    GradientStep,
-    ModeComponents,
-    TraceRow,
-    apply_update,
-    beta_invariance_check,
-    complete,
-    gradient_step,
-    line_search,
-    select_mode,
-    update_rank_budget,
-)
-from .ingest import (
-    IngestConfig,
-    RatingsRecord,
-    build_demand_tensor,
-    load_ratings,
-    synth_low_rank,
-    synth_lowrank_stream,
-    synth_request_stream,
-)
-from .prediction import (
-    DemandHistory,
-    Forecast,
-    PredictorConfig,
-    fit_predict,
-    normalize_demands,
-    predict_all,
-)
-from .svd import SvdTriplet, dominant_sigma, truncated_svd
-from .tensors import (
-    SparseTensor,
-    UnfoldSpec,
-    fold,
-    fro_norm,
-    inner,
-    masked_residual,
-    read_coo,
-    unfold,
-    write_coo_dense,
-    write_coo_sparse,
-)
+from .completion import FwConfig, beta_invariance_check, complete
+from .ingest import synth_low_rank
 
-__all__ = [
-    "CachePlan",
-    "DemandHistory",
-    "Forecast",
-    "FwConfig",
-    "FwState",
-    "GradientStep",
-    "IngestConfig",
-    "ModeComponents",
-    "OnlineConfig",
-    "OnlineRunReport",
-    "PredictorConfig",
-    "RatingsRecord",
-    "SlotOutcome",
-    "SparseTensor",
-    "SvdTriplet",
-    "TraceRow",
-    "UnfoldSpec",
-    "apply_update",
-    "beta_invariance_check",
-    "build_demand_tensor",
-    "complete",
-    "dominant_sigma",
-    "fit_predict",
-    "fold",
-    "fro_norm",
-    "gradient_step",
-    "hit_rate",
-    "inner",
-    "line_search",
-    "load_ratings",
-    "masked_residual",
-    "mpc_place",
-    "normalize_demands",
-    "oracle_place",
-    "predict_all",
-    "read_coo",
-    "run_online",
-    "select_mode",
-    "synth_low_rank",
-    "synth_lowrank_stream",
-    "synth_request_stream",
-    "truncated_svd",
-    "unfold",
-    "update_rank_budget",
-    "write_coo_dense",
-    "write_coo_sparse",
-]
+__all__ = ["FwConfig", "beta_invariance_check", "complete", "synth_low_rank"]

@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .completion import FwConfig, complete
-from .prediction import (
-    AGGREGATE_RECOMMENDED,
-    Forecast,
-    PredictorConfig,
-    fit_predict,
-    normalize_demands,
-)
+from .prediction import Forecast, PredictorConfig, fit_predict, normalize_demands
 from .tensors import SparseTensor
 
 __all__ = [
@@ -61,8 +55,6 @@ class SlotOutcome:
     slot: int
     bs: int
     hit_rate: float
-    requests_total: float
-    requests_hit: float
     zero_demand: bool = False
 
 
@@ -80,8 +72,6 @@ class OnlineConfig:
     shift: int = 1
     mode_selection: str = "sigma"
     update_rule: str = "multi"
-    seed: int = 0
-    aggregate: str = AGGREGATE_RECOMMENDED
 
     def method_label(self) -> str:
         return f"{self.predictor}-{'completed' if self.completion else 'raw'}"
@@ -93,7 +83,6 @@ class OnlineConfig:
             shift=self.shift,
             mode_selection=self.mode_selection,
             update_rule=self.update_rule,
-            seed=self.seed,
         )
 
 
@@ -175,7 +164,9 @@ def run_online(
     holds the realized demands used for scoring and the oracle; it defaults
     to ``stream`` (on real traces the observed demands are all there is).
     Slots ``tau+1 .. T`` (1-based) get scored; zero-demand (slot, bs) pairs
-    are flagged and excluded from the averages.
+    are flagged and excluded from the averages. A configuration the stream
+    cannot satisfy raises ``ValueError`` before the loop; a failure inside
+    the loop is re-raised as ``RuntimeError`` naming the slot.
     """
     if score_stream is None:
         score_stream = stream
@@ -183,7 +174,12 @@ def run_online(
         raise ValueError("stream and score_stream lengths differ")
     if len(stream) <= cfg.tau:
         raise ValueError(f"need more than tau={cfg.tau} slots, got {len(stream)}")
-    n_bs = stream[0].shape[2]
+    num_files, _, n_bs = stream[0].shape
+    if not 1 <= cfg.cache_size <= num_files:
+        raise ValueError(f"cache size {cfg.cache_size} must be in 1..{num_files} (library size)")
+    if cfg.tau < cfg.order + 1:
+        raise ValueError(f"tau={cfg.tau} too short for prediction order {cfg.order}; "
+                         "need tau >= order + 1")
     pred_cfg = PredictorConfig(cfg.order, cfg.predictor)
     outcomes: list[SlotOutcome] = []
     oracle_outcomes: list[SlotOutcome] = []
@@ -192,7 +188,7 @@ def run_online(
         window = _window_tensor(stream, t_idx, cfg.tau)
         try:
             filled = _completed_window(window, cfg) if cfg.completion else window
-            history = normalize_demands(filled, cfg.aggregate)
+            history = normalize_demands(filled)
             realized = score_stream[t_idx + 1]
             for b in range(n_bs):
                 plan = mpc_place(fit_predict(history, pred_cfg, b), cfg.cache_size)
@@ -218,8 +214,7 @@ def run_online(
 
 def _score(demand_slice: np.ndarray, plan: CachePlan, slot: int, bs: int) -> SlotOutcome:
     total = float(np.asarray(demand_slice).sum())
-    h = hit_rate(demand_slice, plan)
-    return SlotOutcome(slot, bs, h, total, h * total, zero_demand=(total == 0.0))
+    return SlotOutcome(slot, bs, hit_rate(demand_slice, plan), zero_demand=(total == 0.0))
 
 
 def _average(outcomes: list[SlotOutcome]) -> float:

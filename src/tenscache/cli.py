@@ -1,11 +1,12 @@
 """Batch experiment driver: completion traces, caching simulations, ingestion.
 
-Every command writes a JSON manifest (full config echo, seed, code version,
+Every command writes a JSON manifest (full config echo, code version,
 wall-clock totals) next to its outputs, and every CSV starts with a
 ``# manifest: <file>`` comment naming the manifest that produced it. Flag
 values win over config-file values, which win over the built-in defaults.
 The config file is a flat ``key = value`` file (TOML-style subset: strings,
-numbers, booleans, ``[a, b]`` lists; ``#`` comments).
+numbers, booleans, ``[a, b]`` lists; ``#`` comments); its keys are those of
+``DEFAULTS``.
 
 Exit codes: 0 success, 2 usage or input error, 1 internal error.
 """
@@ -78,7 +79,10 @@ def _read_config_file(path: Path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = _parse_config_value(val)
+        name = key.replace("-", "_")
+        if name not in DEFAULTS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        out[name] = _parse_config_value(val)
     return out
 
 
@@ -123,16 +127,11 @@ def _float_list(spec) -> list[float]:
     return [float(s) for s in str(spec).split(",") if str(s).strip()]
 
 
-def _cell_seed(base: int, label: str) -> int:
-    return (int(base) + zlib.crc32(label.encode())) % (2**31)
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, seed, wall_s: float,
+def _write_manifest(out_dir: Path, command: str, config: dict, wall_s: float,
                     outputs: list[str]) -> str:
     manifest = {
         "command": command,
         "config": config,
-        "seed": seed,
         "version": __version__,
         "wall_s": wall_s,
         "outputs": outputs,
@@ -157,7 +156,6 @@ def cmd_complete(args, config: dict) -> int:
         "mode_select": _setting(args, config, "mode_select"),
         "update": _setting(args, config, "update"),
         "max_iter": int(_setting(args, config, "max_iter")),
-        "seed": int(_setting(args, config, "seed")),
     }
     t = read_coo(src)
     out_dir = _out_dir(args)
@@ -173,14 +171,13 @@ def cmd_complete(args, config: dict) -> int:
                 max_iter=cfg_echo["max_iter"],
                 mode_selection=cfg_echo["mode_select"],
                 update_rule=cfg_echo["update"],
-                seed=cfg_echo["seed"],
             )
             _, trace = complete(t, fw)
             name = f"trace-R{rank}" + (f"-beta{beta:g}" if len(betas) > 1 else "") + ".csv"
             outputs.append(name)
             rows_by_run[name] = trace
     manifest_name = _write_manifest(
-        out_dir, "complete", cfg_echo, cfg_echo["seed"], time.perf_counter() - started, outputs
+        out_dir, "complete", cfg_echo, time.perf_counter() - started, outputs
     )
     for name, trace in rows_by_run.items():
         write_trace_csv(out_dir / name, trace, manifest=manifest_name)
@@ -240,7 +237,6 @@ def cmd_simulate(args, config: dict) -> int:
                 cfg = OnlineConfig(
                     tau=tau, order=order, cache_size=cache, predictor=pred,
                     completion=comp, rank_budget=rank, shift=shift,
-                    seed=_cell_seed(seed, f"{pred}:{comp}:{rank}"),
                 )
                 rep = run_online(stream, cfg, score_stream)
                 rep.rank = rank
@@ -248,7 +244,7 @@ def cmd_simulate(args, config: dict) -> int:
                 grid.append(rep)
     outputs = ["slots.csv", "summary.csv"]
     manifest_name = _write_manifest(
-        out_dir, "simulate", cfg_echo, seed, time.perf_counter() - started, outputs
+        out_dir, "simulate", cfg_echo, time.perf_counter() - started, outputs
     )
     write_report_csv(out_dir / "slots.csv", reports, manifest=manifest_name)
     write_summary_csv(out_dir / "summary.csv", grid, manifest=manifest_name)
@@ -291,7 +287,7 @@ def cmd_ingest(args, config: dict) -> int:
         "gap_hours": cfg.session_gap_hours, "weight": cfg.weight,
         "movie_ids": result.movie_ids, "start_timestamp": result.start_timestamp,
     }
-    _write_manifest(out_dir, "ingest", cfg_echo, 0, time.perf_counter() - started, outputs)
+    _write_manifest(out_dir, "ingest", cfg_echo, time.perf_counter() - started, outputs)
     print(f"wrote {len(outputs)} slot tensors to {out_dir}")
     return 0
 
@@ -319,7 +315,7 @@ def cmd_synth(args, config: dict) -> int:
         "shape": list(shape), "ranks": ranks, "observe": observe,
         "noise": noise, "seed": seed, "shift": shift,
     }
-    _write_manifest(out_dir, "synth", cfg_echo, seed, time.perf_counter() - started, outputs)
+    _write_manifest(out_dir, "synth", cfg_echo, time.perf_counter() - started, outputs)
     print(f"wrote {out_dir / name}")
     return 0
 
@@ -346,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode-select", dest="mode_select", choices=["sigma", "min-dim"])
     p.add_argument("--update", choices=["multi", "rank1"])
     p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("simulate", parents=[common], help="online prediction + caching over a demand stream")
     p.add_argument("--ratings", help="ratings file (default: synthetic stream)")
@@ -406,7 +401,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure
-        print(f"internal error: {exc}", file=sys.stderr)
+        cause = f": {exc.__cause__!r}" if exc.__cause__ is not None else ""
+        print(f"internal error: {exc}{cause}", file=sys.stderr)
         return 1
 
 

@@ -12,12 +12,12 @@ The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
    normalizes it so the step's unfolding has nuclear norm ``beta``, and folds
    it back into a step tensor ``S``,
 4. takes an exact line-search step ``X <- X - gamma * S``, and
-5. appends the step factors to that mode's running decomposition, charging the
-   appended rank against the global budget.
+5. charges the step's rank to that mode's ledger, which counts against the
+   global budget.
 
-The iterate is kept dense (desk-scale tensors), but the per-mode factor lists
-are maintained alongside it and always reconstruct the iterate: the dense
-array and the decomposition are two views of the same state.
+The state is the dense iterate (desk-scale tensors) and the per-mode rank
+ledger, which is all a Frank-Wolfe step reads: the step's factors are folded
+into the iterate and not kept.
 
 Because each step's observed part is, by construction, positively correlated
 with the residual, the exact line search always finds ``gamma > 0`` while the
@@ -35,13 +35,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .svd import dominant_sigma, truncated_svd
-from .tensors import SparseTensor, UnfoldSpec, fold, unfold
+from .tensors import SparseTensor, UnfoldSpec, fold, unfold, validate_shape
 
 __all__ = [
     "FwConfig",
     "FwState",
     "GradientStep",
-    "ModeComponents",
     "TraceRow",
     "ZeroGradientError",
     "ZeroOverlapError",
@@ -91,7 +90,6 @@ class FwConfig:
     max_iter: int = 200
     mode_selection: str = MODE_SIGMA_MAX
     update_rule: str = UPDATE_MULTI
-    seed: int = 0
     rse_floor: float = 1e-12
 
     def __post_init__(self):
@@ -110,30 +108,6 @@ class FwConfig:
 
 
 @dataclass
-class ModeComponents:
-    """Per-mode factor lists ``u`` (rows, R_k), ``sigma`` (R_k,), ``v`` (cols, R_k).
-
-    ``consumed`` is the rank ledger charged against the global budget. It
-    normally equals ``sigma.size``; it can run ahead only if a zero-step
-    update is applied directly (the weights would be zero, so nothing is
-    appended, but the budget is still charged).
-    """
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-    consumed: int = 0
-
-    @classmethod
-    def empty(cls, rows: int, cols: int) -> "ModeComponents":
-        return cls(np.zeros((rows, 0)), np.zeros(0), np.zeros((cols, 0)))
-
-    def matrix(self) -> np.ndarray:
-        """Unfolded contribution ``u @ diag(sigma) @ v.T`` of this mode."""
-        return (self.u * self.sigma) @ self.v.T
-
-
-@dataclass
 class TraceRow:
     iteration: int
     rse: float
@@ -149,16 +123,14 @@ class GradientStep:
 
     ``weights`` are the singular values of the step's ``mode`` unfolding; they
     sum to ``beta`` by construction (for the rank-1 rule the single weight is
-    ``beta`` itself). ``beta_scale`` is the scalar mapping the raw truncated
-    gradient SVD onto those weights. ``gamma`` is filled in by the line
-    search before the step is applied.
+    ``beta`` itself). ``gamma`` is filled in by the line search before the
+    step is applied.
     """
 
     mode: int
     u: np.ndarray
     weights: np.ndarray
     v: np.ndarray
-    beta_scale: float
     gamma: float = 0.0
 
     @property
@@ -172,46 +144,35 @@ class GradientStep:
 
 @dataclass
 class FwState:
-    """Full solver state: dense iterate plus its per-mode decomposition."""
+    """Solver state: the dense iterate ``x`` and the per-mode rank ledger.
+
+    ``consumed[k]`` is the rank charged against the global budget by steps
+    along mode ``k``. ``active`` holds the modes whose unfolding still has
+    rank to give (``consumed[k]`` below its smaller dimension).
+    """
 
     x: np.ndarray
-    components: dict[int, ModeComponents]
+    consumed: dict[int, int]
     active: set[int]
-    r_next: dict[int, int]
     config: FwConfig
     trace: list[TraceRow] = field(default_factory=list)
 
     @classmethod
     def initial(cls, shape, config: FwConfig) -> "FwState":
+        shape = validate_shape(shape)
         n = len(shape)
         if not 1 <= config.shift <= n - 1:
             raise ValueError(f"shift {config.shift} invalid for order {n}")
-        comps = {}
-        for k in range(1, n + 1):
-            rows, cols = UnfoldSpec(k, config.shift).matrix_dims(shape)
-            comps[k] = ModeComponents.empty(rows, cols)
+        modes = range(1, n + 1)
         return cls(
             x=np.zeros(shape),
-            components=comps,
-            active=set(range(1, n + 1)),
-            r_next={k: 0 for k in range(1, n + 1)},
+            consumed=dict.fromkeys(modes, 0),
+            active=set(modes),
             config=config,
         )
 
-    @property
-    def order(self) -> int:
-        return self.x.ndim
-
     def consumed_total(self) -> int:
-        return sum(c.consumed for c in self.components.values())
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of folded per-mode contributions; must match ``x``."""
-        out = np.zeros(self.x.shape)
-        for k, comp in self.components.items():
-            if comp.sigma.size:
-                out += fold(comp.matrix(), UnfoldSpec(k, self.config.shift), self.x.shape)
-        return out
+        return sum(self.consumed.values())
 
 
 def select_mode(grad: np.ndarray, cfg: FwConfig, active: set[int]) -> int:
@@ -263,9 +224,8 @@ def gradient_step(
     keep = trip.sigma > trip.sigma[0] * _SIGMA_EPS
     u, sig, v = trip.u[:, keep], trip.sigma[keep], trip.v[:, keep]
     if update_rule == UPDATE_RANK_ONE:
-        return GradientStep(k_star, u[:, :1], np.array([beta]), v[:, :1], beta)
-    scale = beta / float(sig.sum())
-    return GradientStep(k_star, u, scale * sig, v, scale)
+        return GradientStep(k_star, u[:, :1], np.array([beta]), v[:, :1])
+    return GradientStep(k_star, u, beta / float(sig.sum()) * sig, v)
 
 
 def line_search(x: np.ndarray, t: SparseTensor, s: np.ndarray) -> float:
@@ -285,28 +245,22 @@ def line_search(x: np.ndarray, t: SparseTensor, s: np.ndarray) -> float:
 
 
 def apply_update(state: FwState, step: GradientStep) -> FwState:
-    """Apply a step to the iterate and append its factors to the mode lists.
+    """Apply ``x <- x - gamma * S`` and charge the step's rank to its mode.
 
-    The rank ledger always advances by the step's rank. Factors are appended
-    only for ``gamma > 0`` (a zero step would append zero-weight components);
-    the left factors are appended negated so the stored weights stay
-    positive while the contribution matches ``-gamma * S``.
+    The rank ledger always advances by the step's rank; a ``gamma == 0``
+    step leaves the iterate unchanged. A mode whose ledger reaches the
+    smaller dimension of its unfolding leaves the active set.
     """
     k = step.mode
-    comp = state.components[k]
     if step.gamma > 0.0:
-        s_dense = step.dense(state.x.shape, state.config.shift)
-        state.x -= step.gamma * s_dense
+        state.x -= step.gamma * step.dense(state.x.shape, state.config.shift)
         if not np.isfinite(state.x).all():
             raise FloatingPointError(
                 f"non-finite iterate after mode-{k} update (gamma={step.gamma!r})"
             )
-        comp.u = np.hstack([comp.u, -step.u])
-        comp.sigma = np.concatenate([comp.sigma, step.gamma * step.weights])
-        comp.v = np.hstack([comp.v, step.v])
-    comp.consumed += step.rank
+    state.consumed[k] += step.rank
     rows, cols = UnfoldSpec(k, state.config.shift).matrix_dims(state.x.shape)
-    if comp.consumed >= min(rows, cols):
+    if state.consumed[k] >= min(rows, cols):
         state.active.discard(k)
     return state
 
@@ -319,12 +273,11 @@ def update_rank_budget(state: FwState, k: int) -> int:
     zero caused by budget exhaustion means the solver is done.
     """
     rows, cols = UnfoldSpec(k, state.config.shift).matrix_dims(state.x.shape)
-    consumed = state.components[k].consumed
+    consumed = state.consumed[k]
     remaining = state.config.rank_budget - state.consumed_total()
     r = max(min(rows - consumed, cols - consumed, remaining), 0)
     if r == 0 and consumed >= min(rows, cols):
         state.active.discard(k)
-    state.r_next[k] = r
     return r
 
 

@@ -62,7 +62,6 @@ class IngestConfig:
     pairing: str = PAIRING_SELF
     session_gap_hours: float = 6.0
     weight: str = WEIGHT_COUNT
-    seed: int = 0
 
     def __post_init__(self):
         if self.top_f < 1 or self.n_bs < 1 or self.slot_days < 1:

@@ -27,15 +27,10 @@ __all__ = [
     "PredictorConfig",
     "fit_predict",
     "normalize_demands",
-    "predict_all",
-    "write_forecast_csv",
 ]
 
 PREDICT_LS = "lp"
 PREDICT_MEAN = "mean"
-
-AGGREGATE_RECOMMENDED = "recommended"
-AGGREGATE_PRIMARY = "primary"
 
 
 @dataclass
@@ -62,14 +57,6 @@ class DemandHistory:
     def window(self) -> int:
         return self.shares.shape[0]
 
-    @property
-    def num_files(self) -> int:
-        return self.shares.shape[1]
-
-    @property
-    def num_bs(self) -> int:
-        return self.shares.shape[2]
-
 
 @dataclass
 class PredictorConfig:
@@ -95,23 +82,19 @@ class Forecast:
     used_fallback: bool = False
 
 
-def normalize_demands(d: np.ndarray, aggregate: str = AGGREGATE_RECOMMENDED) -> DemandHistory:
+def normalize_demands(d: np.ndarray) -> DemandHistory:
     """Per-(bs, slot) demand shares from a (F, F, N_BS, window) demand tensor.
 
     Negative entries (e.g. from a completed tensor) are clipped to zero
-    before aggregation. ``aggregate`` picks which axis is summed out: the
-    default credits file ``f`` with all mass in row ``f`` (sum over the
-    recommendation axis); ``primary`` flips to column sums. All-zero
-    (bs, slot) pairs fall back to the uniform distribution.
+    before aggregation. File ``f`` is credited with all mass in row ``f``
+    (the sum over the recommendation axis), as :func:`~tenscache.caching.hit_rate`
+    scores it. All-zero (bs, slot) pairs fall back to the uniform distribution.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 4:
         raise ValueError(f"expected a 4th-order demand tensor, got shape {d.shape}")
-    if aggregate not in (AGGREGATE_RECOMMENDED, AGGREGATE_PRIMARY):
-        raise ValueError(f"unknown aggregation axis {aggregate!r}")
     d = np.clip(d, 0.0, None)
-    axis = 1 if aggregate == AGGREGATE_RECOMMENDED else 0
-    mass = d.sum(axis=axis)  # (F, N_BS, window)
+    mass = d.sum(axis=1)  # (F, N_BS, window)
     totals = mass.sum(axis=0, keepdims=True)
     f = mass.shape[0]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -179,19 +162,3 @@ def _solve_constrained(shares_b: np.ndarray, m_order: int):
     if not np.isfinite(z).all():
         return None
     return np.concatenate([z, [1.0 - z.sum()]])
-
-
-def predict_all(history: DemandHistory, cfg: PredictorConfig) -> list[Forecast]:
-    """Forecasts for every base station (independent per-BS fits)."""
-    return [fit_predict(history, cfg, b) for b in range(history.num_bs)]
-
-
-def write_forecast_csv(path, forecasts: list[Forecast], manifest: str | None = None) -> None:
-    """Write forecasts as ``bs,file,predicted_share`` (1-based ids)."""
-    with open(path, "w") as fh:
-        if manifest:
-            fh.write(f"# manifest: {manifest}\n")
-        fh.write("bs,file,predicted_share\n")
-        for fc in forecasts:
-            for f, share in enumerate(fc.shares):
-                fh.write(f"{fc.bs + 1},{f + 1},{float(share)!r}\n")

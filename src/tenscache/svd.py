@@ -31,14 +31,12 @@ def _check_finite(m: np.ndarray) -> None:
         raise ValueError("matrix contains non-finite entries")
 
 
-def truncated_svd(m: np.ndarray, r: int, seed: int = 0) -> SvdTriplet:
+def truncated_svd(m: np.ndarray, r: int) -> SvdTriplet:
     """Top-``r`` singular triplets of ``m``.
 
     Backed by the dense LAPACK SVD, which is deterministic, so the result is
-    bitwise reproducible for any ``seed``; the parameter is kept so a
-    randomized backend could be swapped in without changing call sites.
-    Signs are fixed by making the largest-magnitude entry of each left
-    singular vector positive.
+    bitwise reproducible. Signs are fixed by making the largest-magnitude
+    entry of each left singular vector positive.
     """
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"expected a nonempty matrix, got shape {m.shape}")

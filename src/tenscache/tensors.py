@@ -24,9 +24,6 @@ __all__ = [
     "SparseTensor",
     "UnfoldSpec",
     "fold",
-    "fro_norm",
-    "inner",
-    "masked_residual",
     "read_coo",
     "unfold",
     "validate_shape",
@@ -100,18 +97,6 @@ def fold(m: np.ndarray, spec: UnfoldSpec, shape) -> np.ndarray:
     return np.transpose(t, np.argsort(perm))
 
 
-def inner(x: np.ndarray, y: np.ndarray) -> float:
-    """Elementwise inner product of two same-shape tensors."""
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    return float(np.dot(x.ravel(), y.ravel()))
-
-
-def fro_norm(x: np.ndarray) -> float:
-    """Frobenius norm; ``fro_norm(x) ** 2 == inner(x, x)``."""
-    return float(np.linalg.norm(x.ravel()))
-
-
 @dataclass
 class SparseTensor:
     """Observed entries of an N-order tensor in COO form.
@@ -165,17 +150,6 @@ class SparseTensor:
         out = np.zeros(self.shape)
         out[self.mask_tuple()] = self.values
         return out
-
-
-def masked_residual(x: np.ndarray, t: SparseTensor) -> SparseTensor:
-    """Sparse residual ``x - t`` on the observed positions.
-
-    This is the gradient of ``0.5 * ||x(mask) - t(mask)||^2`` embedded at the
-    observed positions (zero elsewhere).
-    """
-    if x.shape != t.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {t.shape}")
-    return SparseTensor(t.shape, t.indices.copy(), t.gather(x) - t.values)
 
 
 # --- COO text format -------------------------------------------------------

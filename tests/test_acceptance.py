@@ -148,10 +148,9 @@ def test_criterion_6_rank_ledger(report):
         # consumption only grows, so the final ledger bounds every iteration
         ok = ok and state.consumed_total() <= budget
         ok = ok and (len(trace) - 1) <= budget
-        for k, comp in state.components.items():
+        for k, consumed in state.consumed.items():
             rows, cols = UnfoldSpec(k, 1).matrix_dims(shape)
-            ok = ok and comp.consumed <= min(rows, cols)
-            ok = ok and comp.sigma.size == comp.consumed
+            ok = ok and consumed <= min(rows, cols)
     report("criterion 6: rank ledger and iteration count bounded by budget", ok,
             "50 random solver runs")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tenscache.caching as caching_mod
 from tenscache.caching import (
     CachePlan,
     OnlineConfig,
@@ -128,11 +129,16 @@ class TestRunOnline:
         with pytest.raises(ValueError):
             run_online(stream, cfg)
 
-    def test_errors_carry_slot_index(self):
+    def test_errors_carry_slot_index(self, monkeypatch):
+        def failing_fit(*args):
+            raise np.linalg.LinAlgError("solver blew up")
+
+        monkeypatch.setattr(caching_mod, "fit_predict", failing_fit)
         stream = [RNG.random((5, 5, 2)) for _ in range(8)]
-        cfg = OnlineConfig(tau=4, order=2, cache_size=9, completion=False)  # capacity > F
-        with pytest.raises(RuntimeError, match="slot"):
+        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=False)
+        with pytest.raises(RuntimeError, match="slot 4") as info:
             run_online(stream, cfg)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestOraclePlace:

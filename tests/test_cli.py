@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import tenscache.caching as caching_mod
 from tenscache.cli import main
 from tenscache.ingest import synth_low_rank
 from tenscache.tensors import write_coo_sparse
@@ -60,6 +61,12 @@ class TestCompleteCommand:
 
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "complete", str(tmp_path / "nope.coo")]) == 2
+
+    def test_seed_flag_rejected(self, tensor_file, tmp_path):
+        # the solver is deterministic; complete takes no seed
+        with pytest.raises(SystemExit) as info:
+            main(["--out", str(tmp_path), "complete", str(tensor_file), "--seed", "1"])
+        assert info.value.code == 2
 
     def test_manifest_referenced_from_csv(self, tensor_file, tmp_path):
         out = tmp_path / "out"
@@ -129,6 +136,29 @@ class TestSimulateCommand:
              "--slots", "5", "--tau", "10"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [(["--cache", "9", "--files", "8"], "cache size 9"),
+         (["--order", "12", "--tau", "10"], "prediction order 12")],
+    )
+    def test_infeasible_online_config_exits_2(self, tmp_path, capsys, flags, cause):
+        rc = main(["--out", str(tmp_path), "simulate", "--bs", "2", "--slots", "12", *flags])
+        assert rc == 2
+        assert cause in capsys.readouterr().err
+
+    def test_internal_error_prints_cause(self, tmp_path, capsys, monkeypatch):
+        def failing_fit(*args):
+            raise np.linalg.LinAlgError("solver blew up")
+
+        monkeypatch.setattr(caching_mod, "fit_predict", failing_fit)
+        rc = main(["--out", str(tmp_path), "simulate", "--files", "8", "--bs", "2",
+                   "--tau", "3", "--order", "2", "--cache", "2", "--slots", "6",
+                   "--completion", "off"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "internal error: online loop failed at slot 3" in err
+        assert "solver blew up" in err
 
     def test_summary_reproducible_across_runs(self, tmp_path):
         argv = ["simulate", "--files", "8", "--bs", "2", "--tau", "3", "--order", "2",
@@ -223,3 +253,10 @@ class TestConfigPrecedence:
         cfg.write_text("rank 4\n")
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "complete", str(tensor_file)])
         assert rc == 2
+
+    def test_unknown_config_key_exits_2(self, tensor_file, tmp_path, capsys):
+        cfg = tmp_path / "typo.toml"
+        cfg.write_text("# comment\nrnak = 5\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "complete", str(tensor_file)])
+        assert rc == 2
+        assert f"{cfg}:2: unknown key 'rnak'" in capsys.readouterr().err

@@ -9,8 +9,6 @@ from tenscache.prediction import (
     PredictorConfig,
     fit_predict,
     normalize_demands,
-    predict_all,
-    write_forecast_csv,
 )
 
 RNG = np.random.default_rng(23)
@@ -60,12 +58,14 @@ class TestNormalizeDemands:
         np.testing.assert_allclose(hist.shares[0, :, 0], [1.0, 0.0])
 
     def test_aggregation_axis_switch(self):
+        # mass is credited to the primary (row) file, as hit_rate scores it:
+        # moving it across the diagonal switches the credited file
         d = np.zeros((2, 2, 1, 1))
         d[0, 1, 0, 0] = 1.0  # primary file 1, recommended file 2
-        recommended = normalize_demands(d, "recommended")
-        primary = normalize_demands(d, "primary")
-        np.testing.assert_allclose(recommended.shares[0, :, 0], [1.0, 0.0])
-        np.testing.assert_allclose(primary.shares[0, :, 0], [0.0, 1.0])
+        np.testing.assert_allclose(normalize_demands(d).shares[0, :, 0], [1.0, 0.0])
+        np.testing.assert_allclose(
+            normalize_demands(d.transpose(1, 0, 2, 3)).shares[0, :, 0], [0.0, 1.0]
+        )
 
 
 class TestFitPredict:
@@ -131,13 +131,6 @@ class TestFitPredict:
         fc_p = fit_predict(hist_p, cfg, 0)
         np.testing.assert_allclose(fc_p.shares, fc.shares[perm], atol=1e-9)
 
-    def test_predict_all_covers_every_bs(self):
-        shares = np.stack([np.stack([random_simplex(RNG, 6) for _ in range(3)], axis=1)
-                           for _ in range(8)])
-        hist = DemandHistory(shares)
-        fcs = predict_all(hist, PredictorConfig(order=2))
-        assert [fc.bs for fc in fcs] == [0, 1, 2]
-
     def test_failed_solve_falls_back_to_mean(self, monkeypatch):
         monkeypatch.setattr(prediction_mod, "_solve_constrained", lambda *a: None)
         slots = [random_simplex(np.random.default_rng(6), 5) for _ in range(6)]
@@ -145,20 +138,6 @@ class TestFitPredict:
         fc = fit_predict(hist, PredictorConfig(order=2, mode="lp"), 0)
         assert fc.used_fallback
         np.testing.assert_allclose(fc.coefficients, [0.5, 0.5])
-
-    def test_forecast_csv_format(self, tmp_path):
-        rng = np.random.default_rng(8)
-        slots = [random_simplex(rng, 4) for _ in range(5)]
-        hist = history_from_slots(slots)
-        fcs = predict_all(hist, PredictorConfig(order=2))
-        path = tmp_path / "forecast.csv"
-        write_forecast_csv(path, fcs, manifest="m.json")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# manifest: m.json"
-        assert lines[1] == "bs,file,predicted_share"
-        assert len(lines) == 2 + 4  # one row per (bs, file)
-        shares = [float(ln.split(",")[2]) for ln in lines[2:]]
-        assert abs(sum(shares) - 1.0) <= 1e-9
 
 
 def _oracle_system(shares, m_order):

@@ -7,9 +7,6 @@ from tenscache.tensors import (
     SparseTensor,
     UnfoldSpec,
     fold,
-    fro_norm,
-    inner,
-    masked_residual,
     read_coo,
     unfold,
     validate_shape,
@@ -130,28 +127,6 @@ def test_round_trip_property(dims, seed):
         np.testing.assert_array_equal(fold(unfold(x, spec), spec, shape), x)
 
 
-class TestInnerAndNorm:
-    def test_inner_with_zero(self):
-        x = RNG.normal(size=(3, 4, 5))
-        assert inner(x, np.zeros_like(x)) == 0.0
-
-    def test_inner_self_is_squared_norm(self):
-        x = RNG.normal(size=(3, 4, 5))
-        assert abs(inner(x, x) - fro_norm(x) ** 2) <= 1e-12 * inner(x, x)
-
-    def test_inner_matches_flat_dot(self):
-        x = RNG.normal(size=(4, 3, 2))
-        y = RNG.normal(size=(4, 3, 2))
-        brute = sum(
-            x[i, j, k] * y[i, j, k] for i in range(4) for j in range(3) for k in range(2)
-        )
-        assert abs(inner(x, y) - brute) <= 1e-12 * max(abs(brute), 1.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            inner(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)))
-
-
 class TestSparseTensor:
     def test_basic_construction(self):
         t = SparseTensor((3, 3, 3), [[0, 1, 2], [1, 1, 1]], [4.0, 5.0])
@@ -172,29 +147,6 @@ class TestSparseTensor:
         t = SparseTensor((2, 2, 2), [[0, 0, 0], [1, 1, 1]], [1.0, 2.0])
         x = np.arange(8, dtype=float).reshape(2, 2, 2)
         np.testing.assert_array_equal(t.gather(x), [x[0, 0, 0], x[1, 1, 1]])
-
-
-class TestMaskedResidual:
-    def test_zero_iterate_gives_negated_values(self):
-        t = SparseTensor((2, 2, 2), [[0, 0, 0], [1, 0, 1]], [3.0, 4.0])
-        res = masked_residual(np.zeros((2, 2, 2)), t)
-        np.testing.assert_array_equal(res.values, [-3.0, -4.0])
-
-    def test_exact_fit_gives_zero(self):
-        t = SparseTensor((2, 2, 2), [[0, 0, 0], [1, 0, 1]], [3.0, 4.0])
-        res = masked_residual(t.to_dense(), t)
-        assert not res.values.any()
-
-    def test_two_cell_subtraction(self):
-        t = SparseTensor((2, 2, 2), [[0, 0, 0], [1, 0, 1]], [3.0, 4.0])
-        x = np.ones((2, 2, 2))
-        res = masked_residual(x, t)
-        np.testing.assert_array_equal(res.values, [-2.0, -3.0])
-
-    def test_shape_mismatch(self):
-        t = SparseTensor((2, 2, 2), [[0, 0, 0]], [1.0])
-        with pytest.raises(ValueError):
-            masked_residual(np.zeros((2, 2, 3)), t)
 
 
 class TestCooFormat:
