@@ -2,15 +2,17 @@
 
 Each scored slot follows the observe / place / deliver cycle: the sliding
 window of the last ``tau`` observed demand slots is (optionally) completed,
-the next slot's shares are forecast per base station, the forecast's top
-``cache_size`` files are placed, and the placement is scored against the
-demands that then materialize. An oracle placement (top files of the realized
-demands themselves) is scored alongside as the per-slot upper bound.
+the next slot's shares are forecast per base station by every configured
+predictor, each forecast's top ``cache_size`` files are placed, and each
+placement is scored against the demands that then materialize. Completion
+does not depend on the predictor, so each window is completed once. An oracle
+placement (top files of the realized demands themselves) is scored alongside
+as the per-slot upper bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,21 +62,18 @@ class SlotOutcome:
 
 @dataclass
 class OnlineConfig:
-    """Online-loop configuration (window, predictor, placement, completion)."""
+    """Online-loop configuration (window, predictors, placement, completion)."""
 
     tau: int = 10
     order: int = 6
     cache_size: int = 32
-    predictor: str = "lp"
+    predictors: tuple[str, ...] = ("lp",)
     completion: bool = True
     rank_budget: int = 8
     beta: float = 1e5
     shift: int = 1
     mode_selection: str = "sigma"
     update_rule: str = "multi"
-
-    def method_label(self) -> str:
-        return f"{self.predictor}-{'completed' if self.completion else 'raw'}"
 
     def fw_config(self) -> FwConfig:
         return FwConfig(
@@ -94,8 +93,7 @@ class OnlineRunReport:
     rank: int
     outcomes: list[SlotOutcome]
     oracle_outcomes: list[SlotOutcome]
-    config: OnlineConfig
-    averages: dict[str, float] = field(default_factory=dict)
+    averages: dict[str, float]
 
     def average(self) -> float:
         return self.averages[self.method]
@@ -144,12 +142,12 @@ def _window_tensor(slots: list[np.ndarray], end: int, tau: int) -> np.ndarray:
     return np.stack(slots[end - tau + 1 : end + 1], axis=-1)
 
 
-def _completed_window(window: np.ndarray, cfg: OnlineConfig) -> np.ndarray:
+def _completed_window(window: np.ndarray, fw_cfg: FwConfig) -> np.ndarray:
     idx = np.argwhere(window != 0.0)
     if idx.shape[0] == 0:
         return window
     t = SparseTensor(window.shape, idx, window[tuple(idx.T)])
-    state, _ = complete(t, cfg.fw_config())
+    state, _ = complete(t, fw_cfg)
     return state.x
 
 
@@ -157,16 +155,19 @@ def run_online(
     stream: list[np.ndarray],
     cfg: OnlineConfig,
     score_stream: list[np.ndarray] | None = None,
-) -> OnlineRunReport:
+) -> list[OnlineRunReport]:
     """Run the per-slot observe / complete / predict / place / score loop.
 
     ``stream`` holds the observed (F, F, N_BS) demand slots. ``score_stream``
     holds the realized demands used for scoring and the oracle; it defaults
     to ``stream`` (on real traces the observed demands are all there is).
     Slots ``tau+1 .. T`` (1-based) get scored; zero-demand (slot, bs) pairs
-    are flagged and excluded from the averages. A configuration the stream
-    cannot satisfy raises ``ValueError`` before the loop; a failure inside
-    the loop is re-raised as ``RuntimeError`` naming the slot.
+    are flagged and excluded from the averages. Each window is completed,
+    normalized and scored by the oracle once, and the result feeds every
+    predictor in ``cfg.predictors``; one report per predictor comes back, in
+    that order. A configuration the stream cannot satisfy raises
+    ``ValueError`` before the loop; a failure inside the loop is re-raised as
+    ``RuntimeError`` naming the slot.
     """
     if score_stream is None:
         score_stream = stream
@@ -180,36 +181,41 @@ def run_online(
     if cfg.tau < cfg.order + 1:
         raise ValueError(f"tau={cfg.tau} too short for prediction order {cfg.order}; "
                          "need tau >= order + 1")
-    pred_cfg = PredictorConfig(cfg.order, cfg.predictor)
-    outcomes: list[SlotOutcome] = []
+    if not cfg.predictors:
+        raise ValueError("no predictor given")
+    pred_cfgs = [PredictorConfig(cfg.order, p) for p in cfg.predictors]
+    fw_cfg = cfg.fw_config()
+    outcomes: list[list[SlotOutcome]] = [[] for _ in pred_cfgs]
     oracle_outcomes: list[SlotOutcome] = []
 
     for t_idx in range(cfg.tau - 1, len(stream) - 1):
         window = _window_tensor(stream, t_idx, cfg.tau)
         try:
-            filled = _completed_window(window, cfg) if cfg.completion else window
+            filled = _completed_window(window, fw_cfg) if cfg.completion else window
             history = normalize_demands(filled)
             realized = score_stream[t_idx + 1]
             for b in range(n_bs):
-                plan = mpc_place(fit_predict(history, pred_cfg, b), cfg.cache_size)
-                outcomes.append(_score(realized[:, :, b], plan, t_idx + 2, b))
-                oracle = oracle_place(realized[:, :, b], cfg.cache_size, b)
-                oracle_outcomes.append(_score(realized[:, :, b], oracle, t_idx + 2, b))
+                demand = realized[:, :, b]
+                for pred_cfg, scored in zip(pred_cfgs, outcomes):
+                    plan = mpc_place(fit_predict(history, pred_cfg, b), cfg.cache_size)
+                    scored.append(_score(demand, plan, t_idx + 2, b))
+                oracle = oracle_place(demand, cfg.cache_size, b)
+                oracle_outcomes.append(_score(demand, oracle, t_idx + 2, b))
         except Exception as exc:
             raise RuntimeError(f"online loop failed at slot {t_idx + 1}") from exc
 
-    report = OnlineRunReport(
-        method=cfg.method_label(),
-        rank=cfg.rank_budget if cfg.completion else 0,
-        outcomes=outcomes,
-        oracle_outcomes=oracle_outcomes,
-        config=cfg,
-    )
-    report.averages = {
-        cfg.method_label(): _average(outcomes),
-        "oracle": _average(oracle_outcomes),
-    }
-    return report
+    oracle_average = _average(oracle_outcomes)
+    reports = []
+    for predictor, scored in zip(cfg.predictors, outcomes):
+        method = f"{predictor}-{'completed' if cfg.completion else 'raw'}"
+        reports.append(OnlineRunReport(
+            method=method,
+            rank=cfg.rank_budget if cfg.completion else 0,
+            outcomes=scored,
+            oracle_outcomes=oracle_outcomes,
+            averages={method: _average(scored), "oracle": oracle_average},
+        ))
+    return reports
 
 
 def _score(demand_slice: np.ndarray, plan: CachePlan, slot: int, bs: int) -> SlotOutcome:

@@ -112,6 +112,17 @@ def _setting(args, config: dict, key: str):
     return DEFAULTS[key]
 
 
+def _completions(value) -> list[bool]:
+    """The ``completion`` setting (a bool, ``on``, ``off`` or ``both``) as the
+    completion flags to run."""
+    if isinstance(value, bool):
+        return [value]
+    choices = {"on": [True], "off": [False], "both": [True, False]}
+    if value not in choices:
+        raise UsageError(f"completion must be a bool, on, off or both; got {value!r}")
+    return choices[value]
+
+
 def _out_dir(args) -> Path:
     out = getattr(args, "out", None) or os.environ.get(OUT_DIR_ENV) or "."
     path = Path(out)
@@ -195,12 +206,11 @@ def cmd_simulate(args, config: dict) -> int:
     seed = int(_setting(args, config, "seed"))
     ranks = _int_list(_setting(args, config, "ranks"))
     predictor = str(_setting(args, config, "predictor"))
-    completion = str(_setting(args, config, "completion"))
+    completions = _completions(_setting(args, config, "completion"))
     n_slots = int(_setting(args, config, "slots"))
     observe = float(_setting(args, config, "observe"))
 
-    predictors = ["lp", "mean"] if predictor == "both" else [predictor]
-    completions = [True, False] if completion == "both" else [completion in ("on", "true", "1")]
+    predictors = ("lp", "mean") if predictor == "both" else (predictor,)
 
     if args.ratings:
         path = Path(args.ratings)
@@ -226,19 +236,23 @@ def cmd_simulate(args, config: dict) -> int:
     }
     out_dir = _out_dir(args)
     started = time.perf_counter()
-    reports = []  # one per distinct run (raw runs do not depend on the rank budget)
+    cells = {}  # (completion, rank) -> one report per predictor, from one run
+    for comp in completions:
+        for rank in ranks if comp else ranks[:1]:  # raw runs do not use the budget
+            cfg = OnlineConfig(
+                tau=tau, order=order, cache_size=cache, predictors=predictors,
+                completion=comp, rank_budget=rank, shift=shift,
+            )
+            cells[comp, rank] = run_online(stream, cfg, score_stream)
+    reports = []  # one per distinct (predictor, completion, rank) run
     grid = []  # full {predictor} x {raw, completed} x {rank} summary grid
-    for pred in predictors:
+    for i in range(len(predictors)):
         for comp in completions:
             for rank in ranks:
                 if not comp and rank != ranks[0]:
                     grid.append(replace(reports[-1], rank=rank))
                     continue
-                cfg = OnlineConfig(
-                    tau=tau, order=order, cache_size=cache, predictor=pred,
-                    completion=comp, rank_budget=rank, shift=shift,
-                )
-                rep = run_online(stream, cfg, score_stream)
+                rep = cells[comp, rank][i]
                 rep.rank = rank
                 reports.append(rep)
                 grid.append(rep)

@@ -15,6 +15,7 @@ columns. Modes are numbered 1..N throughout the public API; COO files use
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -201,8 +202,11 @@ def read_coo(path) -> SparseTensor:
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(shape) + 1} fields, got {len(parts)}"
                 )
+            value = float(parts[-1])
+            if not math.isfinite(value):
+                raise ValueError(f"{path}:{lineno}: non-finite value {parts[-1].strip()!r}")
             idx_rows.append([int(p) - 1 for p in parts[:-1]])
-            vals.append(float(parts[-1]))
+            vals.append(value)
     if shape is None:
         raise ValueError(f"{path}: missing '# shape:' header")
     indices = np.array(idx_rows, dtype=np.intp).reshape(len(vals), len(shape))

@@ -10,6 +10,7 @@ from tenscache.caching import (
     oracle_place,
     run_online,
 )
+from tenscache.completion import complete
 from tenscache.ingest import synth_lowrank_stream, synth_request_stream
 from tenscache.prediction import Forecast
 
@@ -90,8 +91,8 @@ class TestHitRate:
 class TestRunOnline:
     def test_oracle_dominates_every_slot(self):
         stream = synth_request_stream(12, 2, 20, requests_per_slot=200, seed=3)
-        cfg = OnlineConfig(tau=4, order=2, cache_size=4, predictor="lp", completion=False)
-        report = run_online(stream, cfg)
+        cfg = OnlineConfig(tau=4, order=2, cache_size=4, predictors=("lp",), completion=False)
+        [report] = run_online(stream, cfg)
         assert len(report.outcomes) == len(report.oracle_outcomes)
         for got, oracle in zip(report.outcomes, report.oracle_outcomes):
             assert (got.slot, got.bs) == (oracle.slot, oracle.bs)
@@ -99,24 +100,52 @@ class TestRunOnline:
 
     def test_stationary_zipf_mean_predictor_near_oracle(self):
         stream = synth_request_stream(40, 3, 200, requests_per_slot=3000, zipf_a=1.0, seed=5)
-        cfg = OnlineConfig(tau=8, order=4, cache_size=12, predictor="mean", completion=False)
-        report = run_online(stream, cfg)
+        cfg = OnlineConfig(tau=8, order=4, cache_size=12, predictors=("mean",), completion=False)
+        [report] = run_online(stream, cfg)
         avg = report.average()
         oracle = report.averages["oracle"]
         assert avg >= oracle * 0.98
 
     def test_completion_improves_masked_stream(self):
         observed, truth = synth_lowrank_stream(24, 3, 60, observe_fraction=0.05, seed=0)
-        base = dict(tau=8, order=4, cache_size=6, predictor="mean", rank_budget=16, shift=2)
-        on = run_online(observed, OnlineConfig(completion=True, **base), truth)
-        off = run_online(observed, OnlineConfig(completion=False, **base), truth)
+        base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), rank_budget=16, shift=2)
+        [on] = run_online(observed, OnlineConfig(completion=True, **base), truth)
+        [off] = run_online(observed, OnlineConfig(completion=False, **base), truth)
         assert on.average() >= off.average()
+
+    def test_shared_completion_matches_single_predictor_runs(self):
+        observed, truth = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        base = dict(tau=8, order=4, cache_size=6, rank_budget=16, shift=2)
+        both = run_online(observed, OnlineConfig(predictors=("lp", "mean"), **base), truth)
+        [lp] = run_online(observed, OnlineConfig(predictors=("lp",), **base), truth)
+        [mean] = run_online(observed, OnlineConfig(predictors=("mean",), **base), truth)
+        assert [rep.method for rep in both] == ["lp-completed", "mean-completed"]
+        for got, single in zip(both, (lp, mean)):
+            assert got.outcomes == single.outcomes  # dataclass equality: bitwise floats
+            assert got.oracle_outcomes == single.oracle_outcomes
+            assert got.averages == single.averages
+
+    def test_one_completion_per_scored_slot(self, monkeypatch):
+        calls = []
+
+        def counting_complete(t, fw_cfg):
+            calls.append(t.shape)
+            return complete(t, fw_cfg)
+
+        monkeypatch.setattr(caching_mod, "complete", counting_complete)
+        observed, truth = synth_lowrank_stream(24, 3, 12, observe_fraction=0.05, seed=2)
+        cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("lp", "mean"),
+                           rank_budget=8, shift=2)
+        reports = run_online(observed, cfg, truth)
+        scored_slots = {o.slot for o in reports[0].outcomes}
+        assert len(scored_slots) == len(observed) - cfg.tau
+        assert len(calls) == len(scored_slots)
 
     def test_zero_demand_slots_flagged_and_excluded(self):
         stream = [RNG.random((5, 5, 2)) for _ in range(8)]
         stream[6] = np.zeros((5, 5, 2))  # realized demands vanish for one scored slot
-        cfg = OnlineConfig(tau=4, order=2, cache_size=2, predictor="mean", completion=False)
-        report = run_online(stream, cfg)
+        cfg = OnlineConfig(tau=4, order=2, cache_size=2, predictors=("mean",), completion=False)
+        [report] = run_online(stream, cfg)
         flagged = [o for o in report.outcomes if o.zero_demand]
         assert len(flagged) == 2  # one per base station
         assert all(o.hit_rate == 0.0 for o in flagged)

@@ -59,6 +59,12 @@ class TestCompleteCommand:
             assert len(col) == len(columns[0])
             np.testing.assert_allclose(col, columns[0], atol=1e-8)
 
+    def test_non_finite_input_exits_2_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "nan.coo"
+        path.write_text("# shape: 2x2x2\n1,1,1,1.0\n2,2,2,nan\n")
+        assert main(["--out", str(tmp_path), "complete", str(path)]) == 2
+        assert f"{path}:3: non-finite value" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "complete", str(tmp_path / "nope.coo")]) == 2
 
@@ -260,3 +266,28 @@ class TestConfigPrecedence:
         rc = main(["--config", str(cfg), "--out", str(tmp_path), "complete", str(tensor_file)])
         assert rc == 2
         assert f"{cfg}:2: unknown key 'rnak'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, methods",
+        [("true", {"mean-completed"}), ("false", {"mean-raw"}),
+         ('"on"', {"mean-completed"}), ('"both"', {"mean-completed", "mean-raw"})],
+    )
+    def test_completion_from_config_file(self, tmp_path, value, methods):
+        cfg = tmp_path / "sim.toml"
+        cfg.write_text(f"completion = {value}\n")
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfg), "--out", str(out), "simulate", "--files", "8",
+                   "--bs", "2", "--tau", "3", "--order", "2", "--cache", "2", "--slots", "6",
+                   "--ranks", "4", "--predictor", "mean"])
+        assert rc == 0
+        _, rows = read_csv_rows(out / "summary.csv")
+        assert {r[0] for r in rows} - {"oracle"} == methods
+
+    @pytest.mark.parametrize("value", ['"maybe"', "1", '"true"'])
+    def test_bad_completion_in_config_exits_2(self, tmp_path, capsys, value):
+        cfg = tmp_path / "sim.toml"
+        cfg.write_text(f"completion = {value}\n")
+        rc = main(["--config", str(cfg), "--out", str(tmp_path), "simulate", "--files", "8",
+                   "--bs", "2", "--tau", "3", "--order", "2", "--cache", "2", "--slots", "6"])
+        assert rc == 2
+        assert "completion must be" in capsys.readouterr().err

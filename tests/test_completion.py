@@ -17,6 +17,7 @@ from tenscache.completion import (
     update_rank_budget,
 )
 from tenscache.ingest import synth_low_rank
+from tenscache.svd import dominant_sigma
 from tenscache.tensors import SparseTensor, UnfoldSpec, fold, unfold
 
 RNG = np.random.default_rng(11)
@@ -36,7 +37,7 @@ class TestSelectMode:
     def test_sigma_max_finds_planted_mode(self):
         # rank-1 along the mode-2 unfolding with sigma exactly 10; the premise
         # (all other modes strictly below 10) is checked with an independent
-        # Gram-eigenvalue oracle
+        # SVD oracle
         shape = (4, 5, 3, 2)
         spec = UnfoldSpec(2, 1)
         rows, cols = spec.matrix_dims(shape)
@@ -46,12 +47,25 @@ class TestSelectMode:
         v /= np.linalg.norm(v)
         grad = fold(10.0 * np.outer(u, v), spec, shape)
         for k in (1, 3, 4):
-            m = unfold(grad, UnfoldSpec(k, 1))
-            gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
-            top = np.sqrt(max(np.linalg.eigvalsh(gram).max(), 0.0))
+            top = np.linalg.svd(unfold(grad, UnfoldSpec(k, 1)), compute_uv=False)[0]
             assert top < 10.0 - 1e-6
         cfg = FwConfig(rank_budget=4)
         assert select_mode(grad, cfg, {1, 2, 3, 4}) == 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shift2_transposed_pairs_tie_toward_smaller_mode(self, seed):
+        # at shift 2 on an order-4 tensor the mode-k and mode-(k+2) unfoldings
+        # are transposes of each other, so their sigmas tie exactly and the
+        # smaller mode index wins
+        rng = np.random.default_rng(seed)
+        grad = rng.normal(size=(12, 9, 3, 5)) * (rng.random((12, 9, 3, 5)) < 0.05)
+        cfg = FwConfig(rank_budget=4, shift=2)
+        sigma = {k: dominant_sigma(unfold(grad, UnfoldSpec(k, 2))) for k in (1, 2, 3, 4)}
+        assert sigma[1] == sigma[3] and sigma[2] == sigma[4]
+        assert select_mode(grad, cfg, {1, 3}) == 1
+        assert select_mode(grad, cfg, {2, 4}) == 2
+        assert select_mode(grad, cfg, {3, 4}) == (3 if sigma[3] >= sigma[4] else 4)
+        assert select_mode(grad, cfg, {1, 2, 3, 4}) == (1 if sigma[1] >= sigma[2] else 2)
 
     def test_singleton_active_set(self):
         grad = RNG.normal(size=(3, 4, 5, 2))

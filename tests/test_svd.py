@@ -91,7 +91,11 @@ class TestDominantSigma:
     def test_matches_truncated_svd(self):
         m = RNG.normal(size=(14, 23))
         top = truncated_svd(m, 1).sigma[0]
-        assert abs(dominant_sigma(m) - top) <= 1e-6 * top
+        assert abs(dominant_sigma(m) - top) <= 1e-12 * top
+
+    def test_transposes_bitwise_equal(self):
+        m = RNG.normal(size=(9, 31))
+        assert dominant_sigma(m) == dominant_sigma(m.T)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -111,3 +115,29 @@ def test_sigma_matches_oracle_property(rows, cols, seed):
     trip = truncated_svd(m, r)
     sig = oracle_singular_values(m)[:r]
     assert np.abs(trip.sigma - sig).max() <= 1e-6 * max(trip.sigma[0], 1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=10**6),
+)
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("kind", ["tall", "wide", "one-row", "rank-deficient"])
+def test_dominant_sigma_matches_oracle_property(kind, scale, a, b, seed):
+    """The Gram route agrees with the SVD's top singular value at every scale."""
+    rng = np.random.default_rng(seed)
+    small, large = sorted((a, b))
+    if kind == "tall":
+        m = rng.normal(size=(large + 1, small))
+    elif kind == "wide":
+        m = rng.normal(size=(small, large + 1))
+    elif kind == "one-row":
+        m = rng.normal(size=(1, large))
+    else:
+        rank = max(1, small // 3)
+        m = rng.normal(size=(a + 1, rank)) @ rng.normal(size=(rank, b + 1))
+    m = m * scale
+    top = np.linalg.svd(m, compute_uv=False)[0]
+    assert abs(dominant_sigma(m) - top) <= 1e-12 * top

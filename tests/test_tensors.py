@@ -184,3 +184,10 @@ class TestCooFormat:
         path.write_text("# shape: 2x2x2\n1,1,1,2.0\n1,1,1,3.0\n")
         with pytest.raises(ValueError, match="duplicate"):
             read_coo(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, value):
+        path = tmp_path / "bad.coo"
+        path.write_text(f"# shape: 2x2x2\n1,1,1,2.0\n2,1,1,{value}\n")
+        with pytest.raises(ValueError, match=f"{path}:3: non-finite value"):
+            read_coo(path)
