@@ -17,11 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .completion import FwConfig, complete
-from .prediction import Forecast, PredictorConfig, fit_predict, normalize_demands
+from .prediction import PredictorConfig, fit_predict, normalize_demands
 from .tensors import SparseTensor
 
 __all__ = [
-    "CachePlan",
     "OnlineConfig",
     "OnlineRunReport",
     "SlotOutcome",
@@ -32,22 +31,6 @@ __all__ = [
     "write_report_csv",
     "write_summary_csv",
 ]
-
-
-@dataclass
-class CachePlan:
-    """One base station's placement vector; exactly ``capacity`` ones for MPC."""
-
-    c: np.ndarray
-    capacity: int
-    bs: int = 0
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=np.float64)
-        if ((self.c < 0) | (self.c > 1)).any():
-            raise ValueError("placement entries must lie in [0, 1]")
-        if abs(self.c.sum() - self.capacity) > 1e-9:
-            raise ValueError(f"placement sums to {self.c.sum()}, capacity {self.capacity}")
 
 
 @dataclass
@@ -70,19 +53,7 @@ class OnlineConfig:
     predictors: tuple[str, ...] = ("lp",)
     completion: bool = True
     rank_budget: int = 8
-    beta: float = 1e5
     shift: int = 1
-    mode_selection: str = "sigma"
-    update_rule: str = "multi"
-
-    def fw_config(self) -> FwConfig:
-        return FwConfig(
-            rank_budget=self.rank_budget,
-            beta=self.beta,
-            shift=self.shift,
-            mode_selection=self.mode_selection,
-            update_rule=self.update_rule,
-        )
 
 
 @dataclass
@@ -99,43 +70,39 @@ class OnlineRunReport:
         return self.averages[self.method]
 
 
-def mpc_place(forecast: Forecast, capacity: int) -> CachePlan:
-    """Cache the ``capacity`` files with the largest predicted shares.
+def mpc_place(shares: np.ndarray, capacity: int) -> np.ndarray:
+    """0/1 placement vector caching the ``capacity`` files with the largest
+    (predicted) shares.
 
     Ties break toward the smaller file index (stable sort on descending
     share), so placements are deterministic.
     """
-    shares = forecast.shares
     if capacity > shares.size:
         raise ValueError(f"capacity {capacity} exceeds library size {shares.size}")
     order = np.argsort(-shares, kind="stable")
     c = np.zeros(shares.size)
     c[order[:capacity]] = 1.0
-    return CachePlan(c, capacity, forecast.bs)
+    return c
 
 
-def oracle_place(demand_slice: np.ndarray, capacity: int, bs: int = 0) -> CachePlan:
-    """Hindsight-optimal placement: top files of the realized demand mass."""
-    mass = np.asarray(demand_slice, dtype=np.float64).sum(axis=1)
-    return mpc_place(Forecast(bs, mass, np.zeros(0)), capacity) if mass.sum() > 0 else mpc_place(
-        Forecast(bs, np.full(mass.size, 1.0 / mass.size), np.zeros(0)), capacity
-    )
+def oracle_place(mass: np.ndarray, total: float, capacity: int) -> np.ndarray:
+    """Hindsight-optimal placement: top files of the realized per-file demand
+    ``mass`` (a slice's row sums, ``total`` their sum); uniform shares, hence
+    the first ``capacity`` files, when there is no demand."""
+    return mpc_place(mass if total > 0 else np.full(mass.size, 1.0 / mass.size), capacity)
 
 
-def hit_rate(demand_slice: np.ndarray, plan: CachePlan) -> float:
+def hit_rate(mass: np.ndarray, total: float, c: np.ndarray) -> float:
     """Cached share of the total weighted requests in one (bs, slot) slice.
 
     The slice is the (F, F) matrix of primary-by-recommended request counts;
-    all mass in row ``f`` counts toward file ``f``, cached or not, exactly as
-    the double-sum ratio aggregates. A zero-demand slice scores 0.
+    ``mass`` is its row sums (all mass in row ``f`` counts toward file ``f``,
+    cached or not, exactly as the double-sum ratio aggregates) and ``total``
+    its sum. A zero-demand slice scores 0.
     """
-    d = np.asarray(demand_slice, dtype=np.float64)
-    if (d < 0).any():
-        raise ValueError("demand slice must be nonnegative")
-    total = d.sum()
     if total == 0.0:
         return 0.0
-    return float(d.sum(axis=1) @ plan.c / total)
+    return float(mass @ c / total)
 
 
 def _window_tensor(slots: list[np.ndarray], end: int, tau: int) -> np.ndarray:
@@ -165,9 +132,9 @@ def run_online(
     are flagged and excluded from the averages. Each window is completed,
     normalized and scored by the oracle once, and the result feeds every
     predictor in ``cfg.predictors``; one report per predictor comes back, in
-    that order. A configuration the stream cannot satisfy raises
-    ``ValueError`` before the loop; a failure inside the loop is re-raised as
-    ``RuntimeError`` naming the slot.
+    that order. A configuration the stream cannot satisfy, or a negative
+    realized demand, raises ``ValueError`` before the loop; a failure inside
+    the loop is re-raised as ``RuntimeError`` naming the slot.
     """
     if score_stream is None:
         score_stream = stream
@@ -183,8 +150,11 @@ def run_online(
                          "need tau >= order + 1")
     if not cfg.predictors:
         raise ValueError("no predictor given")
+    for slot, realized in enumerate(score_stream[cfg.tau:], start=cfg.tau + 1):
+        if (realized < 0).any():
+            raise ValueError(f"realized demands of slot {slot} must be nonnegative")
     pred_cfgs = [PredictorConfig(cfg.order, p) for p in cfg.predictors]
-    fw_cfg = cfg.fw_config()
+    fw_cfg = FwConfig(rank_budget=cfg.rank_budget, shift=cfg.shift)
     outcomes: list[list[SlotOutcome]] = [[] for _ in pred_cfgs]
     oracle_outcomes: list[SlotOutcome] = []
 
@@ -196,11 +166,12 @@ def run_online(
             realized = score_stream[t_idx + 1]
             for b in range(n_bs):
                 demand = realized[:, :, b]
+                mass, total = demand.sum(axis=1), float(demand.sum())
                 for pred_cfg, scored in zip(pred_cfgs, outcomes):
-                    plan = mpc_place(fit_predict(history, pred_cfg, b), cfg.cache_size)
-                    scored.append(_score(demand, plan, t_idx + 2, b))
-                oracle = oracle_place(demand, cfg.cache_size, b)
-                oracle_outcomes.append(_score(demand, oracle, t_idx + 2, b))
+                    c = mpc_place(fit_predict(history, pred_cfg, b).shares, cfg.cache_size)
+                    scored.append(_score(mass, total, c, t_idx + 2, b))
+                oracle = oracle_place(mass, total, cfg.cache_size)
+                oracle_outcomes.append(_score(mass, total, oracle, t_idx + 2, b))
         except Exception as exc:
             raise RuntimeError(f"online loop failed at slot {t_idx + 1}") from exc
 
@@ -218,9 +189,8 @@ def run_online(
     return reports
 
 
-def _score(demand_slice: np.ndarray, plan: CachePlan, slot: int, bs: int) -> SlotOutcome:
-    total = float(np.asarray(demand_slice).sum())
-    return SlotOutcome(slot, bs, hit_rate(demand_slice, plan), zero_demand=(total == 0.0))
+def _score(mass: np.ndarray, total: float, c: np.ndarray, slot: int, bs: int) -> SlotOutcome:
+    return SlotOutcome(slot, bs, hit_rate(mass, total, c), zero_demand=(total == 0.0))
 
 
 def _average(outcomes: list[SlotOutcome]) -> float:

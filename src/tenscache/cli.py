@@ -130,12 +130,12 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _int_list(spec) -> list[int]:
-    return [int(s) for s in str(spec).split(",") if str(s).strip()]
-
-
-def _float_list(spec) -> list[float]:
-    return [float(s) for s in str(spec).split(",") if str(s).strip()]
+def _num_list(spec, name: str, kind=int) -> list:
+    """A comma list of numbers; an empty one is a usage error."""
+    items = [kind(s) for s in str(spec).split(",") if s.strip()]
+    if not items:
+        raise UsageError(f"{name} needs at least one value, got {str(spec)!r}")
+    return items
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, wall_s: float,
@@ -157,8 +157,8 @@ def cmd_complete(args, config: dict) -> int:
     src = Path(args.tensor)
     if not src.exists():
         raise UsageError(f"input tensor file not found: {src}")
-    ranks = _int_list(_setting(args, config, "rank"))
-    betas = _float_list(_setting(args, config, "beta"))
+    ranks = _num_list(_setting(args, config, "rank"), "rank")
+    betas = _num_list(_setting(args, config, "beta"), "beta", float)
     cfg_echo = {
         "tensor": str(src),
         "rank": ranks,
@@ -204,7 +204,7 @@ def cmd_simulate(args, config: dict) -> int:
     files = int(_setting(args, config, "files"))
     shift = int(_setting(args, config, "shift"))
     seed = int(_setting(args, config, "seed"))
-    ranks = _int_list(_setting(args, config, "ranks"))
+    ranks = _num_list(_setting(args, config, "ranks"), "ranks")
     predictor = str(_setting(args, config, "predictor"))
     completions = _completions(_setting(args, config, "completion"))
     n_slots = int(_setting(args, config, "slots"))
@@ -307,8 +307,8 @@ def cmd_ingest(args, config: dict) -> int:
 
 
 def cmd_synth(args, config: dict) -> int:
-    shape = tuple(_int_list(args.shape))
-    ranks = _int_list(args.ranks) if args.ranks else [2] * len(shape)
+    shape = tuple(_num_list(args.shape, "shape"))
+    ranks = _num_list(args.ranks, "ranks") if args.ranks else [2] * len(shape)
     seed = int(_setting(args, config, "seed"))
     observe = float(_setting(args, config, "observe"))
     noise = float(_setting(args, config, "noise"))

@@ -17,20 +17,21 @@ The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
 
 The state is the dense iterate (desk-scale tensors) and the per-mode rank
 ledger, which is all a Frank-Wolfe step reads: the step's factors are folded
-into the iterate and not kept.
+into the iterate and not kept, and the active modes are those whose ledger is
+below the smaller dimension of their unfolding.
 
-Because each step's observed part is, by construction, positively correlated
-with the residual, the exact line search always finds ``gamma > 0`` while the
-gradient is nonzero; the stall branches below are defensive and also handle
-direct calls with hand-built steps. The step size scales as ``1 / beta``, so
-the product ``gamma * beta`` and the whole trajectory are invariant to the
-choice of ``beta`` (up to floating-point rounding).
+Each step's observed correlation with the residual is ``b_bar = <grad, S> =
+sum_i w_i sigma_i > 0`` while the gradient is nonzero, so the exact line
+search finds ``gamma > 0`` on every real input, and :func:`complete` is one
+flat loop with no retry. The step size scales as ``1 / beta``, so the product
+``gamma * beta`` and the whole trajectory are invariant to the choice of
+``beta`` (up to floating-point rounding).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "GradientStep",
     "TraceRow",
     "ZeroGradientError",
-    "ZeroOverlapError",
     "apply_update",
     "beta_invariance_check",
     "complete",
@@ -62,14 +62,13 @@ UPDATE_RANK_ONE = "rank1"
 # Relative threshold below which trailing singular values of a gradient
 # unfolding are treated as zero and never appended as components.
 _SIGMA_EPS = 1e-13
+# Observed-entry RSE below which an exactly recoverable input is done: further
+# steps would only churn at the numerical noise floor.
+_RSE_FLOOR = 1e-12
 
 
 class ZeroGradientError(ValueError):
     """The gradient is (numerically) zero: the solver has converged."""
-
-
-class ZeroOverlapError(ValueError):
-    """The step tensor vanishes on the observed positions (``a_bar == 0``)."""
 
 
 @dataclass
@@ -79,9 +78,7 @@ class FwConfig:
     ``rank_budget`` caps the total number of appended SVD components across
     all modes. ``beta`` is the nuclear-norm scale of each step; results are
     invariant to it (see :func:`beta_invariance_check`). ``shift`` is the
-    circular-unfolding shift ``d``. ``rse_floor`` adds an early exit for
-    exactly recoverable inputs, below which further iterations only churn at
-    the numerical noise floor.
+    circular-unfolding shift ``d``.
     """
 
     rank_budget: int
@@ -90,7 +87,6 @@ class FwConfig:
     max_iter: int = 200
     mode_selection: str = MODE_SIGMA_MAX
     update_rule: str = UPDATE_MULTI
-    rse_floor: float = 1e-12
 
     def __post_init__(self):
         if self.rank_budget < 1:
@@ -123,15 +119,13 @@ class GradientStep:
 
     ``weights`` are the singular values of the step's ``mode`` unfolding; they
     sum to ``beta`` by construction (for the rank-1 rule the single weight is
-    ``beta`` itself). ``gamma`` is filled in by the line search before the
-    step is applied.
+    ``beta`` itself).
     """
 
     mode: int
     u: np.ndarray
     weights: np.ndarray
     v: np.ndarray
-    gamma: float = 0.0
 
     @property
     def rank(self) -> int:
@@ -147,15 +141,12 @@ class FwState:
     """Solver state: the dense iterate ``x`` and the per-mode rank ledger.
 
     ``consumed[k]`` is the rank charged against the global budget by steps
-    along mode ``k``. ``active`` holds the modes whose unfolding still has
-    rank to give (``consumed[k]`` below its smaller dimension).
+    along mode ``k``.
     """
 
     x: np.ndarray
     consumed: dict[int, int]
-    active: set[int]
     config: FwConfig
-    trace: list[TraceRow] = field(default_factory=list)
 
     @classmethod
     def initial(cls, shape, config: FwConfig) -> "FwState":
@@ -163,13 +154,15 @@ class FwState:
         n = len(shape)
         if not 1 <= config.shift <= n - 1:
             raise ValueError(f"shift {config.shift} invalid for order {n}")
-        modes = range(1, n + 1)
-        return cls(
-            x=np.zeros(shape),
-            consumed=dict.fromkeys(modes, 0),
-            active=set(modes),
-            config=config,
-        )
+        return cls(x=np.zeros(shape), consumed=dict.fromkeys(range(1, n + 1), 0), config=config)
+
+    @property
+    def active(self) -> set[int]:
+        """Modes whose unfolding still has rank to give (``consumed[k]`` below
+        its smaller dimension)."""
+        shift, shape = self.config.shift, self.x.shape
+        return {k for k, c in self.consumed.items()
+                if c < min(UnfoldSpec(k, shift).matrix_dims(shape))}
 
     def consumed_total(self) -> int:
         return sum(self.consumed.values())
@@ -232,58 +225,52 @@ def line_search(x: np.ndarray, t: SparseTensor, s: np.ndarray) -> float:
     """Exact step size ``max(b_bar / a_bar, 0)`` for the update ``x - gamma * s``.
 
     ``a_bar`` is the observed energy of the step, ``b_bar`` the correlation of
-    the step with the observed residual. Raises :class:`ZeroOverlapError`
-    when the step misses every observed position (``a_bar == 0``), in which
-    case the caller should discard the step.
+    the step with the observed residual. A step that misses every observed
+    position (``a_bar == 0``, hence ``b_bar == 0``) gets ``0.0``.
     """
     s_obs = t.gather(s)
     a_bar = float(s_obs @ s_obs)
     if a_bar == 0.0:
-        raise ZeroOverlapError("step tensor vanishes on the observed positions")
+        return 0.0
     b_bar = float((t.gather(x) - t.values) @ s_obs)
     return max(b_bar / a_bar, 0.0)
 
 
-def apply_update(state: FwState, step: GradientStep) -> FwState:
-    """Apply ``x <- x - gamma * S`` and charge the step's rank to its mode.
+def apply_update(state: FwState, step: GradientStep, gamma: float, s: np.ndarray) -> FwState:
+    """Apply ``x <- x - gamma * s``, with ``s`` the step's dense tensor, and
+    charge the step's rank to its mode.
 
     The rank ledger always advances by the step's rank; a ``gamma == 0``
-    step leaves the iterate unchanged. A mode whose ledger reaches the
-    smaller dimension of its unfolding leaves the active set.
+    step leaves the iterate unchanged.
     """
-    k = step.mode
-    if step.gamma > 0.0:
-        state.x -= step.gamma * step.dense(state.x.shape, state.config.shift)
-        if not np.isfinite(state.x).all():
-            raise FloatingPointError(
-                f"non-finite iterate after mode-{k} update (gamma={step.gamma!r})"
-            )
-    state.consumed[k] += step.rank
-    rows, cols = UnfoldSpec(k, state.config.shift).matrix_dims(state.x.shape)
-    if state.consumed[k] >= min(rows, cols):
-        state.active.discard(k)
+    state.x -= gamma * s
+    if not np.isfinite(state.x).all():
+        raise FloatingPointError(
+            f"non-finite iterate after mode-{step.mode} update (gamma={gamma!r})"
+        )
+    state.consumed[step.mode] += step.rank
     return state
 
 
 def update_rank_budget(state: FwState, k: int) -> int:
     """Per-iteration rank allowance for mode ``k``.
 
-    ``min(rows - R_k, cols - R_k, budget - total_consumed)`` floored at zero.
-    A zero caused by mode saturation removes ``k`` from the active set; a
-    zero caused by budget exhaustion means the solver is done.
+    ``min(rows - R_k, cols - R_k, budget - total_consumed)`` floored at zero:
+    zero when mode ``k`` is saturated or the budget is spent.
     """
     rows, cols = UnfoldSpec(k, state.config.shift).matrix_dims(state.x.shape)
     consumed = state.consumed[k]
     remaining = state.config.rank_budget - state.consumed_total()
-    r = max(min(rows - consumed, cols - consumed, remaining), 0)
-    if r == 0 and consumed >= min(rows, cols):
-        state.active.discard(k)
-    return r
+    return max(min(rows - consumed, cols - consumed, remaining), 0)
 
 
 def complete(t: SparseTensor, cfg: FwConfig) -> tuple[FwState, list[TraceRow]]:
-    """Run the solver on observed tensor ``t`` until the budget, ``max_iter``,
-    or the RSE floor is reached.
+    """Run the solver on observed tensor ``t``.
+
+    Each step selects a mode, takes its rank allowance, builds the step
+    tensor once, line-searches it and applies it. The run stops at the first
+    of: the RSE floor, the budget spent, no active mode, a zero gradient, a
+    ``gamma == 0`` step, or ``max_iter`` steps.
 
     Returns the final state and the per-iteration trace. The trace starts at
     the exact RSE 1.0 baseline (the iterate starts at zero) and records, for
@@ -299,54 +286,30 @@ def complete(t: SparseTensor, cfg: FwConfig) -> tuple[FwState, list[TraceRow]]:
     mask = t.mask_tuple()
     start = time.perf_counter()
     trace = [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)]
+    residual = state.x[mask] - t.values
+    rse = float(np.linalg.norm(residual)) / t_norm
 
     for it in range(1, cfg.max_iter + 1):
-        residual = state.x[mask] - t.values
-        rse = float(np.linalg.norm(residual)) / t_norm
-        if rse < cfg.rse_floor or not state.active:
-            break
-        if state.config.rank_budget - state.consumed_total() <= 0:
+        active = state.active
+        if rse < _RSE_FLOOR or not active or state.consumed_total() >= cfg.rank_budget:
             break
         grad = np.zeros(t.shape)
         grad[mask] = residual
-
-        applied = False
-        skipped: set[int] = set()
-        while not applied:
-            candidates = state.active - skipped
-            if not candidates:
-                break  # every remaining mode stalled: treat as converged
-            k = select_mode(grad, cfg, candidates)
-            r = update_rank_budget(state, k)
-            if r == 0:
-                if k in state.active:
-                    break  # global budget exhausted
-                continue  # mode was saturated and pruned; rescan
-            try:
-                step = gradient_step(grad, k, r, cfg.beta, cfg.shift, cfg.update_rule)
-            except ZeroGradientError:
-                break
-            s_dense = step.dense(t.shape, cfg.shift)
-            try:
-                gamma = line_search(state.x, t, s_dense)
-            except ZeroOverlapError:
-                skipped.add(k)
-                continue
-            if gamma == 0.0:
-                skipped.add(k)
-                continue
-            step = replace(step, gamma=gamma)
-            apply_update(state, step)
-            applied = True
-        if not applied:
+        k = select_mode(grad, cfg, active)
+        r = update_rank_budget(state, k)  # >= 1: k is active and budget remains
+        try:
+            step = gradient_step(grad, k, r, cfg.beta, cfg.shift, cfg.update_rule)
+        except ZeroGradientError:
             break
+        s = step.dense(t.shape, cfg.shift)
+        gamma = line_search(state.x, t, s)
+        if gamma == 0.0:
+            break
+        apply_update(state, step, gamma, s)
+        residual = state.x[mask] - t.values
+        rse = float(np.linalg.norm(residual)) / t_norm
+        trace.append(TraceRow(it, rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta))
 
-        rse = float(np.linalg.norm(state.x[mask] - t.values)) / t_norm
-        trace.append(
-            TraceRow(it, rse, time.perf_counter() - start, step.mode, gamma, gamma * cfg.beta)
-        )
-
-    state.trace = trace
     return state, trace
 
 

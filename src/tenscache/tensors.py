@@ -15,6 +15,7 @@ columns. Modes are numbered 1..N throughout the public API; COO files use
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -180,7 +181,10 @@ def write_coo_dense(path, x: np.ndarray) -> None:
 
 
 def read_coo(path) -> SparseTensor:
-    """Read a tensor in the COO text format (see module docstring)."""
+    """Read a tensor in the COO text format (see module docstring).
+
+    A malformed entry raises ``ValueError`` naming ``path:line``.
+    """
     path = Path(path)
     shape = None
     idx_rows: list[list[int]] = []
@@ -202,12 +206,27 @@ def read_coo(path) -> SparseTensor:
                 raise ValueError(
                     f"{path}:{lineno}: expected {len(shape) + 1} fields, got {len(parts)}"
                 )
-            value = float(parts[-1])
+            try:
+                value = float(parts[-1])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value {parts[-1].strip()!r}") from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}:{lineno}: non-finite value {parts[-1].strip()!r}")
-            idx_rows.append([int(p) - 1 for p in parts[:-1]])
+            try:
+                idx_rows.append([int(p) - 1 for p in parts[:-1]])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad index in {line!r}") from None
             vals.append(value)
     if shape is None:
         raise ValueError(f"{path}: missing '# shape:' header")
     indices = np.array(idx_rows, dtype=np.intp).reshape(len(vals), len(shape))
+    bad = ((indices < 0) | (indices >= np.array(shape))).any(axis=1)
+    if bad.any():
+        # find the line again rather than keep a line number per entry
+        with open(path) as fh:
+            entry_lines = (n for n, raw in enumerate(fh, start=1)
+                           if raw.strip() and not raw.strip().startswith("#"))
+            lineno = next(itertools.islice(entry_lines, int(bad.argmax()), None))
+        shape_text = "x".join(str(s) for s in shape)
+        raise ValueError(f"{path}:{lineno}: index out of range for shape {shape_text}")
     return SparseTensor(shape, indices, np.array(vals))

@@ -3,7 +3,6 @@ import pytest
 
 import tenscache.caching as caching_mod
 from tenscache.caching import (
-    CachePlan,
     OnlineConfig,
     hit_rate,
     mpc_place,
@@ -12,54 +11,49 @@ from tenscache.caching import (
 )
 from tenscache.completion import complete
 from tenscache.ingest import synth_lowrank_stream, synth_request_stream
-from tenscache.prediction import Forecast
 
 RNG = np.random.default_rng(31)
 
 
-def forecast_of(shares, bs=0):
-    shares = np.asarray(shares, dtype=float)
-    return Forecast(bs, shares, np.zeros(0))
+def slice_rate(d, c):
+    """Hit rate of placement ``c`` on demand slice ``d``."""
+    return hit_rate(d.sum(axis=1), float(d.sum()), np.asarray(c, dtype=float))
+
+
+def oracle_of(d, capacity):
+    return oracle_place(d.sum(axis=1), float(d.sum()), capacity)
 
 
 class TestMpcPlace:
     def test_top_two(self):
-        plan = mpc_place(forecast_of([0.5, 0.3, 0.1, 0.1]), 2)
-        np.testing.assert_array_equal(plan.c, [1, 1, 0, 0])
+        plan = mpc_place(np.array([0.5, 0.3, 0.1, 0.1]), 2)
+        np.testing.assert_array_equal(plan, [1, 1, 0, 0])
 
     def test_uniform_ties_break_to_low_index(self):
-        plan = mpc_place(forecast_of([0.25, 0.25, 0.25, 0.25]), 2)
-        np.testing.assert_array_equal(plan.c, [1, 1, 0, 0])
+        plan = mpc_place(np.array([0.25, 0.25, 0.25, 0.25]), 2)
+        np.testing.assert_array_equal(plan, [1, 1, 0, 0])
 
     def test_full_capacity_caches_everything(self):
-        plan = mpc_place(forecast_of([0.1, 0.2, 0.7]), 3)
-        np.testing.assert_array_equal(plan.c, [1, 1, 1])
+        plan = mpc_place(np.array([0.1, 0.2, 0.7]), 3)
+        np.testing.assert_array_equal(plan, [1, 1, 1])
         d = RNG.random((3, 3))
-        assert hit_rate(d, plan) == pytest.approx(1.0)
+        assert slice_rate(d, plan) == pytest.approx(1.0)
 
     def test_capacity_above_library_rejected(self):
         with pytest.raises(ValueError):
-            mpc_place(forecast_of([0.5, 0.5]), 3)
-
-    def test_plan_feasibility_enforced(self):
-        with pytest.raises(ValueError):
-            CachePlan(np.array([1.0, 0.5, 0.0]), capacity=2)
-        with pytest.raises(ValueError):
-            CachePlan(np.array([1.5, 0.5]), capacity=2)
+            mpc_place(np.array([0.5, 0.5]), 3)
 
 
 class TestHitRate:
     def test_all_demand_on_cached_file(self):
         d = np.zeros((3, 3))
         d[0, 1] = 7.0
-        plan = CachePlan(np.array([1.0, 0.0, 0.0]), 1)
-        assert hit_rate(d, plan) == 1.0
+        assert slice_rate(d, [1.0, 0.0, 0.0]) == 1.0
 
     def test_all_demand_on_uncached_files(self):
         d = np.zeros((3, 3))
         d[1, 1] = 4.0
-        plan = CachePlan(np.array([1.0, 0.0, 0.0]), 1)
-        assert hit_rate(d, plan) == 0.0
+        assert slice_rate(d, [1.0, 0.0, 0.0]) == 0.0
 
     def test_ratio_with_mixed_mass(self):
         # per-file mass (6, 3, 1), cache {file 1} -> 0.6
@@ -67,24 +61,26 @@ class TestHitRate:
         d[0, :] = 2.0
         d[1, 0] = 3.0
         d[2, 2] = 1.0
-        plan = CachePlan(np.array([1.0, 0.0, 0.0]), 1)
-        assert hit_rate(d, plan) == pytest.approx(0.6)
+        assert slice_rate(d, [1.0, 0.0, 0.0]) == pytest.approx(0.6)
 
     def test_zero_demand_scores_zero(self):
-        plan = CachePlan(np.array([1.0, 0.0]), 1)
-        assert hit_rate(np.zeros((2, 2)), plan) == 0.0
+        assert slice_rate(np.zeros((2, 2)), [1.0, 0.0]) == 0.0
 
     def test_negative_demand_rejected(self):
-        plan = CachePlan(np.array([1.0, 0.0]), 1)
-        with pytest.raises(ValueError):
-            hit_rate(np.array([[-1.0, 0.0], [0.0, 0.0]]), plan)
+        # checked once per realized slot, before the online loop scores it
+        stream = [RNG.random((4, 4, 2)) for _ in range(7)]
+        stream[5] = stream[5].copy()
+        stream[5][0, 1, 1] = -1.0
+        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=False)
+        with pytest.raises(ValueError, match="slot 6"):
+            run_online(stream, cfg)
 
     def test_monotone_in_capacity(self):
         d = RNG.random((8, 8))
         shares = RNG.random(8)
         rates = []
         for cap in range(1, 9):
-            rates.append(hit_rate(d, mpc_place(forecast_of(shares), cap)))
+            rates.append(slice_rate(d, mpc_place(shares, cap)))
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
@@ -175,16 +171,16 @@ class TestOraclePlace:
         d = np.zeros((4, 4))
         d[2, :] = 5.0
         d[0, 0] = 1.0
-        plan = oracle_place(d, 2)
-        np.testing.assert_array_equal(plan.c, [1, 0, 1, 0])
+        plan = oracle_of(d, 2)
+        np.testing.assert_array_equal(plan, [1, 0, 1, 0])
 
     def test_oracle_optimal_among_all_plans(self):
         # exhaustive check on a small library: no 2-subset beats the oracle
         from itertools import combinations
 
         d = RNG.random((5, 5))
-        oracle = hit_rate(d, oracle_place(d, 2))
+        oracle = slice_rate(d, oracle_of(d, 2))
         for pair in combinations(range(5), 2):
             c = np.zeros(5)
             c[list(pair)] = 1.0
-            assert oracle >= hit_rate(d, CachePlan(c, 2)) - 1e-12
+            assert oracle >= slice_rate(d, c) - 1e-12

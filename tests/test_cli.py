@@ -65,6 +65,26 @@ class TestCompleteCommand:
         assert main(["--out", str(tmp_path), "complete", str(path)]) == 2
         assert f"{path}:3: non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [("1,1,1,abc", "bad value 'abc'"),
+         ("1,x,1,1.0", "bad index"),
+         ("0,1,1,1.0", "index out of range for shape 2x2x2"),
+         ("1,3,1,1.0", "index out of range for shape 2x2x2")],
+    )
+    def test_malformed_entry_exits_2_naming_line(self, tmp_path, capsys, entry, message):
+        path = tmp_path / "bad.coo"
+        path.write_text(f"# shape: 2x2x2\n1,1,1,1.0\n\n{entry}\n")
+        assert main(["--out", str(tmp_path / "out"), "complete", str(path)]) == 2
+        assert f"{path}:4: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--rank", "--beta"])
+    def test_empty_sweep_list_exits_2(self, tensor_file, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "complete", str(tensor_file), flag, ""]) == 2
+        assert f"{flag[2:]} needs at least one value" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())  # no manifest without traces
+
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "complete", str(tmp_path / "nope.coo")]) == 2
 
@@ -135,6 +155,12 @@ class TestSimulateCommand:
         for slot, bs, method, _ in rows:
             by_method.setdefault(method, []).append((slot, bs))
         assert by_method["mean-completed"] == by_method["mean-raw"]
+
+    def test_empty_ranks_exits_2(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path), "simulate", "--files", "8", "--bs", "2",
+                   "--tau", "3", "--order", "2", "--cache", "2", "--slots", "6", "--ranks", ""])
+        assert rc == 2
+        assert "ranks needs at least one value" in capsys.readouterr().err
 
     def test_too_short_stream_exits_2(self, tmp_path):
         rc = main(

@@ -1,13 +1,12 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tenscache.completion as completion_mod
 from tenscache.completion import (
     FwConfig,
     FwState,
-    ZeroOverlapError,
     apply_update,
     beta_invariance_check,
     complete,
@@ -143,8 +142,7 @@ class TestLineSearch:
         t = two_cell_tensor()
         s = np.zeros((2, 2, 1))
         s[0, 1, 0] = 5.0  # only touches unobserved cells
-        with pytest.raises(ZeroOverlapError):
-            line_search(np.zeros((2, 2, 1)), t, s)
+        assert line_search(np.zeros((2, 2, 1)), t, s) == 0.0
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(5)
@@ -183,8 +181,8 @@ class TestApplyUpdate:
         cfg = FwConfig(rank_budget=4, beta=1.0)
         state = FwState.initial(t.shape, cfg)
         grad = -t.to_dense()
-        step = gradient_step(grad, 1, 2, beta=1.0)  # gamma left at 0.0
-        apply_update(state, step)
+        step = gradient_step(grad, 1, 2, beta=1.0)
+        apply_update(state, step, 0.0, step.dense(t.shape, 1))
         assert not state.x.any()
         assert state.consumed[1] == step.rank
 
@@ -222,7 +220,7 @@ class TestApplyUpdate:
             s_dense = step.dense(obs.shape, cfg.shift)
             gamma = line_search(state.x, obs, s_dense)
             x_before, consumed_before = state.x.copy(), dict(state.consumed)
-            apply_update(state, replace(step, gamma=gamma))
+            apply_update(state, step, gamma, s_dense)
             np.testing.assert_array_equal(state.x, x_before - gamma * s_dense)
             assert state.consumed == {**consumed_before, k: consumed_before[k] + step.rank}
             applied += 1
@@ -298,12 +296,59 @@ class TestComplete:
             assert row.gamma > 0
             assert row.beta_gamma == pytest.approx(row.gamma * 10.0)
 
+    def test_fold_runs_once_per_applied_step(self, monkeypatch):
+        # the step tensor built for the line search is the one applied
+        calls = []
+
+        def counting_fold(*args):
+            calls.append(args[1])
+            return fold(*args)
+
+        monkeypatch.setattr(completion_mod, "fold", counting_fold)
+        obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
+        _, trace = complete(obs, FwConfig(rank_budget=8, shift=2, update_rule="rank1"))
+        assert len(trace) - 1 == 8
+        assert len(calls) == len(trace) - 1
+
     def test_all_modes_stalled_is_clean_convergence(self, monkeypatch):
         obs, _ = synth_low_rank((4, 4, 4), (1, 1, 1), observe_fraction=0.5, seed=1)
         monkeypatch.setattr(completion_mod, "line_search", lambda *a, **k: 0.0)
         state, trace = complete(obs, FwConfig(rank_budget=4))
         assert len(trace) == 1  # only the baseline row
         assert not state.x.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["multi", "rank1"]),
+    st.sampled_from(["sigma", "min-dim"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_solver_invariants(dims, shift, budget, rule, selection, seed):
+    shape = tuple(dims)
+    shift = min(shift, len(shape) - 1)
+    rng = np.random.default_rng(seed)
+    total = int(np.prod(shape))
+    flat = rng.choice(total, size=max(1, total // 2), replace=False)
+    idx = np.stack(np.unravel_index(flat, shape, order="F"), axis=1)
+    values = rng.normal(size=flat.size)
+    values[0] = 1.0  # never all zero
+    t = SparseTensor(shape, idx, values)
+    cfg = FwConfig(rank_budget=budget, shift=shift, update_rule=rule, mode_selection=selection)
+    state, trace = complete(t, cfg)
+    min_dim = {k: min(UnfoldSpec(k, shift).matrix_dims(shape)) for k in range(1, len(shape) + 1)}
+    assert state.consumed_total() <= budget
+    assert all(state.consumed[k] <= min_dim[k] for k in min_dim)
+    assert len(trace) - 1 <= budget
+    for row in trace[1:]:
+        assert row.gamma > 0
+        assert row.mode in min_dim
+    rses = [row.rse for row in trace]
+    assert all(b <= a + 1e-12 for a, b in zip(rses, rses[1:]))
+    assert state.active == {k for k in min_dim if state.consumed[k] < min_dim[k]}
 
 
 class TestBetaInvariance:
