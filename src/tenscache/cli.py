@@ -211,6 +211,8 @@ def cmd_simulate(args, config: dict) -> int:
     observe = float(_setting(args, config, "observe"))
 
     predictors = ("lp", "mean") if predictor == "both" else (predictor,)
+    if n_bs < 1:
+        raise UsageError(f"bs must be >= 1, got {n_bs}")
 
     if args.ratings:
         path = Path(args.ratings)

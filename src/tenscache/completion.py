@@ -3,11 +3,11 @@
 The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
 ``X = 0``. Each iteration:
 
-1. forms the gradient tensor (the observed residual embedded at the observed
-   positions, zero elsewhere),
-2. picks the mode whose circular unfolding of the gradient has the largest
-   dominant singular value (or, with the cheap rule, the smallest matrix
-   dimension),
+1. builds the circular unfoldings of the gradient tensor (the observed
+   residual at the observed positions, zero elsewhere) straight from the
+   residual, never forming the dense gradient,
+2. picks the mode whose gradient unfolding has the largest dominant singular
+   value (or, with the cheap rule, the smallest matrix dimension),
 3. truncates the SVD of that unfolding to the per-iteration rank allowance,
    normalizes it so the step's unfolding has nuclear norm ``beta``, and folds
    it back into a step tensor ``S``,
@@ -42,6 +42,7 @@ __all__ = [
     "FwConfig",
     "FwState",
     "GradientStep",
+    "GradientUnfoldings",
     "TraceRow",
     "ZeroGradientError",
     "apply_update",
@@ -168,36 +169,89 @@ class FwState:
         return sum(self.consumed.values())
 
 
-def select_mode(grad: np.ndarray, cfg: FwConfig, active: set[int]) -> int:
-    """Pick the unfolding mode for the next step.
+class GradientUnfoldings:
+    """Circular unfoldings of the gradient tensor, scattered from the residual.
+
+    The gradient is the observed residual at the observed positions and zero
+    elsewhere, so its mode-``k`` unfolding is a zero matrix holding the
+    residual at each observed entry's place in that unfolding.
+    ``positions[k]`` lists those places (F-order flat indices). They are found
+    once per solve by unfolding a tensor of entry numbers, so they follow
+    :func:`unfold`'s flattening convention by construction.
+    """
+
+    def __init__(self, t: SparseTensor, shift: int):
+        # numbered from 1 (0 marks unobserved), in the smallest dtype that
+        # holds them: each mode copies the whole tensor once
+        numbers = t.to_dense(np.arange(1, t.nnz + 1, dtype=np.min_scalar_type(t.nnz)))
+        self.dims: dict[int, tuple[int, int]] = {}
+        self.positions: dict[int, np.ndarray] = {}
+        for k in range(1, len(t.shape) + 1):
+            spec = UnfoldSpec(k, shift)
+            self.dims[k] = spec.matrix_dims(t.shape)
+            entry = unfold(numbers, spec).ravel(order="F")
+            where = np.flatnonzero(entry)
+            pos = np.empty(t.nnz, dtype=np.intp)
+            pos[entry[where] - 1] = where
+            self.positions[k] = pos
+
+    def matrix(self, k: int, residual: np.ndarray) -> np.ndarray:
+        """Mode-``k`` gradient unfolding: bitwise and in (F-contiguous) layout
+        what :func:`unfold` gives for the dense gradient."""
+        rows, cols = self.dims[k]
+        flat = np.zeros(rows * cols)
+        flat[self.positions[k]] = residual
+        return flat.reshape((rows, cols), order="F")
+
+
+def select_mode(
+    grads: GradientUnfoldings, residual: np.ndarray, cfg: FwConfig, active: set[int]
+) -> tuple[int, np.ndarray]:
+    """Pick the unfolding mode for the next step; return it with its gradient
+    unfolding.
 
     ``sigma``: argmax of the dominant singular value of the gradient's
     circular unfolding over the active modes. ``min-dim``: argmin of the
     smaller unfolding dimension (the cheap proxy; the two rules need not
     agree). Ties break toward the smallest mode index.
+
+    At ``N == 2 * shift`` the mode-``k`` and mode-``(k + shift)`` unfoldings
+    are transposes. When they are not square their Gram sigmas are bitwise
+    equal, so the second reuses the first's value (and, tied, cannot win).
+    A square pair is evaluated twice: ``a @ a.T`` and ``a.T @ a`` round
+    differently. Only the best candidate's unfolding is kept alive.
     """
     if not active:
         raise ValueError("active mode set is empty")
     modes = sorted(active)
     if cfg.mode_selection == MODE_MIN_DIM:
-        return min(modes, key=lambda k: min(UnfoldSpec(k, cfg.shift).matrix_dims(grad.shape)))
-    best, best_sigma = modes[0], -np.inf
+        best = min(modes, key=lambda k: min(grads.dims[k]))
+        return best, grads.matrix(best, residual)
+    twins = len(grads.dims) == 2 * cfg.shift
+    sigma: dict[int, float] = {}
+    best, best_m = modes[0], None
     for k in modes:
-        s = dominant_sigma(unfold(grad, UnfoldSpec(k, cfg.shift)))
-        if s > best_sigma:
-            best, best_sigma = k, s
-    return best
+        twin = k - cfg.shift
+        if twins and twin in sigma and grads.dims[k][0] != grads.dims[k][1]:
+            sigma[k] = sigma[twin]
+            continue
+        m = grads.matrix(k, residual)
+        sigma[k] = dominant_sigma(m)
+        if best_m is None or sigma[k] > sigma[best]:
+            best, best_m = k, m
+        del m
+    return best, best_m
 
 
 def gradient_step(
-    grad: np.ndarray,
+    m: np.ndarray,
     k_star: int,
     r_k: int,
     beta: float,
-    shift: int = 1,
     update_rule: str = UPDATE_MULTI,
 ) -> GradientStep:
-    """Best-correlated step of nuclear norm ``beta`` along mode ``k_star``.
+    """Best-correlated step of nuclear norm ``beta`` along mode ``k_star``,
+    from ``m``, the gradient's mode-``k_star`` unfolding.
 
     The multi-rank rule keeps the top ``r_k`` singular triplets of the
     gradient unfolding, rescaled so the weights sum to ``beta``; the rank-1
@@ -206,8 +260,6 @@ def gradient_step(
     level are dropped rather than appended as zero-weight components, so the
     returned rank may be below ``r_k``.
     """
-    spec = UnfoldSpec(k_star, shift)
-    m = unfold(grad, spec)
     if not 1 <= r_k <= min(m.shape):
         raise ValueError(f"r_k {r_k} out of range 1..{min(m.shape)}")
     r_want = 1 if update_rule == UPDATE_RANK_ONE else r_k
@@ -221,18 +273,19 @@ def gradient_step(
     return GradientStep(k_star, u, beta / float(sig.sum()) * sig, v)
 
 
-def line_search(x: np.ndarray, t: SparseTensor, s: np.ndarray) -> float:
+def line_search(residual: np.ndarray, s_obs: np.ndarray) -> float:
     """Exact step size ``max(b_bar / a_bar, 0)`` for the update ``x - gamma * s``.
 
-    ``a_bar`` is the observed energy of the step, ``b_bar`` the correlation of
-    the step with the observed residual. A step that misses every observed
-    position (``a_bar == 0``, hence ``b_bar == 0``) gets ``0.0``.
+    ``residual`` is ``x - T`` and ``s_obs`` is ``s``, both at the observed
+    entries. ``a_bar`` is the observed energy of the step, ``b_bar`` the
+    correlation of the step with the observed residual. A step that misses
+    every observed position (``a_bar == 0``, hence ``b_bar == 0``) gets
+    ``0.0``.
     """
-    s_obs = t.gather(s)
     a_bar = float(s_obs @ s_obs)
     if a_bar == 0.0:
         return 0.0
-    b_bar = float((t.gather(x) - t.values) @ s_obs)
+    b_bar = float(residual @ s_obs)
     return max(b_bar / a_bar, 0.0)
 
 
@@ -268,9 +321,10 @@ def complete(t: SparseTensor, cfg: FwConfig) -> tuple[FwState, list[TraceRow]]:
     """Run the solver on observed tensor ``t``.
 
     Each step selects a mode, takes its rank allowance, builds the step
-    tensor once, line-searches it and applies it. The run stops at the first
-    of: the RSE floor, the budget spent, no active mode, a zero gradient, a
-    ``gamma == 0`` step, or ``max_iter`` steps.
+    tensor once, line-searches it and applies it. The gradient unfoldings are
+    scattered from the residual, and the selected one is handed to the step.
+    The run stops at the first of: the RSE floor, the budget spent, no active
+    mode, a zero gradient, a ``gamma == 0`` step, or ``max_iter`` steps.
 
     Returns the final state and the per-iteration trace. The trace starts at
     the exact RSE 1.0 baseline (the iterate starts at zero) and records, for
@@ -283,30 +337,29 @@ def complete(t: SparseTensor, cfg: FwConfig) -> tuple[FwState, list[TraceRow]]:
     if t_norm == 0.0:
         raise ValueError("observed values are all zero; nothing to fit")
     state = FwState.initial(t.shape, cfg)
-    mask = t.mask_tuple()
     start = time.perf_counter()
+    grads = GradientUnfoldings(t, cfg.shift)
     trace = [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)]
-    residual = state.x[mask] - t.values
+    residual = t.gather(state.x) - t.values
     rse = float(np.linalg.norm(residual)) / t_norm
 
     for it in range(1, cfg.max_iter + 1):
         active = state.active
         if rse < _RSE_FLOOR or not active or state.consumed_total() >= cfg.rank_budget:
             break
-        grad = np.zeros(t.shape)
-        grad[mask] = residual
-        k = select_mode(grad, cfg, active)
+        k, m = select_mode(grads, residual, cfg, active)
         r = update_rank_budget(state, k)  # >= 1: k is active and budget remains
         try:
-            step = gradient_step(grad, k, r, cfg.beta, cfg.shift, cfg.update_rule)
+            step = gradient_step(m, k, r, cfg.beta, cfg.update_rule)
         except ZeroGradientError:
             break
+        del m  # free the unfolding before the step tensor is built
         s = step.dense(t.shape, cfg.shift)
-        gamma = line_search(state.x, t, s)
+        gamma = line_search(residual, t.gather(s))
         if gamma == 0.0:
             break
         apply_update(state, step, gamma, s)
-        residual = state.x[mask] - t.values
+        residual = t.gather(state.x) - t.values
         rse = float(np.linalg.norm(residual)) / t_norm
         trace.append(TraceRow(it, rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta))
 

@@ -15,7 +15,6 @@ columns. Modes are numbered 1..N throughout the public API; COO files use
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -113,7 +112,7 @@ class SparseTensor:
     shape: tuple[int, ...]
     indices: np.ndarray  # (nnz, N) int
     values: np.ndarray  # (nnz,) float
-    _flat: np.ndarray = field(init=False, repr=False)
+    _flat: np.ndarray = field(init=False, repr=False)  # C-order flat positions
 
     def __post_init__(self):
         self.shape = validate_shape(self.shape)
@@ -128,29 +127,30 @@ class SparseTensor:
             self.indices.min() < 0 or (self.indices >= np.array(self.shape)).any()
         ):
             raise ValueError("index out of range")
-        flat = np.ravel_multi_index(tuple(self.indices.T), self.shape, order="F")
-        if np.unique(flat).size != flat.size:
+        multi = tuple(self.indices.T)
+        # checked on first-index-fastest positions, which entries listed in
+        # that order (every dense tensor written to COO) give already sorted,
+        # so the sort inside np.unique is cheap
+        if np.unique(np.ravel_multi_index(multi, self.shape, order="F")).size != self.nnz:
             raise ValueError("duplicate indices in sparse tensor")
-        self._flat = flat
+        self._flat = np.ravel_multi_index(multi, self.shape)
 
     @property
     def nnz(self) -> int:
         return int(self.values.size)
 
-    def mask_tuple(self) -> tuple[np.ndarray, ...]:
-        """Index tuple usable for numpy fancy indexing into a dense array."""
-        return tuple(self.indices.T)
-
     def gather(self, x: np.ndarray) -> np.ndarray:
         """Values of dense ``x`` at the observed positions."""
         if x.shape != self.shape:
             raise ValueError(f"shape mismatch {x.shape} vs {self.shape}")
-        return x[self.mask_tuple()]
+        return np.take(x, self._flat)
 
-    def to_dense(self) -> np.ndarray:
-        """Dense tensor with observed values embedded and zeros elsewhere."""
-        out = np.zeros(self.shape)
-        out[self.mask_tuple()] = self.values
+    def to_dense(self, values=None) -> np.ndarray:
+        """Dense tensor of ``values``' dtype with ``values`` (default: the
+        observed values) at the observed positions and zeros elsewhere."""
+        values = self.values if values is None else np.asarray(values)
+        out = np.zeros(self.shape, dtype=values.dtype)
+        np.put(out, self._flat, values)
         return out
 
 
@@ -222,11 +222,27 @@ def read_coo(path) -> SparseTensor:
     indices = np.array(idx_rows, dtype=np.intp).reshape(len(vals), len(shape))
     bad = ((indices < 0) | (indices >= np.array(shape))).any(axis=1)
     if bad.any():
-        # find the line again rather than keep a line number per entry
-        with open(path) as fh:
-            entry_lines = (n for n, raw in enumerate(fh, start=1)
-                           if raw.strip() and not raw.strip().startswith("#"))
-            lineno = next(itertools.islice(entry_lines, int(bad.argmax()), None))
+        lineno = _entry_lines(path)[int(bad.argmax())]
         shape_text = "x".join(str(s) for s in shape)
         raise ValueError(f"{path}:{lineno}: index out of range for shape {shape_text}")
-    return SparseTensor(shape, indices, np.array(vals))
+    try:
+        return SparseTensor(shape, indices, np.array(vals))
+    except ValueError:
+        _, first, inverse = np.unique(indices, axis=0, return_index=True, return_inverse=True)
+        first_of = first[inverse.ravel()]  # each entry's first occurrence
+        repeats = np.flatnonzero(first_of != np.arange(len(vals)))
+        if not repeats.size:
+            raise
+        entry = int(repeats[0])
+        lines = _entry_lines(path)
+        index_text = ",".join(str(int(i) + 1) for i in indices[entry])
+        raise ValueError(f"{path}:{lines[entry]}: duplicate index {index_text} "
+                         f"(first at line {lines[first_of[entry]]})") from None
+
+
+def _entry_lines(path) -> list[int]:
+    """Line number of every entry of a COO file. Read again only to name the
+    line of an error, rather than kept per entry while parsing."""
+    with open(path) as fh:
+        return [n for n, raw in enumerate(fh, start=1)
+                if raw.strip() and not raw.strip().startswith("#")]

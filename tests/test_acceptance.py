@@ -95,11 +95,12 @@ def test_criterion_4_line_search_matches_grid_oracle(report):
         t = SparseTensor(shape, idx, rng.normal(size=25))
         x = rng.normal(size=shape)
         s = rng.normal(size=shape)
-        gamma0 = line_search(x, t, s)
+        residual = t.gather(x) - t.values
+        gamma0 = line_search(residual, t.gather(s))
         if gamma0 == 0.0:
-            s, gamma0 = -s, line_search(x, t, -s)
+            s, gamma0 = -s, line_search(residual, t.gather(-s))
         s *= gamma0 / rng.uniform(0.1, 9.0)
-        gamma = line_search(x, t, s)
+        gamma = line_search(residual, t.gather(s))
         obs_x, obs_s = t.gather(x), t.gather(s)
         objective = ((obs_x[None, :] - gammas[:, None] * obs_s[None, :] - t.values) ** 2).sum(axis=1)
         worst = max(worst, abs(gamma - gammas[int(np.argmin(objective))]))

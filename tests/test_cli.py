@@ -78,6 +78,12 @@ class TestCompleteCommand:
         assert main(["--out", str(tmp_path / "out"), "complete", str(path)]) == 2
         assert f"{path}:4: {message}" in capsys.readouterr().err
 
+    def test_duplicate_index_exits_2_naming_both_lines(self, tmp_path, capsys):
+        path = tmp_path / "dup.coo"
+        path.write_text("# shape: 2x2x2\n1,1,1,1.0\n\n# note\n2,1,1,2.0\n1,1,1,3.0\n2,1,1,4.0\n")
+        assert main(["--out", str(tmp_path / "out"), "complete", str(path)]) == 2
+        assert f"{path}:6: duplicate index 1,1,1 (first at line 2)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--rank", "--beta"])
     def test_empty_sweep_list_exits_2(self, tensor_file, tmp_path, capsys, flag):
         out = tmp_path / "out"
@@ -161,6 +167,15 @@ class TestSimulateCommand:
                    "--tau", "3", "--order", "2", "--cache", "2", "--slots", "6", "--ranks", ""])
         assert rc == 2
         assert "ranks needs at least one value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bs", ["0", "-1"])
+    def test_bs_below_one_exits_2(self, tmp_path, capsys, bs):
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "simulate", "--bs", bs, "--files", "8", "--cache", "2",
+                   "--tau", "3", "--order", "2", "--slots", "12"])
+        assert rc == 2
+        assert f"bs must be >= 1, got {bs}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_short_stream_exits_2(self, tmp_path):
         rc = main(

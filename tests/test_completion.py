@@ -7,6 +7,8 @@ import tenscache.completion as completion_mod
 from tenscache.completion import (
     FwConfig,
     FwState,
+    GradientUnfoldings,
+    ZeroGradientError,
     apply_update,
     beta_invariance_check,
     complete,
@@ -26,12 +28,33 @@ def two_cell_tensor():
     return SparseTensor((2, 2, 1), [[0, 0, 0], [1, 1, 0]], [3.0, 4.0])
 
 
+def observed(grad):
+    """``grad`` observed where it is nonzero, so the residual is its values."""
+    idx = np.argwhere(grad)
+    return SparseTensor(grad.shape, idx, grad[tuple(idx.T)])
+
+
+def select(grad, cfg, active):
+    """``select_mode``'s pick for the dense gradient ``grad``."""
+    t = observed(grad)
+    return select_mode(GradientUnfoldings(t, cfg.shift), t.values, cfg, active)[0]
+
+
+def unfolded(grad, k):
+    return unfold(grad, UnfoldSpec(k, 1))
+
+
+def search(x, t, s):
+    """``line_search`` for the dense iterate ``x`` and step ``s``."""
+    return line_search(t.gather(x) - t.values, t.gather(s))
+
+
 class TestSelectMode:
     def test_min_dim_prefers_smallest_unfolding(self):
         grad = np.zeros((128, 128, 3, 10))
         grad[0, 0, 0, 0] = 1.0
         cfg = FwConfig(rank_budget=8, mode_selection="min-dim")
-        assert select_mode(grad, cfg, {1, 2, 3, 4}) == 3
+        assert select(grad, cfg, {1, 2, 3, 4}) == 3
 
     def test_sigma_max_finds_planted_mode(self):
         # rank-1 along the mode-2 unfolding with sigma exactly 10; the premise
@@ -49,45 +72,106 @@ class TestSelectMode:
             top = np.linalg.svd(unfold(grad, UnfoldSpec(k, 1)), compute_uv=False)[0]
             assert top < 10.0 - 1e-6
         cfg = FwConfig(rank_budget=4)
-        assert select_mode(grad, cfg, {1, 2, 3, 4}) == 2
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_shift2_transposed_pairs_tie_toward_smaller_mode(self, seed):
-        # at shift 2 on an order-4 tensor the mode-k and mode-(k+2) unfoldings
-        # are transposes of each other, so their sigmas tie exactly and the
-        # smaller mode index wins
-        rng = np.random.default_rng(seed)
-        grad = rng.normal(size=(12, 9, 3, 5)) * (rng.random((12, 9, 3, 5)) < 0.05)
-        cfg = FwConfig(rank_budget=4, shift=2)
-        sigma = {k: dominant_sigma(unfold(grad, UnfoldSpec(k, 2))) for k in (1, 2, 3, 4)}
-        assert sigma[1] == sigma[3] and sigma[2] == sigma[4]
-        assert select_mode(grad, cfg, {1, 3}) == 1
-        assert select_mode(grad, cfg, {2, 4}) == 2
-        assert select_mode(grad, cfg, {3, 4}) == (3 if sigma[3] >= sigma[4] else 4)
-        assert select_mode(grad, cfg, {1, 2, 3, 4}) == (1 if sigma[1] >= sigma[2] else 2)
+        assert select(grad, cfg, {1, 2, 3, 4}) == 2
 
     def test_singleton_active_set(self):
         grad = RNG.normal(size=(3, 4, 5, 2))
         for rule in ("sigma", "min-dim"):
             cfg = FwConfig(rank_budget=4, mode_selection=rule)
-            assert select_mode(grad, cfg, {4}) == 4
+            assert select(grad, cfg, {4}) == 4
 
     def test_empty_active_set_rejected(self):
         cfg = FwConfig(rank_budget=4)
         with pytest.raises(ValueError):
-            select_mode(RNG.normal(size=(2, 2, 2)), cfg, set())
+            select(RNG.normal(size=(2, 2, 2)), cfg, set())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_shift2_transposed_pairs_tie_toward_smaller_mode(self, monkeypatch, seed):
+        # at shift 2 on an order-4 tensor the mode-k and mode-(k+2) unfoldings
+        # are transposes of each other (here 60x27 / 27x60 and 108x15 /
+        # 15x108), so their sigmas tie exactly, the smaller mode index wins,
+        # and the larger one's sigma is not computed again
+        rng = np.random.default_rng(seed)
+        grad = rng.normal(size=(12, 9, 3, 5)) * (rng.random((12, 9, 3, 5)) < 0.05)
+        cfg = FwConfig(rank_budget=4, shift=2)
+        sigma = {k: dominant_sigma(unfold(grad, UnfoldSpec(k, 2))) for k in (1, 2, 3, 4)}
+        assert sigma[1] == sigma[3] and sigma[2] == sigma[4]
+        pick = self._counting_select(monkeypatch, grad, cfg)
+        assert pick({1, 3}) == (1, 1)
+        assert pick({2, 4}) == (2, 1)
+        # a mode whose twin is not active is evaluated itself
+        assert pick({3, 4}) == (3 if sigma[3] >= sigma[4] else 4, 2)
+        assert pick({1, 2, 3, 4}) == (1 if sigma[1] >= sigma[2] else 2, 2)
+
+    def test_square_twins_both_evaluated(self, monkeypatch):
+        # mode-2/4 unfoldings are 6x6: a @ a.T and a.T @ a round differently,
+        # so that pair is not taken as tied; the 4x9 / 9x4 mode-1/3 pair is
+        rng = np.random.default_rng(0)
+        grad = rng.normal(size=(2, 3, 3, 2))
+        pick = self._counting_select(monkeypatch, grad, FwConfig(rank_budget=4, shift=2))
+        assert pick({1, 2, 3, 4})[1] == 3
+
+    @staticmethod
+    def _counting_select(monkeypatch, grad, cfg):
+        """``select_mode`` on ``grad`` (observed where nonzero) as a function
+        of the active set, returning the pick and its ``dominant_sigma`` calls;
+        the returned unfolding must equal the pick's unfolding of ``grad``."""
+        calls = []
+
+        def counting_sigma(m):
+            calls.append(m.shape)
+            return dominant_sigma(m)
+
+        monkeypatch.setattr(completion_mod, "dominant_sigma", counting_sigma)
+        t = observed(grad)
+        grads = GradientUnfoldings(t, cfg.shift)
+
+        def pick(active):
+            calls.clear()
+            k, m = select_mode(grads, t.values, cfg, active)
+            np.testing.assert_array_equal(m, unfold(grad, UnfoldSpec(k, cfg.shift)))
+            return k, len(calls)
+
+        return pick
+
+
+class TestGradientUnfoldings:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=5),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_scatter_is_unfold_of_dense_gradient(self, dims, density, seed):
+        shape = tuple(dims)
+        rng = np.random.default_rng(seed)
+        total = int(np.prod(shape))
+        flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+        idx = np.stack(np.unravel_index(flat, shape), axis=1)
+        t = SparseTensor(shape, idx, rng.normal(size=flat.size))
+        residual = rng.normal(size=flat.size)
+        grad = np.zeros(shape)
+        grad[tuple(idx.T)] = residual
+        for shift in range(1, len(shape)):
+            grads = GradientUnfoldings(t, shift)
+            for k in range(1, len(shape) + 1):
+                m = grads.matrix(k, residual)
+                ref = unfold(grad, UnfoldSpec(k, shift))
+                assert m.flags.f_contiguous
+                assert m.shape == ref.shape
+                assert m.tobytes(order="F") == ref.tobytes(order="F")
 
 
 class TestGradientStep:
     def test_multi_rank_normalization(self):
         grad = fold(np.diag([3.0, 1.0]), UnfoldSpec(1, 1), (2, 2, 1))
-        step = gradient_step(grad, 1, 2, beta=1.0)
+        step = gradient_step(unfolded(grad, 1), 1, 2, beta=1.0)
         s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1))
         np.testing.assert_allclose(s_unf, np.diag([3.0, 1.0]) / 4.0, atol=1e-12)
 
     def test_rank_one_drops_sigma_structure(self):
         grad = fold(np.diag([3.0, 1.0]), UnfoldSpec(1, 1), (2, 2, 1))
-        step = gradient_step(grad, 1, 2, beta=1.0, update_rule="rank1")
+        step = gradient_step(unfolded(grad, 1), 1, 2, beta=1.0, update_rule="rank1")
         s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1))
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0
@@ -95,19 +179,19 @@ class TestGradientStep:
 
     def test_beta_linearity(self):
         grad = RNG.normal(size=(3, 4, 2))
-        s1 = gradient_step(grad, 2, 2, beta=1.0).dense((3, 4, 2), 1)
-        s2 = gradient_step(grad, 2, 2, beta=2.0).dense((3, 4, 2), 1)
+        s1 = gradient_step(unfolded(grad, 2), 2, 2, beta=1.0).dense((3, 4, 2), 1)
+        s2 = gradient_step(unfolded(grad, 2), 2, 2, beta=2.0).dense((3, 4, 2), 1)
         np.testing.assert_allclose(s2, 2.0 * s1, rtol=1e-12)
 
     def test_weights_sum_to_beta(self):
         grad = RNG.normal(size=(3, 4, 2))
         for rule in ("multi", "rank1"):
-            step = gradient_step(grad, 1, 2, beta=37.5, update_rule=rule)
+            step = gradient_step(unfolded(grad, 1), 1, 2, beta=37.5, update_rule=rule)
             assert abs(step.weights.sum() - 37.5) <= 1e-9 * 37.5
 
     def test_positive_correlation_with_gradient(self):
         grad = RNG.normal(size=(3, 4, 5))
-        step = gradient_step(grad, 2, 3, beta=1e5)
+        step = gradient_step(unfolded(grad, 2), 2, 3, beta=1e5)
         s = step.dense((3, 4, 5), 1)
         assert float((s * grad).sum()) > 0
 
@@ -115,7 +199,7 @@ class TestGradientStep:
         # gradient unfolding of rank 1, but r_k allows 2
         spec = UnfoldSpec(1, 1)
         grad = fold(np.outer([1.0, 0.0], [1.0, 2.0]), spec, (2, 2, 1))
-        step = gradient_step(grad, 1, 2, beta=1.0)
+        step = gradient_step(unfolded(grad, 1), 1, 2, beta=1.0)
         assert step.rank == 1
         assert (step.weights > 0).all()
 
@@ -126,7 +210,7 @@ class TestLineSearch:
         x = np.zeros((2, 2, 1))
         s = np.zeros((2, 2, 1))
         s[0, 0, 0], s[1, 1, 0] = -3.0, -4.0
-        gamma = line_search(x, t, s)
+        gamma = search(x, t, s)
         assert gamma == pytest.approx(1.0, abs=1e-12)
         fitted = x - gamma * s
         np.testing.assert_allclose(t.gather(fitted), t.values, atol=1e-12)
@@ -136,20 +220,20 @@ class TestLineSearch:
         x = np.zeros((2, 2, 1))
         s = np.zeros((2, 2, 1))
         s[0, 0, 0], s[1, 1, 0] = 3.0, 4.0  # points away from the residual
-        assert line_search(x, t, s) == 0.0
+        assert search(x, t, s) == 0.0
 
     def test_zero_overlap_signals(self):
         t = two_cell_tensor()
         s = np.zeros((2, 2, 1))
         s[0, 1, 0] = 5.0  # only touches unobserved cells
-        assert line_search(np.zeros((2, 2, 1)), t, s) == 0.0
+        assert search(np.zeros((2, 2, 1)), t, s) == 0.0
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(5)
         gammas = np.arange(0.0, 10.0 + 1e-9, 1e-4)
         for trial in range(20):
             t, x, s = _random_line_search_fixture(rng)
-            gamma = line_search(x, t, s)
+            gamma = search(x, t, s)
             obs_x, obs_s = t.gather(x), t.gather(s)
             objective = ((obs_x[None, :] - gammas[:, None] * obs_s[None, :] - t.values) ** 2).sum(
                 axis=1
@@ -166,10 +250,10 @@ def _random_line_search_fixture(rng):
     t = SparseTensor(shape, idx, rng.normal(size=20))
     x = rng.normal(size=shape)
     s = rng.normal(size=shape)
-    gamma0 = line_search(x, t, s)
+    gamma0 = search(x, t, s)
     if gamma0 == 0.0:
         s = -s
-        gamma0 = line_search(x, t, s)
+        gamma0 = search(x, t, s)
     # rescale so the optimum lies strictly inside the oracle grid
     target = rng.uniform(0.1, 9.0)
     return t, x, s * (gamma0 / target)
@@ -181,7 +265,7 @@ class TestApplyUpdate:
         cfg = FwConfig(rank_budget=4, beta=1.0)
         state = FwState.initial(t.shape, cfg)
         grad = -t.to_dense()
-        step = gradient_step(grad, 1, 2, beta=1.0)
+        step = gradient_step(unfolded(grad, 1), 1, 2, beta=1.0)
         apply_update(state, step, 0.0, step.dense(t.shape, 1))
         assert not state.x.any()
         assert state.consumed[1] == step.rank
@@ -204,21 +288,19 @@ class TestApplyUpdate:
         obs, _ = synth_low_rank((6, 5, 4), (2, 2, 1), observe_fraction=0.5, seed=9)
         cfg = FwConfig(rank_budget=6)
         state = FwState.initial(obs.shape, cfg)
-        mask = obs.mask_tuple()
+        grads = GradientUnfoldings(obs, cfg.shift)
         applied = 0
         for _ in range(4):
-            residual = state.x[mask] - obs.values
+            residual = obs.gather(state.x) - obs.values
             if np.linalg.norm(residual) / np.linalg.norm(obs.values) < 1e-12:
                 break
-            grad = np.zeros(obs.shape)
-            grad[mask] = residual
-            k = select_mode(grad, cfg, state.active)
+            k, m = select_mode(grads, residual, cfg, state.active)
             r = update_rank_budget(state, k)
             if r == 0:
                 break
-            step = gradient_step(grad, k, r, cfg.beta)
+            step = gradient_step(m, k, r, cfg.beta)
             s_dense = step.dense(obs.shape, cfg.shift)
-            gamma = line_search(state.x, obs, s_dense)
+            gamma = line_search(residual, obs.gather(s_dense))
             x_before, consumed_before = state.x.copy(), dict(state.consumed)
             apply_update(state, step, gamma, s_dense)
             np.testing.assert_array_equal(state.x, x_before - gamma * s_dense)
@@ -310,6 +392,21 @@ class TestComplete:
         assert len(trace) - 1 == 8
         assert len(calls) == len(trace) - 1
 
+    def test_unfold_runs_once_per_mode_per_solve(self, monkeypatch):
+        # the step's gradient unfoldings are scattered from the residual; only
+        # the entry positions go through unfold, once per mode
+        calls = []
+
+        def counting_unfold(*args):
+            calls.append(args[1].mode)
+            return unfold(*args)
+
+        monkeypatch.setattr(completion_mod, "unfold", counting_unfold)
+        obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
+        _, trace = complete(obs, FwConfig(rank_budget=8, shift=2, update_rule="rank1"))
+        assert len(trace) - 1 == 8
+        assert sorted(calls) == [1, 2, 3, 4]
+
     def test_all_modes_stalled_is_clean_convergence(self, monkeypatch):
         obs, _ = synth_low_rank((4, 4, 4), (1, 1, 1), observe_fraction=0.5, seed=1)
         monkeypatch.setattr(completion_mod, "line_search", lambda *a, **k: 0.0)
@@ -349,6 +446,82 @@ def test_solver_invariants(dims, shift, budget, rule, selection, seed):
     rses = [row.rse for row in trace]
     assert all(b <= a + 1e-12 for a, b in zip(rses, rses[1:]))
     assert state.active == {k for k in min_dim if state.consumed[k] < min_dim[k]}
+
+
+def reference_complete(t, cfg):
+    """The solver loop as it was before the gradient unfoldings were scattered
+    from the residual: a dense gradient tensor, ``unfold`` of it for every
+    active mode and again for the step, and a line search that gathers the
+    iterate by fancy indexing."""
+    state = FwState.initial(t.shape, cfg)
+    mask = tuple(t.indices.T)
+    t_norm = float(np.linalg.norm(t.values))
+    trace = [(0, 1.0, 0, 0.0, 0.0)]
+    residual = state.x[mask] - t.values
+    rse = float(np.linalg.norm(residual)) / t_norm
+    for it in range(1, cfg.max_iter + 1):
+        active = state.active
+        spent = state.consumed_total() >= cfg.rank_budget
+        if rse < completion_mod._RSE_FLOOR or not active or spent:
+            break
+        grad = np.zeros(t.shape)
+        grad[mask] = residual
+        modes = sorted(active)
+        if cfg.mode_selection == "min-dim":
+            k = min(modes, key=lambda j: min(UnfoldSpec(j, cfg.shift).matrix_dims(t.shape)))
+        else:
+            k, best = modes[0], -np.inf
+            for j in modes:
+                sigma = dominant_sigma(unfold(grad, UnfoldSpec(j, cfg.shift)))
+                if sigma > best:
+                    k, best = j, sigma
+        r = update_rank_budget(state, k)
+        try:
+            step = gradient_step(unfold(grad, UnfoldSpec(k, cfg.shift)), k, r, cfg.beta,
+                                 cfg.update_rule)
+        except ZeroGradientError:
+            break
+        s = step.dense(t.shape, cfg.shift)
+        s_obs = s[mask]
+        a_bar = float(s_obs @ s_obs)
+        gamma = 0.0 if a_bar == 0.0 else max(float((state.x[mask] - t.values) @ s_obs) / a_bar, 0.0)
+        if gamma == 0.0:
+            break
+        state.x -= gamma * s
+        state.consumed[k] += step.rank
+        residual = state.x[mask] - t.values
+        rse = float(np.linalg.norm(residual)) / t_norm
+        trace.append((it, rse, k, gamma, gamma * cfg.beta))
+    return state.x, trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=5),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(["multi", "rank1"]),
+    st.sampled_from(["sigma", "min-dim"]),
+    st.floats(min_value=0.1, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_complete_bitwise_equals_reference_loop(dims, shift, budget, rule, selection, density,
+                                                seed):
+    shape = tuple(dims)
+    shift = min(shift, len(shape) - 1)
+    rng = np.random.default_rng(seed)
+    total = int(np.prod(shape))
+    flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+    idx = np.stack(np.unravel_index(flat, shape), axis=1)
+    values = rng.normal(size=flat.size)
+    values[0] = 1.0  # never all zero
+    t = SparseTensor(shape, idx, values)
+    cfg = FwConfig(rank_budget=budget, shift=shift, update_rule=rule, mode_selection=selection)
+    state, trace = complete(t, cfg)
+    ref_x, ref_trace = reference_complete(t, cfg)
+    got = [(row.iteration, row.rse, row.mode, row.gamma, row.beta_gamma) for row in trace]
+    assert repr(got) == repr(ref_trace)
+    assert state.x.tobytes() == ref_x.tobytes()
 
 
 class TestBetaInvariance:

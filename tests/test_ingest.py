@@ -137,8 +137,8 @@ class TestSynthLowRank:
         state, trace = complete(obs, FwConfig(rank_budget=8))
         # solver fits the noisy observations, so its error against the clean
         # truth at the observed cells sits at the injected noise level
-        truth_obs = truth[obs.mask_tuple()]
-        err = np.linalg.norm(state.x[obs.mask_tuple()] - truth_obs)
+        truth_obs = obs.gather(truth)
+        err = np.linalg.norm(obs.gather(state.x) - truth_obs)
         expected = np.linalg.norm(obs.values - truth_obs)
         assert 0.5 * expected <= err <= 1.5 * expected
 
