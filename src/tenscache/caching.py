@@ -5,9 +5,9 @@ window of the last ``tau`` observed demand slots is (optionally) completed,
 the next slot's shares are forecast per base station by every configured
 predictor, each forecast's top ``cache_size`` files are placed, and each
 placement is scored against the demands that then materialize. Completion
-does not depend on the predictor, so each window is completed once. An oracle
-placement (top files of the realized demands themselves) is scored alongside
-as the per-slot upper bound.
+does not depend on the predictor, so each window is completed once, by one
+sweep over every rank budget. An oracle placement (top files of the realized
+demands themselves) is scored alongside as the per-slot upper bound.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import FwConfig, complete
+# ``complete`` is not called here; perfbench/tracing.py wraps it in this namespace
+from .completion import FwConfig, complete, complete_sweep  # noqa: F401
 from .prediction import PredictorConfig, fit_predict, normalize_demands
 from .tensors import SparseTensor
 
@@ -45,14 +46,20 @@ class SlotOutcome:
 
 @dataclass
 class OnlineConfig:
-    """Online-loop configuration (window, predictors, placement, completion)."""
+    """Online-loop configuration (window, predictors, placement, completion).
+
+    ``rank_budgets`` are the completion rank budgets: each window is solved
+    once for all of them (see :func:`tenscache.completion.complete_sweep`),
+    and every predictor is scored on each budget's completion. They are not
+    read with ``completion`` off.
+    """
 
     tau: int = 10
     order: int = 6
     cache_size: int = 32
     predictors: tuple[str, ...] = ("lp",)
     completion: bool = True
-    rank_budget: int = 8
+    rank_budgets: tuple[int, ...] = (8,)
     shift: int = 1
 
 
@@ -109,13 +116,16 @@ def _window_tensor(slots: list[np.ndarray], end: int, tau: int) -> np.ndarray:
     return np.stack(slots[end - tau + 1 : end + 1], axis=-1)
 
 
-def _completed_window(window: np.ndarray, fw_cfg: FwConfig) -> np.ndarray:
+def _completed_windows(window: np.ndarray, fw_cfg: FwConfig, budgets):
+    """``(budget, completed window)`` for each distinct budget, from one sweep."""
     idx = np.argwhere(window != 0.0)
     if idx.shape[0] == 0:
-        return window
+        for budget in set(budgets):
+            yield budget, window
+        return
     t = SparseTensor(window.shape, idx, window[tuple(idx.T)])
-    state, _ = complete(t, fw_cfg)
-    return state.x
+    for budget, state, _ in complete_sweep(t, fw_cfg, budgets):
+        yield budget, state.x
 
 
 def run_online(
@@ -129,12 +139,15 @@ def run_online(
     holds the realized demands used for scoring and the oracle; it defaults
     to ``stream`` (on real traces the observed demands are all there is).
     Slots ``tau+1 .. T`` (1-based) get scored; zero-demand (slot, bs) pairs
-    are flagged and excluded from the averages. Each window is completed,
-    normalized and scored by the oracle once, and the result feeds every
-    predictor in ``cfg.predictors``; one report per predictor comes back, in
-    that order. A configuration the stream cannot satisfy, or a negative
-    realized demand, raises ``ValueError`` before the loop; a failure inside
-    the loop is re-raised as ``RuntimeError`` naming the slot.
+    are flagged and excluded from the averages. Each window is completed
+    once for every budget in ``cfg.rank_budgets`` (one sweep), scored by the
+    oracle once, and each budget's completion is normalized once and feeds
+    every predictor in ``cfg.predictors``. One report per (predictor,
+    budget) comes back, predictor-major, in the configured orders; with
+    completion off, one per predictor, with rank 0. A configuration the
+    stream cannot satisfy, or a negative realized demand, raises
+    ``ValueError`` before the loop; a failure inside the loop is re-raised
+    as ``RuntimeError`` naming the slot.
     """
     if score_stream is None:
         score_stream = stream
@@ -154,38 +167,48 @@ def run_online(
         if (realized < 0).any():
             raise ValueError(f"realized demands of slot {slot} must be nonnegative")
     pred_cfgs = [PredictorConfig(cfg.order, p) for p in cfg.predictors]
-    fw_cfg = FwConfig(rank_budget=cfg.rank_budget, shift=cfg.shift)
-    outcomes: list[list[SlotOutcome]] = [[] for _ in pred_cfgs]
+    # the sweep reads every budget; the smallest one is checked here
+    fw_cfg = FwConfig(rank_budget=min(cfg.rank_budgets, default=0), shift=cfg.shift)
+    budgets = cfg.rank_budgets if cfg.completion else (0,)
+    outcomes: dict[tuple[int, int], list[SlotOutcome]] = {
+        (p, budget): [] for p in range(len(pred_cfgs)) for budget in budgets}
     oracle_outcomes: list[SlotOutcome] = []
 
     for t_idx in range(cfg.tau - 1, len(stream) - 1):
         window = _window_tensor(stream, t_idx, cfg.tau)
+        slot = t_idx + 2
         try:
-            filled = _completed_window(window, fw_cfg) if cfg.completion else window
-            history = normalize_demands(filled)
             realized = score_stream[t_idx + 1]
-            for b in range(n_bs):
-                demand = realized[:, :, b]
-                mass, total = demand.sum(axis=1), float(demand.sum())
-                for pred_cfg, scored in zip(pred_cfgs, outcomes):
-                    c = mpc_place(fit_predict(history, pred_cfg, b).shares, cfg.cache_size)
-                    scored.append(_score(mass, total, c, t_idx + 2, b))
+            masses = [(realized[:, :, b].sum(axis=1), float(realized[:, :, b].sum()))
+                      for b in range(n_bs)]
+            filled = (_completed_windows(window, fw_cfg, budgets) if cfg.completion
+                      else [(0, window)])
+            for budget, x in filled:
+                history = normalize_demands(x)
+                for b, (mass, total) in enumerate(masses):
+                    for p, pred_cfg in enumerate(pred_cfgs):
+                        c = mpc_place(fit_predict(history, pred_cfg, b).shares, cfg.cache_size)
+                        outcomes[p, budget].append(_score(mass, total, c, slot, b))
+                del x, history  # free this completion before the sweep resumes
+            for b, (mass, total) in enumerate(masses):
                 oracle = oracle_place(mass, total, cfg.cache_size)
-                oracle_outcomes.append(_score(mass, total, oracle, t_idx + 2, b))
+                oracle_outcomes.append(_score(mass, total, oracle, slot, b))
         except Exception as exc:
             raise RuntimeError(f"online loop failed at slot {t_idx + 1}") from exc
 
     oracle_average = _average(oracle_outcomes)
     reports = []
-    for predictor, scored in zip(cfg.predictors, outcomes):
+    for p, predictor in enumerate(cfg.predictors):
         method = f"{predictor}-{'completed' if cfg.completion else 'raw'}"
-        reports.append(OnlineRunReport(
-            method=method,
-            rank=cfg.rank_budget if cfg.completion else 0,
-            outcomes=scored,
-            oracle_outcomes=oracle_outcomes,
-            averages={method: _average(scored), "oracle": oracle_average},
-        ))
+        for budget in budgets:
+            scored = outcomes[p, budget]
+            reports.append(OnlineRunReport(
+                method=method,
+                rank=budget,
+                outcomes=scored,
+                oracle_outcomes=oracle_outcomes,
+                averages={method: _average(scored), "oracle": oracle_average},
+            ))
     return reports
 
 

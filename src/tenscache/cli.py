@@ -24,7 +24,8 @@ from pathlib import Path
 
 from . import __version__
 from .caching import OnlineConfig, run_online, write_report_csv, write_summary_csv
-from .completion import FwConfig, complete, write_trace_csv
+# ``complete`` is not called here; perfbench/tracing.py wraps it in this namespace
+from .completion import FwConfig, complete, complete_sweep, write_trace_csv  # noqa: F401
 from .ingest import (
     IngestConfig,
     build_demand_tensor,
@@ -172,21 +173,25 @@ def cmd_complete(args, config: dict) -> int:
     out_dir = _out_dir(args)
     started = time.perf_counter()
     outputs = []
+    traces = {}
+    for beta in betas:  # one sweep over the rank list per beta
+        fw = FwConfig(
+            rank_budget=max(ranks),
+            beta=beta,
+            shift=cfg_echo["shift"],
+            max_iter=cfg_echo["max_iter"],
+            mode_selection=cfg_echo["mode_select"],
+            update_rule=cfg_echo["update"],
+        )
+        for rank, state, trace in complete_sweep(t, fw, ranks):
+            traces[rank, beta] = trace
+            del state  # only the trace is written; free the iterate before the sweep resumes
     rows_by_run = {}
     for rank in ranks:
         for beta in betas:
-            fw = FwConfig(
-                rank_budget=rank,
-                beta=beta,
-                shift=cfg_echo["shift"],
-                max_iter=cfg_echo["max_iter"],
-                mode_selection=cfg_echo["mode_select"],
-                update_rule=cfg_echo["update"],
-            )
-            _, trace = complete(t, fw)
             name = f"trace-R{rank}" + (f"-beta{beta:g}" if len(betas) > 1 else "") + ".csv"
             outputs.append(name)
-            rows_by_run[name] = trace
+            rows_by_run[name] = traces[rank, beta]
     manifest_name = _write_manifest(
         out_dir, "complete", cfg_echo, time.perf_counter() - started, outputs
     )
@@ -238,26 +243,24 @@ def cmd_simulate(args, config: dict) -> int:
     }
     out_dir = _out_dir(args)
     started = time.perf_counter()
-    cells = {}  # (completion, rank) -> one report per predictor, from one run
-    for comp in completions:
-        for rank in ranks if comp else ranks[:1]:  # raw runs do not use the budget
-            cfg = OnlineConfig(
-                tau=tau, order=order, cache_size=cache, predictors=predictors,
-                completion=comp, rank_budget=rank, shift=shift,
-            )
-            cells[comp, rank] = run_online(stream, cfg, score_stream)
+    base = OnlineConfig(tau=tau, order=order, cache_size=cache, predictors=predictors,
+                        rank_budgets=tuple(ranks), shift=shift)
+    # completed: one report per (predictor, rank), from one sweep per window;
+    # raw: one report per predictor, since raw runs do not use the budget
+    runs = {comp: run_online(stream, replace(base, completion=comp), score_stream)
+            for comp in completions}
     reports = []  # one per distinct (predictor, completion, rank) run
     grid = []  # full {predictor} x {raw, completed} x {rank} summary grid
     for i in range(len(predictors)):
         for comp in completions:
-            for rank in ranks:
-                if not comp and rank != ranks[0]:
-                    grid.append(replace(reports[-1], rank=rank))
-                    continue
-                rep = cells[comp, rank][i]
-                rep.rank = rank
-                reports.append(rep)
-                grid.append(rep)
+            if comp:
+                cell = runs[comp][i * len(ranks):(i + 1) * len(ranks)]
+                reports += cell
+                grid += cell
+            else:
+                raw = replace(runs[comp][i], rank=ranks[0])
+                reports.append(raw)
+                grid += [replace(raw, rank=rank) for rank in ranks]
     outputs = ["slots.csv", "summary.csv"]
     manifest_name = _write_manifest(
         out_dir, "simulate", cfg_echo, time.perf_counter() - started, outputs

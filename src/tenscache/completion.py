@@ -20,23 +20,31 @@ ledger, which is all a Frank-Wolfe step reads: the step's factors are folded
 into the iterate and not kept, and the active modes are those whose ledger is
 below the smaller dimension of their unfolding.
 
+Mode selection and the step's SVD do not depend on the rank budget, so
+:func:`complete_sweep` solves a list of budgets in one pass, bitwise as if
+each ran alone; :func:`complete` is its one-budget case.
+
 Each step's observed correlation with the residual is ``b_bar = <grad, S> =
 sum_i w_i sigma_i > 0`` while the gradient is nonzero, so the exact line
-search finds ``gamma > 0`` on every real input, and :func:`complete` is one
-flat loop with no retry. The step size scales as ``1 / beta``, so the product
-``gamma * beta`` and the whole trajectory are invariant to the choice of
-``beta`` (up to floating-point rounding).
+search finds ``gamma > 0`` on every real input, and the loop has no retry.
+The step size scales as ``1 / beta``, so the product ``gamma * beta`` and the
+whole trajectory are invariant to the choice of ``beta`` (up to
+floating-point rounding).
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
-from .svd import dominant_sigma, truncated_svd
-from .tensors import SparseTensor, UnfoldSpec, fold, unfold, validate_shape
+from .svd import SvdTriplet, dominant_sigma, truncated_svd
+
+# ``unfold`` is not called here; perfbench/tracing.py wraps it in this namespace
+from .tensors import SparseTensor, UnfoldSpec, fold, unfold, validate_shape  # noqa: F401
 
 __all__ = [
     "FwConfig",
@@ -48,6 +56,7 @@ __all__ = [
     "apply_update",
     "beta_invariance_check",
     "complete",
+    "complete_sweep",
     "gradient_step",
     "line_search",
     "select_mode",
@@ -175,25 +184,22 @@ class GradientUnfoldings:
     The gradient is the observed residual at the observed positions and zero
     elsewhere, so its mode-``k`` unfolding is a zero matrix holding the
     residual at each observed entry's place in that unfolding.
-    ``positions[k]`` lists those places (F-order flat indices). They are found
-    once per solve by unfolding a tensor of entry numbers, so they follow
-    :func:`unfold`'s flattening convention by construction.
+    ``positions[k]`` lists those places (F-order flat indices), found once per
+    solve in O(nnz): an entry's place is its multi-index dotted with per-axis
+    weights, the F-order strides of the unfolding's axis order
+    (:meth:`UnfoldSpec.axes_order`, the order :func:`unfold` transposes to).
     """
 
     def __init__(self, t: SparseTensor, shift: int):
-        # numbered from 1 (0 marks unobserved), in the smallest dtype that
-        # holds them: each mode copies the whole tensor once
-        numbers = t.to_dense(np.arange(1, t.nnz + 1, dtype=np.min_scalar_type(t.nnz)))
         self.dims: dict[int, tuple[int, int]] = {}
         self.positions: dict[int, np.ndarray] = {}
         for k in range(1, len(t.shape) + 1):
             spec = UnfoldSpec(k, shift)
             self.dims[k] = spec.matrix_dims(t.shape)
-            entry = unfold(numbers, spec).ravel(order="F")
-            where = np.flatnonzero(entry)
-            pos = np.empty(t.nnz, dtype=np.intp)
-            pos[entry[where] - 1] = where
-            self.positions[k] = pos
+            perm = spec.axes_order(len(t.shape))
+            weights = np.empty(len(perm), dtype=np.intp)
+            weights[perm] = np.cumprod([1] + [t.shape[p] for p in perm[:-1]])
+            self.positions[k] = t.indices @ weights
 
     def matrix(self, k: int, residual: np.ndarray) -> np.ndarray:
         """Mode-``k`` gradient unfolding: bitwise and in (F-contiguous) layout
@@ -244,32 +250,34 @@ def select_mode(
 
 
 def gradient_step(
-    m: np.ndarray,
+    trip: SvdTriplet,
     k_star: int,
     r_k: int,
     beta: float,
     update_rule: str = UPDATE_MULTI,
 ) -> GradientStep:
     """Best-correlated step of nuclear norm ``beta`` along mode ``k_star``,
-    from ``m``, the gradient's mode-``k_star`` unfolding.
+    from ``trip``, the top singular triplets of the gradient's mode-``k_star``
+    unfolding (at least ``r_k`` of them; one for the rank-1 rule).
 
     The multi-rank rule keeps the top ``r_k`` singular triplets of the
     gradient unfolding, rescaled so the weights sum to ``beta``; the rank-1
     rule keeps the leading pair with weight ``beta`` and discards the
     singular-value structure. Trailing singular values at the numerical-zero
     level are dropped rather than appended as zero-weight components, so the
-    returned rank may be below ``r_k``.
+    returned rank may be below ``r_k``. The triplets beyond ``r_k`` are not
+    read, so one SVD serves every allowance up to its size.
     """
-    if not 1 <= r_k <= min(m.shape):
-        raise ValueError(f"r_k {r_k} out of range 1..{min(m.shape)}")
     r_want = 1 if update_rule == UPDATE_RANK_ONE else r_k
-    trip = truncated_svd(m, r_want)
+    if not 1 <= r_want <= trip.sigma.size:
+        raise ValueError(f"r_k {r_k} out of range 1..{trip.sigma.size}")
     if trip.sigma[0] <= 0.0:
         raise ZeroGradientError("gradient unfolding is numerically zero")
-    keep = trip.sigma > trip.sigma[0] * _SIGMA_EPS
-    u, sig, v = trip.u[:, keep], trip.sigma[keep], trip.v[:, keep]
+    sigma = trip.sigma[:r_want]
+    keep = sigma > sigma[0] * _SIGMA_EPS
+    u, sig, v = trip.u[:, :r_want][:, keep], sigma[keep], trip.v[:, :r_want][:, keep]
     if update_rule == UPDATE_RANK_ONE:
-        return GradientStep(k_star, u[:, :1], np.array([beta]), v[:, :1])
+        return GradientStep(k_star, u, np.array([beta]), v)
     return GradientStep(k_star, u, beta / float(sig.sum()) * sig, v)
 
 
@@ -289,14 +297,26 @@ def line_search(residual: np.ndarray, s_obs: np.ndarray) -> float:
     return max(b_bar / a_bar, 0.0)
 
 
-def apply_update(state: FwState, step: GradientStep, gamma: float, s: np.ndarray) -> FwState:
+def apply_update(
+    state: FwState, step: GradientStep, gamma: float, s: np.ndarray, fork: bool = False
+) -> FwState:
     """Apply ``x <- x - gamma * s``, with ``s`` the step's dense tensor, and
-    charge the step's rank to its mode.
+    charge the step's rank to its mode; return the updated state.
+
+    ``s`` is spent: it is scaled by ``-gamma`` in place and added to the
+    iterate (``x + (-gamma) * s`` is bitwise ``x - gamma * s``), so no
+    tensor-sized temporary is made. With ``fork`` the sum goes to a new state
+    with its own iterate and ledger, and ``state`` is left as it was.
 
     The rank ledger always advances by the step's rank; a ``gamma == 0``
     step leaves the iterate unchanged.
     """
-    state.x -= gamma * s
+    s *= -gamma
+    if fork:
+        state = FwState(np.add(state.x, s, out=np.empty_like(state.x)),
+                        dict(state.consumed), state.config)
+    else:
+        state.x += s
     if not np.isfinite(state.x).all():
         raise FloatingPointError(
             f"non-finite iterate after mode-{step.mode} update (gamma={gamma!r})"
@@ -305,65 +325,140 @@ def apply_update(state: FwState, step: GradientStep, gamma: float, s: np.ndarray
     return state
 
 
-def update_rank_budget(state: FwState, k: int) -> int:
+def update_rank_budget(state: FwState, k: int, budget: int | None = None) -> int:
     """Per-iteration rank allowance for mode ``k``.
 
     ``min(rows - R_k, cols - R_k, budget - total_consumed)`` floored at zero:
-    zero when mode ``k`` is saturated or the budget is spent.
+    zero when mode ``k`` is saturated or the budget is spent. ``budget``
+    defaults to the state's ``config.rank_budget``.
     """
+    if budget is None:
+        budget = state.config.rank_budget
     rows, cols = UnfoldSpec(k, state.config.shift).matrix_dims(state.x.shape)
     consumed = state.consumed[k]
-    remaining = state.config.rank_budget - state.consumed_total()
-    return max(min(rows - consumed, cols - consumed, remaining), 0)
+    return max(min(rows - consumed, cols - consumed, budget - state.consumed_total()), 0)
 
 
 def complete(t: SparseTensor, cfg: FwConfig) -> tuple[FwState, list[TraceRow]]:
-    """Run the solver on observed tensor ``t``.
+    """Run the solver on observed tensor ``t`` with ``cfg.rank_budget``: the
+    one-budget case of :func:`complete_sweep`.
+
+    Returns the final state and the per-iteration trace. The trace starts at
+    the exact RSE 1.0 baseline (the iterate starts at zero) and records, for
+    every applied step, the observed-entry RSE, wall-clock time since the
+    solve started, the selected mode, and the step size both raw and
+    multiplied by ``beta``.
+    """
+    [(_, state, trace)] = complete_sweep(t, cfg, (cfg.rank_budget,))
+    return state, trace
+
+
+def complete_sweep(
+    t: SparseTensor, cfg: FwConfig, budgets: Iterable[int]
+) -> Iterator[tuple[int, FwState, list[TraceRow]]]:
+    """Run the solver on observed tensor ``t`` once for every rank budget in
+    ``budgets``, with ``cfg``'s other settings (``cfg.rank_budget`` is not
+    read).
 
     Each step selects a mode, takes its rank allowance, builds the step
     tensor once, line-searches it and applies it. The gradient unfoldings are
     scattered from the residual, and the selected one is handed to the step.
-    The run stops at the first of: the RSE floor, the budget spent, no active
-    mode, a zero gradient, a ``gamma == 0`` step, or ``max_iter`` steps.
+    A budget's run stops at the first of: the RSE floor, its budget spent, no
+    active mode, a zero gradient, a ``gamma == 0`` step, or ``max_iter``
+    steps.
 
-    Returns the final state and the per-iteration trace. The trace starts at
-    the exact RSE 1.0 baseline (the iterate starts at zero) and records, for
-    every applied step, the observed-entry RSE, cumulative wall-clock time,
-    the selected mode, and the step size both raw and multiplied by ``beta``.
+    The budgets walk a tree: mode selection and one SVD (sized for the
+    largest allowance, sliced for the others) run once per node, budgets
+    whose allowances agree share the step, and the path forks, each branch
+    with its own copy of the iterate and ledger, where they differ (never
+    under the rank-1 rule). The walk is depth-first, so each branch is done
+    and freed before its sibling starts.
+
+    Yields ``(budget, state, trace)`` once per distinct budget as its run
+    ends: bitwise what :func:`complete` gives for that budget alone, except
+    that ``elapsed_s`` counts from the start of the sweep. Each state owns
+    its iterate and carries its budget in its config. Bad input, including
+    an empty or invalid budget list, raises ``ValueError`` at the call.
     """
     if t.nnz == 0:
         raise ValueError("observed tensor has no entries")
     t_norm = float(np.linalg.norm(t.values))
     if t_norm == 0.0:
         raise ValueError("observed values are all zero; nothing to fit")
+    configs = {b: replace(cfg, rank_budget=b) for b in sorted(set(budgets))}
+    if not configs:
+        raise ValueError("no rank budget given")
     state = FwState.initial(t.shape, cfg)
     start = time.perf_counter()
     grads = GradientUnfoldings(t, cfg.shift)
-    trace = [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)]
-    residual = t.gather(state.x) - t.values
-    rse = float(np.linalg.norm(residual)) / t_norm
+    rank_one = cfg.update_rule == UPDATE_RANK_ONE
 
-    for it in range(1, cfg.max_iter + 1):
-        active = state.active
-        if rse < _RSE_FLOOR or not active or state.consumed_total() >= cfg.rank_budget:
-            break
-        k, m = select_mode(grads, residual, cfg, active)
-        r = update_rank_budget(state, k)  # >= 1: k is active and budget remains
-        try:
-            step = gradient_step(m, k, r, cfg.beta, cfg.update_rule)
-        except ZeroGradientError:
-            break
-        del m  # free the unfolding before the step tensor is built
+    def finish(state, trace, budgets, live):
+        """Results for ``budgets``, whose runs end at ``state``. They get
+        copies, except that when the path ends here (``live``) the last one
+        takes the path's own state."""
+        for i, b in enumerate(budgets):
+            own = live and i == len(budgets) - 1
+            x, rows = (state.x, trace) if own else (state.x.copy(), list(trace))
+            yield b, FwState(x, dict(state.consumed), configs[b]), rows
+
+    def advance(state, step, residual, it, fork):
+        """``step`` line-searched and applied (to a new state when ``fork``):
+        the new state, residual, RSE and trace row; ``None`` when the line
+        search gives ``gamma == 0``."""
         s = step.dense(t.shape, cfg.shift)
         gamma = line_search(residual, t.gather(s))
         if gamma == 0.0:
-            break
-        apply_update(state, step, gamma, s)
+            return None
+        state = apply_update(state, step, gamma, s, fork)
         residual = t.gather(state.x) - t.values
         rse = float(np.linalg.norm(residual)) / t_norm
-        trace.append(TraceRow(it, rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta))
+        row = TraceRow(it, rse, time.perf_counter() - start, step.mode, gamma, gamma * cfg.beta)
+        return state, residual, rse, row
 
-    return state, trace
+    def walk(state, budgets, residual, rse, trace, first):
+        """Run the sorted ``budgets`` on from ``state``, yielding each result."""
+        for it in range(first, cfg.max_iter + 1):
+            active = state.active
+            if rse < _RSE_FLOOR or not active:
+                break
+            spent = state.consumed_total()
+            done = [b for b in budgets if b <= spent]
+            budgets = budgets[len(done):]
+            yield from finish(state, trace, done, live=not budgets)
+            if not budgets:
+                return
+            k, m = select_mode(grads, residual, cfg, active)
+            # each budget's allowance is >= 1: k is active and budget remains
+            groups = [(r, list(group)) for r, group in groupby(
+                budgets, lambda b: 1 if rank_one else update_rank_budget(state, k, b))]
+            trip = truncated_svd(m, groups[-1][0])  # allowances rise with the budget
+            del m  # free the unfolding before any step tensor is built
+            try:
+                steps = [(gradient_step(trip, k, r, cfg.beta, cfg.update_rule), group)
+                         for r, group in groups]
+            except ZeroGradientError:
+                break
+            *forks, (step, budgets) = steps
+            for fork_step, group in forks:
+                moved = advance(state, fork_step, residual, it, fork=True)
+                if moved is None:
+                    yield from finish(state, trace, group, live=False)
+                    continue
+                child, child_residual, child_rse, row = moved
+                del moved
+                yield from walk(child, group, child_residual, child_rse, trace + [row], it + 1)
+                del child, child_residual
+            moved = advance(state, step, residual, it, fork=False)
+            if moved is None:
+                break
+            state, residual, rse, row = moved
+            trace.append(row)
+        yield from finish(state, trace, budgets, live=True)
+
+    residual = t.gather(state.x) - t.values
+    rse = float(np.linalg.norm(residual)) / t_norm
+    return walk(state, list(configs), residual, rse, [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)], 1)
 
 
 def beta_invariance_check(

@@ -18,14 +18,6 @@ class SvdTriplet:
     sigma: np.ndarray
     v: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return int(self.sigma.size)
-
-    def matrix(self) -> np.ndarray:
-        """Reconstruction ``u @ diag(sigma) @ v.T``."""
-        return (self.u * self.sigma) @ self.v.T
-
 
 def _check_finite(m: np.ndarray) -> None:
     if not np.isfinite(m).all():

@@ -193,8 +193,8 @@ def test_criterion_8_predictor_recovery(report):
 def _paired_caching_runs(seed):
     observed, truth = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=seed)
     base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2)
-    [on] = run_online(observed, OnlineConfig(completion=True, rank_budget=16, **base), truth)
-    [off] = run_online(observed, OnlineConfig(completion=False, rank_budget=16, **base), truth)
+    [on] = run_online(observed, OnlineConfig(completion=True, rank_budgets=(16,), **base), truth)
+    [off] = run_online(observed, OnlineConfig(completion=False, rank_budgets=(16,), **base), truth)
     return on, off
 
 
@@ -218,10 +218,9 @@ def test_criterion_9_caching_dominance(report):
 def test_criterion_10_rank_insensitive_hit_rate(report):
     observed, truth = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=0)
     base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2, completion=True)
-    averages = []
-    for budget in (8, 16, 24):  # 2N, 4N, 6N at N=4
-        [rep] = run_online(observed, OnlineConfig(rank_budget=budget, **base), truth)
-        averages.append(rep.average())
+    budgets = (8, 16, 24)  # 2N, 4N, 6N at N=4
+    reports = run_online(observed, OnlineConfig(rank_budgets=budgets, **base), truth)
+    averages = [rep.average() for rep in reports]
     spread = (max(averages) - min(averages)) / max(averages)
     report(
         "criterion 10: average hit rate insensitive to rank budget (<= 5%)",

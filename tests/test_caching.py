@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import synth_request_stream
 import tenscache.caching as caching_mod
 from tenscache.caching import (
     OnlineConfig,
@@ -9,8 +10,8 @@ from tenscache.caching import (
     oracle_place,
     run_online,
 )
-from tenscache.completion import complete
-from tenscache.ingest import synth_lowrank_stream, synth_request_stream
+from tenscache.completion import complete_sweep
+from tenscache.ingest import synth_lowrank_stream
 
 RNG = np.random.default_rng(31)
 
@@ -104,14 +105,14 @@ class TestRunOnline:
 
     def test_completion_improves_masked_stream(self):
         observed, truth = synth_lowrank_stream(24, 3, 60, observe_fraction=0.05, seed=0)
-        base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), rank_budget=16, shift=2)
+        base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), rank_budgets=(16,), shift=2)
         [on] = run_online(observed, OnlineConfig(completion=True, **base), truth)
         [off] = run_online(observed, OnlineConfig(completion=False, **base), truth)
         assert on.average() >= off.average()
 
     def test_shared_completion_matches_single_predictor_runs(self):
         observed, truth = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
-        base = dict(tau=8, order=4, cache_size=6, rank_budget=16, shift=2)
+        base = dict(tau=8, order=4, cache_size=6, rank_budgets=(16,), shift=2)
         both = run_online(observed, OnlineConfig(predictors=("lp", "mean"), **base), truth)
         [lp] = run_online(observed, OnlineConfig(predictors=("lp",), **base), truth)
         [mean] = run_online(observed, OnlineConfig(predictors=("mean",), **base), truth)
@@ -121,17 +122,34 @@ class TestRunOnline:
             assert got.oracle_outcomes == single.oracle_outcomes
             assert got.averages == single.averages
 
+    def test_budget_sweep_matches_single_budget_runs(self):
+        observed, truth = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        base = dict(tau=8, order=4, cache_size=6, predictors=("lp", "mean"), shift=2)
+        budgets = (16, 4, 8, 4)
+        swept = run_online(observed, OnlineConfig(rank_budgets=budgets, **base), truth)
+        assert [(rep.method, rep.rank) for rep in swept] == [
+            (method, b) for method in ("lp-completed", "mean-completed") for b in budgets]
+        for b in set(budgets):
+            single = run_online(observed, OnlineConfig(rank_budgets=(b,), **base), truth)
+            got = [rep for rep in swept if rep.rank == b]
+            assert len(got) == 2 * budgets.count(b)
+            for rep in got:
+                [ref] = [r for r in single if r.method == rep.method]
+                assert rep.outcomes == ref.outcomes  # dataclass equality: bitwise floats
+                assert rep.oracle_outcomes == ref.oracle_outcomes
+                assert rep.averages == ref.averages
+
     def test_one_completion_per_scored_slot(self, monkeypatch):
         calls = []
 
-        def counting_complete(t, fw_cfg):
+        def counting_sweep(t, fw_cfg, budgets):
             calls.append(t.shape)
-            return complete(t, fw_cfg)
+            return complete_sweep(t, fw_cfg, budgets)
 
-        monkeypatch.setattr(caching_mod, "complete", counting_complete)
+        monkeypatch.setattr(caching_mod, "complete_sweep", counting_sweep)
         observed, truth = synth_lowrank_stream(24, 3, 12, observe_fraction=0.05, seed=2)
         cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("lp", "mean"),
-                           rank_budget=8, shift=2)
+                           rank_budgets=(4, 8), shift=2)
         reports = run_online(observed, cfg, truth)
         scored_slots = {o.slot for o in reports[0].outcomes}
         assert len(scored_slots) == len(observed) - cfg.tau

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,14 @@ from tenscache.completion import (
     apply_update,
     beta_invariance_check,
     complete,
+    complete_sweep,
     gradient_step,
     line_search,
     select_mode,
     update_rank_budget,
 )
 from tenscache.ingest import synth_low_rank
-from tenscache.svd import dominant_sigma
+from tenscache.svd import dominant_sigma, truncated_svd
 from tenscache.tensors import SparseTensor, UnfoldSpec, fold, unfold
 
 RNG = np.random.default_rng(11)
@@ -42,6 +45,13 @@ def select(grad, cfg, active):
 
 def unfolded(grad, k):
     return unfold(grad, UnfoldSpec(k, 1))
+
+
+def step_of(m, k, r, beta, update_rule="multi"):
+    """``gradient_step`` from the SVD of unfolding ``m``, truncated to what the
+    step reads."""
+    trip = truncated_svd(m, 1 if update_rule == "rank1" else r)
+    return gradient_step(trip, k, r, beta, update_rule)
 
 
 def search(x, t, s):
@@ -161,17 +171,42 @@ class TestGradientUnfoldings:
                 assert m.shape == ref.shape
                 assert m.tobytes(order="F") == ref.tobytes(order="F")
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=5),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_positions_match_dense_unfold_of_entry_numbers(self, dims, density, seed):
+        # the O(nnz) weights find the places the dense construction found:
+        # unfold a tensor of entry numbers and read off where each one lands
+        shape = tuple(dims)
+        rng = np.random.default_rng(seed)
+        total = int(np.prod(shape))
+        flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+        t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1),
+                         rng.normal(size=flat.size))
+        numbers = t.to_dense(np.arange(1, t.nnz + 1))
+        for shift in range(1, len(shape)):
+            grads = GradientUnfoldings(t, shift)
+            for k in range(1, len(shape) + 1):
+                entry = unfold(numbers, UnfoldSpec(k, shift)).ravel(order="F")
+                where = np.flatnonzero(entry)
+                ref = np.empty(t.nnz, dtype=np.intp)
+                ref[entry[where] - 1] = where
+                np.testing.assert_array_equal(grads.positions[k], ref)
+
 
 class TestGradientStep:
     def test_multi_rank_normalization(self):
         grad = fold(np.diag([3.0, 1.0]), UnfoldSpec(1, 1), (2, 2, 1))
-        step = gradient_step(unfolded(grad, 1), 1, 2, beta=1.0)
+        step = step_of(unfolded(grad, 1), 1, 2, beta=1.0)
         s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1))
         np.testing.assert_allclose(s_unf, np.diag([3.0, 1.0]) / 4.0, atol=1e-12)
 
     def test_rank_one_drops_sigma_structure(self):
         grad = fold(np.diag([3.0, 1.0]), UnfoldSpec(1, 1), (2, 2, 1))
-        step = gradient_step(unfolded(grad, 1), 1, 2, beta=1.0, update_rule="rank1")
+        step = step_of(unfolded(grad, 1), 1, 2, beta=1.0, update_rule="rank1")
         s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1))
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0
@@ -179,19 +214,19 @@ class TestGradientStep:
 
     def test_beta_linearity(self):
         grad = RNG.normal(size=(3, 4, 2))
-        s1 = gradient_step(unfolded(grad, 2), 2, 2, beta=1.0).dense((3, 4, 2), 1)
-        s2 = gradient_step(unfolded(grad, 2), 2, 2, beta=2.0).dense((3, 4, 2), 1)
+        s1 = step_of(unfolded(grad, 2), 2, 2, beta=1.0).dense((3, 4, 2), 1)
+        s2 = step_of(unfolded(grad, 2), 2, 2, beta=2.0).dense((3, 4, 2), 1)
         np.testing.assert_allclose(s2, 2.0 * s1, rtol=1e-12)
 
     def test_weights_sum_to_beta(self):
         grad = RNG.normal(size=(3, 4, 2))
         for rule in ("multi", "rank1"):
-            step = gradient_step(unfolded(grad, 1), 1, 2, beta=37.5, update_rule=rule)
+            step = step_of(unfolded(grad, 1), 1, 2, beta=37.5, update_rule=rule)
             assert abs(step.weights.sum() - 37.5) <= 1e-9 * 37.5
 
     def test_positive_correlation_with_gradient(self):
         grad = RNG.normal(size=(3, 4, 5))
-        step = gradient_step(unfolded(grad, 2), 2, 3, beta=1e5)
+        step = step_of(unfolded(grad, 2), 2, 3, beta=1e5)
         s = step.dense((3, 4, 5), 1)
         assert float((s * grad).sum()) > 0
 
@@ -199,7 +234,7 @@ class TestGradientStep:
         # gradient unfolding of rank 1, but r_k allows 2
         spec = UnfoldSpec(1, 1)
         grad = fold(np.outer([1.0, 0.0], [1.0, 2.0]), spec, (2, 2, 1))
-        step = gradient_step(unfolded(grad, 1), 1, 2, beta=1.0)
+        step = step_of(unfolded(grad, 1), 1, 2, beta=1.0)
         assert step.rank == 1
         assert (step.weights > 0).all()
 
@@ -265,10 +300,34 @@ class TestApplyUpdate:
         cfg = FwConfig(rank_budget=4, beta=1.0)
         state = FwState.initial(t.shape, cfg)
         grad = -t.to_dense()
-        step = gradient_step(unfolded(grad, 1), 1, 2, beta=1.0)
+        step = step_of(unfolded(grad, 1), 1, 2, beta=1.0)
         apply_update(state, step, 0.0, step.dense(t.shape, 1))
         assert not state.x.any()
         assert state.consumed[1] == step.rank
+
+    @pytest.mark.parametrize("fork", [False, True])
+    def test_non_finite_iterate_raises(self, fork):
+        t = two_cell_tensor()
+        state = FwState.initial(t.shape, FwConfig(rank_budget=4))
+        step = step_of(unfolded(-t.to_dense(), 1), 1, 2, beta=1.0)
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
+            apply_update(state, step, np.inf, step.dense(t.shape, 1), fork=fork)
+
+    def test_fork_leaves_parent_and_matches_in_place(self):
+        t = two_cell_tensor()
+        state = FwState.initial(t.shape, FwConfig(rank_budget=4))
+        state.x += 0.25
+        step = step_of(unfolded(-t.to_dense(), 1), 1, 2, beta=1.0)
+        s = step.dense(t.shape, 1)
+        child = apply_update(state, step, 0.3, s.copy(), fork=True)
+        assert child is not state and child.x is not state.x
+        assert (state.x == 0.25).all() and state.consumed_total() == 0
+        assert child.x.flags.c_contiguous
+        assert child.x.tobytes() == (state.x - 0.3 * s).tobytes()
+        assert child.consumed == {1: step.rank, 2: 0, 3: 0}
+        apply_update(state, step, 0.3, s)
+        assert state.x.tobytes() == child.x.tobytes()
+        assert state.consumed == child.consumed
 
     def test_full_iteration_fits_two_cells(self):
         t = two_cell_tensor()
@@ -298,11 +357,11 @@ class TestApplyUpdate:
             r = update_rank_budget(state, k)
             if r == 0:
                 break
-            step = gradient_step(m, k, r, cfg.beta)
+            step = step_of(m, k, r, cfg.beta)
             s_dense = step.dense(obs.shape, cfg.shift)
             gamma = line_search(residual, obs.gather(s_dense))
             x_before, consumed_before = state.x.copy(), dict(state.consumed)
-            apply_update(state, step, gamma, s_dense)
+            apply_update(state, step, gamma, s_dense.copy())  # the update spends its s
             np.testing.assert_array_equal(state.x, x_before - gamma * s_dense)
             assert state.consumed == {**consumed_before, k: consumed_before[k] + step.rank}
             applied += 1
@@ -392,9 +451,9 @@ class TestComplete:
         assert len(trace) - 1 == 8
         assert len(calls) == len(trace) - 1
 
-    def test_unfold_runs_once_per_mode_per_solve(self, monkeypatch):
-        # the step's gradient unfoldings are scattered from the residual; only
-        # the entry positions go through unfold, once per mode
+    def test_unfold_never_runs_in_a_solve(self, monkeypatch):
+        # the step's gradient unfoldings are scattered from the residual, and
+        # the entry positions come from per-axis weights, not a dense unfold
         calls = []
 
         def counting_unfold(*args):
@@ -405,7 +464,7 @@ class TestComplete:
         obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
         _, trace = complete(obs, FwConfig(rank_budget=8, shift=2, update_rule="rank1"))
         assert len(trace) - 1 == 8
-        assert sorted(calls) == [1, 2, 3, 4]
+        assert calls == []
 
     def test_all_modes_stalled_is_clean_convergence(self, monkeypatch):
         obs, _ = synth_low_rank((4, 4, 4), (1, 1, 1), observe_fraction=0.5, seed=1)
@@ -448,6 +507,80 @@ def test_solver_invariants(dims, shift, budget, rule, selection, seed):
     assert state.active == {k for k in min_dim if state.consumed[k] < min_dim[k]}
 
 
+def trace_columns(trace):
+    """Every trace column but ``elapsed_s``."""
+    return repr([(row.iteration, row.rse, row.mode, row.gamma, row.beta_gamma) for row in trace])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=4),
+    st.sampled_from([1, 2]),
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5),
+    st.sampled_from(["multi", "rank1"]),
+    st.sampled_from(["sigma", "min-dim"]),
+    st.floats(min_value=0.1, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_sweep_bitwise_equals_single_budget_solves(dims, shift, budgets, rule, selection,
+                                                   density, seed):
+    shape = tuple(dims)
+    rng = np.random.default_rng(seed)
+    total = int(np.prod(shape))
+    flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+    values = rng.normal(size=flat.size)
+    values[0] = 1.0  # never all zero
+    t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1), values)
+    cfg = FwConfig(rank_budget=1, shift=shift, update_rule=rule, mode_selection=selection)
+    swept = list(complete_sweep(t, cfg, budgets))  # every result kept while the sweep runs
+    assert sorted(b for b, _, _ in swept) == sorted(set(budgets))
+    for budget, state, trace in swept:
+        ref_state, ref_trace = complete(t, replace(cfg, rank_budget=budget))
+        assert state.config == ref_state.config
+        assert state.consumed == ref_state.consumed
+        assert state.x.tobytes() == ref_state.x.tobytes()
+        assert trace_columns(trace) == trace_columns(ref_trace)
+
+
+class TestCompleteSweep:
+    def fixture(self):
+        obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
+        return obs
+
+    def test_rank1_budgets_share_every_step(self, monkeypatch):
+        calls = []
+
+        def counting_svd(m, r):
+            calls.append(r)
+            return truncated_svd(m, r)
+
+        monkeypatch.setattr(completion_mod, "truncated_svd", counting_svd)
+        cfg = FwConfig(rank_budget=1, shift=2, update_rule="rank1")
+        traces = {b: tr for b, _, tr in complete_sweep(self.fixture(), cfg, (8, 2, 4))}
+        assert [len(traces[b]) - 1 for b in (2, 4, 8)] == [2, 4, 8]
+        assert len(calls) == 8  # the longest run's steps, not 2 + 4 + 8
+        assert trace_columns(traces[2]) == trace_columns(traces[8][:3])
+
+    def test_multi_forks_where_allowances_differ(self, monkeypatch):
+        calls = []
+
+        def counting_svd(m, r):
+            calls.append(r)
+            return truncated_svd(m, r)
+
+        monkeypatch.setattr(completion_mod, "truncated_svd", counting_svd)
+        cfg = FwConfig(rank_budget=1, mode_selection="min-dim")  # the 3-row mode-3 unfolding
+        results = list(complete_sweep(self.fixture(), cfg, (2, 5, 9)))
+        assert calls == [3]  # one SVD, sized for the largest allowance
+        ranks = {b: state.consumed[3] for b, state, _ in results}
+        assert ranks == {2: 2, 5: 3, 9: 3}
+
+    @pytest.mark.parametrize("budgets", [(), (0, 4)])
+    def test_bad_budgets_rejected_at_the_call(self, budgets):
+        with pytest.raises(ValueError):
+            complete_sweep(self.fixture(), FwConfig(rank_budget=4), budgets)
+
+
 def reference_complete(t, cfg):
     """The solver loop as it was before the gradient unfoldings were scattered
     from the residual: a dense gradient tensor, ``unfold`` of it for every
@@ -477,8 +610,8 @@ def reference_complete(t, cfg):
                     k, best = j, sigma
         r = update_rank_budget(state, k)
         try:
-            step = gradient_step(unfold(grad, UnfoldSpec(k, cfg.shift)), k, r, cfg.beta,
-                                 cfg.update_rule)
+            step = step_of(unfold(grad, UnfoldSpec(k, cfg.shift)), k, r, cfg.beta,
+                           cfg.update_rule)
         except ZeroGradientError:
             break
         s = step.dense(t.shape, cfg.shift)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import synth_request_stream
 from tenscache.completion import FwConfig, complete
 from tenscache.ingest import (
     IngestConfig,
@@ -9,7 +10,6 @@ from tenscache.ingest import (
     load_ratings,
     synth_low_rank,
     synth_lowrank_stream,
-    synth_request_stream,
 )
 
 DAY = 86400

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reconstruct
 from tenscache.svd import dominant_sigma, truncated_svd
 
 RNG = np.random.default_rng(7)
@@ -26,12 +27,12 @@ class TestTruncatedSvd:
         m = np.outer(u, v)
         trip = truncated_svd(m, 1)
         assert abs(trip.sigma[0] - np.linalg.norm(u) * np.linalg.norm(v)) <= 1e-8
-        assert np.linalg.norm(m - trip.matrix()) <= 1e-8
+        assert np.linalg.norm(m - reconstruct(trip)) <= 1e-8
 
     def test_full_rank_reconstruction_matches_oracle(self):
         m = RNG.normal(size=(20, 30))
         trip = truncated_svd(m, 20)
-        assert np.linalg.norm(m - trip.matrix()) / np.linalg.norm(m) <= 1e-8
+        assert np.linalg.norm(m - reconstruct(trip)) / np.linalg.norm(m) <= 1e-8
         np.testing.assert_allclose(trip.sigma, oracle_singular_values(m), atol=1e-8)
 
     def test_orthonormal_columns(self):
@@ -52,7 +53,7 @@ class TestTruncatedSvd:
         trip = truncated_svd(m, r)
         sig = oracle_singular_values(m)
         best = np.sqrt((sig[r:] ** 2).sum())
-        assert abs(np.linalg.norm(m - trip.matrix()) - best) <= 1e-8
+        assert abs(np.linalg.norm(m - reconstruct(trip)) - best) <= 1e-8
 
     def test_deterministic_bitwise(self):
         m = RNG.normal(size=(25, 18))
