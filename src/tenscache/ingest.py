@@ -19,6 +19,7 @@ with known ground truth.
 from __future__ import annotations
 
 import csv
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -93,13 +94,17 @@ def load_ratings(path) -> list[RatingsRecord]:
                 continue  # header
             if len(row) < 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            rec = RatingsRecord(
-                int(row[0]), int(row[1]), float(row[2]), int(float(row[3]))
-            )
+            try:
+                rec = RatingsRecord(
+                    int(row[0]), int(row[1]), float(row[2]), int(float(row[3]))
+                )
+            except (ValueError, OverflowError):  # OverflowError: an infinite timestamp
+                record = delimiter.join(row)
+                raise ValueError(f"{path}:{lineno}: bad field in {record!r}") from None
             if rec.timestamp <= 0:
                 raise ValueError(f"{path}:{lineno}: timestamp must be > 0")
-            if rec.rating < 0:
-                raise ValueError(f"{path}:{lineno}: rating must be >= 0")
+            if not 0 <= rec.rating < math.inf:
+                raise ValueError(f"{path}:{lineno}: rating must be finite and >= 0")
             records.append(rec)
     return records
 

@@ -15,6 +15,7 @@ columns. Modes are numbered 1..N throughout the public API; COO files use
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,12 +129,14 @@ class SparseTensor:
         ):
             raise ValueError("index out of range")
         multi = tuple(self.indices.T)
-        # checked on first-index-fastest positions, which entries listed in
-        # that order (every dense tensor written to COO) give already sorted,
-        # so the sort inside np.unique is cheap
-        if np.unique(np.ravel_multi_index(multi, self.shape, order="F")).size != self.nnz:
-            raise ValueError("duplicate indices in sparse tensor")
         self._flat = np.ravel_multi_index(multi, self.shape)
+        # entries listed in C order (np.argwhere) or first-index-fastest order
+        # (every dense tensor written to COO) have strictly increasing
+        # positions in that order, which rules out duplicates without a sort
+        if not (np.diff(self._flat) > 0).all():
+            f_order = np.ravel_multi_index(multi, self.shape, order="F")
+            if not (np.diff(f_order) > 0).all() and np.unique(f_order).size != self.nnz:
+                raise ValueError("duplicate indices in sparse tensor")
 
     @property
     def nnz(self) -> int:
@@ -159,34 +162,123 @@ class SparseTensor:
 # Header line:  # shape: I1xI2x...xIN
 # Entry lines:  i1,i2,...,iN,value      (1-based indices)
 
+_CHUNK_LINES = 8192  # entry lines joined per write: whole-file strings cost memory
+
 
 def _format_header(shape) -> str:
     return "# shape: " + "x".join(str(s) for s in shape)
 
 
+def _write_coo(path, shape, columns, values) -> None:
+    """Write the header and one line per entry. ``columns`` holds the
+    entries' 0-based indices, one array per dimension; values are written as
+    the ``repr`` of Python floats, so they read back bitwise."""
+    values = np.asarray(values, dtype=np.float64)
+    nnz = values.size
+    # index strings looked up per dimension; a dimension longer than the
+    # entry list formats its indices one by one instead
+    tables = [[str(i + 1) for i in range(s)] if s <= nnz else None for s in shape]
+    with open(path, "w") as fh:
+        fh.write(_format_header(shape) + "\n")
+        for lo in range(0, nnz, _CHUNK_LINES):
+            hi = lo + _CHUNK_LINES
+            fields = [map(table.__getitem__, col[lo:hi].tolist()) if table
+                      else (str(i + 1) for i in col[lo:hi].tolist())
+                      for table, col in zip(tables, columns)]
+            fields.append(map(repr, values[lo:hi].tolist()))
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+
+
 def write_coo_sparse(path, t: SparseTensor) -> None:
     """Write a sparse tensor in the COO text format."""
-    with open(path, "w") as fh:
-        fh.write(_format_header(t.shape) + "\n")
-        for row, val in zip(t.indices, t.values):
-            fh.write(",".join(str(int(i) + 1) for i in row) + f",{float(val)!r}\n")
+    _write_coo(path, t.shape, t.indices.T, t.values)
 
 
 def write_coo_dense(path, x: np.ndarray) -> None:
-    """Write a dense tensor with full support in the COO text format."""
+    """Write a dense tensor with full support in the COO text format,
+    first index fastest."""
     dims = validate_shape(x.shape)
-    flat = np.arange(x.size)
-    idx = np.stack(np.unravel_index(flat, dims, order="F"), axis=1)
-    write_coo_sparse(path, SparseTensor(dims, idx, x.ravel(order="F")))
+    _write_coo(path, dims, np.unravel_index(np.arange(x.size), dims, order="F"),
+               x.ravel(order="F"))
 
 
 def read_coo(path) -> SparseTensor:
     """Read a tensor in the COO text format (see module docstring).
 
-    A malformed entry raises ``ValueError`` naming ``path:line``.
+    The entries are parsed as one array. A file that parse does not take,
+    or whose entries fail a check, is read again line by line; a malformed
+    header or entry then raises ``ValueError`` naming ``path:line``.
     """
     path = Path(path)
-    shape = None
+    try:
+        return _parse_coo_array(path)
+    except ValueError:  # the line parser is the only judge of a file in doubt
+        return _parse_coo_lines(path)
+
+
+def _is_header(line: str) -> bool:
+    """Whether a stripped line that starts with ``#`` is a ``# shape:`` header."""
+    return line[1:].strip().startswith("shape:")
+
+
+def _parse_shape(line: str) -> tuple[int, ...]:
+    text = line[1:].strip()[len("shape:") :].strip()
+    try:
+        dims = tuple(int(s) for s in text.split("x"))
+    except ValueError:
+        raise ValueError(f"bad shape {text!r}") from None
+    return validate_shape(dims)
+
+
+def _parse_coo_array(path: Path) -> SparseTensor:
+    """All entry lines in one ``np.loadtxt`` call. Raises on anything the
+    line parser could read differently: an entry before or a second header,
+    an entry line that is not printable ASCII (numpy and Python disagree on
+    some other characters), no entries, a non-finite value, or an entry
+    ``SparseTensor`` rejects."""
+    with open(path) as fh:
+        shape = None
+        for raw in fh:
+            line = raw.strip()
+            if line.startswith("#"):
+                if _is_header(line):
+                    shape = _parse_shape(line)
+                    break
+            elif line:
+                raise ValueError("entry before the header")
+        if shape is None:
+            raise ValueError("no header")
+
+        def entries():
+            for raw in fh:
+                line = raw.strip()
+                if not line:
+                    continue
+                if line[0] == "#":
+                    if _is_header(line):
+                        raise ValueError("second header")
+                    continue
+                if not (line.isascii() and line.isprintable()):
+                    raise ValueError("entry line the array parse does not take")
+                yield line
+
+        lines = entries()
+        first = next(lines, None)
+        if first is None:
+            raise ValueError("no entries")  # loadtxt warns on no data
+        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
+                           dtype=[("idx", np.intp, (len(shape),)), ("val", np.float64)],
+                           ndmin=1)
+    values = np.ascontiguousarray(table["val"])
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return SparseTensor(shape, table["idx"] - 1, values)
+
+
+def _parse_coo_lines(path: Path) -> SparseTensor:
+    """One line at a time, naming ``path:line`` for the first problem."""
+    shape = header_line = None
+    entry_lines: list[int] = []
     idx_rows: list[list[int]] = []
     vals: list[float] = []
     with open(path) as fh:
@@ -195,9 +287,15 @@ def read_coo(path) -> SparseTensor:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("shape:"):
-                    shape = tuple(int(s) for s in body[len("shape:") :].strip().split("x"))
+                if _is_header(line):
+                    if shape is not None:
+                        raise ValueError(f"{path}:{lineno}: second '# shape:' header "
+                                         f"(first at line {header_line})")
+                    try:
+                        shape = _parse_shape(line)
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    header_line = lineno
                 continue
             parts = line.split(",")
             if shape is None:
@@ -217,32 +315,20 @@ def read_coo(path) -> SparseTensor:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad index in {line!r}") from None
             vals.append(value)
+            entry_lines.append(lineno)
     if shape is None:
         raise ValueError(f"{path}: missing '# shape:' header")
+    # every entry's range is checked before any entry is checked for repeats
+    for row, lineno in zip(idx_rows, entry_lines):
+        if not all(0 <= i < s for i, s in zip(row, shape)):
+            shape_text = "x".join(str(s) for s in shape)
+            raise ValueError(f"{path}:{lineno}: index out of range for shape {shape_text}")
+    first_at: dict[tuple[int, ...], int] = {}
+    for row, lineno in zip(idx_rows, entry_lines):
+        first = first_at.setdefault(tuple(row), lineno)
+        if first != lineno:
+            index_text = ",".join(str(i + 1) for i in row)
+            raise ValueError(f"{path}:{lineno}: duplicate index {index_text} "
+                             f"(first at line {first})")
     indices = np.array(idx_rows, dtype=np.intp).reshape(len(vals), len(shape))
-    bad = ((indices < 0) | (indices >= np.array(shape))).any(axis=1)
-    if bad.any():
-        lineno = _entry_lines(path)[int(bad.argmax())]
-        shape_text = "x".join(str(s) for s in shape)
-        raise ValueError(f"{path}:{lineno}: index out of range for shape {shape_text}")
-    try:
-        return SparseTensor(shape, indices, np.array(vals))
-    except ValueError:
-        _, first, inverse = np.unique(indices, axis=0, return_index=True, return_inverse=True)
-        first_of = first[inverse.ravel()]  # each entry's first occurrence
-        repeats = np.flatnonzero(first_of != np.arange(len(vals)))
-        if not repeats.size:
-            raise
-        entry = int(repeats[0])
-        lines = _entry_lines(path)
-        index_text = ",".join(str(int(i) + 1) for i in indices[entry])
-        raise ValueError(f"{path}:{lines[entry]}: duplicate index {index_text} "
-                         f"(first at line {lines[first_of[entry]]})") from None
-
-
-def _entry_lines(path) -> list[int]:
-    """Line number of every entry of a COO file. Read again only to name the
-    line of an error, rather than kept per entry while parsing."""
-    with open(path) as fh:
-        return [n for n, raw in enumerate(fh, start=1)
-                if raw.strip() and not raw.strip().startswith("#")]
+    return SparseTensor(shape, indices, np.array(vals))

@@ -84,6 +84,20 @@ class TestCompleteCommand:
         assert main(["--out", str(tmp_path / "out"), "complete", str(path)]) == 2
         assert f"{path}:6: duplicate index 1,1,1 (first at line 2)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("# shape: 2xax2\n1,1,1,1.0\n", "1: bad shape '2xax2'"),
+         ("# shape: 2x2\n1,1,1.0\n", "1: tensor order must be >= 3, got 2"),
+         ("# shape: 2x0x2\n", "1: all dimensions must be >= 1, got (2, 0, 2)"),
+         ("# shape: 2x2x2\n1,1,1,1.0\n# shape: 3x3x3\n3,3,3,1.0\n",
+          "3: second '# shape:' header (first at line 1)")],
+    )
+    def test_bad_header_exits_2_naming_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.coo"
+        path.write_text(text)
+        assert main(["--out", str(tmp_path / "out"), "complete", str(path)]) == 2
+        assert f"{path}:{message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--rank", "--beta"])
     def test_empty_sweep_list_exits_2(self, tensor_file, tmp_path, capsys, flag):
         out = tmp_path / "out"
@@ -255,6 +269,21 @@ class TestIngestCommand:
 
     def test_missing_ratings_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "ingest", str(tmp_path / "nope.csv")]) == 2
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [("x,10,4.0,1000", "2: bad field in 'x,10,4.0,1000'"),
+         ("1,10,4.0,inf", "2: bad field in '1,10,4.0,inf'"),
+         ("1,10,nan,1000", "2: rating must be finite and >= 0")],
+    )
+    def test_bad_record_exits_2_naming_line(self, tmp_path, capsys, record, message):
+        ratings = tmp_path / "bad.csv"
+        ratings.write_text(f"user_id,movie_id,rating,timestamp\n{record}\n1,11,4.0,1000\n")
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "ingest", str(ratings), "--top-f", "1",
+                     "--weight", "stars"]) == 2
+        assert f"{ratings}:{message}" in capsys.readouterr().err
+        assert not out.exists() or not any(out.glob("slot_*.coo"))
 
 
 class TestSynthCommand:

@@ -111,6 +111,28 @@ class TestLoadRatings:
         with pytest.raises(ValueError, match="timestamp"):
             load_ratings(p)
 
+    @pytest.mark.parametrize("record, message", [
+        ("1,2,3.5,x", "bad field in '1,2,3.5,x'"),
+        ("1,2.5,3.5,1000", "bad field in '1,2.5,3.5,1000'"),
+        ("1,2,3.5,inf", "bad field in '1,2,3.5,inf'"),
+        ("1,2,3.5,nan", "bad field in '1,2,3.5,nan'"),
+        ("1,2,3.5,-5", "timestamp must be > 0"),
+        ("1,2,nan,1000", "rating must be finite and >= 0"),
+        ("1,2,inf,1000", "rating must be finite and >= 0"),
+        ("1,2,-1,1000", "rating must be finite and >= 0"),
+    ])
+    def test_bad_record_rejected_naming_line(self, tmp_path, record, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"1,2,3.5,1000\n{record}\n")
+        with pytest.raises(ValueError) as info:
+            load_ratings(p)
+        assert str(info.value) == f"{p}:2: {message}"
+
+    def test_fractional_timestamp_truncates(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("1,2,3.5,1000.9\n")
+        assert load_ratings(p) == [RatingsRecord(1, 2, 3.5, 1000)]
+
 
 class TestSynthLowRank:
     def test_full_observation_covers_truth(self):

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from tenscache.tensors import (
     SparseTensor,
+    _parse_coo_array,
+    _parse_coo_lines,
     UnfoldSpec,
     fold,
     read_coo,
@@ -191,3 +193,214 @@ class TestCooFormat:
         path.write_text(f"# shape: 2x2x2\n1,1,1,2.0\n2,1,1,{value}\n")
         with pytest.raises(ValueError, match=f"{path}:3: non-finite value"):
             read_coo(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=4),
+    st.data(),
+)
+def test_duplicate_check_in_any_entry_order(dims, data):
+    # entries in C order, first-index-fastest order or any other order: the
+    # check rejects a repeated position and nothing else
+    shape = tuple(dims)
+    size = int(np.prod(shape))
+    flat = data.draw(st.lists(st.integers(0, size - 1), max_size=2 * size))
+    order = data.draw(st.sampled_from(["C", "F", None]))
+    if order:
+        flat = sorted(flat)
+    idx = np.stack(np.unravel_index(np.array(flat, dtype=np.intp), shape, order=order or "C"),
+                   axis=1).reshape(-1, len(shape))
+    values = np.ones(len(flat))
+    if len(set(flat)) < len(flat):
+        with pytest.raises(ValueError, match="duplicate"):
+            SparseTensor(shape, idx, values)
+    else:
+        assert SparseTensor(shape, idx, values).nnz == len(flat)
+
+
+# --- COO text: round trips, the array parse against the line parser ---------
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1e16, 3.0, -7.0]
+coo_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-10**9, max_value=10**9).map(float),
+)
+
+
+@st.composite
+def sparse_tensors(draw, min_entries=0):
+    """Order 3-5, entries in drawn (unsorted) order; none gives a header-only file."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=3, max_size=5)))
+    size = int(np.prod(shape))
+    flat = draw(st.lists(st.integers(0, size - 1), unique=True,
+                         min_size=min(min_entries, size), max_size=min(size, 30)))
+    idx = np.stack(np.unravel_index(np.array(flat, dtype=np.intp), shape), axis=1)
+    idx = idx.reshape(len(flat), len(shape))
+    values = draw(st.lists(coo_values, min_size=len(flat), max_size=len(flat)))
+    return SparseTensor(shape, idx, np.array(values, dtype=np.float64))
+
+
+def assert_bitwise_equal(a: SparseTensor, b: SparseTensor):
+    assert a.shape == b.shape
+    assert a.indices.dtype == b.indices.dtype and a.indices.shape == b.indices.shape
+    assert a.indices.tobytes() == b.indices.tobytes()
+    assert a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+
+
+@pytest.fixture(scope="module")
+def coo_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("coo") / "t.coo"
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_tensors())
+def test_sparse_write_read_round_trips_bitwise(coo_path, t):
+    write_coo_sparse(coo_path, t)
+    assert_bitwise_equal(read_coo(coo_path), t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=3, max_size=5), st.data())
+def test_dense_write_read_round_trips_bitwise(coo_path, dims, data):
+    shape = tuple(dims)
+    size = int(np.prod(shape))
+    values = data.draw(st.lists(coo_values, min_size=size, max_size=size))
+    x = np.array(values, dtype=np.float64).reshape(shape)
+    write_coo_dense(coo_path, x)
+    back = read_coo(coo_path)
+    assert back.nnz == size
+    assert back.to_dense().tobytes() == x.tobytes()
+    np.testing.assert_array_equal(  # first index fastest on disk
+        back.indices, np.stack(np.unravel_index(np.arange(size), shape, order="F"), axis=1))
+
+
+def test_dense_write_of_integer_tensor_reads_back_as_floats(coo_path):
+    x = np.arange(8).reshape(2, 2, 2)
+    write_coo_dense(coo_path, x)
+    assert coo_path.read_text().splitlines()[1] == "1,1,1,0.0"
+    assert read_coo(coo_path).to_dense().tobytes() == x.astype(np.float64).tobytes()
+
+
+def test_header_only_file_round_trips(coo_path):
+    t = SparseTensor((2, 3, 4), np.empty((0, 3), dtype=np.intp), [])
+    write_coo_sparse(coo_path, t)
+    assert coo_path.read_text() == "# shape: 2x3x4\n"
+    assert_bitwise_equal(read_coo(coo_path), t)
+
+
+BLANK_OR_COMMENT = st.sampled_from(["", "   ", "\t", " \t ", "#", "# a note", "  # 1,2,3,4.0"])
+SPACES = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def decorated_coo_texts(draw):
+    """A valid file with comment, blank and whitespace-only lines, spaces
+    around fields and other spellings of the same numbers."""
+    t = draw(sparse_tensors(min_entries=1))
+    lines = draw(st.lists(BLANK_OR_COMMENT, max_size=2))
+    lines.append(draw(st.sampled_from(["# shape: ", "#shape:", "  #  shape:  "]))
+                 + "x".join(map(str, t.shape)))
+    for row, value in zip(t.indices.tolist(), t.values.tolist()):
+        lines += draw(st.lists(BLANK_OR_COMMENT, max_size=2))
+        index_text = draw(st.sampled_from(["{}", "+{}", "0{}"]))
+        value_text = draw(st.sampled_from(["{!r}", "{:.17e}", "{:+.17g}"]))
+        fields = [index_text.format(i + 1) for i in row] + [value_text.format(value)]
+        lines.append(",".join(draw(SPACES) + f + draw(SPACES) for f in fields))
+    return t, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(decorated_coo_texts(), st.sampled_from(["\n", "\r\n"]))
+def test_array_parse_equals_line_parser_on_valid_files(coo_path, case, newline):
+    t, text = case
+    with open(coo_path, "w", newline=newline) as fh:
+        fh.write(text)
+    fast = _parse_coo_array(coo_path)  # takes every such file
+    assert_bitwise_equal(fast, _parse_coo_lines(coo_path))
+    assert_bitwise_equal(fast, t)
+
+
+# characters that make the number parsers of numpy and Python disagree, or
+# that a COO file may carry by mistake
+FUZZ_ALPHABET = "0123456789+-.eE_ ,#naifINFx\t\x0b\x1c\x1f\x00\xa0١Ǿ "
+
+
+@st.composite
+def fuzzed_entries(draw):
+    """A valid entry line for shape 2x3x2 with up to three characters
+    inserted or deleted."""
+    line = ",".join([str(draw(st.integers(1, 2))), str(draw(st.integers(1, 3))),
+                     str(draw(st.integers(1, 2))), repr(draw(st.floats()))])
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(line)))
+        if draw(st.booleans()):
+            line = line[:pos] + draw(st.sampled_from(FUZZ_ALPHABET)) + line[pos:]
+        else:
+            line = line[:pos] + line[pos + 1:]
+    return line
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(fuzzed_entries(), min_size=1, max_size=2))
+def test_array_parse_never_accepts_what_the_line_parser_rejects(coo_path, entries):
+    coo_path.write_text("# shape: 2x3x2\n" + "\n".join(entries) + "\n")
+    try:
+        fast = _parse_coo_array(coo_path)
+    except ValueError:  # what read_coo hands to the line parser
+        return
+    assert_bitwise_equal(fast, _parse_coo_lines(coo_path))
+
+
+MALFORMED = [
+    # loadtxt traps
+    ("# shape: 2x2x2\n1,1,1,nan\n", "2: non-finite value 'nan'"),
+    ("# shape: 2x2x2\n1,1,1,1.0\n2,1,1,-inf\n", "3: non-finite value '-inf'"),
+    ("# shape: 2x2x2\n1,1,1,2.0 # note\n", "2: bad value '2.0 # note'"),
+    ("# shape: 2x2x2\n1.0,1,1,2.0\n", "2: bad index in '1.0,1,1,2.0'"),
+    ("# shape: 2x2x2\n1,1e0,1,2.0\n", "2: bad index in '1,1e0,1,2.0'"),
+    ("# shape: 2x2x2\n1\x1c,1,1,2.0\n", "2: bad index in '1\\x1c,1,1,2.0'"),
+    ("# shape: 2x2x2\n1,1,1,2.0\n99999999999999999999,1,1,1.0\n",
+     "3: index out of range for shape 2x2x2"),
+    # entries
+    ("# shape: 2x2x2\n1,1,2.0\n", "2: expected 4 fields, got 3"),
+    ("1,1,1,2.0\n# shape: 2x2x2\n", "1: entry before '# shape:' header"),
+    ("# shape: 2x2x2\n\n1,1,1,1.0\n1,3,1,1.0\n", "4: index out of range for shape 2x2x2"),
+    ("# shape: 2x2x2\n1,1,1,1.0\n# note\n1,1,1,3.0\n",
+     "4: duplicate index 1,1,1 (first at line 2)"),
+    # headers
+    ("# shape: 2xax2\n1,1,1,1.0\n", "1: bad shape '2xax2'"),
+    ("# shape: 2x2\n1,1,1.0\n", "1: tensor order must be >= 3, got 2"),
+    ("# note\n# shape: 2x0x2\n", "2: all dimensions must be >= 1, got (2, 0, 2)"),
+    ("# shape: 2x2x2\n1,1,1,1.0\n# shape: 3x3x3\n3,3,3,1.0\n",
+     "3: second '# shape:' header (first at line 1)"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_malformed_file_gets_the_line_parsers_message(tmp_path, text, message):
+    path = tmp_path / "bad.coo"
+    path.write_text(text)
+    with pytest.raises(ValueError) as lines:
+        _parse_coo_lines(path)
+    with pytest.raises(ValueError) as read:
+        read_coo(path)
+    assert str(read.value) == str(lines.value) == f"{path}:{message}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, shape, entries", [
+    ("# shape: 2x2x2\n \t \n1,1,1,2.0\n", (2, 2, 2), [((0, 0, 0), 2.0)]),
+    ("# shape: 12x2x2\n1_0,1,1,2.0\n", (12, 2, 2), [((9, 0, 0), 2.0)]),
+    ("# shape: 2x2x2\n", (2, 2, 2), []),
+])
+def test_files_loadtxt_alone_would_misread(tmp_path, text, shape, entries):
+    # whitespace-only lines, an underscore in an index, no entries at all
+    path = tmp_path / "ok.coo"
+    path.write_text(text)
+    t = read_coo(path)
+    assert_bitwise_equal(t, _parse_coo_lines(path))
+    assert t.shape == shape
+    assert [(tuple(i), v) for i, v in zip(t.indices.tolist(), t.values.tolist())] == entries
