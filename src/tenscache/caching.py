@@ -18,7 +18,7 @@ import numpy as np
 
 # ``complete`` is not called here; perfbench/tracing.py wraps it in this namespace
 from .completion import FwConfig, complete, complete_sweep  # noqa: F401
-from .prediction import PredictorConfig, fit_predict, normalize_demands
+from .prediction import DemandHistory, PredictorConfig, fit_predict, normalize_demands
 from .tensors import SparseTensor
 
 __all__ = [
@@ -112,50 +112,58 @@ def hit_rate(mass: np.ndarray, total: float, c: np.ndarray) -> float:
     return float(mass @ c / total)
 
 
-def _window_tensor(slots: list[np.ndarray], end: int, tau: int) -> np.ndarray:
-    return np.stack(slots[end - tau + 1 : end + 1], axis=-1)
-
-
-def _completed_windows(window: np.ndarray, fw_cfg: FwConfig, budgets):
-    """``(budget, completed window)`` for each distinct budget, from one sweep."""
+def _completed_histories(window: np.ndarray, fw_cfg: FwConfig, budgets):
+    """``(budget, completed window's shares)`` per distinct budget, from one sweep."""
     idx = np.argwhere(window != 0.0)
     if idx.shape[0] == 0:
         for budget in set(budgets):
-            yield budget, window
+            yield budget, normalize_demands(window)
         return
     t = SparseTensor(window.shape, idx, window[tuple(idx.T)])
     for budget, state, _ in complete_sweep(t, fw_cfg, budgets):
-        yield budget, state.x
+        yield budget, normalize_demands(state.x)
+
+
+def _raw_shares(stream: np.ndarray, tau: int) -> np.ndarray:
+    """Every slot's demand shares, (T, F, N_BS), normalized ``tau`` slots at
+    a time: a block has a window's shape, so each slot's shares are bitwise
+    those of any window holding it."""
+    shares = np.empty((len(stream), stream.shape[1], stream.shape[3]))
+    for lo in range(0, len(stream), tau):
+        lo = min(lo, len(stream) - tau)  # the last block overlaps the one before
+        shares[lo : lo + tau] = normalize_demands(np.moveaxis(stream[lo : lo + tau], 0, -1)).shares
+    return shares
 
 
 def run_online(
-    stream: list[np.ndarray],
+    stream: np.ndarray,
     cfg: OnlineConfig,
-    score_stream: list[np.ndarray] | None = None,
+    score_stream: np.ndarray | None = None,
 ) -> list[OnlineRunReport]:
     """Run the per-slot observe / complete / predict / place / score loop.
 
-    ``stream`` holds the observed (F, F, N_BS) demand slots. ``score_stream``
+    ``stream`` is the observed (T, F, F, N_BS) demand stream (a sequence of
+    slots is converted once); each window is a view of it. ``score_stream``
     holds the realized demands used for scoring and the oracle; it defaults
     to ``stream`` (on real traces the observed demands are all there is).
     Slots ``tau+1 .. T`` (1-based) get scored; zero-demand (slot, bs) pairs
     are flagged and excluded from the averages. Each window is completed
     once for every budget in ``cfg.rank_budgets`` (one sweep), scored by the
     oracle once, and each budget's completion is normalized once and feeds
-    every predictor in ``cfg.predictors``. One report per (predictor,
-    budget) comes back, predictor-major, in the configured orders; with
-    completion off, one per predictor, with rank 0. A configuration the
-    stream cannot satisfy, or a negative realized demand, raises
-    ``ValueError`` before the loop; a failure inside the loop is re-raised
-    as ``RuntimeError`` naming the slot.
+    every predictor in ``cfg.predictors``; with completion off, each slot is
+    normalized once per run. One report per (predictor, budget) comes back,
+    predictor-major, in the configured orders; with completion off, one per
+    predictor, with rank 0. A configuration the stream cannot satisfy, or a
+    negative realized demand, raises ``ValueError`` before the loop; a
+    failure inside the loop is re-raised as ``RuntimeError`` naming the slot.
     """
-    if score_stream is None:
-        score_stream = stream
+    stream = np.asarray(stream)
+    score_stream = stream if score_stream is None else np.asarray(score_stream)
     if len(stream) != len(score_stream):
         raise ValueError("stream and score_stream lengths differ")
     if len(stream) <= cfg.tau:
         raise ValueError(f"need more than tau={cfg.tau} slots, got {len(stream)}")
-    num_files, _, n_bs = stream[0].shape
+    _, num_files, _, n_bs = stream.shape
     if not 1 <= cfg.cache_size <= num_files:
         raise ValueError(f"cache size {cfg.cache_size} must be in 1..{num_files} (library size)")
     if cfg.tau < cfg.order + 1:
@@ -173,23 +181,22 @@ def run_online(
     outcomes: dict[tuple[int, int], list[SlotOutcome]] = {
         (p, budget): [] for p in range(len(pred_cfgs)) for budget in budgets}
     oracle_outcomes: list[SlotOutcome] = []
+    shares = None if cfg.completion else _raw_shares(stream, cfg.tau)
 
     for t_idx in range(cfg.tau - 1, len(stream) - 1):
-        window = _window_tensor(stream, t_idx, cfg.tau)
-        slot = t_idx + 2
+        lo, slot = t_idx - cfg.tau + 1, t_idx + 2
         try:
             realized = score_stream[t_idx + 1]
             masses = [(realized[:, :, b].sum(axis=1), float(realized[:, :, b].sum()))
                       for b in range(n_bs)]
-            filled = (_completed_windows(window, fw_cfg, budgets) if cfg.completion
-                      else [(0, window)])
-            for budget, x in filled:
-                history = normalize_demands(x)
+            histories = (
+                _completed_histories(np.moveaxis(stream[lo : t_idx + 1], 0, -1), fw_cfg, budgets)
+                if cfg.completion else [(0, DemandHistory(shares[lo : t_idx + 1]))])
+            for budget, history in histories:
                 for b, (mass, total) in enumerate(masses):
                     for p, pred_cfg in enumerate(pred_cfgs):
                         c = mpc_place(fit_predict(history, pred_cfg, b).shares, cfg.cache_size)
                         outcomes[p, budget].append(_score(mass, total, c, slot, b))
-                del x, history  # free this completion before the sweep resumes
             for b, (mass, total) in enumerate(masses):
                 oracle = oracle_place(mass, total, cfg.cache_size)
                 oracle_outcomes.append(_score(mass, total, oracle, slot, b))

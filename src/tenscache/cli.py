@@ -224,7 +224,7 @@ def cmd_simulate(args, config: dict) -> int:
         if not path.exists():
             raise UsageError(f"ratings file not found: {path}")
         records = load_ratings(path)
-        if not records:
+        if len(records) == 0:
             raise UsageError(f"ratings file is empty: {path}")
         result = build_demand_tensor(records, IngestConfig(top_f=files, n_bs=n_bs))
         stream, score_stream = result.slots, None
@@ -279,7 +279,7 @@ def cmd_ingest(args, config: dict) -> int:
     if not path.exists():
         raise UsageError(f"ratings file not found: {path}")
     records = load_ratings(path)
-    if not records:
+    if len(records) == 0:
         raise UsageError(f"ratings file is empty: {path}")
     cfg = IngestConfig(
         top_f=int(_setting(args, config, "top_f")),

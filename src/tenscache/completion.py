@@ -222,10 +222,8 @@ def select_mode(
     agree). Ties break toward the smallest mode index.
 
     At ``N == 2 * shift`` the mode-``k`` and mode-``(k + shift)`` unfoldings
-    are transposes. When they are not square their Gram sigmas are bitwise
-    equal, so the second reuses the first's value (and, tied, cannot win).
-    A square pair is evaluated twice: ``a @ a.T`` and ``a.T @ a`` round
-    differently. Only the best candidate's unfolding is kept alive.
+    are transposes, so the second reuses the first's sigma (and, tied,
+    cannot win). Only the best candidate's unfolding is kept alive.
     """
     if not active:
         raise ValueError("active mode set is empty")
@@ -238,7 +236,7 @@ def select_mode(
     best, best_m = modes[0], None
     for k in modes:
         twin = k - cfg.shift
-        if twins and twin in sigma and grads.dims[k][0] != grads.dims[k][1]:
+        if twins and twin in sigma:
             sigma[k] = sigma[twin]
             continue
         m = grads.matrix(k, residual)

@@ -1,7 +1,7 @@
 """Demand-tensor construction from ratings files and synthetic fixtures.
 
 The ratings path turns a ``user_id,movie_id,rating,timestamp`` table into a
-sequence of (F, F, N_BS) demand slots: the top-F movies by global rating count
+(T, F, F, N_BS) stream of demand slots: the top-F movies by global rating count
 are kept and reindexed, users are spread over base stations by a stable hash,
 and timestamps are binned into fixed-length windows starting at the earliest
 record. How the recommendation axis is populated is a modelling choice the
@@ -30,7 +30,6 @@ from .tensors import SparseTensor, UnfoldSpec, fold
 __all__ = [
     "DemandTensorResult",
     "IngestConfig",
-    "RatingsRecord",
     "build_demand_tensor",
     "load_ratings",
     "synth_low_rank",
@@ -43,13 +42,9 @@ PAIRING_COSESSION = "cosession"
 WEIGHT_COUNT = "count"
 WEIGHT_STARS = "stars"
 
-
-@dataclass(frozen=True)
-class RatingsRecord:
-    user_id: int
-    movie_id: int
-    rating: float
-    timestamp: int
+_RATINGS_DTYPE = np.dtype(
+    [("user", np.int64), ("movie", np.int64), ("rating", np.float64), ("timestamp", np.int64)])
+_INT64 = range(-(2**63), 2**63)
 
 
 @dataclass
@@ -74,14 +69,20 @@ class IngestConfig:
 
 @dataclass
 class DemandTensorResult:
-    slots: list[np.ndarray]  # each (F, F, N_BS)
+    slots: np.ndarray  # (T, F, F, N_BS) demand stream
     movie_ids: list[int]  # kept movies, index f -> original id
     start_timestamp: int
 
 
-def load_ratings(path) -> list[RatingsRecord]:
-    """Read comma- or tab-separated ratings with an optional header row."""
-    records: list[RatingsRecord] = []
+def load_ratings(path) -> np.ndarray:
+    """Read comma- or tab-separated ratings into one record array, in file
+    order, with fields ``user``, ``movie``, ``rating`` and ``timestamp``
+    (int64, int64, float64, int64). The first non-blank row is a header, and
+    skipped, if its first field is not a number. A bad row raises
+    ``ValueError`` naming ``path:line``; an id or timestamp beyond int64 is a
+    ``bad field``."""
+    rows = []
+    header_allowed = True
     with open(path, newline="") as fh:
         sample = fh.read(4096)
         fh.seek(0)
@@ -90,81 +91,71 @@ def load_ratings(path) -> list[RatingsRecord]:
         for lineno, row in enumerate(reader, start=1):
             if not row or not row[0].strip():
                 continue
-            if lineno == 1 and not row[0].strip().isdigit():
-                continue  # header
+            if header_allowed:
+                header_allowed = False
+                try:
+                    float(row[0])
+                except ValueError:
+                    continue  # header
             if len(row) < 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
             try:
-                rec = RatingsRecord(
-                    int(row[0]), int(row[1]), float(row[2]), int(float(row[3]))
-                )
-            except (ValueError, OverflowError):  # OverflowError: an infinite timestamp
+                user, movie, rating = int(row[0]), int(row[1]), float(row[2])
+                ts = int(float(row[3]))
+                if user not in _INT64 or movie not in _INT64 or ts not in _INT64:
+                    raise OverflowError
+            except (ValueError, OverflowError):  # OverflowError: an infinite or too large number
                 record = delimiter.join(row)
                 raise ValueError(f"{path}:{lineno}: bad field in {record!r}") from None
-            if rec.timestamp <= 0:
+            if ts <= 0:
                 raise ValueError(f"{path}:{lineno}: timestamp must be > 0")
-            if not 0 <= rec.rating < math.inf:
+            if not 0 <= rating < math.inf:
                 raise ValueError(f"{path}:{lineno}: rating must be finite and >= 0")
-            records.append(rec)
-    return records
+            rows.append((user, movie, rating, ts))
+    return np.array(rows, dtype=_RATINGS_DTYPE)
 
 
-def _bs_of(user_id: int, n_bs: int) -> int:
-    # crc32 rather than hash(): stable across processes and python versions
-    return zlib.crc32(str(user_id).encode()) % n_bs
-
-
-def build_demand_tensor(records: list[RatingsRecord], cfg: IngestConfig) -> DemandTensorResult:
-    """Aggregate ratings into per-slot (F, F, N_BS) demand tensors.
+def build_demand_tensor(records: np.ndarray, cfg: IngestConfig) -> DemandTensorResult:
+    """Aggregate a :func:`load_ratings` record array into a (T, F, F, N_BS)
+    demand stream over the top ``cfg.top_f`` movies by count (ties to the
+    smaller id).
 
     Slot bins are half-open ``[start + i*slot_days, start + (i+1)*slot_days)``
-    days from the earliest record. With ``cosession`` pairing the pair is
-    credited to the slot of the later rating.
+    days from the earliest record. With ``cosession`` pairing each user's
+    ratings are ordered by (timestamp, movie id), and a consecutive pair
+    within the session gap is credited to the slot of the later rating. A
+    cell adds its weights in record order (``self``), or by user in order of
+    first appearance, then in that order (``cosession``).
     """
-    if not records:
+    if len(records) == 0:
         raise ValueError("no ratings records")
-    counts: dict[int, int] = {}
-    for rec in records:
-        counts[rec.movie_id] = counts.get(rec.movie_id, 0) + 1
-    if len(counts) < cfg.top_f:
-        raise ValueError(f"need {cfg.top_f} distinct movies, found {len(counts)}")
-    ranked = sorted(counts, key=lambda m: (-counts[m], m))[: cfg.top_f]
-    movie_index = {m: i for i, m in enumerate(ranked)}
+    movies, movie_of, counts = np.unique(records["movie"], return_inverse=True, return_counts=True)
+    if movies.size < cfg.top_f:
+        raise ValueError(f"need {cfg.top_f} distinct movies, found {movies.size}")
+    ranked = np.lexsort((movies, -counts))[: cfg.top_f]
+    file_of = np.full(movies.size, -1)
+    file_of[ranked] = np.arange(cfg.top_f)
+    file_of = file_of[movie_of]  # per record; -1 outside the top F
+    users, first, user_of = np.unique(records["user"], return_index=True, return_inverse=True)
+    # crc32 rather than hash(): stable across processes and python versions
+    bs_of = np.array([zlib.crc32(str(u).encode()) % cfg.n_bs for u in users.tolist()])[user_of]
+    ts = records["timestamp"]
+    t0 = int(ts.min())
+    slot_of = (ts - t0) // (cfg.slot_days * 86400)
+    weight = np.ones(len(records)) if cfg.weight == WEIGHT_COUNT else records["rating"]
 
-    t0 = min(rec.timestamp for rec in records)
-    slot_seconds = cfg.slot_days * 86400
-    n_slots = (max(rec.timestamp for rec in records) - t0) // slot_seconds + 1
-    slots = [np.zeros((cfg.top_f, cfg.top_f, cfg.n_bs)) for _ in range(n_slots)]
-
-    def weight_of(rec: RatingsRecord) -> float:
-        return 1.0 if cfg.weight == WEIGHT_COUNT else rec.rating
-
-    if cfg.pairing == PAIRING_SELF:
-        for rec in records:
-            f = movie_index.get(rec.movie_id)
-            if f is None:
-                continue
-            slot = (rec.timestamp - t0) // slot_seconds
-            slots[slot][f, f, _bs_of(rec.user_id, cfg.n_bs)] += weight_of(rec)
+    if cfg.pairing == PAIRING_SELF:  # each kept record paired with itself
+        prev = cur = np.flatnonzero(file_of >= 0)
     else:
-        gap = cfg.session_gap_hours * 3600
-        by_user: dict[int, list[RatingsRecord]] = {}
-        for rec in records:
-            by_user.setdefault(rec.user_id, []).append(rec)
-        for user, recs in by_user.items():
-            recs.sort(key=lambda r: (r.timestamp, r.movie_id))
-            b = _bs_of(user, cfg.n_bs)
-            for prev, cur in zip(recs, recs[1:]):
-                if cur.timestamp - prev.timestamp > gap:
-                    continue
-                f = movie_index.get(prev.movie_id)
-                i = movie_index.get(cur.movie_id)
-                if f is None or i is None:
-                    continue
-                slot = (cur.timestamp - t0) // slot_seconds
-                slots[slot][f, i, b] += weight_of(cur)
-
-    return DemandTensorResult(slots, ranked, t0)
+        order = np.lexsort((records["movie"], ts, first[user_of]))  # stable
+        prev, cur = order[:-1], order[1:]
+        keep = ((user_of[prev] == user_of[cur])
+                & ~(ts[cur] - ts[prev] > cfg.session_gap_hours * 3600)
+                & (file_of[prev] >= 0) & (file_of[cur] >= 0))
+        prev, cur = prev[keep], cur[keep]
+    stream = np.zeros((int(slot_of.max()) + 1, cfg.top_f, cfg.top_f, cfg.n_bs))
+    np.add.at(stream, (slot_of[cur], file_of[prev], file_of[cur], bs_of[cur]), weight[cur])
+    return DemandTensorResult(stream, movies[ranked].tolist(), t0)
 
 
 # --- synthetic fixtures ------------------------------------------------------
@@ -221,8 +212,9 @@ def synth_lowrank_stream(
     n_slots: int,
     observe_fraction: float = 0.05,
     seed: int = 0,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Masked separable demand stream: (observed slots, true slots).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masked separable demand stream: (observed, truth), each a
+    (n_slots, F, F, N_BS) array.
 
     The truth is a two-component separable process (two popularity/
     recommendation profiles with per-BS weights and fluctuating slot scales),
@@ -240,15 +232,12 @@ def synth_lowrank_stream(
     pop2, rec2 = profile(0.9), profile(0.5)
     w1 = 0.8 + 0.4 * rng.random(n_bs)
     w2 = 0.5 + 0.5 * rng.random(n_bs)
-    observed, truth = [], []
-    for _ in range(n_slots):
+    truth = np.empty((n_slots, num_files, num_files, n_bs))
+    observed = np.empty_like(truth)
+    for t in range(n_slots):
         z1 = abs(1.0 + 0.1 * rng.standard_normal())
         z2 = abs(0.6 + 0.1 * rng.standard_normal())
-        slot = 100.0 * (
-            z1 * np.einsum("f,i,b->fib", pop1, rec1, w1)
-            + z2 * np.einsum("f,i,b->fib", pop2, rec2, w2)
-        )
-        mask = rng.random(slot.shape) < observe_fraction
-        truth.append(slot)
-        observed.append(slot * mask)
+        np.multiply(100.0, z1 * np.einsum("f,i,b->fib", pop1, rec1, w1)
+                    + z2 * np.einsum("f,i,b->fib", pop2, rec2, w2), out=truth[t])
+        np.multiply(truth[t], rng.random(truth[t].shape) < observe_fraction, out=observed[t])
     return observed, truth

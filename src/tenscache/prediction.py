@@ -93,7 +93,7 @@ def normalize_demands(d: np.ndarray) -> DemandHistory:
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 4:
         raise ValueError(f"expected a 4th-order demand tensor, got shape {d.shape}")
-    d = np.clip(d, 0.0, None)
+    d = np.clip(d, 0.0, None, order="C")  # C order: a view sums as its copy would
     mass = d.sum(axis=1)  # (F, N_BS, window)
     totals = mass.sum(axis=0, keepdims=True)
     f = mass.shape[0]

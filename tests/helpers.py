@@ -1,11 +1,67 @@
-"""Helpers shared by the test modules: test-only generators and views."""
+"""Helpers shared by the test modules: test-only generators, views and
+reference implementations."""
+
+import zlib
 
 import numpy as np
+
+# the record layout ``tenscache.ingest.load_ratings`` documents
+RATINGS_DTYPE = np.dtype(
+    [("user", np.int64), ("movie", np.int64), ("rating", np.float64), ("timestamp", np.int64)])
 
 
 def reconstruct(trip):
     """``u @ diag(sigma) @ v.T`` of a :class:`tenscache.svd.SvdTriplet`."""
     return (trip.u * trip.sigma) @ trip.v.T
+
+
+def ratings(rows):
+    """A ratings record array from ``(user, movie, rating, timestamp)`` rows."""
+    return np.array(rows, dtype=RATINGS_DTYPE)
+
+
+def reference_demand_slots(records, cfg):
+    """The per-record loop ``build_demand_tensor`` replaced: the top-F movies
+    by a count dict, then one scalar ``+=`` per (paired) record into a list
+    of (F, F, N_BS) slots. Returns ``(slots, movie_ids, start_timestamp)``."""
+    records = records.tolist()  # (user, movie, rating, timestamp) tuples
+    counts: dict[int, int] = {}
+    for _, movie, _, _ in records:
+        counts[movie] = counts.get(movie, 0) + 1
+    ranked = sorted(counts, key=lambda m: (-counts[m], m))[: cfg.top_f]
+    movie_index = {m: i for i, m in enumerate(ranked)}
+    t0 = min(r[3] for r in records)
+    slot_seconds = cfg.slot_days * 86400
+    n_slots = (max(r[3] for r in records) - t0) // slot_seconds + 1
+    slots = [np.zeros((cfg.top_f, cfg.top_f, cfg.n_bs)) for _ in range(n_slots)]
+
+    def bs_of(user):
+        return zlib.crc32(str(user).encode()) % cfg.n_bs
+
+    def weight_of(rec):
+        return 1.0 if cfg.weight == "count" else rec[2]
+
+    if cfg.pairing == "self":
+        for rec in records:
+            f = movie_index.get(rec[1])
+            if f is not None:
+                slots[(rec[3] - t0) // slot_seconds][f, f, bs_of(rec[0])] += weight_of(rec)
+    else:
+        gap = cfg.session_gap_hours * 3600
+        by_user: dict[int, list] = {}
+        for rec in records:
+            by_user.setdefault(rec[0], []).append(rec)
+        for user, recs in by_user.items():
+            recs.sort(key=lambda r: (r[3], r[1]))
+            for prev, cur in zip(recs, recs[1:]):
+                if cur[3] - prev[3] > gap:
+                    continue
+                f = movie_index.get(prev[1])
+                i = movie_index.get(cur[1])
+                if f is None or i is None:
+                    continue
+                slots[(cur[3] - t0) // slot_seconds][f, i, bs_of(user)] += weight_of(cur)
+    return slots, ranked, t0
 
 
 def synth_request_stream(
@@ -15,8 +71,9 @@ def synth_request_stream(
     requests_per_slot: int = 3000,
     zipf_a: float = 1.0,
     seed: int = 0,
-) -> list[np.ndarray]:
-    """Stationary random request counts with Zipf popularity (diagonal demands).
+) -> np.ndarray:
+    """Stationary random request counts with Zipf popularity (diagonal
+    demands), as a (n_slots, F, F, N_BS) stream.
 
     Each (slot, bs) draws ``requests_per_slot`` requests multinomially from a
     shuffled Zipf law shared across slots and base stations.
@@ -25,11 +82,9 @@ def synth_request_stream(
     pop = 1.0 / np.arange(1, num_files + 1) ** zipf_a
     rng.shuffle(pop)
     pop /= pop.sum()
-    slots = []
-    for _ in range(n_slots):
-        slot = np.zeros((num_files, num_files, n_bs))
+    files = np.arange(num_files)
+    stream = np.zeros((n_slots, num_files, num_files, n_bs))
+    for t in range(n_slots):
         for b in range(n_bs):
-            draws = rng.multinomial(requests_per_slot, pop)
-            slot[np.arange(num_files), np.arange(num_files), b] = draws
-        slots.append(slot)
-    return slots
+            stream[t, files, files, b] = rng.multinomial(requests_per_slot, pop)
+    return stream

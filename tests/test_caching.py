@@ -12,6 +12,7 @@ from tenscache.caching import (
 )
 from tenscache.completion import complete_sweep
 from tenscache.ingest import synth_lowrank_stream
+from tenscache.prediction import normalize_demands
 
 RNG = np.random.default_rng(31)
 
@@ -154,6 +155,42 @@ class TestRunOnline:
         scored_slots = {o.slot for o in reports[0].outcomes}
         assert len(scored_slots) == len(observed) - cfg.tau
         assert len(calls) == len(scored_slots)
+
+    @pytest.mark.parametrize("n_bs", [1, 3])
+    def test_raw_reports_same_from_list_and_array_stream(self, n_bs):
+        observed, truth = synth_lowrank_stream(24, n_bs, 16, observe_fraction=0.3, seed=4)
+        cfg = OnlineConfig(tau=5, order=3, cache_size=6, predictors=("lp", "mean"),
+                           completion=False)
+        from_array = run_online(observed, cfg, truth)
+        from_list = run_online(list(observed), cfg, list(truth))
+        assert len(from_array) == len(from_list) == 2
+        for a, b in zip(from_array, from_list):
+            assert a.outcomes == b.outcomes  # dataclass equality: bitwise floats
+            assert a.oracle_outcomes == b.oracle_outcomes
+            assert a.averages == b.averages
+
+    @pytest.mark.parametrize("n_bs", [1, 2])
+    def test_raw_window_shares_equal_whole_window_normalization(self, monkeypatch, n_bs):
+        # each slot is normalized once per run; every window's history must
+        # still be bitwise the shares of that window normalized whole
+        seen, real_fit = [], caching_mod.fit_predict
+
+        def recording_fit(history, pred_cfg, bs):
+            seen.append(history.shares.copy())
+            return real_fit(history, pred_cfg, bs)
+
+        monkeypatch.setattr(caching_mod, "fit_predict", recording_fit)
+        stream = RNG.random((23, 16, 16, n_bs)) - 0.3  # negatives get clipped
+        stream[7, :, :, 0] = 0.0  # an all-zero slice reads uniform
+        tau = 4
+        cfg = OnlineConfig(tau=tau, order=2, cache_size=3, predictors=("lp",), completion=False)
+        run_online(stream, cfg, np.abs(stream))
+        assert len(seen) == (len(stream) - tau) * n_bs
+        for t_idx in range(tau - 1, len(stream) - 1):
+            window = np.stack(list(stream[t_idx - tau + 1 : t_idx + 1]), axis=-1)
+            want = normalize_demands(window).shares.tobytes()
+            for b in range(n_bs):
+                assert seen.pop(0).tobytes() == want
 
     def test_zero_demand_slots_flagged_and_excluded(self):
         stream = [RNG.random((5, 5, 2)) for _ in range(8)]

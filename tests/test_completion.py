@@ -113,13 +113,20 @@ class TestSelectMode:
         assert pick({3, 4}) == (3 if sigma[3] >= sigma[4] else 4, 2)
         assert pick({1, 2, 3, 4}) == (1 if sigma[1] >= sigma[2] else 2, 2)
 
-    def test_square_twins_both_evaluated(self, monkeypatch):
-        # mode-2/4 unfoldings are 6x6: a @ a.T and a.T @ a round differently,
-        # so that pair is not taken as tied; the 4x9 / 9x4 mode-1/3 pair is
-        rng = np.random.default_rng(0)
+    def test_square_twins_tie_toward_smaller_mode(self, monkeypatch):
+        # the mode-2/4 unfoldings are 6x6 transposes. Evaluated apart, a @ a.T
+        # and a.T @ a round differently, and for this seed mode 4's sigma
+        # comes out one ulp larger; the twin's sigma is reused instead, so
+        # the tie goes to the smaller mode, as for the non-square 4x9 / 9x4
+        # mode-1/3 pair
+        rng = np.random.default_rng(2)
         grad = rng.normal(size=(2, 3, 3, 2))
+        sigma = {k: dominant_sigma(unfold(grad, UnfoldSpec(k, 2))) for k in (1, 2, 3, 4)}
+        assert sigma[4] > sigma[2] > sigma[1] == sigma[3]
         pick = self._counting_select(monkeypatch, grad, FwConfig(rank_budget=4, shift=2))
-        assert pick({1, 2, 3, 4})[1] == 3
+        assert pick({1, 2, 3, 4}) == (2, 2)
+        assert pick({2, 4}) == (2, 1)
+        assert pick({4}) == (4, 1)
 
     @staticmethod
     def _counting_select(monkeypatch, grad, cfg):
@@ -603,11 +610,14 @@ def reference_complete(t, cfg):
         if cfg.mode_selection == "min-dim":
             k = min(modes, key=lambda j: min(UnfoldSpec(j, cfg.shift).matrix_dims(t.shape)))
         else:
-            k, best = modes[0], -np.inf
+            k, best, sigmas = modes[0], -np.inf, {}
             for j in modes:
-                sigma = dominant_sigma(unfold(grad, UnfoldSpec(j, cfg.shift)))
-                if sigma > best:
-                    k, best = j, sigma
+                if len(t.shape) == 2 * cfg.shift and j - cfg.shift in sigmas:
+                    sigmas[j] = sigmas[j - cfg.shift]  # transposed twin: same sigma
+                else:
+                    sigmas[j] = dominant_sigma(unfold(grad, UnfoldSpec(j, cfg.shift)))
+                if sigmas[j] > best:
+                    k, best = j, sigmas[j]
         r = update_rank_budget(state, k)
         try:
             step = step_of(unfold(grad, UnfoldSpec(k, cfg.shift)), k, r, cfg.beta,

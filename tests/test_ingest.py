@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import synth_request_stream
+from helpers import RATINGS_DTYPE, ratings, reference_demand_slots, synth_request_stream
 from tenscache.completion import FwConfig, complete
 from tenscache.ingest import (
     IngestConfig,
-    RatingsRecord,
     build_demand_tensor,
     load_ratings,
     synth_low_rank,
@@ -16,7 +17,7 @@ DAY = 86400
 
 
 def rec(user, movie, ts, rating=4.0):
-    return RatingsRecord(user, movie, rating, ts)
+    return (user, movie, rating, ts)
 
 
 def distinct_movie_records(n_movies, start_ts=1000):
@@ -27,7 +28,7 @@ def distinct_movie_records(n_movies, start_ts=1000):
 class TestBuildDemandTensor:
     def test_single_rating_lands_on_diagonal(self):
         records = distinct_movie_records(3)
-        result = build_demand_tensor(records, IngestConfig(top_f=3, n_bs=2))
+        result = build_demand_tensor(ratings(records), IngestConfig(top_f=3, n_bs=2))
         assert len(result.slots) == 1
         slot = result.slots[0]
         assert slot.sum() == 3.0
@@ -39,7 +40,7 @@ class TestBuildDemandTensor:
         records = distinct_movie_records(2)
         records += [rec(9, 1, 5_000_000), rec(9, 2, 5_000_000 + 3600)]
         cfg = IngestConfig(top_f=2, n_bs=1, pairing="cosession", session_gap_hours=6.0)
-        result = build_demand_tensor(records, cfg)
+        result = build_demand_tensor(ratings(records), cfg)
         total = sum(s.sum() for s in result.slots)
         assert total == 1.0
         f, i = result.movie_ids.index(1), result.movie_ids.index(2)
@@ -49,12 +50,12 @@ class TestBuildDemandTensor:
         records = distinct_movie_records(2)
         records += [rec(9, 1, 5_000_000), rec(9, 2, 5_000_000 + 7 * 3600)]
         cfg = IngestConfig(top_f=2, n_bs=1, pairing="cosession", session_gap_hours=6.0)
-        result = build_demand_tensor(records, cfg)
+        result = build_demand_tensor(ratings(records), cfg)
         assert sum(s.sum() for s in result.slots) == 0.0
 
     def test_slot_boundary_is_half_open(self):
         records = [rec(1, 1, 1000), rec(2, 2, 1000 + 30 * DAY)]
-        result = build_demand_tensor(records, IngestConfig(top_f=2, n_bs=1))
+        result = build_demand_tensor(ratings(records), IngestConfig(top_f=2, n_bs=1))
         assert len(result.slots) == 2
         assert result.slots[0].sum() == 1.0 and result.slots[1].sum() == 1.0
 
@@ -65,14 +66,14 @@ class TestBuildDemandTensor:
             rec(int(rng.integers(1, 50)), int(rng.integers(1, 11)), int(rng.integers(1000, 10**7)))
             for _ in range(200)
         ]
-        result = build_demand_tensor(records, IngestConfig(top_f=10, n_bs=3))
+        result = build_demand_tensor(ratings(records), IngestConfig(top_f=10, n_bs=3))
         assert sum(s.sum() for s in result.slots) == len(records)
 
     def test_bs_assignment_is_deterministic_partition(self):
         records = distinct_movie_records(4)
         cfg = IngestConfig(top_f=4, n_bs=3)
-        a = build_demand_tensor(records, cfg)
-        b = build_demand_tensor(records, cfg)
+        a = build_demand_tensor(ratings(records), cfg)
+        b = build_demand_tensor(ratings(records), cfg)
         for sa, sb in zip(a.slots, b.slots):
             np.testing.assert_array_equal(sa, sb)
         # every rating lands in exactly one bs: totals already checked above
@@ -80,19 +81,46 @@ class TestBuildDemandTensor:
 
     def test_top_f_selection_count_then_id(self):
         records = [rec(1, 5, 1000), rec(2, 5, 1001), rec(3, 9, 1002), rec(4, 2, 1003)]
-        result = build_demand_tensor(records, IngestConfig(top_f=2, n_bs=1))
+        result = build_demand_tensor(ratings(records), IngestConfig(top_f=2, n_bs=1))
         assert result.movie_ids == [5, 2]  # count 2 first, then tie 2 vs 9 by id
 
     def test_too_few_movies_rejected(self):
         with pytest.raises(ValueError, match="distinct movies"):
-            build_demand_tensor(distinct_movie_records(3), IngestConfig(top_f=5, n_bs=1))
+            build_demand_tensor(ratings(distinct_movie_records(3)), IngestConfig(top_f=5, n_bs=1))
 
     def test_star_sum_weighting(self):
         records = [rec(1, 1, 1000, rating=2.5), rec(2, 1, 2000, rating=1.5)]
-        counted = build_demand_tensor(records, IngestConfig(top_f=1, n_bs=1))
-        starred = build_demand_tensor(records, IngestConfig(top_f=1, n_bs=1, weight="stars"))
+        counted = build_demand_tensor(ratings(records), IngestConfig(top_f=1, n_bs=1))
+        starred = build_demand_tensor(ratings(records),
+                                      IngestConfig(top_f=1, n_bs=1, weight="stars"))
         assert counted.slots[0].sum() == 2.0
         assert starred.slots[0].sum() == 4.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # (user, movie, rating in tenths, half-hours after the start), in
+        # file order: users interleave, and timestamps tie often
+        st.lists(st.tuples(st.integers(-3, 6), st.integers(1, 6), st.integers(0, 50),
+                           st.integers(0, 200)), min_size=1, max_size=80),
+        st.sampled_from(["self", "cosession"]),
+        st.sampled_from(["count", "stars"]),
+        st.integers(1, 3),
+        st.integers(1, 6),
+        st.integers(1, 3),
+        st.sampled_from([0.5, 6.0, 48.0]),
+    )
+    def test_bitwise_equals_per_record_loop(self, rows, pairing, weight, n_bs, top_f,
+                                            slot_days, gap_hours):
+        records = ratings([(u, m, k / 10, 10**9 + 1800 * h) for u, m, k, h in rows])
+        top_f = min(top_f, len({r[1] for r in rows}))  # movies beyond it are dropped
+        cfg = IngestConfig(top_f=top_f, n_bs=n_bs, slot_days=slot_days, pairing=pairing,
+                           session_gap_hours=gap_hours, weight=weight)
+        result = build_demand_tensor(records, cfg)
+        slots, movie_ids, start = reference_demand_slots(records, cfg)
+        assert result.slots.shape == (len(slots), top_f, top_f, n_bs)
+        assert result.slots.tobytes() == np.stack(slots).tobytes()
+        assert result.movie_ids == movie_ids
+        assert result.start_timestamp == start
 
 
 class TestLoadRatings:
@@ -103,7 +131,8 @@ class TestLoadRatings:
         p2.write_text("1\t2\t3.5\t1000\n")
         for p in (p1, p2):
             records = load_ratings(p)
-            assert records == [RatingsRecord(1, 2, 3.5, 1000)]
+            assert records.dtype == RATINGS_DTYPE
+            assert records.tolist() == [(1, 2, 3.5, 1000)]
 
     def test_bad_timestamp_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -128,10 +157,50 @@ class TestLoadRatings:
             load_ratings(p)
         assert str(info.value) == f"{p}:2: {message}"
 
+    @pytest.mark.parametrize("text", [
+        "user_id,movie_id,rating,timestamp\n1,2,3.5,1000\n",
+        "\n\nuser\tmovie\trating\ttimestamp\n1\t2\t3.5\t1000\n",  # the first non-blank row
+    ])
+    def test_header_row_skipped(self, tmp_path, text):
+        p = tmp_path / "a.csv"
+        p.write_text(text)
+        assert load_ratings(p).tolist() == [(1, 2, 3.5, 1000)]
+
+    def test_numeric_first_row_is_data(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("-1,10,4.0,1000\n1,2,3.5,1000\n")
+        assert load_ratings(p).tolist() == [(-1, 10, 4.0, 1000), (1, 2, 3.5, 1000)]
+
+    def test_fractional_id_on_first_row_rejected(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("1.5,10,4.0,1000\n1,2,3.5,1000\n")
+        with pytest.raises(ValueError) as info:
+            load_ratings(p)
+        assert str(info.value) == f"{p}:1: bad field in '1.5,10,4.0,1000'"
+
+    @pytest.mark.parametrize("record, loaded", [
+        (f"{2**63 - 1},{-2**63},3.5,1000", (2**63 - 1, -2**63, 3.5, 1000)),
+        (f"{2**63},2,3.5,1000", None),
+        (f"1,{-2**63 - 1},3.5,1000", None),
+        # timestamps go through float: 2**63 - 1024 is the largest below 2**63,
+        # and 2**63 - 1 rounds up to 2**63
+        (f"1,2,3.5,{2**63 - 1024}", (1, 2, 3.5, 2**63 - 1024)),
+        (f"1,2,3.5,{2**63 - 1}", None),
+    ])
+    def test_ids_and_timestamps_must_fit_int64(self, tmp_path, record, loaded):
+        p = tmp_path / "a.csv"
+        p.write_text(f"1,2,3.5,1000\n{record}\n")
+        if loaded is None:
+            with pytest.raises(ValueError) as info:
+                load_ratings(p)
+            assert str(info.value) == f"{p}:2: bad field in {record!r}"
+        else:
+            assert load_ratings(p).tolist() == [(1, 2, 3.5, 1000), loaded]
+
     def test_fractional_timestamp_truncates(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1,2,3.5,1000.9\n")
-        assert load_ratings(p) == [RatingsRecord(1, 2, 3.5, 1000)]
+        assert load_ratings(p).tolist() == [(1, 2, 3.5, 1000)]
 
 
 class TestSynthLowRank:
