@@ -1,13 +1,14 @@
 """Cache placement, hit-rate accounting, and the online per-slot loop.
 
 Each scored slot follows the observe / place / deliver cycle: the sliding
-window of the last ``tau`` observed demand slots is (optionally) completed,
-the next slot's shares are forecast per base station by every configured
-predictor, each forecast's top ``cache_size`` files are placed, and each
-placement is scored against the demands that then materialize. Completion
-does not depend on the predictor, so each window is completed once, by one
-sweep over every rank budget. An oracle placement (top files of the realized
-demands themselves) is scored alongside as the per-slot upper bound.
+window of the last ``tau`` observed demand slots is completed, taken raw, or
+both, the next slot's shares are forecast per base station by every
+configured predictor, each forecast's top ``cache_size`` files are placed,
+and each placement is scored against the demands that then materialize.
+Completion does not depend on the predictor, so each window is completed
+once, by one sweep over every rank budget. An oracle placement (top files of
+the realized demands themselves) is scored alongside, once per (slot, bs),
+as the per-slot upper bound.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .tensors import SparseTensor
 
 __all__ = [
     "OnlineConfig",
-    "OnlineRunReport",
-    "SlotOutcome",
+    "OnlineResult",
     "hit_rate",
     "mpc_place",
     "oracle_place",
@@ -35,46 +35,62 @@ __all__ = [
 
 
 @dataclass
-class SlotOutcome:
-    """Hit-rate bookkeeping for one scored (slot, bs) pair."""
-
-    slot: int
-    bs: int
-    hit_rate: float
-    zero_demand: bool = False
-
-
-@dataclass
 class OnlineConfig:
-    """Online-loop configuration (window, predictors, placement, completion).
+    """Online-loop configuration (window, predictors, placement, treatments).
 
+    ``completion`` is the set of treatments to score, in output order:
+    ``True`` scores the completed windows, ``False`` the raw ones.
     ``rank_budgets`` are the completion rank budgets: each window is solved
     once for all of them (see :func:`tenscache.completion.complete_sweep`),
-    and every predictor is scored on each budget's completion. They are not
-    read with ``completion`` off.
+    and every predictor is scored on each budget's completion. A raw
+    treatment does not read them.
     """
 
     tau: int = 10
     order: int = 6
     cache_size: int = 32
     predictors: tuple[str, ...] = ("lp",)
-    completion: bool = True
+    completion: tuple[bool, ...] = (True,)
     rank_budgets: tuple[int, ...] = (8,)
     shift: int = 1
 
 
 @dataclass
-class OnlineRunReport:
-    """Per-slot outcomes plus per-method averages over the valid slots."""
+class OnlineResult:
+    """Hit rates of one online run, each an (S, N_BS) array over the scored
+    slots and base stations.
 
-    method: str
-    rank: int
-    outcomes: list[SlotOutcome]
-    oracle_outcomes: list[SlotOutcome]
-    averages: dict[str, float]
+    ``slots`` holds the S scored slot numbers (1-based), ``zero_demand``
+    flags the (slot, bs) pairs without realized demand (scored 0 and left
+    out of every average) and ``oracle`` the hindsight bound. ``cells`` maps
+    each ``(predictor, completed, budget)`` to its hit rates; a raw cell
+    reads no budget and has budget 0.
+    """
 
-    def average(self) -> float:
-        return self.averages[self.method]
+    cfg: OnlineConfig
+    slots: np.ndarray
+    zero_demand: np.ndarray
+    oracle: np.ndarray
+    cells: dict[tuple[str, bool, int], np.ndarray]
+
+    def average(self, key: tuple[str, bool, int] | None = None) -> float:
+        """Mean hit rate of cell ``key`` (the oracle by default) over the
+        (slot, bs) pairs with demand, in (slot, bs) order; 0 without any."""
+        rates = self.oracle if key is None else self.cells[key]
+        valid = rates[~self.zero_demand]
+        return float(np.mean(valid)) if valid.size else 0.0
+
+    def runs(self, repeat_raw: bool = False):
+        """``(method, rank, key)`` per run: predictor-major, then in the
+        configured treatment and budget orders. A raw run is listed at the
+        first budget, or at every budget with ``repeat_raw``."""
+        cfg = self.cfg
+        for predictor in cfg.predictors:
+            for completed in cfg.completion:
+                method = f"{predictor}-{'completed' if completed else 'raw'}"
+                ranks = cfg.rank_budgets if completed or repeat_raw else cfg.rank_budgets[:1]
+                for rank in ranks:
+                    yield method, rank, (predictor, completed, rank if completed else 0)
 
 
 def mpc_place(shares: np.ndarray, capacity: int) -> np.ndarray:
@@ -113,15 +129,16 @@ def hit_rate(mass: np.ndarray, total: float, c: np.ndarray) -> float:
 
 
 def _completed_histories(window: np.ndarray, fw_cfg: FwConfig, budgets):
-    """``(budget, completed window's shares)`` per distinct budget, from one sweep."""
+    """``(True, budget, completed window's shares)`` per distinct budget, from
+    one sweep (the first two items name the treatment and budget of a cell)."""
     idx = np.argwhere(window != 0.0)
     if idx.shape[0] == 0:
         for budget in set(budgets):
-            yield budget, normalize_demands(window)
+            yield True, budget, normalize_demands(window)
         return
     t = SparseTensor(window.shape, idx, window[tuple(idx.T)])
     for budget, state, _ in complete_sweep(t, fw_cfg, budgets):
-        yield budget, normalize_demands(state.x)
+        yield True, budget, normalize_demands(state.x)
 
 
 def _raw_shares(stream: np.ndarray, tau: int) -> np.ndarray:
@@ -139,23 +156,22 @@ def run_online(
     stream: np.ndarray,
     cfg: OnlineConfig,
     score_stream: np.ndarray | None = None,
-) -> list[OnlineRunReport]:
+) -> OnlineResult:
     """Run the per-slot observe / complete / predict / place / score loop.
 
     ``stream`` is the observed (T, F, F, N_BS) demand stream (a sequence of
     slots is converted once); each window is a view of it. ``score_stream``
     holds the realized demands used for scoring and the oracle; it defaults
     to ``stream`` (on real traces the observed demands are all there is).
-    Slots ``tau+1 .. T`` (1-based) get scored; zero-demand (slot, bs) pairs
-    are flagged and excluded from the averages. Each window is completed
-    once for every budget in ``cfg.rank_budgets`` (one sweep), scored by the
-    oracle once, and each budget's completion is normalized once and feeds
-    every predictor in ``cfg.predictors``; with completion off, each slot is
-    normalized once per run. One report per (predictor, budget) comes back,
-    predictor-major, in the configured orders; with completion off, one per
-    predictor, with rank 0. A configuration the stream cannot satisfy, or a
-    negative realized demand, raises ``ValueError`` before the loop; a
-    failure inside the loop is re-raised as ``RuntimeError`` naming the slot.
+    Slots ``tau+1 .. T`` (1-based) get scored, every treatment in
+    ``cfg.completion`` in the same pass: each window is completed once for
+    every budget in ``cfg.rank_budgets`` (one sweep), each budget's
+    completion is normalized once, and with a raw treatment each slot is
+    normalized once per run; every such history feeds every predictor in
+    ``cfg.predictors``, and the oracle scores each (slot, bs) once. A
+    configuration the stream cannot satisfy, or a negative realized demand,
+    raises ``ValueError`` before the loop; a failure inside the loop is
+    re-raised as ``RuntimeError`` naming the slot.
     """
     stream = np.asarray(stream)
     score_stream = stream if score_stream is None else np.asarray(score_stream)
@@ -171,84 +187,72 @@ def run_online(
                          "need tau >= order + 1")
     if not cfg.predictors:
         raise ValueError("no predictor given")
+    if not cfg.completion:
+        raise ValueError("no treatment given")
     for slot, realized in enumerate(score_stream[cfg.tau:], start=cfg.tau + 1):
         if (realized < 0).any():
             raise ValueError(f"realized demands of slot {slot} must be nonnegative")
-    pred_cfgs = [PredictorConfig(cfg.order, p) for p in cfg.predictors]
+    pred_cfgs = {p: PredictorConfig(cfg.order, p) for p in cfg.predictors}
     # the sweep reads every budget; the smallest one is checked here
     fw_cfg = FwConfig(rank_budget=min(cfg.rank_budgets, default=0), shift=cfg.shift)
-    budgets = cfg.rank_budgets if cfg.completion else (0,)
-    outcomes: dict[tuple[int, int], list[SlotOutcome]] = {
-        (p, budget): [] for p in range(len(pred_cfgs)) for budget in budgets}
-    oracle_outcomes: list[SlotOutcome] = []
-    shares = None if cfg.completion else _raw_shares(stream, cfg.tau)
+    raw = _raw_shares(stream, cfg.tau) if False in cfg.completion else None
+    scored = (len(stream) - cfg.tau, n_bs)
+    zero_demand = np.zeros(scored, dtype=bool)
+    oracle = np.empty(scored)
+    cells = {(p, completed, budget): np.empty(scored) for p in cfg.predictors
+             for completed in cfg.completion
+             for budget in (cfg.rank_budgets if completed else (0,))}
 
-    for t_idx in range(cfg.tau - 1, len(stream) - 1):
-        lo, slot = t_idx - cfg.tau + 1, t_idx + 2
+    for s, t_idx in enumerate(range(cfg.tau - 1, len(stream) - 1)):
+        lo = t_idx - cfg.tau + 1
         try:
             realized = score_stream[t_idx + 1]
             masses = [(realized[:, :, b].sum(axis=1), float(realized[:, :, b].sum()))
                       for b in range(n_bs)]
-            histories = (
-                _completed_histories(np.moveaxis(stream[lo : t_idx + 1], 0, -1), fw_cfg, budgets)
-                if cfg.completion else [(0, DemandHistory(shares[lo : t_idx + 1]))])
-            for budget, history in histories:
+            histories = [] if raw is None else [(False, 0, DemandHistory(raw[lo : t_idx + 1]))]
+            if True in cfg.completion:
+                window = np.moveaxis(stream[lo : t_idx + 1], 0, -1)
+                histories += _completed_histories(window, fw_cfg, cfg.rank_budgets)
+            for completed, budget, history in histories:
                 for b, (mass, total) in enumerate(masses):
-                    for p, pred_cfg in enumerate(pred_cfgs):
+                    for p, pred_cfg in pred_cfgs.items():
                         c = mpc_place(fit_predict(history, pred_cfg, b).shares, cfg.cache_size)
-                        outcomes[p, budget].append(_score(mass, total, c, slot, b))
+                        cells[p, completed, budget][s, b] = hit_rate(mass, total, c)
             for b, (mass, total) in enumerate(masses):
-                oracle = oracle_place(mass, total, cfg.cache_size)
-                oracle_outcomes.append(_score(mass, total, oracle, slot, b))
+                zero_demand[s, b] = total == 0.0
+                oracle[s, b] = hit_rate(mass, total, oracle_place(mass, total, cfg.cache_size))
         except Exception as exc:
             raise RuntimeError(f"online loop failed at slot {t_idx + 1}") from exc
 
-    oracle_average = _average(oracle_outcomes)
-    reports = []
-    for p, predictor in enumerate(cfg.predictors):
-        method = f"{predictor}-{'completed' if cfg.completion else 'raw'}"
-        for budget in budgets:
-            scored = outcomes[p, budget]
-            reports.append(OnlineRunReport(
-                method=method,
-                rank=budget,
-                outcomes=scored,
-                oracle_outcomes=oracle_outcomes,
-                averages={method: _average(scored), "oracle": oracle_average},
-            ))
-    return reports
+    slots = np.arange(cfg.tau + 1, len(stream) + 1)
+    return OnlineResult(cfg, slots, zero_demand, oracle, cells)
 
 
-def _score(mass: np.ndarray, total: float, c: np.ndarray, slot: int, bs: int) -> SlotOutcome:
-    return SlotOutcome(slot, bs, hit_rate(mass, total, c), zero_demand=(total == 0.0))
-
-
-def _average(outcomes: list[SlotOutcome]) -> float:
-    valid = [o.hit_rate for o in outcomes if not o.zero_demand]
-    return float(np.mean(valid)) if valid else 0.0
-
-
-def write_report_csv(path, reports: list[OnlineRunReport], manifest: str | None = None) -> None:
-    """Per-slot rows: ``slot,bs,method,hit_rate`` (oracle rows written once)."""
+def write_report_csv(path, result: OnlineResult, manifest: str | None = None) -> None:
+    """Per-slot rows, ``slot,bs,method,hit_rate``: one block per run of
+    :meth:`OnlineResult.runs`, then the oracle's after the first."""
     with open(path, "w") as fh:
         if manifest:
             fh.write(f"# manifest: {manifest}\n")
         fh.write("slot,bs,method,hit_rate\n")
-        for i, rep in enumerate(reports):
-            for o in rep.outcomes:
-                fh.write(f"{o.slot},{o.bs + 1},{rep.method},{o.hit_rate!r}\n")
-            if i == 0:
-                for o in rep.oracle_outcomes:
-                    fh.write(f"{o.slot},{o.bs + 1},oracle,{o.hit_rate!r}\n")
+        n_bs = result.oracle.shape[1]
+        pairs = [f"{slot},{b}," for slot in result.slots.tolist() for b in range(1, n_bs + 1)]
+        blocks = [(method, result.cells[key]) for method, _, key in result.runs()]
+        blocks.insert(1, ("oracle", result.oracle))
+        for method, rates in blocks:
+            # python floats: numpy 2 reprs an np.float64 as ``np.float64(...)``
+            fh.writelines(f"{pair}{method},{rate!r}\n"
+                          for pair, rate in zip(pairs, rates.ravel().tolist()))
 
 
-def write_summary_csv(path, reports: list[OnlineRunReport], manifest: str | None = None) -> None:
-    """Summary rows: ``method,rank,avg_hit_rate`` plus one oracle row."""
+def write_summary_csv(path, result: OnlineResult, manifest: str | None = None) -> None:
+    """Summary rows, ``method,rank,avg_hit_rate``: the full grid of
+    :meth:`OnlineResult.runs` (a raw run repeats at every rank), then one
+    oracle row."""
     with open(path, "w") as fh:
         if manifest:
             fh.write(f"# manifest: {manifest}\n")
         fh.write("method,rank,avg_hit_rate\n")
-        for rep in reports:
-            fh.write(f"{rep.method},{rep.rank},{rep.average()!r}\n")
-        if reports:
-            fh.write(f"oracle,0,{reports[0].averages['oracle']!r}\n")
+        for method, rank, key in result.runs(repeat_raw=True):
+            fh.write(f"{method},{rank},{result.average(key)!r}\n")
+        fh.write(f"oracle,0,{result.average()!r}\n")

@@ -19,7 +19,6 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -113,12 +112,12 @@ def _setting(args, config: dict, key: str):
     return DEFAULTS[key]
 
 
-def _completions(value) -> list[bool]:
+def _completions(value) -> tuple[bool, ...]:
     """The ``completion`` setting (a bool, ``on``, ``off`` or ``both``) as the
-    completion flags to run."""
+    treatments to score (see ``OnlineConfig.completion``)."""
     if isinstance(value, bool):
-        return [value]
-    choices = {"on": [True], "off": [False], "both": [True, False]}
+        return (value,)
+    choices = {"on": (True,), "off": (False,), "both": (True, False)}
     if value not in choices:
         raise UsageError(f"completion must be a bool, on, off or both; got {value!r}")
     return choices[value]
@@ -243,33 +242,18 @@ def cmd_simulate(args, config: dict) -> int:
     }
     out_dir = _out_dir(args)
     started = time.perf_counter()
-    base = OnlineConfig(tau=tau, order=order, cache_size=cache, predictors=predictors,
-                        rank_budgets=tuple(ranks), shift=shift)
-    # completed: one report per (predictor, rank), from one sweep per window;
-    # raw: one report per predictor, since raw runs do not use the budget
-    runs = {comp: run_online(stream, replace(base, completion=comp), score_stream)
-            for comp in completions}
-    reports = []  # one per distinct (predictor, completion, rank) run
-    grid = []  # full {predictor} x {raw, completed} x {rank} summary grid
-    for i in range(len(predictors)):
-        for comp in completions:
-            if comp:
-                cell = runs[comp][i * len(ranks):(i + 1) * len(ranks)]
-                reports += cell
-                grid += cell
-            else:
-                raw = replace(runs[comp][i], rank=ranks[0])
-                reports.append(raw)
-                grid += [replace(raw, rank=rank) for rank in ranks]
+    cfg = OnlineConfig(tau=tau, order=order, cache_size=cache, predictors=predictors,
+                       completion=completions, rank_budgets=tuple(ranks), shift=shift)
+    result = run_online(stream, cfg, score_stream)
     outputs = ["slots.csv", "summary.csv"]
     manifest_name = _write_manifest(
         out_dir, "simulate", cfg_echo, time.perf_counter() - started, outputs
     )
-    write_report_csv(out_dir / "slots.csv", reports, manifest=manifest_name)
-    write_summary_csv(out_dir / "summary.csv", grid, manifest=manifest_name)
-    for rep in reports:
-        print(f"{rep.method} (R={rep.rank}): avg hit rate {rep.average():.4f}")
-    print(f"oracle: avg hit rate {reports[0].averages['oracle']:.4f}")
+    write_report_csv(out_dir / "slots.csv", result, manifest=manifest_name)
+    write_summary_csv(out_dir / "summary.csv", result, manifest=manifest_name)
+    for method, rank, key in result.runs():
+        print(f"{method} (R={rank}): avg hit rate {result.average(key):.4f}")
+    print(f"oracle: avg hit rate {result.average():.4f}")
     print(f"wrote {out_dir / 'slots.csv'} and {out_dir / 'summary.csv'}")
     return 0
 
@@ -313,7 +297,8 @@ def cmd_ingest(args, config: dict) -> int:
 
 def cmd_synth(args, config: dict) -> int:
     shape = tuple(_num_list(args.shape, "shape"))
-    ranks = _num_list(args.ranks, "ranks") if args.ranks else [2] * len(shape)
+    spec = args.ranks if args.ranks is not None else config.get("ranks")
+    ranks = _num_list(spec, "ranks") if spec is not None else [2] * len(shape)
     seed = int(_setting(args, config, "seed"))
     observe = float(_setting(args, config, "observe"))
     noise = float(_setting(args, config, "noise"))

@@ -61,6 +61,8 @@ class IngestConfig:
     def __post_init__(self):
         if self.top_f < 1 or self.n_bs < 1 or self.slot_days < 1:
             raise ValueError("top_f, n_bs and slot_days must be >= 1")
+        if not self.session_gap_hours >= 0:  # NaN too
+            raise ValueError(f"session_gap_hours must be >= 0, got {self.session_gap_hours}")
         if self.pairing not in (PAIRING_SELF, PAIRING_COSESSION):
             raise ValueError(f"unknown pairing {self.pairing!r}")
         if self.weight not in (WEIGHT_COUNT, WEIGHT_STARS):
@@ -221,6 +223,8 @@ def synth_lowrank_stream(
     so every window tensor is low rank in its circular unfoldings. Each slot
     keeps a fresh uniform random fraction of entries; the rest read zero.
     """
+    if not 0.0 < observe_fraction <= 1.0:
+        raise ValueError("observe_fraction must be in (0, 1]")
     rng = np.random.default_rng(seed)
 
     def profile(exponent: float) -> np.ndarray:
@@ -232,12 +236,13 @@ def synth_lowrank_stream(
     pop2, rec2 = profile(0.9), profile(0.5)
     w1 = 0.8 + 0.4 * rng.random(n_bs)
     w2 = 0.5 + 0.5 * rng.random(n_bs)
+    component1 = np.einsum("f,i,b->fib", pop1, rec1, w1)
+    component2 = np.einsum("f,i,b->fib", pop2, rec2, w2)
     truth = np.empty((n_slots, num_files, num_files, n_bs))
     observed = np.empty_like(truth)
     for t in range(n_slots):
         z1 = abs(1.0 + 0.1 * rng.standard_normal())
         z2 = abs(0.6 + 0.1 * rng.standard_normal())
-        np.multiply(100.0, z1 * np.einsum("f,i,b->fib", pop1, rec1, w1)
-                    + z2 * np.einsum("f,i,b->fib", pop2, rec2, w2), out=truth[t])
+        np.multiply(100.0, z1 * component1 + z2 * component2, out=truth[t])
         np.multiply(truth[t], rng.random(truth[t].shape) < observe_fraction, out=observed[t])
     return observed, truth

@@ -192,21 +192,20 @@ def test_criterion_8_predictor_recovery(report):
 
 def _paired_caching_runs(seed):
     observed, truth = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=seed)
-    base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2)
-    [on] = run_online(observed, OnlineConfig(completion=True, rank_budgets=(16,), **base), truth)
-    [off] = run_online(observed, OnlineConfig(completion=False, rank_budgets=(16,), **base), truth)
-    return on, off
+    cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2,
+                       completion=(True, False), rank_budgets=(16,))
+    return run_online(observed, cfg, truth)
 
 
 def test_criterion_9_caching_dominance(report):
     oracle_ok = True
     deltas = []
+    on, off = ("mean", True, 16), ("mean", False, 0)
     for seed in (0, 1, 2):
-        on, off = _paired_caching_runs(seed)
-        for rep in (on, off):
-            for got, oracle in zip(rep.outcomes, rep.oracle_outcomes):
-                oracle_ok = oracle_ok and oracle.hit_rate >= got.hit_rate - 1e-12
-        deltas.append(on.average() - off.average())
+        result = _paired_caching_runs(seed)
+        for key in (on, off):
+            oracle_ok = oracle_ok and bool((result.oracle >= result.cells[key] - 1e-12).all())
+        deltas.append(result.average(on) - result.average(off))
     dominance_ok = all(d >= 0.0 for d in deltas)
     report(
         "criterion 9: oracle dominates per slot; completion-on >= completion-off x3 seeds",
@@ -217,10 +216,10 @@ def test_criterion_9_caching_dominance(report):
 
 def test_criterion_10_rank_insensitive_hit_rate(report):
     observed, truth = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=0)
-    base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2, completion=True)
+    base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2, completion=(True,))
     budgets = (8, 16, 24)  # 2N, 4N, 6N at N=4
-    reports = run_online(observed, OnlineConfig(rank_budgets=budgets, **base), truth)
-    averages = [rep.average() for rep in reports]
+    result = run_online(observed, OnlineConfig(rank_budgets=budgets, **base), truth)
+    averages = [result.average(key) for _, _, key in result.runs()]
     spread = (max(averages) - min(averages)) / max(averages)
     report(
         "criterion 10: average hit rate insensitive to rank budget (<= 5%)",

@@ -73,7 +73,7 @@ class TestHitRate:
         stream = [RNG.random((4, 4, 2)) for _ in range(7)]
         stream[5] = stream[5].copy()
         stream[5][0, 1, 1] = -1.0
-        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=False)
+        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
         with pytest.raises(ValueError, match="slot 6"):
             run_online(stream, cfg)
 
@@ -86,59 +86,81 @@ class TestHitRate:
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
 
+def assert_same_scores(got, ref, keys):
+    """Bitwise-equal slots, zero mask, oracle and ``keys`` cells, and equal averages."""
+    assert got.slots.tobytes() == ref.slots.tobytes()
+    assert got.zero_demand.tobytes() == ref.zero_demand.tobytes()
+    assert got.oracle.tobytes() == ref.oracle.tobytes()
+    assert got.average() == ref.average()
+    for key in keys:
+        assert got.cells[key].tobytes() == ref.cells[key].tobytes()
+        assert got.average(key) == ref.average(key)
+
+
 class TestRunOnline:
     def test_oracle_dominates_every_slot(self):
         stream = synth_request_stream(12, 2, 20, requests_per_slot=200, seed=3)
-        cfg = OnlineConfig(tau=4, order=2, cache_size=4, predictors=("lp",), completion=False)
-        [report] = run_online(stream, cfg)
-        assert len(report.outcomes) == len(report.oracle_outcomes)
-        for got, oracle in zip(report.outcomes, report.oracle_outcomes):
-            assert (got.slot, got.bs) == (oracle.slot, oracle.bs)
-            assert oracle.hit_rate >= got.hit_rate - 1e-12
+        cfg = OnlineConfig(tau=4, order=2, cache_size=4, predictors=("lp",), completion=(False,))
+        result = run_online(stream, cfg)
+        [rates] = result.cells.values()
+        assert rates.shape == result.oracle.shape == (len(stream) - cfg.tau, 2)
+        assert (result.oracle >= rates - 1e-12).all()
 
     def test_stationary_zipf_mean_predictor_near_oracle(self):
         stream = synth_request_stream(40, 3, 200, requests_per_slot=3000, zipf_a=1.0, seed=5)
-        cfg = OnlineConfig(tau=8, order=4, cache_size=12, predictors=("mean",), completion=False)
-        [report] = run_online(stream, cfg)
-        avg = report.average()
-        oracle = report.averages["oracle"]
+        cfg = OnlineConfig(tau=8, order=4, cache_size=12, predictors=("mean",),
+                           completion=(False,))
+        result = run_online(stream, cfg)
+        avg = result.average(("mean", False, 0))
+        oracle = result.average()
         assert avg >= oracle * 0.98
 
     def test_completion_improves_masked_stream(self):
         observed, truth = synth_lowrank_stream(24, 3, 60, observe_fraction=0.05, seed=0)
-        base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), rank_budgets=(16,), shift=2)
-        [on] = run_online(observed, OnlineConfig(completion=True, **base), truth)
-        [off] = run_online(observed, OnlineConfig(completion=False, **base), truth)
-        assert on.average() >= off.average()
+        cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("mean",),
+                           completion=(True, False), rank_budgets=(16,), shift=2)
+        result = run_online(observed, cfg, truth)
+        assert result.average(("mean", True, 16)) >= result.average(("mean", False, 0))
 
     def test_shared_completion_matches_single_predictor_runs(self):
         observed, truth = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
         base = dict(tau=8, order=4, cache_size=6, rank_budgets=(16,), shift=2)
         both = run_online(observed, OnlineConfig(predictors=("lp", "mean"), **base), truth)
-        [lp] = run_online(observed, OnlineConfig(predictors=("lp",), **base), truth)
-        [mean] = run_online(observed, OnlineConfig(predictors=("mean",), **base), truth)
-        assert [rep.method for rep in both] == ["lp-completed", "mean-completed"]
-        for got, single in zip(both, (lp, mean)):
-            assert got.outcomes == single.outcomes  # dataclass equality: bitwise floats
-            assert got.oracle_outcomes == single.oracle_outcomes
-            assert got.averages == single.averages
+        lp = run_online(observed, OnlineConfig(predictors=("lp",), **base), truth)
+        mean = run_online(observed, OnlineConfig(predictors=("mean",), **base), truth)
+        assert [method for method, _, _ in both.runs()] == ["lp-completed", "mean-completed"]
+        assert_same_scores(both, lp, [("lp", True, 16)])
+        assert_same_scores(both, mean, [("mean", True, 16)])
 
     def test_budget_sweep_matches_single_budget_runs(self):
         observed, truth = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
         base = dict(tau=8, order=4, cache_size=6, predictors=("lp", "mean"), shift=2)
         budgets = (16, 4, 8, 4)
         swept = run_online(observed, OnlineConfig(rank_budgets=budgets, **base), truth)
-        assert [(rep.method, rep.rank) for rep in swept] == [
+        assert [(method, rank) for method, rank, _ in swept.runs()] == [
             (method, b) for method in ("lp-completed", "mean-completed") for b in budgets]
         for b in set(budgets):
             single = run_online(observed, OnlineConfig(rank_budgets=(b,), **base), truth)
-            got = [rep for rep in swept if rep.rank == b]
+            got = [key for _, rank, key in swept.runs() if rank == b]
             assert len(got) == 2 * budgets.count(b)
-            for rep in got:
-                [ref] = [r for r in single if r.method == rep.method]
-                assert rep.outcomes == ref.outcomes  # dataclass equality: bitwise floats
-                assert rep.oracle_outcomes == ref.oracle_outcomes
-                assert rep.averages == ref.averages
+            assert_same_scores(swept, single, got)
+
+    @pytest.mark.parametrize("completion", [(True, False), (False, True)])
+    def test_treatments_in_one_pass_match_single_treatment_runs(self, completion):
+        observed, truth = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        base = dict(tau=8, order=4, cache_size=6, predictors=("lp", "mean"), shift=2,
+                    rank_budgets=(16, 4, 8, 4))
+        both = run_online(observed, OnlineConfig(completion=completion, **base), truth)
+        on = run_online(observed, OnlineConfig(completion=(True,), **base), truth)
+        off = run_online(observed, OnlineConfig(completion=(False,), **base), truth)
+        assert both.cells.keys() == on.cells.keys() | off.cells.keys()
+        assert_same_scores(both, on, on.cells)
+        assert_same_scores(both, off, off.cells)
+
+    def test_no_treatment_rejected(self):
+        stream = [RNG.random((4, 4, 2)) for _ in range(6)]
+        with pytest.raises(ValueError, match="no treatment"):
+            run_online(stream, OnlineConfig(tau=4, order=2, cache_size=2, completion=()))
 
     def test_one_completion_per_scored_slot(self, monkeypatch):
         calls = []
@@ -151,8 +173,8 @@ class TestRunOnline:
         observed, truth = synth_lowrank_stream(24, 3, 12, observe_fraction=0.05, seed=2)
         cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("lp", "mean"),
                            rank_budgets=(4, 8), shift=2)
-        reports = run_online(observed, cfg, truth)
-        scored_slots = {o.slot for o in reports[0].outcomes}
+        result = run_online(observed, cfg, truth)
+        scored_slots = set(result.slots.tolist())
         assert len(scored_slots) == len(observed) - cfg.tau
         assert len(calls) == len(scored_slots)
 
@@ -160,14 +182,11 @@ class TestRunOnline:
     def test_raw_reports_same_from_list_and_array_stream(self, n_bs):
         observed, truth = synth_lowrank_stream(24, n_bs, 16, observe_fraction=0.3, seed=4)
         cfg = OnlineConfig(tau=5, order=3, cache_size=6, predictors=("lp", "mean"),
-                           completion=False)
+                           completion=(False,))
         from_array = run_online(observed, cfg, truth)
         from_list = run_online(list(observed), cfg, list(truth))
-        assert len(from_array) == len(from_list) == 2
-        for a, b in zip(from_array, from_list):
-            assert a.outcomes == b.outcomes  # dataclass equality: bitwise floats
-            assert a.oracle_outcomes == b.oracle_outcomes
-            assert a.averages == b.averages
+        assert len(from_array.cells) == len(from_list.cells) == 2
+        assert_same_scores(from_array, from_list, from_list.cells)
 
     @pytest.mark.parametrize("n_bs", [1, 2])
     def test_raw_window_shares_equal_whole_window_normalization(self, monkeypatch, n_bs):
@@ -183,7 +202,7 @@ class TestRunOnline:
         stream = RNG.random((23, 16, 16, n_bs)) - 0.3  # negatives get clipped
         stream[7, :, :, 0] = 0.0  # an all-zero slice reads uniform
         tau = 4
-        cfg = OnlineConfig(tau=tau, order=2, cache_size=3, predictors=("lp",), completion=False)
+        cfg = OnlineConfig(tau=tau, order=2, cache_size=3, predictors=("lp",), completion=(False,))
         run_online(stream, cfg, np.abs(stream))
         assert len(seen) == (len(stream) - tau) * n_bs
         for t_idx in range(tau - 1, len(stream) - 1):
@@ -195,17 +214,20 @@ class TestRunOnline:
     def test_zero_demand_slots_flagged_and_excluded(self):
         stream = [RNG.random((5, 5, 2)) for _ in range(8)]
         stream[6] = np.zeros((5, 5, 2))  # realized demands vanish for one scored slot
-        cfg = OnlineConfig(tau=4, order=2, cache_size=2, predictors=("mean",), completion=False)
-        [report] = run_online(stream, cfg)
-        flagged = [o for o in report.outcomes if o.zero_demand]
+        cfg = OnlineConfig(tau=4, order=2, cache_size=2, predictors=("mean",),
+                           completion=(False,))
+        result = run_online(stream, cfg)
+        rates = result.cells["mean", False, 0]
+        flagged = rates[result.zero_demand]
         assert len(flagged) == 2  # one per base station
-        assert all(o.hit_rate == 0.0 for o in flagged)
-        valid = [o.hit_rate for o in report.outcomes if not o.zero_demand]
-        assert report.average() == pytest.approx(float(np.mean(valid)))
+        assert all(flagged == 0.0)
+        assert result.slots[result.zero_demand.any(axis=1)].tolist() == [7]
+        valid = rates[~result.zero_demand]
+        assert result.average(("mean", False, 0)) == pytest.approx(float(np.mean(valid)))
 
     def test_stream_shorter_than_window_rejected(self):
         stream = [RNG.random((4, 4, 2)) for _ in range(3)]
-        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=False)
+        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
         with pytest.raises(ValueError):
             run_online(stream, cfg)
 
@@ -215,7 +237,7 @@ class TestRunOnline:
 
         monkeypatch.setattr(caching_mod, "fit_predict", failing_fit)
         stream = [RNG.random((5, 5, 2)) for _ in range(8)]
-        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=False)
+        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
         with pytest.raises(RuntimeError, match="slot 4") as info:
             run_online(stream, cfg)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

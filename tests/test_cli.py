@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tenscache.caching as caching_mod
+import tenscache.cli as cli_mod
 from tenscache.cli import main
 from tenscache.ingest import synth_low_rank
 from tenscache.tensors import write_coo_sparse
@@ -176,6 +177,47 @@ class TestSimulateCommand:
             by_method.setdefault(method, []).append((slot, bs))
         assert by_method["mean-completed"] == by_method["mean-raw"]
 
+    def test_both_treatments_are_on_rows_plus_off_rows(self, tmp_path):
+        argv = ["simulate", "--files", "8", "--bs", "2", "--tau", "3", "--order", "2",
+                "--cache", "2", "--slots", "8", "--ranks", "4,2,4", "--shift", "2"]
+        rows = {}
+        for completion in ("both", "on", "off"):
+            out = tmp_path / completion
+            assert main(["--out", str(out), *argv, "--completion", completion]) == 0
+            rows[completion] = {name: read_csv_rows(out / name)[1]
+                                for name in ("slots.csv", "summary.csv")}
+        for name, col in (("slots.csv", 2), ("summary.csv", 0)):
+            on, off, got = (rows[c][name] for c in ("on", "off", "both"))
+            oracle = [r for r in on if r[col] == "oracle"]
+            assert oracle == [r for r in off if r[col] == "oracle"]
+            runs = [r for p in ("lp", "mean") for rs in (on, off) for r in rs
+                    if r[col].startswith(p + "-")]
+            # slots.csv: the oracle block follows the first run's; summary.csv: last row
+            at = [r[col] for r in on].index("oracle") if name == "slots.csv" else len(runs)
+            assert got == runs[:at] + oracle + runs[at:]
+
+    def test_one_online_run_per_command(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_run(*args):
+            calls.append(args[1].completion)
+            return caching_mod.run_online(*args)
+
+        monkeypatch.setattr(cli_mod, "run_online", counting_run)
+        rc = main(["--out", str(tmp_path), "simulate", "--files", "8", "--bs", "2", "--tau", "3",
+                   "--order", "2", "--cache", "2", "--slots", "6", "--ranks", "2,4"])
+        assert rc == 0
+        assert calls == [(True, False)]
+
+    @pytest.mark.parametrize("observe", ["-0.5", "nan", "0", "1.5"])
+    def test_observe_outside_unit_interval_exits_2(self, tmp_path, capsys, observe):
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "simulate", "--files", "8", "--bs", "2", "--tau", "3",
+                   "--order", "2", "--cache", "2", "--slots", "6", "--observe", observe])
+        assert rc == 2
+        assert "observe_fraction must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_ranks_exits_2(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "simulate", "--files", "8", "--bs", "2",
                    "--tau", "3", "--order", "2", "--cache", "2", "--slots", "6", "--ranks", ""])
@@ -286,6 +328,18 @@ class TestIngestCommand:
         assert not out.exists() or not any(out.glob("slot_*.coo"))
 
 
+    @pytest.mark.parametrize("gap", ["-1", "nan"])
+    def test_bad_gap_hours_exits_2(self, tmp_path, capsys, gap):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("1,10,4.0,1000\n1,11,4.0,2000\n")
+        out = tmp_path / "out"
+        rc = main(["--out", str(out), "ingest", str(ratings), "--top-f", "2",
+                   "--pairing", "cosession", "--gap-hours", gap])
+        assert rc == 2
+        assert "session_gap_hours must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSynthCommand:
     def test_generates_coo_fixture(self, tmp_path):
         out = tmp_path / "out"
@@ -316,6 +370,16 @@ class TestConfigPrecedence:
         manifest = json.loads(manifests[0].read_text())
         assert manifest["config"]["max_iter"] == 50  # config wins over default
         assert manifest["config"]["shift"] == 1  # built-in default
+
+    @pytest.mark.parametrize("flag, ranks", [([], [1, 1, 1]), (["--ranks", "2,1,1"], [2, 1, 1])])
+    def test_synth_ranks_flag_beats_config(self, tmp_path, flag, ranks):
+        cfg = tmp_path / "synth.toml"
+        cfg.write_text("ranks = [1, 1, 1]\nseed = 3\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "synth", "6,5,4", *flag]) == 0
+        [manifest] = out.glob("manifest-synth-*.json")
+        config = json.loads(manifest.read_text())["config"]
+        assert (config["ranks"], config["seed"]) == (ranks, 3)
 
     def test_env_var_out_dir(self, tensor_file, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
