@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -425,3 +426,104 @@ class TestConfigPrecedence:
                    "--bs", "2", "--tau", "3", "--order", "2", "--cache", "2", "--slots", "6"])
         assert rc == 2
         assert "completion must be" in capsys.readouterr().err
+
+
+class TestRepeatedSweepValues:
+    def test_repeated_rank_is_solved_and_written_once(self, tensor_file, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["--out", str(sim), "simulate", "--files", "8", "--bs", "2", "--tau", "3",
+                     "--order", "2", "--cache", "2", "--slots", "8", "--ranks", "4,2,4",
+                     "--shift", "2"]) == 0
+        _, rows = read_csv_rows(sim / "summary.csv")
+        cells = [(r[0], r[1]) for r in rows]
+        assert len(cells) == len(set(cells)) == 2 * 2 * 2 + 1  # {lp, mean} x {completed, raw} x {4, 2}
+        out = tmp_path / "complete"
+        assert main(["--out", str(out), "complete", str(tensor_file), "--rank", "8,8"]) == 0
+        [manifest] = out.glob("manifest-complete-*.json")
+        assert json.loads(manifest.read_text())["outputs"] == ["trace-R8.csv"]
+
+
+def _manifest_config(out, command):
+    [manifest] = out.glob(f"manifest-{command}-*.json")
+    return json.loads(manifest.read_text())["config"]
+
+
+class TestManifestConfigAtDefaults:
+    """The full config echo of each command at its built-in defaults. JSON text is
+    compared, so an int where a float was written (6 for 6.0) also fails."""
+
+    @staticmethod
+    def assert_echo(out, command, expected):
+        got = _manifest_config(out, command)
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_complete(self, tensor_file, tmp_path):
+        assert main(["--out", str(tmp_path), "complete", str(tensor_file)]) == 0
+        self.assert_echo(tmp_path, "complete", {
+            "tensor": str(tensor_file), "rank": [8], "beta": [100000.0], "shift": 1,
+            "mode_select": "sigma", "update": "multi", "max_iter": 200,
+        })
+
+    def test_simulate(self, tmp_path, monkeypatch):
+        def one_window(stream, cfg, score_stream):
+            # score one window only: the echo does not depend on how many are scored
+            n = cfg.tau + 1
+            return caching_mod.run_online(stream[:n], cfg, score_stream[:n])
+
+        monkeypatch.setattr(cli_mod, "run_online", one_window)
+        assert main(["--out", str(tmp_path), "simulate"]) == 0
+        self.assert_echo(tmp_path, "simulate", {
+            "source": "synthetic", "tau": 10, "order": 6, "cache": 32, "bs": 3,
+            "files": 128, "shift": 1, "ranks": [8, 16, 24], "predictor": ["lp", "mean"],
+            "completion": [True, False], "slots": 40, "observe": 0.05, "seed": 0,
+        })
+
+    def test_ingest(self, tmp_path):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("".join(f"{m},{m},4.0,{1000 + m}\n" for m in range(1, 129)))
+        assert main(["--out", str(tmp_path / "out"), "ingest", str(ratings)]) == 0
+        self.assert_echo(tmp_path / "out", "ingest", {
+            "ratings": str(ratings), "top_f": 128, "bs": 3, "slot_days": 30,
+            "pairing": "self", "gap_hours": 6.0, "weight": "count",
+            "movie_ids": list(range(1, 129)), "start_timestamp": 1001,
+        })
+
+    def test_synth(self, tmp_path):
+        assert main(["--out", str(tmp_path), "synth", "6,5,4"]) == 0
+        self.assert_echo(tmp_path, "synth", {
+            "shape": [6, 5, 4], "ranks": [2, 2, 2], "observe": 0.05, "noise": 0.0,
+            "seed": 0, "shift": 1,
+        })
+
+
+class TestCliSurface:
+    def test_option_strings_and_choices(self):
+        [subparsers] = [a for a in cli_mod.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        common = {"-h", "--help", "--config", "--out"}
+        expected = {
+            "complete": ({"tensor", "--rank", "--beta", "--shift", "--mode-select", "--update",
+                          "--max-iter"},
+                         {"--mode-select": ["sigma", "min-dim"], "--update": ["multi", "rank1"]}),
+            "simulate": ({"--ratings", "--tau", "--order", "--cache", "--bs", "--files",
+                          "--shift", "--ranks", "--predictor", "--completion", "--slots",
+                          "--observe", "--seed"},
+                         {"--predictor": ["lp", "mean", "both"],
+                          "--completion": ["on", "off", "both"]}),
+            "ingest": ({"ratings", "--top-f", "--bs", "--slot-days", "--pairing", "--gap-hours",
+                        "--weight"},
+                       {"--pairing": ["self", "cosession"], "--weight": ["count", "stars"]}),
+            "synth": ({"shape", "--ranks", "--observe", "--noise", "--shift", "--seed", "--name",
+                       "--truth-out"}, {}),
+        }
+        assert set(subparsers.choices) == set(expected)
+        for command, (options, choices) in expected.items():
+            actions = subparsers.choices[command]._actions
+            got = {s for a in actions for s in (a.option_strings or [a.dest])}
+            assert got == options | common, command
+            got_choices = {a.option_strings[0]: list(a.choices) for a in actions if a.choices}
+            assert got_choices == choices, command
+
+    def test_every_setting_is_read_by_a_command(self):
+        read = {key for keys in cli_mod.COMMAND_SETTINGS.values() for key in keys}
+        assert read == set(cli_mod.SETTINGS)
