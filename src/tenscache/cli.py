@@ -54,6 +54,19 @@ def _sweep(name: str, kind=int):
     return lambda spec: list(dict.fromkeys(_num_list(spec, name, kind)))
 
 
+def _integer(name: str):
+    """Parser of an integer setting: an int, an integral float or an integer
+    string; a bool or a non-integral value is a usage error, not truncated."""
+    def parse(value) -> int:
+        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+            raise UsageError(f"{name} must be an integer, got {value!r}")
+        try:
+            return int(value)
+        except ValueError:
+            raise UsageError(f"{name} must be an integer, got {value!r}") from None
+    return parse
+
+
 def _as_given(value):
     """Parser of a setting that its consumer checks, naming a bad value as given."""
     return value
@@ -81,23 +94,23 @@ SETTINGS = {
     "rank": ("8", _sweep("rank"), {"help": "rank budget, comma list for a sweep"}),
     "beta": ("1e5", _sweep("beta", float),
              {"help": "step nuclear-norm scale, comma list for a sweep"}),
-    "shift": (1, int, {"type": int}),
+    "shift": (1, _integer("shift"), {"type": int}),
     "mode_select": ("sigma", _as_given, {"choices": ["sigma", "min-dim"]}),
     "update": ("multi", _as_given, {"choices": ["multi", "rank1"]}),
-    "max_iter": (200, int, {"type": int}),
-    "seed": (0, int, {"type": int}),
-    "tau": (10, int, {"type": int}),
-    "order": (6, int, {"type": int}),
-    "cache": (32, int, {"type": int}),
-    "bs": (3, int, {"type": int}),
-    "files": (128, int, {"type": int}),
+    "max_iter": (200, _integer("max_iter"), {"type": int}),
+    "seed": (0, _integer("seed"), {"type": int}),
+    "tau": (10, _integer("tau"), {"type": int}),
+    "order": (6, _integer("order"), {"type": int}),
+    "cache": (32, _integer("cache"), {"type": int}),
+    "bs": (3, _integer("bs"), {"type": int}),
+    "files": (128, _integer("files"), {"type": int}),
     "ranks": ("8,16,24", _sweep("ranks"), {"help": "comma list of completion rank budgets"}),
     "predictor": ("both", _predictors, {"choices": ["lp", "mean", "both"]}),
     "completion": ("both", _completions, {"choices": ["on", "off", "both"]}),
-    "slots": (40, int, {"type": int, "help": "synthetic stream length"}),
+    "slots": (40, _integer("slots"), {"type": int, "help": "synthetic stream length"}),
     "observe": (0.05, float, {"type": float, "help": "observed fraction of the synthetic data"}),
-    "top_f": (128, int, {"type": int}),
-    "slot_days": (30, int, {"type": int}),
+    "top_f": (128, _integer("top_f"), {"type": int}),
+    "slot_days": (30, _integer("slot_days"), {"type": int}),
     "pairing": ("self", str, {"choices": ["self", "cosession"]}),
     "gap_hours": (6.0, float, {"type": float}),
     "weight": ("count", str, {"choices": ["count", "stars"]}),

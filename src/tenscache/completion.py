@@ -8,9 +8,12 @@ The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
    residual, never forming the dense gradient,
 2. picks the mode whose gradient unfolding has the largest dominant singular
    value (or, with the cheap rule, the smallest matrix dimension),
-3. truncates the SVD of that unfolding to the per-iteration rank allowance,
-   normalizes it so the step's unfolding has nuclear norm ``beta``, and folds
-   it back into a step tensor ``S``,
+3. takes that unfolding's top singular triplets, up to the per-iteration
+   rank allowance, from the eigendecomposition of its small-side Gram matrix
+   (accurate down to about ``sqrt(eps) * sigma_1``; triplets below
+   ``_SIGMA_EPS * sigma_1`` are dropped as unresolved), normalizes them so
+   the step's unfolding has nuclear norm ``beta``, and folds them back into
+   a step tensor ``S``,
 4. takes an exact line-search step ``X <- X - gamma * S``, and
 5. charges the step's rank to that mode's ledger, which counts against the
    global budget.
@@ -70,8 +73,12 @@ UPDATE_MULTI = "multi"
 UPDATE_RANK_ONE = "rank1"
 
 # Relative threshold below which trailing singular values of a gradient
-# unfolding are treated as zero and never appended as components.
-_SIGMA_EPS = 1e-13
+# unfolding are treated as zero and never appended as components. The Gram
+# route of ``truncated_svd`` resolves singular values only down to about
+# ``sqrt(eps) * sigma_1`` (~1.5e-8); its trailing values on exactly
+# rank-deficient matrices measure 1e-8 to 3e-8 of ``sigma_1`` (shapes 3x1e6
+# to 1280x384), so the cut sits a factor of ~4 above that noise.
+_SIGMA_EPS = 1e-7
 # Observed-entry RSE below which an exactly recoverable input is done: further
 # steps would only churn at the numerical noise floor.
 _RSE_FLOOR = 1e-12
@@ -261,9 +268,10 @@ def gradient_step(
     The multi-rank rule keeps the top ``r_k`` singular triplets of the
     gradient unfolding, rescaled so the weights sum to ``beta``; the rank-1
     rule keeps the leading pair with weight ``beta`` and discards the
-    singular-value structure. Trailing singular values at the numerical-zero
-    level are dropped rather than appended as zero-weight components, so the
-    returned rank may be below ``r_k``. The triplets beyond ``r_k`` are not
+    singular-value structure. Trailing singular values below
+    ``_SIGMA_EPS * sigma_1``, which the SVD does not resolve, are dropped
+    rather than appended as components, so the returned rank may be below
+    ``r_k``. The triplets beyond ``r_k`` are not
     read, so one SVD serves every allowance up to its size.
     """
     r_want = 1 if update_rule == UPDATE_RANK_ONE else r_k

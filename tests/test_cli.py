@@ -427,6 +427,38 @@ class TestConfigPrecedence:
         assert rc == 2
         assert "completion must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, command", [
+        ("shift = 1.5", "complete"), ("max_iter = 7.9", "complete"),
+        ("max_iter = true", "complete"), ('shift = "two"', "complete"),
+        ("max_iter = inf", "complete"), ("seed = true", "synth"), ("seed = 0.5", "synth"),
+    ])
+    def test_non_integer_in_config_exits_2(self, tensor_file, tmp_path, capsys, line, command):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        arg = str(tensor_file) if command == "complete" else "6,5,4"
+        assert main(["--config", str(cfg), "--out", str(out), command, arg]) == 2
+        key = line.split(" = ")[0]
+        assert f"{key} must be an integer, got " in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("line, shift", [("shift = 2.0", 2), ('shift = "2"', 2)])
+    def test_integral_config_value_accepted(self, tensor_file, tmp_path, line, shift):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "complete", str(tensor_file),
+                     "--rank", "2"]) == 0
+        [manifest] = out.glob("manifest-complete-*.json")
+        config = json.loads(manifest.read_text())["config"]
+        assert config["shift"] == shift and type(config["shift"]) is int
+
+    def test_non_integer_flag_exits_2(self, tensor_file, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path), "complete", str(tensor_file), "--shift", "1.5"])
+        assert exc.value.code == 2
+        assert "invalid int value: '1.5'" in capsys.readouterr().err
+
 
 class TestRepeatedSweepValues:
     def test_repeated_rank_is_solved_and_written_once(self, tensor_file, tmp_path):
