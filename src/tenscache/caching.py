@@ -29,8 +29,6 @@ __all__ = [
     "mpc_place",
     "oracle_place",
     "run_online",
-    "write_report_csv",
-    "write_summary_csv",
 ]
 
 
@@ -227,32 +225,3 @@ def run_online(
     slots = np.arange(cfg.tau + 1, len(stream) + 1)
     return OnlineResult(cfg, slots, zero_demand, oracle, cells)
 
-
-def write_report_csv(path, result: OnlineResult, manifest: str | None = None) -> None:
-    """Per-slot rows, ``slot,bs,method,hit_rate``: one block per run of
-    :meth:`OnlineResult.runs`, then the oracle's after the first."""
-    with open(path, "w") as fh:
-        if manifest:
-            fh.write(f"# manifest: {manifest}\n")
-        fh.write("slot,bs,method,hit_rate\n")
-        n_bs = result.oracle.shape[1]
-        pairs = [f"{slot},{b}," for slot in result.slots.tolist() for b in range(1, n_bs + 1)]
-        blocks = [(method, result.cells[key]) for method, _, key in result.runs()]
-        blocks.insert(1, ("oracle", result.oracle))
-        for method, rates in blocks:
-            # python floats: numpy 2 reprs an np.float64 as ``np.float64(...)``
-            fh.writelines(f"{pair}{method},{rate!r}\n"
-                          for pair, rate in zip(pairs, rates.ravel().tolist()))
-
-
-def write_summary_csv(path, result: OnlineResult, manifest: str | None = None) -> None:
-    """Summary rows, ``method,rank,avg_hit_rate``: the full grid of
-    :meth:`OnlineResult.runs` (a raw run repeats at every rank), then one
-    oracle row."""
-    with open(path, "w") as fh:
-        if manifest:
-            fh.write(f"# manifest: {manifest}\n")
-        fh.write("method,rank,avg_hit_rate\n")
-        for method, rank, key in result.runs(repeat_raw=True):
-            fh.write(f"{method},{rank},{result.average(key)!r}\n")
-        fh.write(f"oracle,0,{result.average()!r}\n")

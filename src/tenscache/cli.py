@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage or input error, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,9 +23,9 @@ import zlib
 from pathlib import Path
 
 from . import __version__
-from .caching import OnlineConfig, run_online, write_report_csv, write_summary_csv
+from .caching import OnlineConfig, OnlineResult, run_online
 # ``complete`` is not called here; perfbench/tracing.py wraps it in this namespace
-from .completion import FwConfig, complete, complete_sweep, write_trace_csv  # noqa: F401
+from .completion import FwConfig, TraceRow, complete, complete_sweep  # noqa: F401
 from .ingest import (
     IngestConfig,
     build_demand_tensor,
@@ -41,30 +42,40 @@ class UsageError(ValueError):
     """Bad input or flags; maps to exit code 2."""
 
 
-def _num_list(spec, name: str, kind=int) -> list:
-    """A comma list of numbers; an empty one is a usage error."""
-    items = [kind(s) for s in str(spec).split(",") if s.strip()]
+def _integer(name: str):
+    """Parser of an integer setting: an int, an integral float or an integer
+    string; a bool or a non-integral value is a usage error, not truncated."""
+    def parse(value) -> int:
+        if not (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+            with contextlib.suppress(ValueError):
+                return int(value)
+        raise UsageError(f"{name} must be an integer, got {value!r}")
+    return parse
+
+
+def _real(name: str):
+    """Parser of a real setting: a number or a numeric string; a bool or
+    anything else is a usage error, not read as 1.0 or 0.0."""
+    def parse(value) -> float:
+        if not isinstance(value, bool):
+            with contextlib.suppress(ValueError):
+                return float(value)
+        raise UsageError(f"{name} must be a number, got {value!r}")
+    return parse
+
+
+def _num_list(spec, name: str, kind=_integer) -> list:
+    """A comma list of numbers, each read by ``kind(name)``; an empty one is a usage error."""
+    parse = kind(name)
+    items = [parse(s) for s in str(spec).split(",") if s.strip()]
     if not items:
         raise UsageError(f"{name} needs at least one value, got {str(spec)!r}")
     return items
 
 
-def _sweep(name: str, kind=int):
+def _sweep(name: str, kind=_integer):
     """Parser of a sweep list: each value is solved and written once, at its first place."""
     return lambda spec: list(dict.fromkeys(_num_list(spec, name, kind)))
-
-
-def _integer(name: str):
-    """Parser of an integer setting: an int, an integral float or an integer
-    string; a bool or a non-integral value is a usage error, not truncated."""
-    def parse(value) -> int:
-        if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-            raise UsageError(f"{name} must be an integer, got {value!r}")
-        try:
-            return int(value)
-        except ValueError:
-            raise UsageError(f"{name} must be an integer, got {value!r}") from None
-    return parse
 
 
 def _as_given(value):
@@ -92,7 +103,7 @@ def _completions(value) -> tuple[bool, ...]:
 # key: (default, parser of the value from flag, config file or default, keywords of --key)
 SETTINGS = {
     "rank": ("8", _sweep("rank"), {"help": "rank budget, comma list for a sweep"}),
-    "beta": ("1e5", _sweep("beta", float),
+    "beta": ("1e5", _sweep("beta", _real),
              {"help": "step nuclear-norm scale, comma list for a sweep"}),
     "shift": (1, _integer("shift"), {"type": int}),
     "mode_select": ("sigma", _as_given, {"choices": ["sigma", "min-dim"]}),
@@ -108,13 +119,13 @@ SETTINGS = {
     "predictor": ("both", _predictors, {"choices": ["lp", "mean", "both"]}),
     "completion": ("both", _completions, {"choices": ["on", "off", "both"]}),
     "slots": (40, _integer("slots"), {"type": int, "help": "synthetic stream length"}),
-    "observe": (0.05, float, {"type": float, "help": "observed fraction of the synthetic data"}),
+    "observe": (0.05, _real("observe"), {"type": float, "help": "observed fraction of the synthetic data"}),
     "top_f": (128, _integer("top_f"), {"type": int}),
     "slot_days": (30, _integer("slot_days"), {"type": int}),
     "pairing": ("self", str, {"choices": ["self", "cosession"]}),
-    "gap_hours": (6.0, float, {"type": float}),
+    "gap_hours": (6.0, _real("gap_hours"), {"type": float}),
     "weight": ("count", str, {"choices": ["count", "stars"]}),
-    "noise": (0.0, float, {"type": float}),
+    "noise": (0.0, _real("noise"), {"type": float}),
 }
 
 # the settings each command reads, in the order they are parsed
@@ -206,6 +217,41 @@ def _write_manifest(out_dir: Path, command: str, config: dict, wall_s: float,
     return name
 
 
+def _write_csv(path: Path, manifest: str, header: str, rows) -> None:
+    """Write ``path``: a ``# manifest:`` line naming the run's manifest, the
+    ``header``, then each row's values joined by commas (a python float as its repr)."""
+    with open(path, "w") as fh:
+        fh.write(f"# manifest: {manifest}\n{header}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_trace_csv(path: Path, trace: list[TraceRow], manifest: str) -> None:
+    """The RSE trace of one solve, one row per step."""
+    _write_csv(path, manifest, "iter,rse,elapsed_s,mode,gamma,beta_gamma",
+               ((r.iteration, r.rse, r.elapsed_s, r.mode, r.gamma, r.beta_gamma) for r in trace))
+
+
+def write_report_csv(path: Path, result: OnlineResult, manifest: str) -> None:
+    """Per-slot hit rates, ``slot,bs,method,hit_rate``: one block per run of
+    :meth:`OnlineResult.runs`, then the oracle's after the first."""
+    n_bs = result.oracle.shape[1]
+    pairs = [(slot, b) for slot in result.slots.tolist() for b in range(1, n_bs + 1)]
+    blocks = [(method, result.cells[key]) for method, _, key in result.runs()]
+    blocks.insert(1, ("oracle", result.oracle))
+    _write_csv(path, manifest, "slot,bs,method,hit_rate",
+               ((*pair, method, rate) for method, rates in blocks
+                for pair, rate in zip(pairs, rates.ravel().tolist())))
+
+
+def write_summary_csv(path: Path, result: OnlineResult, manifest: str) -> None:
+    """Average hit rates, ``method,rank,avg_hit_rate``: the full grid of
+    :meth:`OnlineResult.runs` (a raw run repeats at every rank), then one
+    oracle row."""
+    rows = [(method, rank, result.average(key))
+            for method, rank, key in result.runs(repeat_raw=True)]
+    _write_csv(path, manifest, "method,rank,avg_hit_rate", rows + [("oracle", 0, result.average())])
+
+
 def cmd_complete(args, config: dict) -> int:
     src = Path(args.tensor)
     if not src.exists():
@@ -230,7 +276,7 @@ def cmd_complete(args, config: dict) -> int:
     manifest_name = _write_manifest(out_dir, "complete", {**s, "tensor": str(src)},
                                     time.perf_counter() - started, list(rows_by_run))
     for name, trace in rows_by_run.items():
-        write_trace_csv(out_dir / name, trace, manifest=manifest_name)
+        write_trace_csv(out_dir / name, trace, manifest_name)
         print(f"wrote {out_dir / name}")
     return 0
 
@@ -262,8 +308,8 @@ def cmd_simulate(args, config: dict) -> int:
         out_dir, "simulate", {**s, "source": str(source), "slots": len(stream)},
         time.perf_counter() - started, outputs,
     )
-    write_report_csv(out_dir / "slots.csv", result, manifest=manifest_name)
-    write_summary_csv(out_dir / "summary.csv", result, manifest=manifest_name)
+    write_report_csv(out_dir / "slots.csv", result, manifest_name)
+    write_summary_csv(out_dir / "summary.csv", result, manifest_name)
     for method, rank, key in result.runs():
         print(f"{method} (R={rank}): avg hit rate {result.average(key):.4f}")
     print(f"oracle: avg hit rate {result.average():.4f}")

@@ -64,7 +64,6 @@ __all__ = [
     "line_search",
     "select_mode",
     "update_rank_budget",
-    "write_trace_csv",
 ]
 
 MODE_SIGMA_MAX = "sigma"
@@ -108,8 +107,8 @@ class FwConfig:
     def __post_init__(self):
         if self.rank_budget < 1:
             raise ValueError("rank_budget must be >= 1")
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
+        if not 0 < self.beta < np.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.shift < 1:
             raise ValueError("shift must be >= 1")
         if self.max_iter < 1:
@@ -497,15 +496,3 @@ def beta_invariance_check(
             return False
     return True
 
-
-def write_trace_csv(path, trace: list[TraceRow], manifest: str | None = None) -> None:
-    """Write the RSE trace (``iter,rse,elapsed_s,mode,gamma,beta_gamma``)."""
-    with open(path, "w") as fh:
-        if manifest:
-            fh.write(f"# manifest: {manifest}\n")
-        fh.write("iter,rse,elapsed_s,mode,gamma,beta_gamma\n")
-        for row in trace:
-            fh.write(
-                f"{row.iteration},{row.rse!r},{row.elapsed_s!r},"
-                f"{row.mode},{row.gamma!r},{row.beta_gamma!r}\n"
-            )

@@ -183,6 +183,8 @@ def synth_low_rank(
         raise ValueError(f"need {n} per-mode ranks, got {len(ranks)}")
     if not 0.0 < observe_fraction <= 1.0:
         raise ValueError("observe_fraction must be in (0, 1]")
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     truth = np.zeros(shape)
     for k in range(1, n + 1):

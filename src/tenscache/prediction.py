@@ -76,7 +76,6 @@ class PredictorConfig:
 class Forecast:
     """One base station's predicted share vector for the next slot."""
 
-    bs: int
     shares: np.ndarray
     coefficients: np.ndarray
     used_fallback: bool = False
@@ -104,16 +103,11 @@ def normalize_demands(d: np.ndarray) -> DemandHistory:
 
 def _lagged_system(shares_b: np.ndarray, m_order: int) -> tuple[np.ndarray, np.ndarray]:
     """Stacked regression (design, response) over files and usable slots."""
-    tau, f = shares_b.shape
-    n_resp = tau - m_order
-    a = np.empty((n_resp * f, m_order))
-    y = np.empty(n_resp * f)
-    for j in range(n_resp):
-        s = tau - 1 - j  # response slot (0-based)
-        y[j * f : (j + 1) * f] = shares_b[s]
-        for m in range(1, m_order + 1):
-            a[j * f : (j + 1) * f, m - 1] = shares_b[s - m]
-    return a, y
+    responses = np.arange(shares_b.shape[0] - 1, m_order - 1, -1)  # newest first
+    # row (response slot s, file i) holds slot s's share of file i, then slots s-1 .. s-M's
+    lagged = shares_b[responses[:, None] - np.arange(m_order + 1)]  # (n_resp, M+1, F)
+    stacked = lagged.transpose(0, 2, 1).reshape(-1, m_order + 1)
+    return stacked[:, 1:], stacked[:, 0]
 
 
 def fit_predict(history: DemandHistory, cfg: PredictorConfig, bs: int) -> Forecast:
@@ -141,7 +135,7 @@ def fit_predict(history: DemandHistory, cfg: PredictorConfig, bs: int) -> Foreca
     raw = coeff @ lags
     shares = np.clip(raw, 0.0, None)
     shares /= shares.sum()
-    return Forecast(bs, shares, coeff, fallback)
+    return Forecast(shares, coeff, fallback)
 
 
 def _solve_constrained(shares_b: np.ndarray, m_order: int):
@@ -151,8 +145,6 @@ def _solve_constrained(shares_b: np.ndarray, m_order: int):
     solves the reduced unconstrained problem by least squares.
     """
     a, y = _lagged_system(shares_b, m_order)
-    if m_order == 1:
-        return np.array([1.0])
     try:
         a_last = a[:, -1]
         a_red = a[:, :-1] - a_last[:, None]

@@ -83,7 +83,9 @@ def unfold(x: np.ndarray, spec: UnfoldSpec) -> np.ndarray:
     dims = validate_shape(x.shape)
     perm = spec.axes_order(len(dims))
     rows, cols = spec.matrix_dims(dims)
-    return np.transpose(x, perm).reshape((rows, cols), order="F")
+    # F-contiguous even where unit dims let the reshape return a view laid out otherwise:
+    # the SVD's products, hence its rounding, follow the layout
+    return np.asfortranarray(np.transpose(x, perm).reshape((rows, cols), order="F"))
 
 
 def fold(m: np.ndarray, spec: UnfoldSpec, shape) -> np.ndarray:

@@ -107,6 +107,13 @@ class TestCompleteCommand:
         assert f"{flag[2:]} needs at least one value" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())  # no manifest without traces
 
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_non_finite_beta_exits_2(self, tensor_file, tmp_path, capsys, beta):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "complete", str(tensor_file), "--beta", beta]) == 2
+        assert "beta must be positive and finite" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "complete", str(tmp_path / "nope.coo")]) == 2
 
@@ -355,6 +362,13 @@ class TestSynthCommand:
     def test_infeasible_ranks_exit_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "synth", "3,3,3", "--ranks", "9,1,1"]) == 2
 
+    @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+    def test_negative_or_non_finite_noise_exits_2(self, tmp_path, capsys, noise):
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "synth", "6,5,4", f"--noise={noise}"]) == 2
+        assert "noise must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
 
 class TestConfigPrecedence:
     def test_flags_beat_config_beats_defaults(self, tensor_file, tmp_path):
@@ -440,6 +454,23 @@ class TestConfigPrecedence:
         assert main(["--config", str(cfg), "--out", str(out), command, arg]) == 2
         key = line.split(" = ")[0]
         assert f"{key} must be an integer, got " in capsys.readouterr().err
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("line, command", [
+        ("observe = true", "synth"), ("noise = true", "synth"), ('noise = "low"', "synth"),
+        ("gap_hours = true", "ingest"), ("beta = true", "complete"),
+        ("beta = [1, false]", "complete"),
+    ])
+    def test_non_number_in_config_exits_2(self, tensor_file, tmp_path, capsys, line, command):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text(line + "\n")
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("1,10,4.0,1000\n1,11,4.0,2000\n")
+        out = tmp_path / "out"
+        arg = {"complete": tensor_file, "synth": "6,5,4", "ingest": ratings}[command]
+        assert main(["--config", str(cfg), "--out", str(out), command, str(arg)]) == 2
+        key = line.split(" = ")[0]
+        assert f"{key} must be a number, got " in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
     @pytest.mark.parametrize("line, shift", [("shift = 2.0", 2), ('shift = "2"', 2)])
