@@ -41,7 +41,9 @@ class OnlineConfig:
     ``rank_budgets`` are the completion rank budgets: each window is solved
     once for all of them (see :func:`tenscache.completion.complete_sweep`),
     and every predictor is scored on each budget's completion. A raw
-    treatment does not read them.
+    treatment does not read them. ``shift`` is the circular-unfolding shift
+    of the 4th-order (F, F, N_BS, tau) windows. Settings that no stream can
+    satisfy raise ``ValueError`` here.
     """
 
     tau: int = 10
@@ -51,6 +53,20 @@ class OnlineConfig:
     completion: tuple[bool, ...] = (True,)
     rank_budgets: tuple[int, ...] = (8,)
     shift: int = 1
+
+    def __post_init__(self):
+        if self.tau < self.order + 1:
+            raise ValueError(f"tau={self.tau} too short for prediction order {self.order}; "
+                             "need tau >= order + 1")
+        if not self.predictors:
+            raise ValueError("no predictor given")
+        if not self.completion:
+            raise ValueError("no treatment given")
+        if not 1 <= self.shift <= 3:
+            raise ValueError(f"shift {self.shift} invalid for the 4th-order windows; "
+                             "need 1 <= shift <= 3")
+        if min(self.rank_budgets, default=0) < 1:
+            raise ValueError(f"rank budgets must be >= 1, got {self.rank_budgets}")
 
 
 @dataclass
@@ -180,19 +196,12 @@ def run_online(
     _, num_files, _, n_bs = stream.shape
     if not 1 <= cfg.cache_size <= num_files:
         raise ValueError(f"cache size {cfg.cache_size} must be in 1..{num_files} (library size)")
-    if cfg.tau < cfg.order + 1:
-        raise ValueError(f"tau={cfg.tau} too short for prediction order {cfg.order}; "
-                         "need tau >= order + 1")
-    if not cfg.predictors:
-        raise ValueError("no predictor given")
-    if not cfg.completion:
-        raise ValueError("no treatment given")
     for slot, realized in enumerate(score_stream[cfg.tau:], start=cfg.tau + 1):
         if (realized < 0).any():
             raise ValueError(f"realized demands of slot {slot} must be nonnegative")
     pred_cfgs = {p: PredictorConfig(cfg.order, p) for p in cfg.predictors}
-    # the sweep reads every budget; the smallest one is checked here
-    fw_cfg = FwConfig(rank_budget=min(cfg.rank_budgets, default=0), shift=cfg.shift)
+    # the sweep reads every budget, not this one
+    fw_cfg = FwConfig(rank_budget=min(cfg.rank_budgets), shift=cfg.shift)
     raw = _raw_shares(stream, cfg.tau) if False in cfg.completion else None
     scored = (len(stream) - cfg.tau, n_bs)
     zero_demand = np.zeros(scored, dtype=bool)

@@ -20,6 +20,7 @@ import os
 import sys
 import time
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -258,14 +259,15 @@ def cmd_complete(args, config: dict) -> int:
         raise UsageError(f"input tensor file not found: {src}")
     s = _settings(args, config)
     t = read_coo(src)
+    fw = FwConfig(rank_budget=max(s["rank"]), shift=s["shift"], max_iter=s["max_iter"],
+                  mode_selection=s["mode_select"], update_rule=s["update"])
+    # one sweep over the rank list per beta, each checking its settings against t at the call
+    sweeps = {beta: complete_sweep(t, replace(fw, beta=beta), s["rank"]) for beta in s["beta"]}
     out_dir = _out_dir(args)
     started = time.perf_counter()
     traces = {}
-    for beta in s["beta"]:  # one sweep over the rank list per beta
-        fw = FwConfig(rank_budget=max(s["rank"]), beta=beta, shift=s["shift"],
-                      max_iter=s["max_iter"], mode_selection=s["mode_select"],
-                      update_rule=s["update"])
-        for rank, state, trace in complete_sweep(t, fw, s["rank"]):
+    for beta, sweep in sweeps.items():
+        for rank, state, trace in sweep:
             traces[rank, beta] = trace
             del state  # only the trace is written; free the iterate before the sweep resumes
     rows_by_run = {}
@@ -285,6 +287,11 @@ def cmd_simulate(args, config: dict) -> int:
     s = _settings(args, config)
     if s["bs"] < 1:
         raise UsageError(f"bs must be >= 1, got {s['bs']}")
+    if not 1 <= s["cache"] <= s["files"]:
+        raise UsageError(f"cache size {s['cache']} must be in 1..{s['files']} (library size)")
+    cfg = OnlineConfig(tau=s["tau"], order=s["order"], cache_size=s["cache"],
+                       predictors=s["predictor"], completion=s["completion"],
+                       rank_budgets=tuple(s["ranks"]), shift=s["shift"])
     if args.ratings:
         source = Path(args.ratings)
         result = build_demand_tensor(_read_ratings(source),
@@ -299,9 +306,6 @@ def cmd_simulate(args, config: dict) -> int:
 
     out_dir = _out_dir(args)
     started = time.perf_counter()
-    cfg = OnlineConfig(tau=s["tau"], order=s["order"], cache_size=s["cache"],
-                       predictors=s["predictor"], completion=s["completion"],
-                       rank_budgets=tuple(s["ranks"]), shift=s["shift"])
     result = run_online(stream, cfg, score_stream)
     outputs = ["slots.csv", "summary.csv"]
     manifest_name = _write_manifest(

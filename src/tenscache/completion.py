@@ -40,7 +40,6 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -72,11 +71,12 @@ UPDATE_MULTI = "multi"
 UPDATE_RANK_ONE = "rank1"
 
 # Relative threshold below which trailing singular values of a gradient
-# unfolding are treated as zero and never appended as components. The Gram
-# route of ``truncated_svd`` resolves singular values only down to about
-# ``sqrt(eps) * sigma_1`` (~1.5e-8); its trailing values on exactly
-# rank-deficient matrices measure 1e-8 to 3e-8 of ``sigma_1`` (shapes 3x1e6
-# to 1280x384), so the cut sits a factor of ~4 above that noise.
+# unfolding are treated as zero: dropped from the step, so never charged to
+# the rank ledger. The Gram route of ``truncated_svd`` resolves singular
+# values only down to about ``sqrt(eps) * sigma_1`` (~1.5e-8); its trailing
+# values on exactly rank-deficient matrices measure 1e-8 to 3e-8 of
+# ``sigma_1`` (shapes 3x1e6 to 1280x384), so the cut sits a factor of ~4
+# above that noise.
 _SIGMA_EPS = 1e-7
 # Observed-entry RSE below which an exactly recoverable input is done: further
 # steps would only churn at the numerical noise floor.
@@ -91,8 +91,8 @@ class ZeroGradientError(ValueError):
 class FwConfig:
     """Solver configuration.
 
-    ``rank_budget`` caps the total number of appended SVD components across
-    all modes. ``beta`` is the nuclear-norm scale of each step; results are
+    ``rank_budget`` caps the total rank charged to the ledger across all
+    modes. ``beta`` is the nuclear-norm scale of each step; results are
     invariant to it (see :func:`beta_invariance_check`). ``shift`` is the
     circular-unfolding shift ``d``.
     """
@@ -268,10 +268,9 @@ def gradient_step(
     gradient unfolding, rescaled so the weights sum to ``beta``; the rank-1
     rule keeps the leading pair with weight ``beta`` and discards the
     singular-value structure. Trailing singular values below
-    ``_SIGMA_EPS * sigma_1``, which the SVD does not resolve, are dropped
-    rather than appended as components, so the returned rank may be below
-    ``r_k``. The triplets beyond ``r_k`` are not
-    read, so one SVD serves every allowance up to its size.
+    ``_SIGMA_EPS * sigma_1``, which the SVD does not resolve, are dropped, so
+    the returned rank may be below ``r_k``. The triplets beyond ``r_k`` are
+    not read, so one SVD serves every allowance up to its size.
     """
     r_want = 1 if update_rule == UPDATE_RANK_ONE else r_k
     if not 1 <= r_want <= trip.sigma.size:
@@ -372,18 +371,19 @@ def complete_sweep(
     active mode, a zero gradient, a ``gamma == 0`` step, or ``max_iter``
     steps.
 
-    The budgets walk a tree: mode selection and one SVD (sized for the
-    largest allowance, sliced for the others) run once per node, budgets
-    whose allowances agree share the step, and the path forks, each branch
-    with its own copy of the iterate and ledger, where they differ (never
-    under the rank-1 rule). The walk is depth-first, so each branch is done
-    and freed before its sibling starts.
+    The budgets share one path: mode selection and one SVD, sized for the
+    largest budget's allowance, run once per step, and every budget with at
+    least the step's rank left takes that step. A budget with less left
+    (never under the rank-1 rule) takes its own last step, sliced from the
+    same triplets and applied to a copy of the iterate and ledger, which
+    spends its budget. So a sweep holds about one extra iterate at a time.
 
-    Yields ``(budget, state, trace)`` once per distinct budget as its run
-    ends: bitwise what :func:`complete` gives for that budget alone, except
-    that ``elapsed_s`` counts from the start of the sweep. Each state owns
-    its iterate and carries its budget in its config. Bad input, including
-    an empty or invalid budget list, raises ``ValueError`` at the call.
+    Yields ``(budget, state, trace)`` once per distinct budget, in rising
+    order, as its run ends: bitwise what :func:`complete` gives for that
+    budget alone, except that ``elapsed_s`` counts from the start of the
+    sweep. Each state owns its iterate and carries its budget in its config.
+    Bad input, including an empty or invalid budget list, raises
+    ``ValueError`` at the call.
     """
     if t.nnz == 0:
         raise ValueError("observed tensor has no entries")
@@ -393,77 +393,57 @@ def complete_sweep(
     configs = {b: replace(cfg, rank_budget=b) for b in sorted(set(budgets))}
     if not configs:
         raise ValueError("no rank budget given")
-    state = FwState.initial(t.shape, cfg)
+    return _sweep(t, t_norm, configs, FwState.initial(t.shape, cfg))
+
+
+def _sweep(t, t_norm, configs, state):
+    """The loop of :func:`complete_sweep` from the zero ``state``."""
     start = time.perf_counter()
+    cfg, budgets = state.config, list(configs)
     grads = GradientUnfoldings(t, cfg.shift)
-    rank_one = cfg.update_rule == UPDATE_RANK_ONE
-
-    def finish(state, trace, budgets, live):
-        """Results for ``budgets``, whose runs end at ``state``. They get
-        copies, except that when the path ends here (``live``) the last one
-        takes the path's own state."""
-        for i, b in enumerate(budgets):
-            own = live and i == len(budgets) - 1
-            x, rows = (state.x, trace) if own else (state.x.copy(), list(trace))
-            yield b, FwState(x, dict(state.consumed), configs[b]), rows
-
-    def advance(state, step, residual, it, fork):
-        """``step`` line-searched and applied (to a new state when ``fork``):
-        the new state, residual, RSE and trace row; ``None`` when the line
-        search gives ``gamma == 0``."""
+    residual = t.gather(state.x) - t.values
+    rse = float(np.linalg.norm(residual)) / t_norm
+    trace = [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)]
+    for it in range(1, cfg.max_iter + 1):
+        active, spent = state.active, state.consumed_total()
+        if rse < _RSE_FLOOR or not active or budgets[-1] <= spent:
+            break
+        while budgets[0] <= spent:
+            b = budgets.pop(0)
+            yield b, FwState(state.x.copy(), dict(state.consumed), configs[b]), list(trace)
+        k, m = select_mode(grads, residual, cfg, active)
+        r = 1 if cfg.update_rule == UPDATE_RANK_ONE else update_rank_budget(state, k, budgets[-1])
+        trip = truncated_svd(m, r)
+        del m  # free the unfolding before any step tensor is built
+        try:
+            step = gradient_step(trip, k, r, cfg.beta, cfg.update_rule)
+        except ZeroGradientError:
+            break
+        # budget b keeps min(b - spent, step.rank) triplets: with less left (never the
+        # largest budget, whose allowance sized the SVD) it takes its own last step
+        while budgets[0] - spent < step.rank:
+            b = budgets.pop(0)
+            last = gradient_step(trip, k, b - spent, cfg.beta, cfg.update_rule)
+            s = last.dense(t.shape, cfg.shift)
+            gamma = line_search(residual, t.gather(s))
+            if gamma == 0.0:
+                yield b, FwState(state.x.copy(), dict(state.consumed), configs[b]), list(trace)
+                continue
+            own = apply_update(state, last, gamma, s, fork=True)
+            own_rse = float(np.linalg.norm(t.gather(own.x) - t.values)) / t_norm
+            row = TraceRow(it, own_rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta)
+            yield b, FwState(own.x, own.consumed, configs[b]), trace + [row]
         s = step.dense(t.shape, cfg.shift)
         gamma = line_search(residual, t.gather(s))
         if gamma == 0.0:
-            return None
-        state = apply_update(state, step, gamma, s, fork)
+            break
+        state = apply_update(state, step, gamma, s)
         residual = t.gather(state.x) - t.values
         rse = float(np.linalg.norm(residual)) / t_norm
-        row = TraceRow(it, rse, time.perf_counter() - start, step.mode, gamma, gamma * cfg.beta)
-        return state, residual, rse, row
-
-    def walk(state, budgets, residual, rse, trace, first):
-        """Run the sorted ``budgets`` on from ``state``, yielding each result."""
-        for it in range(first, cfg.max_iter + 1):
-            active = state.active
-            if rse < _RSE_FLOOR or not active:
-                break
-            spent = state.consumed_total()
-            done = [b for b in budgets if b <= spent]
-            budgets = budgets[len(done):]
-            yield from finish(state, trace, done, live=not budgets)
-            if not budgets:
-                return
-            k, m = select_mode(grads, residual, cfg, active)
-            # each budget's allowance is >= 1: k is active and budget remains
-            groups = [(r, list(group)) for r, group in groupby(
-                budgets, lambda b: 1 if rank_one else update_rank_budget(state, k, b))]
-            trip = truncated_svd(m, groups[-1][0])  # allowances rise with the budget
-            del m  # free the unfolding before any step tensor is built
-            try:
-                steps = [(gradient_step(trip, k, r, cfg.beta, cfg.update_rule), group)
-                         for r, group in groups]
-            except ZeroGradientError:
-                break
-            *forks, (step, budgets) = steps
-            for fork_step, group in forks:
-                moved = advance(state, fork_step, residual, it, fork=True)
-                if moved is None:
-                    yield from finish(state, trace, group, live=False)
-                    continue
-                child, child_residual, child_rse, row = moved
-                del moved
-                yield from walk(child, group, child_residual, child_rse, trace + [row], it + 1)
-                del child, child_residual
-            moved = advance(state, step, residual, it, fork=False)
-            if moved is None:
-                break
-            state, residual, rse, row = moved
-            trace.append(row)
-        yield from finish(state, trace, budgets, live=True)
-
-    residual = t.gather(state.x) - t.values
-    rse = float(np.linalg.norm(residual)) / t_norm
-    return walk(state, list(configs), residual, rse, [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)], 1)
+        trace.append(TraceRow(it, rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta))
+    for b in budgets[:-1]:
+        yield b, FwState(state.x.copy(), dict(state.consumed), configs[b]), list(trace)
+    yield budgets[-1], FwState(state.x, dict(state.consumed), configs[budgets[-1]]), trace
 
 
 def beta_invariance_check(

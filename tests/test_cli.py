@@ -295,6 +295,25 @@ class TestSimulateCommand:
         assert avg["lp-raw"] == avg["mean-raw"]
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [(["complete", "F", "--max-iter", "0"], "max_iter must be >= 1"),
+     (["complete", "F", "--shift", "4"], "shift 4 invalid for order 4"),
+     (["complete", "F", "--rank", "4,0"], "rank_budget must be >= 1"),
+     (["simulate", "--ranks", "0"], "rank budgets must be >= 1"),
+     (["simulate", "--tau", "3"], "too short for prediction order 6"),
+     (["simulate", "--cache", "40", "--files", "16"], "cache size 40 must be in 1..16"),
+     (["simulate", "--shift", "4", "--slots", "12", "--files", "16", "--cache", "4"],
+      "shift 4 invalid for the 4th-order windows")],
+)
+def test_settings_error_exits_2_leaving_no_out_dir(tensor_file, tmp_path, capsys, argv, cause):
+    out = tmp_path / "out"
+    argv = [str(tensor_file) if arg == "F" else arg for arg in argv]
+    assert main(["--out", str(out), *argv]) == 2
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestIngestCommand:
     def test_ratings_to_slot_files(self, tmp_path):
         ratings = tmp_path / "ratings.csv"

@@ -514,6 +514,14 @@ def test_solver_invariants(dims, shift, budget, rule, selection, seed):
     assert state.active == {k for k in min_dim if state.consumed[k] < min_dim[k]}
 
 
+def near_rank_one(shape, rng):
+    """A CP rank-1 tensor of standard-normal vectors plus ``1e-9`` noise."""
+    x = np.ones(())
+    for n in shape:
+        x = np.multiply.outer(x, rng.standard_normal(n))
+    return x + 1e-9 * rng.standard_normal(shape)
+
+
 def trace_columns(trace):
     """Every trace column but ``elapsed_s``."""
     return repr([(row.iteration, row.rse, row.mode, row.gamma, row.beta_gamma) for row in trace])
@@ -528,15 +536,19 @@ def trace_columns(trace):
     st.sampled_from(["sigma", "min-dim"]),
     st.floats(min_value=0.1, max_value=1.0),
     st.integers(min_value=0, max_value=10**6),
+    st.booleans(),
 )
 def test_sweep_bitwise_equals_single_budget_solves(dims, shift, budgets, rule, selection,
-                                                   density, seed):
+                                                   density, seed, near_low_rank):
     shape = tuple(dims)
     rng = np.random.default_rng(seed)
     total = int(np.prod(shape))
-    flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
-    values = rng.normal(size=flat.size)
-    values[0] = 1.0  # never all zero
+    if near_low_rank:  # fully observed: the first step drops all but one triplet
+        flat, values = np.arange(total), near_rank_one(shape, rng).ravel()
+    else:
+        flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+        values = rng.normal(size=flat.size)
+        values[0] = 1.0  # never all zero
     t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1), values)
     cfg = FwConfig(rank_budget=1, shift=shift, update_rule=rule, mode_selection=selection)
     swept = list(complete_sweep(t, cfg, budgets))  # every result kept while the sweep runs
@@ -554,7 +566,8 @@ class TestCompleteSweep:
         obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
         return obs
 
-    def test_rank1_budgets_share_every_step(self, monkeypatch):
+    def svd_ranks(self, monkeypatch):
+        """The rank of every ``truncated_svd`` call the solver makes from now on."""
         calls = []
 
         def counting_svd(m, r):
@@ -562,6 +575,10 @@ class TestCompleteSweep:
             return truncated_svd(m, r)
 
         monkeypatch.setattr(completion_mod, "truncated_svd", counting_svd)
+        return calls
+
+    def test_rank1_budgets_share_every_step(self, monkeypatch):
+        calls = self.svd_ranks(monkeypatch)
         cfg = FwConfig(rank_budget=1, shift=2, update_rule="rank1")
         traces = {b: tr for b, _, tr in complete_sweep(self.fixture(), cfg, (8, 2, 4))}
         assert [len(traces[b]) - 1 for b in (2, 4, 8)] == [2, 4, 8]
@@ -569,18 +586,27 @@ class TestCompleteSweep:
         assert trace_columns(traces[2]) == trace_columns(traces[8][:3])
 
     def test_multi_forks_where_allowances_differ(self, monkeypatch):
-        calls = []
-
-        def counting_svd(m, r):
-            calls.append(r)
-            return truncated_svd(m, r)
-
-        monkeypatch.setattr(completion_mod, "truncated_svd", counting_svd)
+        calls = self.svd_ranks(monkeypatch)
         cfg = FwConfig(rank_budget=1, mode_selection="min-dim")  # the 3-row mode-3 unfolding
         results = list(complete_sweep(self.fixture(), cfg, (2, 5, 9)))
         assert calls == [3]  # one SVD, sized for the largest allowance
         ranks = {b: state.consumed[3] for b, state, _ in results}
         assert ranks == {2: 2, 5: 3, 9: 3}
+
+    @pytest.mark.parametrize("budgets", [(3, 9), (2, 4, 9)])
+    def test_budgets_stay_on_a_step_that_drops_triplets(self, monkeypatch, budgets):
+        # the first step keeps 1 of its 6 triplets for every budget, so no
+        # budget leaves the path there; the smaller ones end on the second step
+        t = SparseTensor((6, 6, 6), np.argwhere(np.ones((6, 6, 6))),
+                         near_rank_one((6, 6, 6), np.random.default_rng(0)).ravel())
+        calls = self.svd_ranks(monkeypatch)
+        swept = list(complete_sweep(t, FwConfig(rank_budget=1), budgets))
+        assert calls == [6, 5]
+        for budget, state, trace in swept:
+            ref_state, ref_trace = complete(t, FwConfig(rank_budget=budget))
+            assert state.consumed == ref_state.consumed
+            assert state.x.tobytes() == ref_state.x.tobytes()
+            assert trace_columns(trace) == trace_columns(ref_trace)
 
     @pytest.mark.parametrize("budgets", [(), (0, 4)])
     def test_bad_budgets_rejected_at_the_call(self, budgets):
