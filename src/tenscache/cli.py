@@ -43,14 +43,20 @@ class UsageError(ValueError):
     """Bad input or flags; maps to exit code 2."""
 
 
-def _integer(name: str):
+def _integer(name: str, least: int | None = None):
     """Parser of an integer setting: an int, an integral float or an integer
-    string; a bool or a non-integral value is a usage error, not truncated."""
+    string; a bool, a non-integral value (never truncated) or a value below
+    ``least`` is a usage error."""
     def parse(value) -> int:
+        number = None
         if not (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
             with contextlib.suppress(ValueError):
-                return int(value)
-        raise UsageError(f"{name} must be an integer, got {value!r}")
+                number = int(value)
+        if number is None:
+            raise UsageError(f"{name} must be an integer, got {value!r}")
+        if least is not None and number < least:
+            raise UsageError(f"{name} must be >= {least}, got {number}")
+        return number
     return parse
 
 
@@ -77,6 +83,11 @@ def _num_list(spec, name: str, kind=_integer) -> list:
 def _sweep(name: str, kind=_integer):
     """Parser of a sweep list: each value is solved and written once, at its first place."""
     return lambda spec: list(dict.fromkeys(_num_list(spec, name, kind)))
+
+
+def _mode_ranks(value):
+    """The ``mode_ranks`` setting: ``None`` (2 per mode, filled in by ``synth``) or a list."""
+    return None if value is None else _num_list(value, "mode_ranks")
 
 
 def _as_given(value):
@@ -110,16 +121,16 @@ SETTINGS = {
     "mode_select": ("sigma", _as_given, {"choices": ["sigma", "min-dim"]}),
     "update": ("multi", _as_given, {"choices": ["multi", "rank1"]}),
     "max_iter": (200, _integer("max_iter"), {"type": int}),
-    "seed": (0, _integer("seed"), {"type": int}),
+    "seed": (0, _integer("seed", 0), {"type": int}),
     "tau": (10, _integer("tau"), {"type": int}),
     "order": (6, _integer("order"), {"type": int}),
     "cache": (32, _integer("cache"), {"type": int}),
-    "bs": (3, _integer("bs"), {"type": int}),
+    "bs": (3, _integer("bs", 1), {"type": int}),
     "files": (128, _integer("files"), {"type": int}),
     "ranks": ("8,16,24", _sweep("ranks"), {"help": "comma list of completion rank budgets"}),
     "predictor": ("both", _predictors, {"choices": ["lp", "mean", "both"]}),
     "completion": ("both", _completions, {"choices": ["on", "off", "both"]}),
-    "slots": (40, _integer("slots"), {"type": int, "help": "synthetic stream length"}),
+    "slots": (40, _integer("slots", 1), {"type": int, "help": "synthetic stream length"}),
     "observe": (0.05, _real("observe"), {"type": float, "help": "observed fraction of the synthetic data"}),
     "top_f": (128, _integer("top_f"), {"type": int}),
     "slot_days": (30, _integer("slot_days"), {"type": int}),
@@ -127,6 +138,7 @@ SETTINGS = {
     "gap_hours": (6.0, _real("gap_hours"), {"type": float}),
     "weight": ("count", str, {"choices": ["count", "stars"]}),
     "noise": (0.0, _real("noise"), {"type": float}),
+    "mode_ranks": (None, _mode_ranks, {"help": "per-mode ranks (default 2 each)"}),
 }
 
 # the settings each command reads, in the order they are parsed
@@ -135,7 +147,7 @@ COMMAND_SETTINGS = {
     "simulate": ("tau", "order", "cache", "bs", "files", "shift", "seed", "ranks",
                  "predictor", "completion", "slots", "observe"),
     "ingest": ("top_f", "bs", "slot_days", "pairing", "gap_hours", "weight"),
-    "synth": ("seed", "observe", "noise", "shift"),
+    "synth": ("seed", "observe", "noise", "shift", "mode_ranks"),
 }
 
 
@@ -285,8 +297,6 @@ def cmd_complete(args, config: dict) -> int:
 
 def cmd_simulate(args, config: dict) -> int:
     s = _settings(args, config)
-    if s["bs"] < 1:
-        raise UsageError(f"bs must be >= 1, got {s['bs']}")
     if not 1 <= s["cache"] <= s["files"]:
         raise UsageError(f"cache size {s['cache']} must be in 1..{s['files']} (library size)")
     cfg = OnlineConfig(tau=s["tau"], order=s["order"], cache_size=s["cache"],
@@ -345,10 +355,9 @@ def cmd_ingest(args, config: dict) -> int:
 
 def cmd_synth(args, config: dict) -> int:
     shape = _num_list(args.shape, "shape")
-    spec = args.ranks if args.ranks is not None else config.get("ranks")
-    ranks = _num_list(spec, "ranks") if spec is not None else [2] * len(shape)
     s = _settings(args, config)
-    observed, truth = synth_low_rank(shape, ranks, s["noise"], s["observe"],
+    s["mode_ranks"] = s["mode_ranks"] or [2] * len(shape)
+    observed, truth = synth_low_rank(shape, s["mode_ranks"], s["noise"], s["observe"],
                                      s["seed"], s["shift"])
     out_dir = _out_dir(args)
     started = time.perf_counter()
@@ -358,7 +367,7 @@ def cmd_synth(args, config: dict) -> int:
     if args.truth_out:
         write_coo_dense(out_dir / args.truth_out, truth)
         outputs.append(args.truth_out)
-    _write_manifest(out_dir, "synth", {**s, "shape": shape, "ranks": ranks},
+    _write_manifest(out_dir, "synth", {**s, "shape": shape},
                     time.perf_counter() - started, outputs)
     print(f"wrote {out_dir / name}")
     return 0
@@ -389,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", parents=[common], help="generate a low-rank COO fixture")
     p.add_argument("shape", help="comma list of dims, e.g. 40,40,3,10")
-    p.add_argument("--ranks", help="per-mode ranks (default 2 each)")
     p.add_argument("--name", help="output file name (default observed.coo)")
     p.add_argument("--truth-out", dest="truth_out", help="also write the dense truth")
 

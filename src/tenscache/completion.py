@@ -9,7 +9,7 @@ The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
 2. picks the mode whose gradient unfolding has the largest dominant singular
    value (or, with the cheap rule, the smallest matrix dimension),
 3. takes that unfolding's top singular triplets, up to the per-iteration
-   rank allowance, from the eigendecomposition of its small-side Gram matrix
+   rank allowance, from the eigendecomposition of the Gram matrix step 2 formed
    (accurate down to about ``sqrt(eps) * sigma_1``; triplets below
    ``_SIGMA_EPS * sigma_1`` are dropped as unresolved), normalizes them so
    the step's unfolding has nuclear norm ``beta``, and folds them back into
@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .svd import SvdTriplet, dominant_sigma, truncated_svd
+from .svd import Gram, SvdTriplet, dominant_sigma, truncated_svd
 
 # ``unfold`` is not called here; perfbench/tracing.py wraps it in this namespace
 from .tensors import SparseTensor, UnfoldSpec, fold, unfold, validate_shape  # noqa: F401
@@ -218,9 +218,9 @@ class GradientUnfoldings:
 
 def select_mode(
     grads: GradientUnfoldings, residual: np.ndarray, cfg: FwConfig, active: set[int]
-) -> tuple[int, np.ndarray]:
-    """Pick the unfolding mode for the next step; return it with its gradient
-    unfolding.
+) -> tuple[int, Gram]:
+    """Pick the unfolding mode for the next step; return it with the
+    :class:`Gram` of its gradient unfolding, which the step factors.
 
     ``sigma``: argmax of the dominant singular value of the gradient's
     circular unfolding over the active modes. ``min-dim``: argmin of the
@@ -229,28 +229,28 @@ def select_mode(
 
     At ``N == 2 * shift`` the mode-``k`` and mode-``(k + shift)`` unfoldings
     are transposes, so the second reuses the first's sigma (and, tied,
-    cannot win). Only the best candidate's unfolding is kept alive.
+    cannot win). Only the best candidate's :class:`Gram` is kept alive.
     """
     if not active:
         raise ValueError("active mode set is empty")
     modes = sorted(active)
     if cfg.mode_selection == MODE_MIN_DIM:
         best = min(modes, key=lambda k: min(grads.dims[k]))
-        return best, grads.matrix(best, residual)
+        return best, Gram(grads.matrix(best, residual))
     twins = len(grads.dims) == 2 * cfg.shift
     sigma: dict[int, float] = {}
-    best, best_m = modes[0], None
+    best, best_gram = modes[0], None
     for k in modes:
         twin = k - cfg.shift
         if twins and twin in sigma:
             sigma[k] = sigma[twin]
             continue
-        m = grads.matrix(k, residual)
-        sigma[k] = dominant_sigma(m)
-        if best_m is None or sigma[k] > sigma[best]:
-            best, best_m = k, m
-        del m
-    return best, best_m
+        gram = Gram(grads.matrix(k, residual))
+        sigma[k] = dominant_sigma(gram)
+        if best_gram is None or sigma[k] > sigma[best]:
+            best, best_gram = k, gram
+        del gram
+    return best, best_gram
 
 
 def gradient_step(
@@ -366,7 +366,7 @@ def complete_sweep(
 
     Each step selects a mode, takes its rank allowance, builds the step
     tensor once, line-searches it and applies it. The gradient unfoldings are
-    scattered from the residual, and the selected one is handed to the step.
+    scattered from the residual; the step factors the selection's Gram matrix.
     A budget's run stops at the first of: the RSE floor, its budget spent, no
     active mode, a zero gradient, a ``gamma == 0`` step, or ``max_iter``
     steps.
@@ -411,10 +411,10 @@ def _sweep(t, t_norm, configs, state):
         while budgets[0] <= spent:
             b = budgets.pop(0)
             yield b, FwState(state.x.copy(), dict(state.consumed), configs[b]), list(trace)
-        k, m = select_mode(grads, residual, cfg, active)
+        k, gram = select_mode(grads, residual, cfg, active)
         r = 1 if cfg.update_rule == UPDATE_RANK_ONE else update_rank_budget(state, k, budgets[-1])
-        trip = truncated_svd(m, r)
-        del m  # free the unfolding before any step tensor is built
+        trip = truncated_svd(gram, r)
+        del gram  # free the unfolding before any step tensor is built
         try:
             step = gradient_step(trip, k, r, cfg.beta, cfg.update_rule)
         except ZeroGradientError:

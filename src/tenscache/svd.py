@@ -1,10 +1,10 @@
 """Truncated SVD and dominant-singular-value queries for unfolding matrices.
 
-Both come from the small-side Gram matrix ``G`` (``a @ a.T`` if the matrix
-is wide, else ``a.T @ a``) of ``a``, the matrix scaled by an exact power of
-two so its largest entry lies in [0.5, 1): the Gram entries then neither
-underflow nor overflow, and the scale comes back out exactly. An
-eigendecomposition of ``G`` costs far less than an SVD of a skinny
+Both read one :class:`Gram`: the small-side Gram matrix ``G`` (``a @ a.T``
+if the matrix is wide, else ``a.T @ a``) of ``a = m * 2**-exp``, the matrix
+scaled exactly so its largest entry lies in [0.5, 1). The Gram entries then
+neither underflow nor overflow, and the scale comes back out exactly.
+An eigendecomposition of ``G`` costs far less than an SVD of a skinny
 unfolding, but squares the condition number: a singular value is resolved
 only down to about ``sqrt(eps) * sigma_1`` (~1.5e-8 relative), and below
 that the triplet is rounding noise.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SvdTriplet", "dominant_sigma", "truncated_svd"]
+__all__ = ["Gram", "SvdTriplet", "dominant_sigma", "truncated_svd"]
 
 
 @dataclass
@@ -29,26 +29,28 @@ class SvdTriplet:
     v: np.ndarray
 
 
-def _scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(a, exp)`` with ``m == a * 2**exp`` exactly and ``max|a|`` in [0.5, 1)
-    (``exp == 0`` for the zero matrix). Rejects non-finite entries: the peak
-    is non-finite iff some entry is."""
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"expected a nonempty matrix, got shape {m.shape}")
-    peak = float(np.abs(m).max())
-    if not math.isfinite(peak):
-        raise ValueError("matrix contains non-finite entries")
-    exp = math.frexp(peak)[1]
-    return np.ldexp(m, -exp), exp
+class Gram:
+    """Matrix ``m`` made ready for both queries, once: ``a`` and ``exp`` with
+    ``m == a * 2**exp`` exactly, and ``g``, the ``G`` of ``a`` (module docstring).
+    ``a`` is held in F order whatever ``m``'s layout, so results do not depend on it."""
+
+    def __init__(self, m: np.ndarray):
+        if m.ndim != 2 or m.size == 0:
+            raise ValueError(f"expected a nonempty matrix, got shape {m.shape}")
+        peak = float(np.abs(m).max())
+        if not math.isfinite(peak):  # the peak is non-finite iff some entry is
+            raise ValueError("matrix contains non-finite entries")
+        self.exp = math.frexp(peak)[1]  # 0 for the zero matrix
+        a = self.a = np.ldexp(m, -self.exp, order="F")
+        self.g = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.a.shape
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """The small-side Gram matrix of ``a`` (``a @ a.T`` when it is wide)."""
-    return a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
-
-
-def truncated_svd(m: np.ndarray, r: int) -> SvdTriplet:
-    """Top-``r`` singular triplets of ``m``.
+def truncated_svd(gram: Gram, r: int) -> SvdTriplet:
+    """Top-``r`` singular triplets of the matrix ``m`` of ``gram``.
 
     The small side's vectors are the top ``r`` eigenvectors of the Gram
     matrix, ``sigma`` the square roots of their eigenvalues (negative
@@ -60,14 +62,13 @@ def truncated_svd(m: np.ndarray, r: int) -> SvdTriplet:
     triplets; callers drop them. Signs are fixed by making the
     largest-magnitude entry of each left singular vector positive.
     """
-    a, exp = _scaled(m)
-    if not 1 <= r <= min(m.shape):
-        raise ValueError(f"rank {r} out of range 1..{min(m.shape)}")
-    wide = a.shape[0] <= a.shape[1]
-    lam, vec = np.linalg.eigh(_gram(a))
+    if not 1 <= r <= min(gram.shape):
+        raise ValueError(f"rank {r} out of range 1..{min(gram.shape)}")
+    wide = gram.shape[0] <= gram.shape[1]
+    lam, vec = np.linalg.eigh(gram.g)
     lam, vec = lam[::-1][:r], vec[:, ::-1][:, :r]
     s = np.sqrt(np.maximum(lam, 0.0))
-    b = a.T if wide else a
+    b = gram.a.T if wide else gram.a
     other = np.zeros((b.shape[0], r))
     for j in np.flatnonzero(s):  # one product per column: independent of r
         other[:, j] = (b @ vec[:, j]) / s[j]
@@ -75,11 +76,10 @@ def truncated_svd(m: np.ndarray, r: int) -> SvdTriplet:
     flip = u[np.argmax(np.abs(u), axis=0), np.arange(r)] < 0
     u[:, flip] *= -1.0
     v[:, flip] *= -1.0
-    return SvdTriplet(u, np.ldexp(s, exp), v)
+    return SvdTriplet(u, np.ldexp(s, gram.exp), v)
 
 
-def dominant_sigma(m: np.ndarray) -> float:
-    """Largest singular value of ``m``: the square root of the Gram matrix's
-    top eigenvalue (see the module docstring), accurate to rounding."""
-    a, exp = _scaled(m)
-    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(_gram(a))[-1]), exp))
+def dominant_sigma(gram: Gram) -> float:
+    """Largest singular value of the matrix ``m`` of ``gram``: the square root
+    of the Gram matrix's top eigenvalue, accurate to rounding."""
+    return float(np.ldexp(np.sqrt(np.linalg.eigvalsh(gram.g)[-1]), gram.exp))

@@ -304,7 +304,10 @@ class TestSimulateCommand:
      (["simulate", "--tau", "3"], "too short for prediction order 6"),
      (["simulate", "--cache", "40", "--files", "16"], "cache size 40 must be in 1..16"),
      (["simulate", "--shift", "4", "--slots", "12", "--files", "16", "--cache", "4"],
-      "shift 4 invalid for the 4th-order windows")],
+      "shift 4 invalid for the 4th-order windows"),
+     (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
+     (["synth", "6,5,4", "--seed", "-1"], "seed must be >= 0, got -1"),
+     (["simulate", "--slots", "-3"], "slots must be >= 1, got -3")],
 )
 def test_settings_error_exits_2_leaving_no_out_dir(tensor_file, tmp_path, capsys, argv, cause):
     out = tmp_path / "out"
@@ -371,7 +374,7 @@ class TestSynthCommand:
     def test_generates_coo_fixture(self, tmp_path):
         out = tmp_path / "out"
         rc = main(
-            ["--out", str(out), "synth", "6,5,4", "--ranks", "1,1,1", "--observe", "0.5",
+            ["--out", str(out), "synth", "6,5,4", "--mode-ranks", "1,1,1", "--observe", "0.5",
              "--truth-out", "truth.coo"]
         )
         assert rc == 0
@@ -379,7 +382,7 @@ class TestSynthCommand:
         assert (out / "truth.coo").exists()
 
     def test_infeasible_ranks_exit_2(self, tmp_path):
-        assert main(["--out", str(tmp_path), "synth", "3,3,3", "--ranks", "9,1,1"]) == 2
+        assert main(["--out", str(tmp_path), "synth", "3,3,3", "--mode-ranks", "9,1,1"]) == 2
 
     @pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
     def test_negative_or_non_finite_noise_exits_2(self, tmp_path, capsys, noise):
@@ -405,15 +408,30 @@ class TestConfigPrecedence:
         assert manifest["config"]["max_iter"] == 50  # config wins over default
         assert manifest["config"]["shift"] == 1  # built-in default
 
-    @pytest.mark.parametrize("flag, ranks", [([], [1, 1, 1]), (["--ranks", "2,1,1"], [2, 1, 1])])
+    @pytest.mark.parametrize("flag, ranks",
+                             [([], [1, 1, 1]), (["--mode-ranks", "2,1,1"], [2, 1, 1])])
     def test_synth_ranks_flag_beats_config(self, tmp_path, flag, ranks):
         cfg = tmp_path / "synth.toml"
-        cfg.write_text("ranks = [1, 1, 1]\nseed = 3\n")
+        cfg.write_text("mode_ranks = [1, 1, 1]\nseed = 3\n")
         out = tmp_path / "out"
         assert main(["--config", str(cfg), "--out", str(out), "synth", "6,5,4", *flag]) == 0
         [manifest] = out.glob("manifest-synth-*.json")
         config = json.loads(manifest.read_text())["config"]
-        assert (config["ranks"], config["seed"]) == (ranks, 3)
+        assert (config["mode_ranks"], config["seed"]) == (ranks, 3)
+
+    def test_one_config_serves_simulate_and_synth(self, tmp_path):
+        # rank budgets (ranks) and per-mode ranks (mode_ranks) are separate keys
+        cfg = tmp_path / "both.toml"
+        cfg.write_text("ranks = [8, 16, 24]\nmode_ranks = [1, 1, 1]\n"
+                       "files = 8\nbs = 2\ncache = 2\ntau = 3\norder = 2\nslots = 6\n")
+        echo = {}
+        for command in (["simulate"], ["synth", "6,5,4"]):
+            out = tmp_path / command[0]
+            assert main(["--config", str(cfg), "--out", str(out), *command]) == 0
+            [manifest] = out.glob("manifest-*.json")
+            echo[command[0]] = json.loads(manifest.read_text())["config"]
+        assert echo["simulate"]["ranks"] == [8, 16, 24]
+        assert echo["synth"]["mode_ranks"] == [1, 1, 1]
 
     def test_env_var_out_dir(self, tensor_file, tmp_path, monkeypatch):
         target = tmp_path / "from-env"
@@ -573,7 +591,7 @@ class TestManifestConfigAtDefaults:
     def test_synth(self, tmp_path):
         assert main(["--out", str(tmp_path), "synth", "6,5,4"]) == 0
         self.assert_echo(tmp_path, "synth", {
-            "shape": [6, 5, 4], "ranks": [2, 2, 2], "observe": 0.05, "noise": 0.0,
+            "shape": [6, 5, 4], "mode_ranks": [2, 2, 2], "observe": 0.05, "noise": 0.0,
             "seed": 0, "shift": 1,
         })
 
@@ -595,8 +613,8 @@ class TestCliSurface:
             "ingest": ({"ratings", "--top-f", "--bs", "--slot-days", "--pairing", "--gap-hours",
                         "--weight"},
                        {"--pairing": ["self", "cosession"], "--weight": ["count", "stars"]}),
-            "synth": ({"shape", "--ranks", "--observe", "--noise", "--shift", "--seed", "--name",
-                       "--truth-out"}, {}),
+            "synth": ({"shape", "--mode-ranks", "--observe", "--noise", "--shift", "--seed",
+                       "--name", "--truth-out"}, {}),
         }
         assert set(subparsers.choices) == set(expected)
         for command, (options, choices) in expected.items():

@@ -21,7 +21,7 @@ from tenscache.completion import (
     update_rank_budget,
 )
 from tenscache.ingest import synth_low_rank
-from tenscache.svd import dominant_sigma, truncated_svd
+from tenscache.svd import Gram, dominant_sigma, truncated_svd
 from tenscache.tensors import SparseTensor, UnfoldSpec, fold, unfold
 
 RNG = np.random.default_rng(11)
@@ -50,7 +50,7 @@ def unfolded(grad, k):
 def step_of(m, k, r, beta, update_rule="multi"):
     """``gradient_step`` from the SVD of unfolding ``m``, truncated to what the
     step reads."""
-    trip = truncated_svd(m, 1 if update_rule == "rank1" else r)
+    trip = truncated_svd(Gram(m), 1 if update_rule == "rank1" else r)
     return gradient_step(trip, k, r, beta, update_rule)
 
 
@@ -104,7 +104,7 @@ class TestSelectMode:
         rng = np.random.default_rng(seed)
         grad = rng.normal(size=(12, 9, 3, 5)) * (rng.random((12, 9, 3, 5)) < 0.05)
         cfg = FwConfig(rank_budget=4, shift=2)
-        sigma = {k: dominant_sigma(unfold(grad, UnfoldSpec(k, 2))) for k in (1, 2, 3, 4)}
+        sigma = {k: dominant_sigma(Gram(unfold(grad, UnfoldSpec(k, 2)))) for k in (1, 2, 3, 4)}
         assert sigma[1] == sigma[3] and sigma[2] == sigma[4]
         pick = self._counting_select(monkeypatch, grad, cfg)
         assert pick({1, 3}) == (1, 1)
@@ -121,7 +121,7 @@ class TestSelectMode:
         # mode-1/3 pair
         rng = np.random.default_rng(2)
         grad = rng.normal(size=(2, 3, 3, 2))
-        sigma = {k: dominant_sigma(unfold(grad, UnfoldSpec(k, 2))) for k in (1, 2, 3, 4)}
+        sigma = {k: dominant_sigma(Gram(unfold(grad, UnfoldSpec(k, 2)))) for k in (1, 2, 3, 4)}
         assert sigma[4] > sigma[2] > sigma[1] == sigma[3]
         pick = self._counting_select(monkeypatch, grad, FwConfig(rank_budget=4, shift=2))
         assert pick({1, 2, 3, 4}) == (2, 2)
@@ -132,12 +132,13 @@ class TestSelectMode:
     def _counting_select(monkeypatch, grad, cfg):
         """``select_mode`` on ``grad`` (observed where nonzero) as a function
         of the active set, returning the pick and its ``dominant_sigma`` calls;
-        the returned unfolding must equal the pick's unfolding of ``grad``."""
+        the returned Gram must hold the pick's unfolding of ``grad`` and factor
+        bitwise as a Gram made from that unfolding does."""
         calls = []
 
-        def counting_sigma(m):
-            calls.append(m.shape)
-            return dominant_sigma(m)
+        def counting_sigma(gram):
+            calls.append(gram.shape)
+            return dominant_sigma(gram)
 
         monkeypatch.setattr(completion_mod, "dominant_sigma", counting_sigma)
         t = observed(grad)
@@ -145,8 +146,12 @@ class TestSelectMode:
 
         def pick(active):
             calls.clear()
-            k, m = select_mode(grads, t.values, cfg, active)
-            np.testing.assert_array_equal(m, unfold(grad, UnfoldSpec(k, cfg.shift)))
+            k, gram = select_mode(grads, t.values, cfg, active)
+            m = unfold(grad, UnfoldSpec(k, cfg.shift))
+            np.testing.assert_array_equal(np.ldexp(gram.a, gram.exp), m)
+            got, want = truncated_svd(gram, min(m.shape)), truncated_svd(Gram(m), min(m.shape))
+            for name in ("u", "sigma", "v"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
             return k, len(calls)
 
         return pick
@@ -360,11 +365,11 @@ class TestApplyUpdate:
             residual = obs.gather(state.x) - obs.values
             if np.linalg.norm(residual) / np.linalg.norm(obs.values) < 1e-12:
                 break
-            k, m = select_mode(grads, residual, cfg, state.active)
+            k, gram = select_mode(grads, residual, cfg, state.active)
             r = update_rank_budget(state, k)
             if r == 0:
                 break
-            step = step_of(m, k, r, cfg.beta)
+            step = gradient_step(truncated_svd(gram, r), k, r, cfg.beta)
             s_dense = step.dense(obs.shape, cfg.shift)
             gamma = line_search(residual, obs.gather(s_dense))
             x_before, consumed_before = state.x.copy(), dict(state.consumed)
@@ -570,12 +575,47 @@ class TestCompleteSweep:
         """The rank of every ``truncated_svd`` call the solver makes from now on."""
         calls = []
 
-        def counting_svd(m, r):
+        def counting_svd(gram, r):
             calls.append(r)
-            return truncated_svd(m, r)
+            return truncated_svd(gram, r)
 
         monkeypatch.setattr(completion_mod, "truncated_svd", counting_svd)
         return calls
+
+    @pytest.mark.parametrize("shift, selection", [(1, "sigma"), (2, "sigma"), (1, "min-dim")])
+    def test_one_gram_per_candidate_evaluated_none_in_the_step(self, monkeypatch, shift,
+                                                              selection):
+        # order 4: at shift 2 the mode-(k + 2) unfolding of an active mode k is
+        # its transpose and reuses its sigma, so it is not evaluated
+        made, steps = [], []
+
+        class CountingGram(Gram):
+            def __init__(self, m):
+                made.append(m.shape)
+                super().__init__(m)
+
+        def counting_select(grads, residual, cfg, active):
+            before = len(made)
+            k, gram = select_mode(grads, residual, cfg, active)
+            steps.append((set(active), len(made) - before, gram))
+            return k, gram
+
+        def checking_svd(gram, r):
+            assert gram is steps[-1][2]  # the step factors the selection's Gram
+            return truncated_svd(gram, r)
+
+        monkeypatch.setattr(completion_mod, "Gram", CountingGram)
+        monkeypatch.setattr(completion_mod, "select_mode", counting_select)
+        monkeypatch.setattr(completion_mod, "truncated_svd", checking_svd)
+        cfg = FwConfig(rank_budget=12, shift=shift, mode_selection=selection,
+                       update_rule="rank1", max_iter=6)
+        complete(self.fixture(), cfg)
+        assert len(steps) > 1
+        for active, n, _ in steps:
+            evaluated = {k for k in active if not (shift == 2 and k - shift in active)}
+            assert n == (1 if selection == "min-dim" else len(evaluated))
+        assert steps[0][1] == {"sigma": 4 // shift, "min-dim": 1}[selection]
+        assert len(made) == sum(n for _, n, _ in steps)  # none outside mode selection
 
     def test_rank1_budgets_share_every_step(self, monkeypatch):
         calls = self.svd_ranks(monkeypatch)
@@ -641,7 +681,7 @@ def reference_complete(t, cfg):
                 if len(t.shape) == 2 * cfg.shift and j - cfg.shift in sigmas:
                     sigmas[j] = sigmas[j - cfg.shift]  # transposed twin: same sigma
                 else:
-                    sigmas[j] = dominant_sigma(unfold(grad, UnfoldSpec(j, cfg.shift)))
+                    sigmas[j] = dominant_sigma(Gram(unfold(grad, UnfoldSpec(j, cfg.shift))))
                 if sigmas[j] > best:
                     k, best = j, sigmas[j]
         r = update_rank_budget(state, k)

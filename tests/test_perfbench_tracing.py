@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import tenscache.cli as cli
+import tenscache.completion as completion
 from tenscache.tensors import read_coo
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -32,6 +33,10 @@ def test_traced_commands_exit_0(tmp_path, monkeypatch):
     for module, attr, _, _ in tracing.WRAPPED:  # put every wrapped name back afterwards
         target = importlib.import_module(f"tenscache.{module}")
         monkeypatch.setattr(target, attr, getattr(target, attr))
+    # the bench counts the factorizations' flops on the unfolding's shape, not the Gram's
+    flops = {"dominant_sigma": 0, "truncated_svd": 0}
+    for name in flops:
+        monkeypatch.setattr(completion, name, recording(getattr(completion, name), flops, name))
     tracer = tracing.Tracer()
     tracer.install()
     assert cli.main(["--out", str(tmp_path / "c"), "complete", str(tmp_path / "observed.coo"),
@@ -42,7 +47,20 @@ def test_traced_commands_exit_0(tmp_path, monkeypatch):
     assert {"cli.main", "svd.truncated_svd", "completion.apply_update"} <= set(names)
     # every CSV (two traces, slots and summary) goes through a wrapped writer, which the bench times
     assert names.count("cli.write_csv") == 4
-    assert tracing.layer_metrics([tracer.spans])["svd.truncated_svd.calls"] > 0
+    metrics = tracing.layer_metrics([tracer.spans])
+    assert metrics["svd.truncated_svd.calls"] > 0
+    assert metrics["svd.dominant_sigma.flops"] == flops["dominant_sigma"] > 0
+    assert metrics["svd.truncated_svd.flops"] == flops["truncated_svd"] > 0
+
+
+def recording(fn, flops, name):
+    """``fn`` adding ``rows * cols * min(rows, cols)`` of each call's
+    unfolding (the scaled copy its Gram holds) to ``flops[name]``."""
+    def call(gram, *args):
+        rows, cols = gram.a.shape
+        flops[name] += rows * cols * min(rows, cols)
+        return fn(gram, *args)
+    return call
 
 
 def traced_metrics(tracing, argv) -> dict:
