@@ -200,8 +200,7 @@ def run_online(
         if (realized < 0).any():
             raise ValueError(f"realized demands of slot {slot} must be nonnegative")
     pred_cfgs = {p: PredictorConfig(cfg.order, p) for p in cfg.predictors}
-    # the sweep reads every budget, not this one
-    fw_cfg = FwConfig(rank_budget=min(cfg.rank_budgets), shift=cfg.shift)
+    fw_cfg = FwConfig(shift=cfg.shift)
     raw = _raw_shares(stream, cfg.tau) if False in cfg.completion else None
     scored = (len(stream) - cfg.tau, n_bs)
     zero_demand = np.zeros(scored, dtype=bool)

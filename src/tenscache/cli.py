@@ -123,7 +123,7 @@ SETTINGS = {
     "max_iter": (200, _integer("max_iter"), {"type": int}),
     "seed": (0, _integer("seed", 0), {"type": int}),
     "tau": (10, _integer("tau"), {"type": int}),
-    "order": (6, _integer("order"), {"type": int}),
+    "order": (6, _integer("order", 1), {"type": int}),
     "cache": (32, _integer("cache"), {"type": int}),
     "bs": (3, _integer("bs", 1), {"type": int}),
     "files": (128, _integer("files"), {"type": int}),
@@ -271,8 +271,8 @@ def cmd_complete(args, config: dict) -> int:
         raise UsageError(f"input tensor file not found: {src}")
     s = _settings(args, config)
     t = read_coo(src)
-    fw = FwConfig(rank_budget=max(s["rank"]), shift=s["shift"], max_iter=s["max_iter"],
-                  mode_selection=s["mode_select"], update_rule=s["update"])
+    fw = FwConfig(shift=s["shift"], max_iter=s["max_iter"], mode_selection=s["mode_select"],
+                  update_rule=s["update"])
     # one sweep over the rank list per beta, each checking its settings against t at the call
     sweeps = {beta: complete_sweep(t, replace(fw, beta=beta), s["rank"]) for beta in s["beta"]}
     out_dir = _out_dir(args)
@@ -356,12 +356,14 @@ def cmd_ingest(args, config: dict) -> int:
 def cmd_synth(args, config: dict) -> int:
     shape = _num_list(args.shape, "shape")
     s = _settings(args, config)
+    name = args.name or "observed.coo"
+    if args.truth_out and Path(args.truth_out) == Path(name):
+        raise UsageError(f"--truth-out {args.truth_out} would overwrite the observed tensor {name}")
     s["mode_ranks"] = s["mode_ranks"] or [2] * len(shape)
     observed, truth = synth_low_rank(shape, s["mode_ranks"], s["noise"], s["observe"],
                                      s["seed"], s["shift"])
     out_dir = _out_dir(args)
     started = time.perf_counter()
-    name = args.name or "observed.coo"
     write_coo_sparse(out_dir / name, observed)
     outputs = [name]
     if args.truth_out:

@@ -89,15 +89,14 @@ class ZeroGradientError(ValueError):
 
 @dataclass
 class FwConfig:
-    """Solver configuration.
+    """Solver configuration, shared by every rank budget of a solve.
 
-    ``rank_budget`` caps the total rank charged to the ledger across all
-    modes. ``beta`` is the nuclear-norm scale of each step; results are
-    invariant to it (see :func:`beta_invariance_check`). ``shift`` is the
-    circular-unfolding shift ``d``.
+    ``beta`` is the nuclear-norm scale of each step; results are invariant to
+    it (see :func:`beta_invariance_check`). ``shift`` is the circular-unfolding
+    shift ``d``. The rank budget, which caps the total rank charged to the
+    ledger across all modes, is an argument of each solve.
     """
 
-    rank_budget: int
     beta: float = 1e5
     shift: int = 1
     max_iter: int = 200
@@ -105,8 +104,6 @@ class FwConfig:
     update_rule: str = UPDATE_MULTI
 
     def __post_init__(self):
-        if self.rank_budget < 1:
-            raise ValueError("rank_budget must be >= 1")
         if not 0 < self.beta < np.inf:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.shift < 1:
@@ -157,28 +154,28 @@ class FwState:
     """Solver state: the dense iterate ``x`` and the per-mode rank ledger.
 
     ``consumed[k]`` is the rank charged against the global budget by steps
-    along mode ``k``.
+    along mode ``k``; ``caps[k]``, the smaller dimension of the mode-``k``
+    unfolding, is the most it can reach.
     """
 
     x: np.ndarray
     consumed: dict[int, int]
-    config: FwConfig
+    caps: dict[int, int]
 
     @classmethod
-    def initial(cls, shape, config: FwConfig) -> "FwState":
+    def initial(cls, shape, shift: int) -> "FwState":
         shape = validate_shape(shape)
         n = len(shape)
-        if not 1 <= config.shift <= n - 1:
-            raise ValueError(f"shift {config.shift} invalid for order {n}")
-        return cls(x=np.zeros(shape), consumed=dict.fromkeys(range(1, n + 1), 0), config=config)
+        if not 1 <= shift <= n - 1:
+            raise ValueError(f"shift {shift} invalid for order {n}")
+        caps = {k: min(UnfoldSpec(k, shift).matrix_dims(shape)) for k in range(1, n + 1)}
+        return cls(np.zeros(shape), dict.fromkeys(caps, 0), caps)
 
     @property
     def active(self) -> set[int]:
         """Modes whose unfolding still has rank to give (``consumed[k]`` below
-        its smaller dimension)."""
-        shift, shape = self.config.shift, self.x.shape
-        return {k for k, c in self.consumed.items()
-                if c < min(UnfoldSpec(k, shift).matrix_dims(shape))}
+        ``caps[k]``)."""
+        return {k for k, c in self.consumed.items() if c < self.caps[k]}
 
     def consumed_total(self) -> int:
         return sum(self.consumed.values())
@@ -301,51 +298,39 @@ def line_search(residual: np.ndarray, s_obs: np.ndarray) -> float:
     return max(b_bar / a_bar, 0.0)
 
 
-def apply_update(
-    state: FwState, step: GradientStep, gamma: float, s: np.ndarray, fork: bool = False
-) -> FwState:
-    """Apply ``x <- x - gamma * s``, with ``s`` the step's dense tensor, and
-    charge the step's rank to its mode; return the updated state.
+def apply_update(state: FwState, step: GradientStep, gamma: float, s: np.ndarray) -> None:
+    """Apply ``x <- x - gamma * s`` to ``state`` in place, with ``s`` the
+    step's dense tensor, and charge the step's rank to its mode.
 
     ``s`` is spent: it is scaled by ``-gamma`` in place and added to the
     iterate (``x + (-gamma) * s`` is bitwise ``x - gamma * s``), so no
-    tensor-sized temporary is made. With ``fork`` the sum goes to a new state
-    with its own iterate and ledger, and ``state`` is left as it was.
+    tensor-sized temporary is made.
 
     The rank ledger always advances by the step's rank; a ``gamma == 0``
     step leaves the iterate unchanged.
     """
     s *= -gamma
-    if fork:
-        state = FwState(np.add(state.x, s, out=np.empty_like(state.x)),
-                        dict(state.consumed), state.config)
-    else:
-        state.x += s
+    state.x += s
     if not np.isfinite(state.x).all():
         raise FloatingPointError(
             f"non-finite iterate after mode-{step.mode} update (gamma={gamma!r})"
         )
     state.consumed[step.mode] += step.rank
-    return state
 
 
-def update_rank_budget(state: FwState, k: int, budget: int | None = None) -> int:
-    """Per-iteration rank allowance for mode ``k``.
+def update_rank_budget(state: FwState, k: int, budget: int) -> int:
+    """Per-iteration rank allowance for mode ``k`` under rank budget ``budget``.
 
-    ``min(rows - R_k, cols - R_k, budget - total_consumed)`` floored at zero:
-    zero when mode ``k`` is saturated or the budget is spent. ``budget``
-    defaults to the state's ``config.rank_budget``.
+    ``min(rows - R_k, cols - R_k, budget - total_consumed)`` floored at zero,
+    with ``min(rows, cols)`` read from ``state.caps[k]``: zero when mode ``k``
+    is saturated or the budget is spent.
     """
-    if budget is None:
-        budget = state.config.rank_budget
-    rows, cols = UnfoldSpec(k, state.config.shift).matrix_dims(state.x.shape)
-    consumed = state.consumed[k]
-    return max(min(rows - consumed, cols - consumed, budget - state.consumed_total()), 0)
+    return max(min(state.caps[k] - state.consumed[k], budget - state.consumed_total()), 0)
 
 
-def complete(t: SparseTensor, cfg: FwConfig) -> tuple[FwState, list[TraceRow]]:
-    """Run the solver on observed tensor ``t`` with ``cfg.rank_budget``: the
-    one-budget case of :func:`complete_sweep`.
+def complete(t: SparseTensor, cfg: FwConfig, budget: int) -> tuple[FwState, list[TraceRow]]:
+    """Run the solver on observed tensor ``t`` with rank budget ``budget``:
+    the one-budget case of :func:`complete_sweep`.
 
     Returns the final state and the per-iteration trace. The trace starts at
     the exact RSE 1.0 baseline (the iterate starts at zero) and records, for
@@ -353,16 +338,15 @@ def complete(t: SparseTensor, cfg: FwConfig) -> tuple[FwState, list[TraceRow]]:
     solve started, the selected mode, and the step size both raw and
     multiplied by ``beta``.
     """
-    [(_, state, trace)] = complete_sweep(t, cfg, (cfg.rank_budget,))
+    [(_, state, trace)] = complete_sweep(t, cfg, (budget,))
     return state, trace
 
 
 def complete_sweep(
     t: SparseTensor, cfg: FwConfig, budgets: Iterable[int]
 ) -> Iterator[tuple[int, FwState, list[TraceRow]]]:
-    """Run the solver on observed tensor ``t`` once for every rank budget in
-    ``budgets``, with ``cfg``'s other settings (``cfg.rank_budget`` is not
-    read).
+    """Run the solver on observed tensor ``t`` with ``cfg`` once for every
+    rank budget in ``budgets``.
 
     Each step selects a mode, takes its rank allowance, builds the step
     tensor once, line-searches it and applies it. The gradient unfoldings are
@@ -381,25 +365,30 @@ def complete_sweep(
     Yields ``(budget, state, trace)`` once per distinct budget, in rising
     order, as its run ends: bitwise what :func:`complete` gives for that
     budget alone, except that ``elapsed_s`` counts from the start of the
-    sweep. Each state owns its iterate and carries its budget in its config.
-    Bad input, including an empty or invalid budget list, raises
-    ``ValueError`` at the call.
+    sweep. Each state owns its iterate and ledger. Bad input, including an
+    empty or invalid budget list, raises ``ValueError`` at the call.
     """
     if t.nnz == 0:
         raise ValueError("observed tensor has no entries")
     t_norm = float(np.linalg.norm(t.values))
     if t_norm == 0.0:
         raise ValueError("observed values are all zero; nothing to fit")
-    configs = {b: replace(cfg, rank_budget=b) for b in sorted(set(budgets))}
-    if not configs:
+    budgets = sorted(set(budgets))
+    if not budgets:
         raise ValueError("no rank budget given")
-    return _sweep(t, t_norm, configs, FwState.initial(t.shape, cfg))
+    if budgets[0] < 1:
+        raise ValueError("rank_budget must be >= 1")
+    return _sweep(t, t_norm, cfg, budgets, FwState.initial(t.shape, cfg.shift))
 
 
-def _sweep(t, t_norm, configs, state):
-    """The loop of :func:`complete_sweep` from the zero ``state``."""
+def _sweep(t, t_norm, cfg, budgets, state):
+    """The loop of :func:`complete_sweep` from the zero ``state`` over the
+    sorted list ``budgets``, from which each budget is taken as its run ends."""
+
+    def snapshot():
+        return FwState(state.x.copy(), dict(state.consumed), state.caps)
+
     start = time.perf_counter()
-    cfg, budgets = state.config, list(configs)
     grads = GradientUnfoldings(t, cfg.shift)
     residual = t.gather(state.x) - t.values
     rse = float(np.linalg.norm(residual)) / t_norm
@@ -409,8 +398,7 @@ def _sweep(t, t_norm, configs, state):
         if rse < _RSE_FLOOR or not active or budgets[-1] <= spent:
             break
         while budgets[0] <= spent:
-            b = budgets.pop(0)
-            yield b, FwState(state.x.copy(), dict(state.consumed), configs[b]), list(trace)
+            yield budgets.pop(0), snapshot(), list(trace)
         k, gram = select_mode(grads, residual, cfg, active)
         r = 1 if cfg.update_rule == UPDATE_RANK_ONE else update_rank_budget(state, k, budgets[-1])
         trip = truncated_svd(gram, r)
@@ -426,28 +414,28 @@ def _sweep(t, t_norm, configs, state):
             last = gradient_step(trip, k, b - spent, cfg.beta, cfg.update_rule)
             s = last.dense(t.shape, cfg.shift)
             gamma = line_search(residual, t.gather(s))
-            if gamma == 0.0:
-                yield b, FwState(state.x.copy(), dict(state.consumed), configs[b]), list(trace)
-                continue
-            own = apply_update(state, last, gamma, s, fork=True)
-            own_rse = float(np.linalg.norm(t.gather(own.x) - t.values)) / t_norm
-            row = TraceRow(it, own_rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta)
-            yield b, FwState(own.x, own.consumed, configs[b]), trace + [row]
+            own, own_trace = snapshot(), list(trace)
+            if gamma != 0.0:
+                apply_update(own, last, gamma, s)
+                own_rse = float(np.linalg.norm(t.gather(own.x) - t.values)) / t_norm
+                own_trace.append(TraceRow(it, own_rse, time.perf_counter() - start, k, gamma,
+                                          gamma * cfg.beta))
+            yield b, own, own_trace
         s = step.dense(t.shape, cfg.shift)
         gamma = line_search(residual, t.gather(s))
         if gamma == 0.0:
             break
-        state = apply_update(state, step, gamma, s)
+        apply_update(state, step, gamma, s)
         residual = t.gather(state.x) - t.values
         rse = float(np.linalg.norm(residual)) / t_norm
         trace.append(TraceRow(it, rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta))
     for b in budgets[:-1]:
-        yield b, FwState(state.x.copy(), dict(state.consumed), configs[b]), list(trace)
-    yield budgets[-1], FwState(state.x, dict(state.consumed), configs[budgets[-1]]), trace
+        yield b, snapshot(), list(trace)
+    yield budgets[-1], state, trace
 
 
 def beta_invariance_check(
-    t: SparseTensor, cfg: FwConfig, betas, rel_tol: float = 1e-8
+    t: SparseTensor, cfg: FwConfig, budget: int, betas, rel_tol: float = 1e-8
 ) -> bool:
     """True iff solver runs differing only in ``beta`` agree.
 
@@ -460,7 +448,7 @@ def beta_invariance_check(
         raise ValueError("need at least two beta values")
     if any(b <= 0 for b in betas):
         raise ValueError("beta values must be > 0")
-    runs = [complete(t, replace(cfg, beta=b)) for b in betas]
+    runs = [complete(t, replace(cfg, beta=b), budget) for b in betas]
     ref_state, ref_trace = runs[0]
     ref_scale = max(float(np.abs(ref_state.x).max()), 1e-300)
     for state, trace in runs[1:]:

@@ -40,7 +40,7 @@ def _criterion1_fixture(seed=1):
 def test_criterion_1_exact_recovery(report):
     obs, budget = _criterion1_fixture()
     start = time.perf_counter()
-    _, trace = complete(obs, FwConfig(rank_budget=budget))
+    _, trace = complete(obs, FwConfig(), budget)
     elapsed = time.perf_counter() - start
     rse = trace[-1].rse
     iters = len(trace) - 1
@@ -55,7 +55,7 @@ def test_criterion_1_exact_recovery(report):
 def test_criterion_2_beta_invariance(report):
     obs, budget = _criterion1_fixture()
     start = time.perf_counter()
-    ok = beta_invariance_check(obs, FwConfig(rank_budget=budget), [1.0, 1e5, 1e9], rel_tol=1e-8)
+    ok = beta_invariance_check(obs, FwConfig(), budget, [1.0, 1e5, 1e9], rel_tol=1e-8)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     report(
@@ -67,8 +67,8 @@ def test_criterion_2_beta_invariance(report):
 
 def test_criterion_3_multirank_vs_rank1(report):
     obs, budget = _criterion1_fixture()
-    _, trace_multi = complete(obs, FwConfig(rank_budget=budget, update_rule="multi"))
-    _, trace_r1 = complete(obs, FwConfig(rank_budget=budget, update_rule="rank1"))
+    _, trace_multi = complete(obs, FwConfig(update_rule="multi"), budget)
+    _, trace_r1 = complete(obs, FwConfig(update_rule="rank1"), budget)
 
     def iters_to(trace, tol):
         return next((row.iteration for row in trace if row.rse <= tol), np.inf)
@@ -145,7 +145,7 @@ def test_criterion_6_rank_ledger(report):
         budget = int(rng.integers(2, 12))
         frac = float(rng.uniform(0.3, 0.9))
         obs, _ = synth_low_rank(shape, ranks, observe_fraction=frac, seed=run)
-        state, trace = complete(obs, FwConfig(rank_budget=budget))
+        state, trace = complete(obs, FwConfig(), budget)
         # consumption only grows, so the final ledger bounds every iteration
         ok = ok and state.consumed_total() <= budget
         ok = ok and (len(trace) - 1) <= budget
@@ -159,7 +159,7 @@ def test_criterion_6_rank_ledger(report):
 def test_criterion_7_paper_scale_runtime(report):
     obs, _ = synth_low_rank((128, 128, 3, 10), (2, 2, 2, 2), observe_fraction=0.1, seed=3)
     start = time.perf_counter()
-    _, trace = complete(obs, FwConfig(rank_budget=8))
+    _, trace = complete(obs, FwConfig(), 8)
     elapsed = time.perf_counter() - start
     report(
         "criterion 7: 128x128x3x10 run at R=2N completes within 2 s",

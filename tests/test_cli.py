@@ -307,7 +307,12 @@ class TestSimulateCommand:
       "shift 4 invalid for the 4th-order windows"),
      (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
      (["synth", "6,5,4", "--seed", "-1"], "seed must be >= 0, got -1"),
-     (["simulate", "--slots", "-3"], "slots must be >= 1, got -3")],
+     (["simulate", "--slots", "-3"], "slots must be >= 1, got -3"),
+     (["simulate", "--order", "0", "--slots", "12"], "order must be >= 1, got 0"),
+     (["synth", "6,5,4", "--name", "a.coo", "--truth-out", "a.coo"],
+      "--truth-out a.coo would overwrite the observed tensor a.coo"),
+     (["synth", "6,5,4", "--truth-out", "observed.coo"],
+      "--truth-out observed.coo would overwrite the observed tensor observed.coo")],
 )
 def test_settings_error_exits_2_leaving_no_out_dir(tensor_file, tmp_path, capsys, argv, cause):
     out = tmp_path / "out"

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,7 +61,7 @@ class TestSelectMode:
     def test_min_dim_prefers_smallest_unfolding(self):
         grad = np.zeros((128, 128, 3, 10))
         grad[0, 0, 0, 0] = 1.0
-        cfg = FwConfig(rank_budget=8, mode_selection="min-dim")
+        cfg = FwConfig(mode_selection="min-dim")
         assert select(grad, cfg, {1, 2, 3, 4}) == 3
 
     def test_sigma_max_finds_planted_mode(self):
@@ -81,17 +79,17 @@ class TestSelectMode:
         for k in (1, 3, 4):
             top = np.linalg.svd(unfold(grad, UnfoldSpec(k, 1)), compute_uv=False)[0]
             assert top < 10.0 - 1e-6
-        cfg = FwConfig(rank_budget=4)
+        cfg = FwConfig()
         assert select(grad, cfg, {1, 2, 3, 4}) == 2
 
     def test_singleton_active_set(self):
         grad = RNG.normal(size=(3, 4, 5, 2))
         for rule in ("sigma", "min-dim"):
-            cfg = FwConfig(rank_budget=4, mode_selection=rule)
+            cfg = FwConfig(mode_selection=rule)
             assert select(grad, cfg, {4}) == 4
 
     def test_empty_active_set_rejected(self):
-        cfg = FwConfig(rank_budget=4)
+        cfg = FwConfig()
         with pytest.raises(ValueError):
             select(RNG.normal(size=(2, 2, 2)), cfg, set())
 
@@ -103,7 +101,7 @@ class TestSelectMode:
         # and the larger one's sigma is not computed again
         rng = np.random.default_rng(seed)
         grad = rng.normal(size=(12, 9, 3, 5)) * (rng.random((12, 9, 3, 5)) < 0.05)
-        cfg = FwConfig(rank_budget=4, shift=2)
+        cfg = FwConfig(shift=2)
         sigma = {k: dominant_sigma(Gram(unfold(grad, UnfoldSpec(k, 2)))) for k in (1, 2, 3, 4)}
         assert sigma[1] == sigma[3] and sigma[2] == sigma[4]
         pick = self._counting_select(monkeypatch, grad, cfg)
@@ -123,7 +121,7 @@ class TestSelectMode:
         grad = rng.normal(size=(2, 3, 3, 2))
         sigma = {k: dominant_sigma(Gram(unfold(grad, UnfoldSpec(k, 2)))) for k in (1, 2, 3, 4)}
         assert sigma[4] > sigma[2] > sigma[1] == sigma[3]
-        pick = self._counting_select(monkeypatch, grad, FwConfig(rank_budget=4, shift=2))
+        pick = self._counting_select(monkeypatch, grad, FwConfig(shift=2))
         assert pick({1, 2, 3, 4}) == (2, 2)
         assert pick({2, 4}) == (2, 1)
         assert pick({4}) == (4, 1)
@@ -309,47 +307,53 @@ def _random_line_search_fixture(rng):
 class TestApplyUpdate:
     def test_zero_gamma_advances_ledger_without_append(self):
         t = two_cell_tensor()
-        cfg = FwConfig(rank_budget=4, beta=1.0)
-        state = FwState.initial(t.shape, cfg)
+        state = FwState.initial(t.shape, 1)
         grad = -t.to_dense()
         step = step_of(unfolded(grad, 1), 1, 2, beta=1.0)
         apply_update(state, step, 0.0, step.dense(t.shape, 1))
         assert not state.x.any()
         assert state.consumed[1] == step.rank
 
-    @pytest.mark.parametrize("fork", [False, True])
-    def test_non_finite_iterate_raises(self, fork):
+    def test_non_finite_iterate_raises(self):
         t = two_cell_tensor()
-        state = FwState.initial(t.shape, FwConfig(rank_budget=4))
+        state = FwState.initial(t.shape, 1)
         step = step_of(unfolded(-t.to_dense(), 1), 1, 2, beta=1.0)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            apply_update(state, step, np.inf, step.dense(t.shape, 1), fork=fork)
+            apply_update(state, step, np.inf, step.dense(t.shape, 1))
 
-    def test_fork_leaves_parent_and_matches_in_place(self):
-        t = two_cell_tensor()
-        state = FwState.initial(t.shape, FwConfig(rank_budget=4))
-        state.x += 0.25
-        step = step_of(unfolded(-t.to_dense(), 1), 1, 2, beta=1.0)
-        s = step.dense(t.shape, 1)
-        child = apply_update(state, step, 0.3, s.copy(), fork=True)
-        assert child is not state and child.x is not state.x
-        assert (state.x == 0.25).all() and state.consumed_total() == 0
-        assert child.x.flags.c_contiguous
-        assert child.x.tobytes() == (state.x - 0.3 * s).tobytes()
-        assert child.consumed == {1: step.rank, 2: 0, 3: 0}
-        apply_update(state, step, 0.3, s)
-        assert state.x.tobytes() == child.x.tobytes()
-        assert state.consumed == child.consumed
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=6),
+        st.floats(min_value=0.0, max_value=1e3),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_update_moves_x_by_exactly_minus_gamma_s(self, dims, shift, r, gamma, seed):
+        shape = tuple(dims)
+        shift = min(shift, len(shape) - 1)
+        rng = np.random.default_rng(seed)
+        state = FwState.initial(shape, shift)
+        state.x = rng.normal(size=shape)
+        state.consumed = {k: int(rng.integers(0, cap + 1)) for k, cap in state.caps.items()}
+        k = int(rng.integers(1, len(shape) + 1))
+        m = unfold(rng.normal(size=shape), UnfoldSpec(k, shift))
+        step = step_of(m, k, min(r, *m.shape), beta=rng.uniform(0.1, 10.0))
+        s0 = step.dense(shape, shift)
+        x0, consumed0 = state.x.copy(), dict(state.consumed)
+        apply_update(state, step, gamma, s0.copy())  # the update spends its s
+        assert state.x.tobytes() == (x0 - gamma * s0).tobytes()
+        assert state.consumed == {**consumed0, k: consumed0[k] + step.rank}
 
     def test_full_iteration_fits_two_cells(self):
         t = two_cell_tensor()
-        state, trace = complete(t, FwConfig(rank_budget=4, beta=1.0))
+        state, trace = complete(t, FwConfig(beta=1.0), 4)
         assert trace[0].rse == 1.0
         assert trace[-1].rse <= 1e-12
 
     def test_objective_never_increases(self):
         obs, _ = synth_low_rank((6, 5, 4, 3), (2, 2, 2, 2), observe_fraction=0.4, seed=3)
-        _, trace = complete(obs, FwConfig(rank_budget=10))
+        _, trace = complete(obs, FwConfig(), 10)
         rses = [row.rse for row in trace]
         assert all(b <= a + 1e-12 for a, b in zip(rses, rses[1:]))
 
@@ -357,8 +361,8 @@ class TestApplyUpdate:
         # the state (dense iterate plus rank ledger) moves by exactly what each
         # applied step says: x by -gamma * S, the step's mode by its rank
         obs, _ = synth_low_rank((6, 5, 4), (2, 2, 1), observe_fraction=0.5, seed=9)
-        cfg = FwConfig(rank_budget=6)
-        state = FwState.initial(obs.shape, cfg)
+        cfg, budget = FwConfig(), 6
+        state = FwState.initial(obs.shape, cfg.shift)
         grads = GradientUnfoldings(obs, cfg.shift)
         applied = 0
         for _ in range(4):
@@ -366,7 +370,7 @@ class TestApplyUpdate:
             if np.linalg.norm(residual) / np.linalg.norm(obs.values) < 1e-12:
                 break
             k, gram = select_mode(grads, residual, cfg, state.active)
-            r = update_rank_budget(state, k)
+            r = update_rank_budget(state, k, budget)
             if r == 0:
                 break
             step = gradient_step(truncated_svd(gram, r), k, r, cfg.beta)
@@ -382,23 +386,20 @@ class TestApplyUpdate:
 
 class TestUpdateRankBudget:
     def test_formula_at_paper_dims(self):
-        cfg = FwConfig(rank_budget=8)
-        state = FwState.initial((128, 128, 3, 10), cfg)
-        assert update_rank_budget(state, 3) == 3
+        state = FwState.initial((128, 128, 3, 10), 1)
+        assert update_rank_budget(state, 3, 8) == 3
 
     def test_saturated_mode_pruned(self):
-        cfg = FwConfig(rank_budget=100)
-        state = FwState.initial((2, 3, 4), cfg)
+        state = FwState.initial((2, 3, 4), 1)
         state.consumed[1] = 2  # min dim of mode-1 unfolding is 2
-        assert update_rank_budget(state, 1) == 0
+        assert update_rank_budget(state, 1, 100) == 0
         assert 1 not in state.active
 
     def test_exhausted_budget_stops_everywhere(self):
-        cfg = FwConfig(rank_budget=5)
-        state = FwState.initial((4, 4, 4), cfg)
+        state = FwState.initial((4, 4, 4), 1)
         state.consumed[2] = 5
         for k in (1, 2, 3):
-            assert update_rank_budget(state, k) == 0
+            assert update_rank_budget(state, k, 5) == 0
         assert 1 in state.active and 3 in state.active  # not saturated, just out of budget
 
 
@@ -411,30 +412,30 @@ class TestComplete:
         total = int(np.prod(shape))
         idx = np.stack(np.unravel_index(np.arange(total), shape, order="F"), axis=1)
         t = SparseTensor(shape, idx, truth.ravel(order="F"))
-        _, trace = complete(t, FwConfig(rank_budget=3))
+        _, trace = complete(t, FwConfig(), 3)
         assert len(trace) - 1 <= 2
         assert trace[-1].rse <= 1e-8
 
     def test_empty_tensor_rejected(self):
         t = SparseTensor((2, 2, 2), np.zeros((0, 3), dtype=int), [])
         with pytest.raises(ValueError):
-            complete(t, FwConfig(rank_budget=2))
+            complete(t, FwConfig(), 2)
 
     def test_all_zero_values_rejected(self):
         t = SparseTensor((2, 2, 2), [[0, 0, 0]], [0.0])
         with pytest.raises(ValueError):
-            complete(t, FwConfig(rank_budget=2))
+            complete(t, FwConfig(), 2)
 
     def test_thirty_percent_observed_rank2(self):
         obs, _ = synth_low_rank((10, 10, 5, 5), (2, 2, 2, 2), observe_fraction=0.3, seed=7)
-        _, trace = complete(obs, FwConfig(rank_budget=8))
+        _, trace = complete(obs, FwConfig(), 8)
         assert trace[-1].rse <= 1e-6
 
     def test_rank_ledger_respected(self):
         for seed in range(5):
             obs, _ = synth_low_rank((7, 6, 5, 4), (2, 2, 2, 2), observe_fraction=0.5, seed=seed)
             budget = 9
-            state, trace = complete(obs, FwConfig(rank_budget=budget))
+            state, trace = complete(obs, FwConfig(), budget)
             assert state.consumed_total() <= budget
             assert len(trace) - 1 <= budget
             for k, consumed in state.consumed.items():
@@ -443,7 +444,7 @@ class TestComplete:
 
     def test_trace_modes_and_gamma_recorded(self):
         obs, _ = synth_low_rank((6, 5, 4), (1, 1, 1), observe_fraction=0.6, seed=2)
-        _, trace = complete(obs, FwConfig(rank_budget=3, beta=10.0))
+        _, trace = complete(obs, FwConfig(beta=10.0), 3)
         for row in trace[1:]:
             assert row.mode in (1, 2, 3)
             assert row.gamma > 0
@@ -459,7 +460,7 @@ class TestComplete:
 
         monkeypatch.setattr(completion_mod, "fold", counting_fold)
         obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
-        _, trace = complete(obs, FwConfig(rank_budget=8, shift=2, update_rule="rank1"))
+        _, trace = complete(obs, FwConfig(shift=2, update_rule="rank1"), 8)
         assert len(trace) - 1 == 8
         assert len(calls) == len(trace) - 1
 
@@ -474,14 +475,14 @@ class TestComplete:
 
         monkeypatch.setattr(completion_mod, "unfold", counting_unfold)
         obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
-        _, trace = complete(obs, FwConfig(rank_budget=8, shift=2, update_rule="rank1"))
+        _, trace = complete(obs, FwConfig(shift=2, update_rule="rank1"), 8)
         assert len(trace) - 1 == 8
         assert calls == []
 
     def test_all_modes_stalled_is_clean_convergence(self, monkeypatch):
         obs, _ = synth_low_rank((4, 4, 4), (1, 1, 1), observe_fraction=0.5, seed=1)
         monkeypatch.setattr(completion_mod, "line_search", lambda *a, **k: 0.0)
-        state, trace = complete(obs, FwConfig(rank_budget=4))
+        state, trace = complete(obs, FwConfig(), 4)
         assert len(trace) == 1  # only the baseline row
         assert not state.x.any()
 
@@ -505,8 +506,8 @@ def test_solver_invariants(dims, shift, budget, rule, selection, seed):
     values = rng.normal(size=flat.size)
     values[0] = 1.0  # never all zero
     t = SparseTensor(shape, idx, values)
-    cfg = FwConfig(rank_budget=budget, shift=shift, update_rule=rule, mode_selection=selection)
-    state, trace = complete(t, cfg)
+    cfg = FwConfig(shift=shift, update_rule=rule, mode_selection=selection)
+    state, trace = complete(t, cfg, budget)
     min_dim = {k: min(UnfoldSpec(k, shift).matrix_dims(shape)) for k in range(1, len(shape) + 1)}
     assert state.consumed_total() <= budget
     assert all(state.consumed[k] <= min_dim[k] for k in min_dim)
@@ -517,6 +518,10 @@ def test_solver_invariants(dims, shift, budget, rule, selection, seed):
     rses = [row.rse for row in trace]
     assert all(b <= a + 1e-12 for a, b in zip(rses, rses[1:]))
     assert state.active == {k for k in min_dim if state.consumed[k] < min_dim[k]}
+    for k, c in state.consumed.items():
+        rows, cols = UnfoldSpec(k, shift).matrix_dims(shape)
+        allowance = max(min(rows - c, cols - c, budget - state.consumed_total()), 0)
+        assert update_rank_budget(state, k, budget) == allowance
 
 
 def near_rank_one(shape, rng):
@@ -555,12 +560,11 @@ def test_sweep_bitwise_equals_single_budget_solves(dims, shift, budgets, rule, s
         values = rng.normal(size=flat.size)
         values[0] = 1.0  # never all zero
     t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1), values)
-    cfg = FwConfig(rank_budget=1, shift=shift, update_rule=rule, mode_selection=selection)
+    cfg = FwConfig(shift=shift, update_rule=rule, mode_selection=selection)
     swept = list(complete_sweep(t, cfg, budgets))  # every result kept while the sweep runs
     assert sorted(b for b, _, _ in swept) == sorted(set(budgets))
     for budget, state, trace in swept:
-        ref_state, ref_trace = complete(t, replace(cfg, rank_budget=budget))
-        assert state.config == ref_state.config
+        ref_state, ref_trace = complete(t, cfg, budget)
         assert state.consumed == ref_state.consumed
         assert state.x.tobytes() == ref_state.x.tobytes()
         assert trace_columns(trace) == trace_columns(ref_trace)
@@ -607,9 +611,8 @@ class TestCompleteSweep:
         monkeypatch.setattr(completion_mod, "Gram", CountingGram)
         monkeypatch.setattr(completion_mod, "select_mode", counting_select)
         monkeypatch.setattr(completion_mod, "truncated_svd", checking_svd)
-        cfg = FwConfig(rank_budget=12, shift=shift, mode_selection=selection,
-                       update_rule="rank1", max_iter=6)
-        complete(self.fixture(), cfg)
+        cfg = FwConfig(shift=shift, mode_selection=selection, update_rule="rank1", max_iter=6)
+        complete(self.fixture(), cfg, 12)
         assert len(steps) > 1
         for active, n, _ in steps:
             evaluated = {k for k in active if not (shift == 2 and k - shift in active)}
@@ -619,7 +622,7 @@ class TestCompleteSweep:
 
     def test_rank1_budgets_share_every_step(self, monkeypatch):
         calls = self.svd_ranks(monkeypatch)
-        cfg = FwConfig(rank_budget=1, shift=2, update_rule="rank1")
+        cfg = FwConfig(shift=2, update_rule="rank1")
         traces = {b: tr for b, _, tr in complete_sweep(self.fixture(), cfg, (8, 2, 4))}
         assert [len(traces[b]) - 1 for b in (2, 4, 8)] == [2, 4, 8]
         assert len(calls) == 8  # the longest run's steps, not 2 + 4 + 8
@@ -627,7 +630,7 @@ class TestCompleteSweep:
 
     def test_multi_forks_where_allowances_differ(self, monkeypatch):
         calls = self.svd_ranks(monkeypatch)
-        cfg = FwConfig(rank_budget=1, mode_selection="min-dim")  # the 3-row mode-3 unfolding
+        cfg = FwConfig(mode_selection="min-dim")  # the 3-row mode-3 unfolding
         results = list(complete_sweep(self.fixture(), cfg, (2, 5, 9)))
         assert calls == [3]  # one SVD, sized for the largest allowance
         ranks = {b: state.consumed[3] for b, state, _ in results}
@@ -640,10 +643,10 @@ class TestCompleteSweep:
         t = SparseTensor((6, 6, 6), np.argwhere(np.ones((6, 6, 6))),
                          near_rank_one((6, 6, 6), np.random.default_rng(0)).ravel())
         calls = self.svd_ranks(monkeypatch)
-        swept = list(complete_sweep(t, FwConfig(rank_budget=1), budgets))
+        swept = list(complete_sweep(t, FwConfig(), budgets))
         assert calls == [6, 5]
         for budget, state, trace in swept:
-            ref_state, ref_trace = complete(t, FwConfig(rank_budget=budget))
+            ref_state, ref_trace = complete(t, FwConfig(), budget)
             assert state.consumed == ref_state.consumed
             assert state.x.tobytes() == ref_state.x.tobytes()
             assert trace_columns(trace) == trace_columns(ref_trace)
@@ -651,15 +654,15 @@ class TestCompleteSweep:
     @pytest.mark.parametrize("budgets", [(), (0, 4)])
     def test_bad_budgets_rejected_at_the_call(self, budgets):
         with pytest.raises(ValueError):
-            complete_sweep(self.fixture(), FwConfig(rank_budget=4), budgets)
+            complete_sweep(self.fixture(), FwConfig(), budgets)
 
 
-def reference_complete(t, cfg):
+def reference_complete(t, cfg, budget):
     """The solver loop as it was before the gradient unfoldings were scattered
     from the residual: a dense gradient tensor, ``unfold`` of it for every
     active mode and again for the step, and a line search that gathers the
     iterate by fancy indexing."""
-    state = FwState.initial(t.shape, cfg)
+    state = FwState.initial(t.shape, cfg.shift)
     mask = tuple(t.indices.T)
     t_norm = float(np.linalg.norm(t.values))
     trace = [(0, 1.0, 0, 0.0, 0.0)]
@@ -667,7 +670,7 @@ def reference_complete(t, cfg):
     rse = float(np.linalg.norm(residual)) / t_norm
     for it in range(1, cfg.max_iter + 1):
         active = state.active
-        spent = state.consumed_total() >= cfg.rank_budget
+        spent = state.consumed_total() >= budget
         if rse < completion_mod._RSE_FLOOR or not active or spent:
             break
         grad = np.zeros(t.shape)
@@ -684,7 +687,7 @@ def reference_complete(t, cfg):
                     sigmas[j] = dominant_sigma(Gram(unfold(grad, UnfoldSpec(j, cfg.shift))))
                 if sigmas[j] > best:
                     k, best = j, sigmas[j]
-        r = update_rank_budget(state, k)
+        r = update_rank_budget(state, k, budget)
         try:
             step = step_of(unfold(grad, UnfoldSpec(k, cfg.shift)), k, r, cfg.beta,
                            cfg.update_rule)
@@ -725,9 +728,9 @@ def test_complete_bitwise_equals_reference_loop(dims, shift, budget, rule, selec
     values = rng.normal(size=flat.size)
     values[0] = 1.0  # never all zero
     t = SparseTensor(shape, idx, values)
-    cfg = FwConfig(rank_budget=budget, shift=shift, update_rule=rule, mode_selection=selection)
-    state, trace = complete(t, cfg)
-    ref_x, ref_trace = reference_complete(t, cfg)
+    cfg = FwConfig(shift=shift, update_rule=rule, mode_selection=selection)
+    state, trace = complete(t, cfg, budget)
+    ref_x, ref_trace = reference_complete(t, cfg, budget)
     got = [(row.iteration, row.rse, row.mode, row.gamma, row.beta_gamma) for row in trace]
     assert repr(got) == repr(ref_trace)
     assert state.x.tobytes() == ref_x.tobytes()
@@ -736,18 +739,18 @@ def test_complete_bitwise_equals_reference_loop(dims, shift, budget, rule, selec
 class TestBetaInvariance:
     def test_across_decades(self):
         obs, _ = synth_low_rank((10, 10, 5, 5), (2, 2, 2, 2), observe_fraction=0.3, seed=7)
-        cfg = FwConfig(rank_budget=8)
-        assert beta_invariance_check(obs, cfg, [1.0, 1e5, 1e9])
+        cfg = FwConfig()
+        assert beta_invariance_check(obs, cfg, 8, [1.0, 1e5, 1e9])
 
     def test_identical_betas_trivially_true(self):
         obs, _ = synth_low_rank((6, 5, 4), (1, 1, 1), observe_fraction=0.5, seed=4)
-        assert beta_invariance_check(obs, FwConfig(rank_budget=3), [1e5, 1e5])
+        assert beta_invariance_check(obs, FwConfig(), 3, [1e5, 1e5])
 
     def test_gamma_beta_products_match(self):
         obs, _ = synth_low_rank((8, 7, 6), (2, 2, 2), observe_fraction=0.4, seed=5)
         traces = {}
         for beta in (1.0, 1e6):
-            _, trace = complete(obs, FwConfig(rank_budget=6, beta=beta))
+            _, trace = complete(obs, FwConfig(beta=beta), 6)
             traces[beta] = [row.beta_gamma for row in trace[1:]]
         a, b = traces[1.0], traces[1e6]
         assert len(a) == len(b)
@@ -757,15 +760,15 @@ class TestBetaInvariance:
     def test_requires_two_betas(self):
         obs, _ = synth_low_rank((4, 4, 4), (1, 1, 1), observe_fraction=0.5, seed=1)
         with pytest.raises(ValueError):
-            beta_invariance_check(obs, FwConfig(rank_budget=2), [1e5])
+            beta_invariance_check(obs, FwConfig(), 2, [1e5])
 
 
 class TestMultiRankVsRankOne:
     def test_multi_rank_dominates(self):
         obs, _ = synth_low_rank((10, 10, 4, 4), (2, 2, 2, 2), observe_fraction=0.5, seed=13)
         budget = 8
-        _, trace_multi = complete(obs, FwConfig(rank_budget=budget, update_rule="multi"))
-        _, trace_r1 = complete(obs, FwConfig(rank_budget=budget, update_rule="rank1"))
+        _, trace_multi = complete(obs, FwConfig(update_rule="multi"), budget)
+        _, trace_r1 = complete(obs, FwConfig(update_rule="rank1"), budget)
         assert trace_multi[-1].rse <= trace_r1[-1].rse
 
         def iters_to(trace, tol):

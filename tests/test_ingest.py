@@ -217,7 +217,7 @@ class TestSynthLowRank:
     def test_end_to_end_recovery_at_matching_budget(self):
         ranks = (2, 2, 2, 2)
         obs, _ = synth_low_rank((8, 8, 4, 4), ranks, observe_fraction=0.5, seed=3)
-        _, trace = complete(obs, FwConfig(rank_budget=sum(ranks)))
+        _, trace = complete(obs, FwConfig(), sum(ranks))
         assert trace[-1].rse <= 1e-6
 
     def test_noise_sets_observed_error_floor(self):
@@ -225,7 +225,7 @@ class TestSynthLowRank:
         obs, truth = synth_low_rank(
             (8, 8, 4, 4), (2, 2, 2, 2), noise_sigma=noise, observe_fraction=0.6, seed=4
         )
-        state, trace = complete(obs, FwConfig(rank_budget=8))
+        state, trace = complete(obs, FwConfig(), 8)
         # solver fits the noisy observations, so its error against the clean
         # truth at the observed cells sits at the injected noise level
         truth_obs = obs.gather(truth)
