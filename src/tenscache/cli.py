@@ -71,18 +71,19 @@ def _real(name: str):
     return parse
 
 
-def _num_list(spec, name: str, kind=_integer) -> list:
-    """A comma list of numbers, each read by ``kind(name)``; an empty one is a usage error."""
-    parse = kind(name)
+def _num_list(spec, name: str, kind=_integer, **bounds) -> list:
+    """A comma list of numbers, each read by ``kind(name, **bounds)``; an
+    empty one is a usage error."""
+    parse = kind(name, **bounds)
     items = [parse(s) for s in str(spec).split(",") if s.strip()]
     if not items:
         raise UsageError(f"{name} needs at least one value, got {str(spec)!r}")
     return items
 
 
-def _sweep(name: str, kind=_integer):
+def _sweep(name: str, kind=_integer, **bounds):
     """Parser of a sweep list: each value is solved and written once, at its first place."""
-    return lambda spec: list(dict.fromkeys(_num_list(spec, name, kind)))
+    return lambda spec: list(dict.fromkeys(_num_list(spec, name, kind, **bounds)))
 
 
 def _mode_ranks(value):
@@ -114,7 +115,7 @@ def _completions(value) -> tuple[bool, ...]:
 
 # key: (default, parser of the value from flag, config file or default, keywords of --key)
 SETTINGS = {
-    "rank": ("8", _sweep("rank"), {"help": "rank budget, comma list for a sweep"}),
+    "rank": ("8", _sweep("rank", least=1), {"help": "rank budget, comma list for a sweep"}),
     "beta": ("1e5", _sweep("beta", _real),
              {"help": "step nuclear-norm scale, comma list for a sweep"}),
     "shift": (1, _integer("shift"), {"type": int}),
@@ -127,7 +128,7 @@ SETTINGS = {
     "cache": (32, _integer("cache"), {"type": int}),
     "bs": (3, _integer("bs", 1), {"type": int}),
     "files": (128, _integer("files"), {"type": int}),
-    "ranks": ("8,16,24", _sweep("ranks"), {"help": "comma list of completion rank budgets"}),
+    "ranks": ("8,16,24", _sweep("ranks", least=1), {"help": "comma list of completion rank budgets"}),
     "predictor": ("both", _predictors, {"choices": ["lp", "mean", "both"]}),
     "completion": ("both", _completions, {"choices": ["on", "off", "both"]}),
     "slots": (40, _integer("slots", 1), {"type": int, "help": "synthetic stream length"}),
@@ -198,9 +199,14 @@ def _settings(args, config: dict) -> dict:
     return out
 
 
+def _out_path(args) -> Path:
+    """The output directory: ``--out``, else ``$TENSCACHE_OUT_DIR``, else the current one."""
+    return Path(getattr(args, "out", None) or os.environ.get(OUT_DIR_ENV) or ".")
+
+
 def _out_dir(args) -> Path:
-    out = getattr(args, "out", None) or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(out)
+    """The output directory, made if it does not exist."""
+    path = _out_path(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -359,6 +365,11 @@ def cmd_synth(args, config: dict) -> int:
     name = args.name or "observed.coo"
     if args.truth_out and Path(args.truth_out) == Path(name):
         raise UsageError(f"--truth-out {args.truth_out} would overwrite the observed tensor {name}")
+    out = _out_path(args)  # made below, with no subdirectory
+    for flag, file in (("--name", name), ("--truth-out", args.truth_out)):
+        folder = (out / file).parent if file else out
+        if folder != out and not folder.is_dir():
+            raise UsageError(f"{flag} {file}: directory {folder} not found")
     s["mode_ranks"] = s["mode_ranks"] or [2] * len(shape)
     observed, truth = synth_low_rank(shape, s["mode_ranks"], s["noise"], s["observe"],
                                      s["seed"], s["shift"])

@@ -377,7 +377,7 @@ def complete_sweep(
     if not budgets:
         raise ValueError("no rank budget given")
     if budgets[0] < 1:
-        raise ValueError("rank_budget must be >= 1")
+        raise ValueError(f"rank budgets must be >= 1, got {budgets}")
     return _sweep(t, t_norm, cfg, budgets, FwState.initial(t.shape, cfg.shift))
 
 

@@ -19,7 +19,9 @@ with known ground truth.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 import zlib
 from dataclasses import dataclass
 
@@ -45,6 +47,15 @@ WEIGHT_STARS = "stars"
 _RATINGS_DTYPE = np.dtype(
     [("user", np.int64), ("movie", np.int64), ("rating", np.float64), ("timestamp", np.int64)])
 _INT64 = range(-(2**63), 2**63)
+# the array parse reads the timestamp as a float, then truncates it
+_LOADTXT_DTYPE = np.dtype(
+    [("user", np.int64), ("movie", np.int64), ("rating", np.float64), ("timestamp", np.float64)])
+# bytes the array parse leaves to the line parser: all but printable ASCII, tab and
+# newline, and csv's quote
+_DOUBTFUL_BYTE = np.ones(256, dtype=bool)
+_DOUBTFUL_BYTE[32:127] = False
+_DOUBTFUL_BYTE[[ord("\t"), ord("\n")]] = False
+_DOUBTFUL_BYTE[ord('"')] = True
 
 
 @dataclass
@@ -82,13 +93,70 @@ def load_ratings(path) -> np.ndarray:
     (int64, int64, float64, int64). The first non-blank row is a header, and
     skipped, if its first field is not a number. A bad row raises
     ``ValueError`` naming ``path:line``; an id or timestamp beyond int64 is a
-    ``bad field``."""
+    ``bad field``.
+
+    The delimiter is tab if the first 4096 characters hold more tabs than
+    commas. The rows are parsed as one array (``np.loadtxt``). A file that
+    parse does not take, or whose records fail a check, is read again row by
+    row, and that reader alone names a bad row."""
+    with open(path, newline="") as fh:
+        sample = fh.read(4096)
+    delimiter = "\t" if sample.count("\t") > sample.count(",") else ","
+    try:
+        return _parse_ratings_array(path, delimiter)
+    except ValueError:  # the line parser is the only judge of a file in doubt
+        return _parse_ratings_lines(path, delimiter)
+
+
+def _parse_ratings_array(path, delimiter: str) -> np.ndarray:
+    """All rows in one ``np.loadtxt`` call. Raises on anything the line parser
+    could read differently: a byte outside printable ASCII, tab and newline
+    (so a ``\\r``, a control character or a non-ASCII character), a ``"``
+    (csv quoting), a row longer than csv's field limit, a row that starts
+    with whitespace or the delimiter (blank rows and blank first fields among
+    them), no data rows, a ``loadtxt`` error or warning (numpy < 2 reads
+    ``2.5`` as an int with a ``DeprecationWarning``), or a record that fails
+    a check."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
+        raise ValueError("no rows")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if _DOUBTFUL_BYTE[buf].any():
+        raise ValueError("a byte the array parse does not take")
+    starts = np.flatnonzero(np.r_[ord("\n"), buf[:-1]] == ord("\n"))  # of each row
+    if (np.diff(starts, append=buf.size) > csv.field_size_limit()).any():
+        raise ValueError("a row longer than csv's field limit")
+    if (buf[starts] <= ord(" ")).any() or (buf[starts] == ord(delimiter)).any():
+        raise ValueError("a row that starts blank")
+    text = data.decode("ascii")
+    try:
+        float(text.split("\n", 1)[0].split(delimiter, 1)[0])
+        header = 0
+    except ValueError:
+        header = 1
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" among them
+            table = np.loadtxt(io.StringIO(text), dtype=_LOADTXT_DTYPE, delimiter=delimiter,
+                               comments=None, skiprows=header, usecols=(0, 1, 2, 3), ndmin=1)
+    except (OverflowError, Warning) as exc:
+        raise ValueError(f"loadtxt: {exc}") from None
+    stamps = table["timestamp"]
+    if not ((stamps >= -(2.0**63)) & (stamps < 2.0**63)).all():  # NaN too
+        raise ValueError("a timestamp beyond int64")
+    records = table.astype(_RATINGS_DTYPE)  # truncates the timestamp, as int(float(s)) does
+    rating = records["rating"]
+    if not ((records["timestamp"] > 0) & (rating >= 0) & (rating < np.inf)).all():
+        raise ValueError("a record that fails a check")
+    return records
+
+
+def _parse_ratings_lines(path, delimiter: str) -> np.ndarray:
+    """One csv row at a time, naming ``path:line`` for the first problem."""
     rows = []
     header_allowed = True
     with open(path, newline="") as fh:
-        sample = fh.read(4096)
-        fh.seek(0)
-        delimiter = "\t" if sample.count("\t") > sample.count(",") else ","
         reader = csv.reader(fh, delimiter=delimiter)
         for lineno, row in enumerate(reader, start=1):
             if not row or not row[0].strip():

@@ -164,31 +164,57 @@ class SparseTensor:
 # Header line:  # shape: I1xI2x...xIN
 # Entry lines:  i1,i2,...,iN,value      (1-based indices)
 
-_CHUNK_LINES = 8192  # entry lines joined per write: whole-file strings cost memory
+_CHUNK_LINES = 8192  # entry lines formed per write: whole-file buffers cost memory
+_VALUE_WIDTH = 24  # bytes of the longest float64 repr, e.g. -2.2250738585072014e-308
 
 
 def _format_header(shape) -> str:
     return "# shape: " + "x".join(str(s) for s in shape)
 
 
+def _byte_rows(strings: list[str], width: int) -> np.ndarray:
+    """ASCII ``strings`` as the rows of a ``(len, width)`` uint8 matrix, zero padded."""
+    return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
+
+
 def _write_coo(path, shape, columns, values) -> None:
     """Write the header and one line per entry. ``columns`` holds the
     entries' 0-based indices, one array per dimension; values are written as
-    the ``repr`` of Python floats, so they read back bitwise."""
+    the ``repr`` of Python floats, so they read back bitwise.
+
+    Each chunk of lines is one uint8 matrix with a fixed-width slot per field
+    and the commas and newline in between. A dimension's index strings are
+    formed once, as a table of byte rows, and taken by index; a dimension
+    longer than the entry list formats its chunk's indices instead. The
+    values' table holds the ``repr`` of each distinct bit pattern in the
+    chunk (so ``-0.0`` stays apart from ``0.0``): a few strings for a
+    demand count, one per entry when every value differs. Dropping the zero
+    pad bytes leaves the lines."""
     values = np.asarray(values, dtype=np.float64)
     nnz = values.size
-    # index strings looked up per dimension; a dimension longer than the
-    # entry list formats its indices one by one instead
-    tables = [[str(i + 1) for i in range(s)] if s <= nnz else None for s in shape]
+    widths = [len(str(s)) for s in shape] + [_VALUE_WIDTH]
+    tables = [_byte_rows([str(i) for i in range(1, s + 1)], width) if s <= nnz else None
+              for s, width in zip(shape, widths)]
+    ends = np.cumsum(np.add(widths, 1))  # the column after each field: a comma, last a newline
+    lines = np.zeros((min(nnz, _CHUNK_LINES), ends[-1]), dtype=np.uint8)
+    lines[:, ends[:-1] - 1] = ord(",")
+    lines[:, -1] = ord("\n")
+    slots = [lines[:, end - width - 1 : end - 1] for end, width in zip(ends, widths)]
+    bits = values.view(np.int64)
     with open(path, "w") as fh:
         fh.write(_format_header(shape) + "\n")
         for lo in range(0, nnz, _CHUNK_LINES):
-            hi = lo + _CHUNK_LINES
-            fields = [map(table.__getitem__, col[lo:hi].tolist()) if table
-                      else (str(i + 1) for i in col[lo:hi].tolist())
-                      for table, col in zip(tables, columns)]
-            fields.append(map(repr, values[lo:hi].tolist()))
-            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
+            hi = min(lo + _CHUNK_LINES, nnz)
+            for table, col, slot, width in zip(tables, columns, slots, widths):
+                if table is None:
+                    slot[: hi - lo] = _byte_rows([str(i + 1) for i in col[lo:hi].tolist()], width)
+                else:
+                    np.take(table, col[lo:hi], axis=0, out=slot[: hi - lo])
+            distinct, inverse = np.unique(bits[lo:hi], return_inverse=True)
+            table = _byte_rows(list(map(repr, distinct.view(np.float64).tolist())), _VALUE_WIDTH)
+            np.take(table, inverse, axis=0, out=slots[-1][: hi - lo])
+            block = lines[: hi - lo]
+            fh.write(block[block != 0].tobytes().decode("ascii"))
 
 
 def write_coo_sparse(path, t: SparseTensor) -> None:

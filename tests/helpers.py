@@ -15,6 +15,17 @@ def reconstruct(trip):
     return (trip.u * trip.sigma) @ trip.v.T
 
 
+def reference_coo_text(shape, columns, values) -> str:
+    """The COO text ``tenscache.tensors._write_coo`` writes, formed one line
+    at a time: the ``# shape:`` header, then ``i1,...,iN,value`` per entry
+    with 1-based indices and the ``repr`` of the value as a Python float."""
+    lines = ["# shape: " + "x".join(str(s) for s in shape)]
+    entries = zip(*(np.asarray(col).tolist() for col in columns),
+                  np.asarray(values, dtype=np.float64).tolist())
+    lines += [",".join([str(i + 1) for i in idx] + [repr(v)]) for *idx, v in entries]
+    return "\n".join(lines) + "\n"
+
+
 def ratings(rows):
     """A ratings record array from ``(user, movie, rating, timestamp)`` rows."""
     return np.array(rows, dtype=RATINGS_DTYPE)

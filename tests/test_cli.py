@@ -299,8 +299,8 @@ class TestSimulateCommand:
     "argv, cause",
     [(["complete", "F", "--max-iter", "0"], "max_iter must be >= 1"),
      (["complete", "F", "--shift", "4"], "shift 4 invalid for order 4"),
-     (["complete", "F", "--rank", "4,0"], "rank_budget must be >= 1"),
-     (["simulate", "--ranks", "0"], "rank budgets must be >= 1"),
+     (["complete", "F", "--rank", "4,0"], "rank must be >= 1, got 0"),
+     (["simulate", "--ranks", "8,0"], "ranks must be >= 1, got 0"),
      (["simulate", "--tau", "3"], "too short for prediction order 6"),
      (["simulate", "--cache", "40", "--files", "16"], "cache size 40 must be in 1..16"),
      (["simulate", "--shift", "4", "--slots", "12", "--files", "16", "--cache", "4"],
@@ -312,7 +312,9 @@ class TestSimulateCommand:
      (["synth", "6,5,4", "--name", "a.coo", "--truth-out", "a.coo"],
       "--truth-out a.coo would overwrite the observed tensor a.coo"),
      (["synth", "6,5,4", "--truth-out", "observed.coo"],
-      "--truth-out observed.coo would overwrite the observed tensor observed.coo")],
+      "--truth-out observed.coo would overwrite the observed tensor observed.coo"),
+     (["synth", "6,5,4", "--truth-out", "nodir/t.coo"], "--truth-out nodir/t.coo: directory"),
+     (["synth", "6,5,4", "--name", "nodir/o.coo"], "--name nodir/o.coo: directory")],
 )
 def test_settings_error_exits_2_leaving_no_out_dir(tensor_file, tmp_path, capsys, argv, cause):
     out = tmp_path / "out"

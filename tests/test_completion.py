@@ -653,7 +653,8 @@ class TestCompleteSweep:
 
     @pytest.mark.parametrize("budgets", [(), (0, 4)])
     def test_bad_budgets_rejected_at_the_call(self, budgets):
-        with pytest.raises(ValueError):
+        message = r"rank budgets must be >= 1, got \[0, 4\]" if budgets else "no rank budget given"
+        with pytest.raises(ValueError, match=message):
             complete_sweep(self.fixture(), FwConfig(), budgets)
 
 

@@ -1,3 +1,6 @@
+import csv
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,8 @@ from helpers import RATINGS_DTYPE, ratings, reference_demand_slots, synth_reques
 from tenscache.completion import FwConfig, complete
 from tenscache.ingest import (
     IngestConfig,
+    _parse_ratings_array,
+    _parse_ratings_lines,
     build_demand_tensor,
     load_ratings,
     synth_low_rank,
@@ -201,6 +206,190 @@ class TestLoadRatings:
         p = tmp_path / "a.csv"
         p.write_text("1,2,3.5,1000.9\n")
         assert load_ratings(p).tolist() == [(1, 2, 3.5, 1000)]
+
+
+# --- ratings: the array parse against the line parser -----------------------
+
+
+@pytest.fixture(scope="module")
+def ratings_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ratings") / "ratings.csv"
+
+
+def sniffed(text: str) -> str:
+    """The delimiter ``load_ratings`` picks for a file of ``text``."""
+    return "\t" if text[:4096].count("\t") > text[:4096].count(",") else ","
+
+
+def assert_same_records(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype == RATINGS_DTYPE
+    assert a.tobytes() == b.tobytes()
+
+
+IDS = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), 2**63 - 1, 0, -1]))
+RATINGS = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.sampled_from([-0.0, 0.0, 5.0]))
+# the integer part of each is >= 1 and fits int64 (2**63 - 1024 is the largest float below 2**63)
+STAMPS = st.floats(min_value=1.0, max_value=2.0**63 - 1024)
+STAMP_TEXTS = ["{:d}", "{!r}", "{:e}", "{:.3f}", "{:.17E}", "{:+.1f}"]
+EXTRA_FIELDS = st.sampled_from(["", "x", "1.5", "a note", "nan", "-"])
+SPACES = st.sampled_from(["", " ", "  "])
+
+
+@st.composite
+def ratings_texts(draw):
+    """A valid ratings file and its number of records: comma or tab, with or
+    without a header row and a final newline, extra columns, spaces around
+    all but the first field, and timestamps written with fractions and
+    exponents."""
+    delimiter = draw(st.sampled_from([",", "\t"]))
+    rows = []
+    if draw(st.booleans()):
+        rows.append(delimiter.join([draw(st.sampled_from(["userId", "user_id", "u"])),
+                                    "movieId", "rating", "timestamp"]))
+    n_records = draw(st.integers(1, 6))
+    for _ in range(n_records):
+        stamp = draw(STAMPS)
+        stamp_text = draw(st.sampled_from(STAMP_TEXTS))
+        fields = [str(draw(IDS)), str(draw(IDS)),
+                  draw(st.sampled_from(["{!r}", "{:e}", "{:.2f}"])).format(draw(RATINGS)),
+                  stamp_text.format(int(stamp) if stamp_text == "{:d}" else stamp)]
+        fields += draw(st.lists(EXTRA_FIELDS, max_size=2))
+        rows.append(fields[0] + draw(SPACES) + delimiter
+                    + delimiter.join(draw(SPACES) + f + draw(SPACES) for f in fields[1:]))
+    return "\n".join(rows) + draw(st.sampled_from(["", "\n"])), n_records
+
+
+@settings(max_examples=200, deadline=None)
+@given(ratings_texts())
+def test_array_parse_equals_line_parser_on_valid_files(ratings_path, case):
+    text, n_records = case
+    ratings_path.write_text(text)
+    delimiter = sniffed(text)
+    fast = _parse_ratings_array(ratings_path, delimiter)  # takes every such file
+    assert_same_records(fast, _parse_ratings_lines(ratings_path, delimiter))
+    assert_same_records(load_ratings(ratings_path), fast)
+    assert len(fast) == n_records
+
+
+# characters that make the number parsers of numpy and Python disagree, or
+# that a ratings file may carry by mistake
+FUZZ_ALPHABET = "0123456789+-.eE_ ,\t\"\r\n#naifINFx\x0b\x0c\x1c\x00\xa0\u0661\u01fe"
+
+
+@st.composite
+def fuzzed_ratings(draw):
+    """Valid comma-separated ratings rows with up to four characters
+    inserted or deleted."""
+    text = "\n".join(",".join([str(draw(st.integers(-3, 3))), str(draw(st.integers(1, 9))),
+                               repr(draw(RATINGS)), repr(draw(STAMPS))])
+                     for _ in range(draw(st.integers(1, 3))))
+    for _ in range(draw(st.integers(0, 4))):
+        pos = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:pos] + draw(st.sampled_from(FUZZ_ALPHABET)) + text[pos:]
+        else:
+            text = text[:pos] + text[pos + 1:]
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(fuzzed_ratings())
+def test_array_parse_never_accepts_what_the_line_parser_rejects(ratings_path, text):
+    ratings_path.write_bytes(text.encode())
+    try:
+        fast = _parse_ratings_array(ratings_path, ",")
+    except ValueError:  # what load_ratings hands to the line parser
+        return
+    assert_same_records(fast, _parse_ratings_lines(ratings_path, ","))
+
+
+# files the array parse leaves to the line parser: (text, the records, or the
+# line parser's message after "path:")
+IN_DOUBT = [
+    # a non-ASCII character: Python reads Arabic-Indic digits as a number
+    ("1,2,3.5,\u0661\u0660\u0660\u0660\n", [(1, 2, 3.5, 1000)]),
+    ("userId,movieId,rating,timestamp \u2713\n1,2,3.5,1000\n", [(1, 2, 3.5, 1000)]),
+    ("1,2,3.5,1000\n1,2,3.5,\u0661x\n", "2: bad field in '1,2,3.5,\u0661x'"),
+    # a quote: csv unquotes fields, and a quoted newline does not end a row
+    ('"1",2,3.5,1000\n', [(1, 2, 3.5, 1000)]),
+    ('1,2,3.5,1000,"a note\n5,6,7.0,8,"\n', [(1, 2, 3.5, 1000)]),
+    ('1,2,"3,5",1000\n', "1: bad field in '1,2,3,5,1000'"),
+    # a carriage return: csv ends rows at \r\n
+    ("1,2,3.5,1000\r\n1,3,4.0,1001\r\n", [(1, 2, 3.5, 1000), (1, 3, 4.0, 1001)]),
+    ("1,2,3.5,1000\r\n1,3,4.0,0\r\n", "2: timestamp must be > 0"),
+    # other control characters: Python strips \x0c from a number, not \x1c
+    ("1,2,3.5,1000\x0c\n", [(1, 2, 3.5, 1000)]),
+    ("1,2,3.5,1000\n1,3,4.0,1001\x1c\n", "2: bad field in '1,3,4.0,1001\\x1c'"),
+    # blank rows and blank first fields: the line parser skips them
+    ("1,2,3.5,1000\n\n1,3,4.0,1001\n", [(1, 2, 3.5, 1000), (1, 3, 4.0, 1001)]),
+    ("1,2,3.5,1000\n ,3,4.0,x\n,1,1,1\n", [(1, 2, 3.5, 1000)]),
+    ("\n\tuser\tmovie\trating\n1\t2\t3.5\t1000\n", [(1, 2, 3.5, 1000)]),
+    (" 1,2,3.5,1000\n", [(1, 2, 3.5, 1000)]),
+    # no data rows
+    ("", []),
+    ("userId,movieId,rating,timestamp\n", []),
+    ("\n\n", []),
+    # loadtxt errors: a short row, a field loadtxt does not read
+    ("1,2,3.5,1000\n1,2,3.5\n", "2: expected 4 fields, got 3"),
+    ("1,2,3.5,1000\n1,,3.5,1000\n", "2: bad field in '1,,3.5,1000'"),
+    ("1,2,3.5,1_000\n1_0,2,3.5,1000\n", [(1, 2, 3.5, 1000), (10, 2, 3.5, 1000)]),
+    ("1,2.5,3.5,1000\n", "1: bad field in '1,2.5,3.5,1000'"),
+    (f"1,{2**63},3.5,1000\n", f"1: bad field in '1,{2**63},3.5,1000'"),
+    # records that fail a check
+    ("1,2,3.5,1000\n1,2,3.5,inf\n", "2: bad field in '1,2,3.5,inf'"),
+    (f"1,2,3.5,{2**63 - 1}\n", f"1: bad field in '1,2,3.5,{2**63 - 1}'"),
+    ("1,2,3.5,0.5\n", "1: timestamp must be > 0"),
+    ("1,2,-0.5,1000\n", "1: rating must be finite and >= 0"),
+    ("1,2,nan,1000\n", "1: rating must be finite and >= 0"),
+]
+
+
+@pytest.mark.parametrize("text, expected", IN_DOUBT)
+def test_a_file_in_doubt_is_read_by_the_line_parser(tmp_path, text, expected):
+    path = tmp_path / "ratings.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError):
+        _parse_ratings_array(path, sniffed(text))
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as lines:
+            _parse_ratings_lines(path, sniffed(text))
+        with pytest.raises(ValueError) as loaded:
+            load_ratings(path)
+        assert str(loaded.value) == str(lines.value) == f"{path}:{expected}"
+    else:
+        records = load_ratings(path)
+        assert_same_records(records, _parse_ratings_lines(path, sniffed(text)))
+        assert records.tolist() == expected
+
+
+def test_a_row_beyond_the_csv_field_limit_is_left_to_the_line_parser(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("1,2,3.5,1000," + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValueError):
+        _parse_ratings_array(path, ",")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        load_ratings(path)
+
+
+@pytest.mark.parametrize("effect", ["warn", "overflow"])
+def test_a_loadtxt_warning_or_overflow_is_left_to_the_line_parser(tmp_path, monkeypatch, effect):
+    # numpy < 2 reads "2.5" as an int with only a DeprecationWarning
+    loadtxt = np.loadtxt
+
+    def doubtful_loadtxt(*args, **kwargs):
+        if effect == "warn":
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                          DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+        raise OverflowError("Python int too large to convert to C long")
+
+    monkeypatch.setattr(np, "loadtxt", doubtful_loadtxt)
+    path = tmp_path / "ratings.csv"
+    path.write_text("1,2,3.5,1000\n1,3,4.0,1001\n")
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="loadtxt"):
+        warnings.simplefilter("ignore")  # a warning is doubt even where it would not be seen
+        _parse_ratings_array(path, ",")
+    assert load_ratings(path).tolist() == [(1, 2, 3.5, 1000), (1, 3, 4.0, 1001)]
 
 
 class TestSynthLowRank:

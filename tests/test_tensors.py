@@ -1,12 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_coo_text
+from tenscache import tensors
 from tenscache.tensors import (
     SparseTensor,
     _parse_coo_array,
     _parse_coo_lines,
+    _write_coo,
     UnfoldSpec,
     fold,
     read_coo,
@@ -282,6 +287,45 @@ def test_dense_write_of_integer_tensor_reads_back_as_floats(coo_path):
     write_coo_dense(coo_path, x)
     assert coo_path.read_text().splitlines()[1] == "1,1,1,0.0"
     assert read_coo(coo_path).to_dense().tobytes() == x.astype(np.float64).tobytes()
+
+
+# NaNs with other bit patterns than np.nan's: each is written as ``nan``
+NAN_PAYLOADS = np.array([0x7FF8000000000001, -0x0008000000000000, -0x0007FFFFFFFFFFFF],
+                        dtype=np.int64).view(np.float64).tolist()
+WRITE_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e16, -1e16,
+                     -2.2250738585072014e-308, -1.7976931348623157e308, 0.0001, 1e-5,
+                     *NAN_PAYLOADS]),
+    st.floats(),  # many distinct values
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12) | st.integers(13, 1200), min_size=3, max_size=5),
+       st.integers(1, 5), st.data())
+def test_write_coo_matches_the_per_line_formatter(coo_path, dims, chunk, data):
+    # dimensions both within and longer than the entry list; chunks of 1-5 lines
+    shape = tuple(dims)
+    nnz = data.draw(st.integers(0, 12))
+    columns = [np.array(data.draw(st.lists(st.integers(0, s - 1), min_size=nnz, max_size=nnz)),
+                        dtype=np.intp) for s in shape]
+    values = np.array(data.draw(st.lists(WRITE_VALUES, min_size=nnz, max_size=nnz)),
+                      dtype=np.float64)
+    with mock.patch.object(tensors, "_CHUNK_LINES", chunk):
+        _write_coo(coo_path, shape, columns, values)
+    assert coo_path.read_bytes() == reference_coo_text(shape, columns, values).encode()
+
+
+def test_write_coo_matches_the_per_line_formatter_over_many_chunks(coo_path):
+    # distinct normal values, repeated counts and both zeros, over ten chunks
+    shape = (40, 9, 3, 70)
+    x = np.random.default_rng(7).standard_normal(shape)
+    x[:, :3] = np.round(x[:, :3] * 2)
+    x[:, 3:5] = -0.0
+    write_coo_dense(coo_path, x)
+    columns = np.unravel_index(np.arange(x.size), shape, order="F")
+    assert coo_path.read_bytes() == reference_coo_text(shape, columns, x.ravel(order="F")).encode()
+    assert x.size > 2 * tensors._CHUNK_LINES
 
 
 def test_header_only_file_round_trips(coo_path):
