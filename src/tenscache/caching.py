@@ -142,66 +142,80 @@ def hit_rate(mass: np.ndarray, total: float, c: np.ndarray) -> float:
     return float(mass @ c / total)
 
 
-def _completed_histories(window: np.ndarray, fw_cfg: FwConfig, budgets):
+def _completed_histories(window: np.ndarray, seen: np.ndarray, fw_cfg: FwConfig, budgets):
     """``(True, budget, completed window's shares)`` per distinct budget, from
-    one sweep (the first two items name the treatment and budget of a cell)."""
-    idx = np.argwhere(window != 0.0)
+    one sweep (the first two items name the treatment and budget of a cell).
+    ``seen`` is the window's observation mask: the solver reads ``window``
+    only there."""
+    idx = np.argwhere(seen)
     if idx.shape[0] == 0:
         for budget in set(budgets):
-            yield True, budget, normalize_demands(window)
+            yield True, budget, normalize_demands(np.zeros(window.shape))
         return
     t = SparseTensor(window.shape, idx, window[tuple(idx.T)])
     for budget, state, _ in complete_sweep(t, fw_cfg, budgets):
         yield True, budget, normalize_demands(state.x)
 
 
-def _raw_shares(stream: np.ndarray, tau: int) -> np.ndarray:
-    """Every slot's demand shares, (T, F, N_BS), normalized ``tau`` slots at
-    a time: a block has a window's shape, so each slot's shares are bitwise
-    those of any window holding it."""
+def _raw_shares(stream: np.ndarray, mask: np.ndarray | None, tau: int) -> np.ndarray:
+    """Every slot's observed demand shares, (T, F, N_BS), normalized ``tau``
+    slots at a time: a block has a window's shape, so each slot's shares are
+    bitwise those of any window holding it."""
     shares = np.empty((len(stream), stream.shape[1], stream.shape[3]))
     for lo in range(0, len(stream), tau):
         lo = min(lo, len(stream) - tau)  # the last block overlaps the one before
-        shares[lo : lo + tau] = normalize_demands(np.moveaxis(stream[lo : lo + tau], 0, -1)).shares
+        block = stream[lo : lo + tau]
+        if mask is not None:
+            block = np.where(mask[lo : lo + tau], block, 0.0)
+        shares[lo : lo + tau] = normalize_demands(np.moveaxis(block, 0, -1)).shares
     return shares
 
 
 def run_online(
     stream: np.ndarray,
     cfg: OnlineConfig,
-    score_stream: np.ndarray | None = None,
+    mask: np.ndarray | None = None,
 ) -> OnlineResult:
     """Run the per-slot observe / complete / predict / place / score loop.
 
-    ``stream`` is the observed (T, F, F, N_BS) demand stream (a sequence of
-    slots is converted once); each window is a view of it. ``score_stream``
-    holds the realized demands used for scoring and the oracle; it defaults
-    to ``stream`` (on real traces the observed demands are all there is).
+    ``stream`` holds the realized (T, F, F, N_BS) demands (a sequence of
+    slots is converted once); every slot is scored, and the oracle placed,
+    against it. ``mask``, a bool array of the stream's shape, is True where
+    an entry is observed, and the predictors and the solver read the stream
+    only there. Without a mask the observed stream is ``stream`` itself and
+    its zeros are the missing entries (on real traces the observed demands
+    are all there is). No dense observed copy of the stream is formed, nor
+    one per window: the raw shares read one observed block per ``tau``
+    slots, and each window is solved from its observed entries.
+
     Slots ``tau+1 .. T`` (1-based) get scored, every treatment in
     ``cfg.completion`` in the same pass: each window is completed once for
     every budget in ``cfg.rank_budgets`` (one sweep), each budget's
     completion is normalized once, and with a raw treatment each slot is
     normalized once per run; every such history feeds every predictor in
     ``cfg.predictors``, and the oracle scores each (slot, bs) once. A
-    configuration the stream cannot satisfy, or a negative realized demand,
-    raises ``ValueError`` before the loop; a failure inside the loop is
-    re-raised as ``RuntimeError`` naming the slot.
+    configuration the stream cannot satisfy, a mask that is not a bool array
+    of the stream's shape, or a negative realized demand raises
+    ``ValueError`` before the loop; a failure inside the loop is re-raised as
+    ``RuntimeError`` naming the slot.
     """
     stream = np.asarray(stream)
-    score_stream = stream if score_stream is None else np.asarray(score_stream)
-    if len(stream) != len(score_stream):
-        raise ValueError("stream and score_stream lengths differ")
+    if mask is not None:
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != stream.shape:
+            raise ValueError(f"mask must be a bool array of the stream's shape {stream.shape}, "
+                             f"got {mask.dtype} of shape {mask.shape}")
     if len(stream) <= cfg.tau:
         raise ValueError(f"need more than tau={cfg.tau} slots, got {len(stream)}")
     _, num_files, _, n_bs = stream.shape
     if not 1 <= cfg.cache_size <= num_files:
         raise ValueError(f"cache size {cfg.cache_size} must be in 1..{num_files} (library size)")
-    for slot, realized in enumerate(score_stream[cfg.tau:], start=cfg.tau + 1):
+    for slot, realized in enumerate(stream[cfg.tau:], start=cfg.tau + 1):
         if (realized < 0).any():
             raise ValueError(f"realized demands of slot {slot} must be nonnegative")
     pred_cfgs = {p: PredictorConfig(cfg.order, p) for p in cfg.predictors}
     fw_cfg = FwConfig(shift=cfg.shift)
-    raw = _raw_shares(stream, cfg.tau) if False in cfg.completion else None
+    raw = _raw_shares(stream, mask, cfg.tau) if False in cfg.completion else None
     scored = (len(stream) - cfg.tau, n_bs)
     zero_demand = np.zeros(scored, dtype=bool)
     oracle = np.empty(scored)
@@ -212,13 +226,14 @@ def run_online(
     for s, t_idx in enumerate(range(cfg.tau - 1, len(stream) - 1)):
         lo = t_idx - cfg.tau + 1
         try:
-            realized = score_stream[t_idx + 1]
+            realized = stream[t_idx + 1]
             masses = [(realized[:, :, b].sum(axis=1), float(realized[:, :, b].sum()))
                       for b in range(n_bs)]
             histories = [] if raw is None else [(False, 0, DemandHistory(raw[lo : t_idx + 1]))]
             if True in cfg.completion:
                 window = np.moveaxis(stream[lo : t_idx + 1], 0, -1)
-                histories += _completed_histories(window, fw_cfg, cfg.rank_budgets)
+                seen = window != 0.0 if mask is None else np.moveaxis(mask[lo : t_idx + 1], 0, -1)
+                histories += _completed_histories(window, seen, fw_cfg, cfg.rank_budgets)
             for completed, budget, history in histories:
                 for b, (mass, total) in enumerate(masses):
                     for p, pred_cfg in pred_cfgs.items():

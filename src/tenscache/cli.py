@@ -312,17 +312,17 @@ def cmd_simulate(args, config: dict) -> int:
         source = Path(args.ratings)
         result = build_demand_tensor(_read_ratings(source),
                                      IngestConfig(top_f=s["files"], n_bs=s["bs"]))
-        stream, score_stream = result.slots, None
+        stream, mask = result.slots, None
     else:
         source = "synthetic"
-        stream, score_stream = synth_lowrank_stream(s["files"], s["bs"], s["slots"],
-                                                    s["observe"], s["seed"])
+        stream, mask = synth_lowrank_stream(s["files"], s["bs"], s["slots"],
+                                            s["observe"], s["seed"])
     if len(stream) <= s["tau"]:
         raise UsageError(f"stream has {len(stream)} slots; need more than tau={s['tau']}")
 
     out_dir = _out_dir(args)
     started = time.perf_counter()
-    result = run_online(stream, cfg, score_stream)
+    result = run_online(stream, cfg, mask)
     outputs = ["slots.csv", "summary.csv"]
     manifest_name = _write_manifest(
         out_dir, "simulate", {**s, "source": str(source), "slots": len(stream)},

@@ -285,13 +285,17 @@ def synth_lowrank_stream(
     observe_fraction: float = 0.05,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masked separable demand stream: (observed, truth), each a
-    (n_slots, F, F, N_BS) array.
+    """Masked separable demand stream: ``(truth, mask)``, the realized
+    (n_slots, F, F, N_BS) demands and a bool array of the same shape that is
+    True where an entry is observed.
 
     The truth is a two-component separable process (two popularity/
     recommendation profiles with per-BS weights and fluctuating slot scales),
-    so every window tensor is low rank in its circular unfoldings. Each slot
-    keeps a fresh uniform random fraction of entries; the rest read zero.
+    so every window tensor is low rank in its circular unfoldings. It is
+    positive, so ``np.where(mask, truth, 0.0)`` is the observed stream with
+    its zeros the missing entries. Each slot observes a fresh uniform random
+    fraction of entries. Both arrays are filled slot by slot in place, so
+    beyond them the generator holds a few slot-sized buffers.
     """
     if not 0.0 < observe_fraction <= 1.0:
         raise ValueError("observe_fraction must be in (0, 1]")
@@ -309,10 +313,14 @@ def synth_lowrank_stream(
     component1 = np.einsum("f,i,b->fib", pop1, rec1, w1)
     component2 = np.einsum("f,i,b->fib", pop2, rec2, w2)
     truth = np.empty((n_slots, num_files, num_files, n_bs))
-    observed = np.empty_like(truth)
-    for t in range(n_slots):
+    mask = np.empty(truth.shape, dtype=bool)
+    scratch = np.empty(component1.shape)  # z2's term, then the slot's uniform draws
+    for t, slot in enumerate(truth):
         z1 = abs(1.0 + 0.1 * rng.standard_normal())
         z2 = abs(0.6 + 0.1 * rng.standard_normal())
-        np.multiply(100.0, z1 * component1 + z2 * component2, out=truth[t])
-        np.multiply(truth[t], rng.random(truth[t].shape) < observe_fraction, out=observed[t])
-    return observed, truth
+        # 100 * (z1 * component1 + z2 * component2), one rounding per operation
+        np.multiply(z1, component1, out=slot)
+        slot += np.multiply(z2, component2, out=scratch)
+        slot *= 100.0
+        np.less(rng.random(out=scratch), observe_fraction, out=mask[t])
+    return truth, mask

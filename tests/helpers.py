@@ -1,13 +1,26 @@
 """Helpers shared by the test modules: test-only generators, views and
 reference implementations."""
 
+import importlib.util
 import zlib
+from pathlib import Path
 
 import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # the record layout ``tenscache.ingest.load_ratings`` documents
 RATINGS_DTYPE = np.dtype(
     [("user", np.int64), ("movie", np.int64), ("rating", np.float64), ("timestamp", np.int64)])
+
+
+def load_perfbench(name):
+    """The benchmark's module ``perfbench/<name>.py``, loaded by path (the
+    benchmark is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def reconstruct(trip):
@@ -99,3 +112,30 @@ def synth_request_stream(
         for b in range(n_bs):
             stream[t, files, files, b] = rng.multinomial(requests_per_slot, pop)
     return stream
+
+
+def reference_lowrank_stream(num_files, n_bs, n_slots, observe_fraction=0.05, seed=0):
+    """The generator ``synth_lowrank_stream`` replaced, which held the
+    observed stream as a second dense array: ``(observed, truth)``, with the
+    unobserved entries of ``observed`` zero."""
+    rng = np.random.default_rng(seed)
+
+    def profile(exponent):
+        p = 1.0 / np.arange(1, num_files + 1) ** exponent
+        rng.shuffle(p)
+        return p
+
+    pop1, rec1 = profile(1.1), profile(0.7)
+    pop2, rec2 = profile(0.9), profile(0.5)
+    w1 = 0.8 + 0.4 * rng.random(n_bs)
+    w2 = 0.5 + 0.5 * rng.random(n_bs)
+    component1 = np.einsum("f,i,b->fib", pop1, rec1, w1)
+    component2 = np.einsum("f,i,b->fib", pop2, rec2, w2)
+    truth = np.empty((n_slots, num_files, num_files, n_bs))
+    observed = np.empty_like(truth)
+    for t in range(n_slots):
+        z1 = abs(1.0 + 0.1 * rng.standard_normal())
+        z2 = abs(0.6 + 0.1 * rng.standard_normal())
+        np.multiply(100.0, z1 * component1 + z2 * component2, out=truth[t])
+        np.multiply(truth[t], rng.random(truth[t].shape) < observe_fraction, out=observed[t])
+    return observed, truth

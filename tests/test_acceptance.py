@@ -191,10 +191,10 @@ def test_criterion_8_predictor_recovery(report):
 
 
 def _paired_caching_runs(seed):
-    observed, truth = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=seed)
+    truth, mask = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=seed)
     cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2,
                        completion=(True, False), rank_budgets=(16,))
-    return run_online(observed, cfg, truth)
+    return run_online(truth, cfg, mask)
 
 
 def test_criterion_9_caching_dominance(report):
@@ -215,10 +215,10 @@ def test_criterion_9_caching_dominance(report):
 
 
 def test_criterion_10_rank_insensitive_hit_rate(report):
-    observed, truth = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=0)
+    truth, mask = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=0)
     base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2, completion=(True,))
     budgets = (8, 16, 24)  # 2N, 4N, 6N at N=4
-    result = run_online(observed, OnlineConfig(rank_budgets=budgets, **base), truth)
+    result = run_online(truth, OnlineConfig(rank_budgets=budgets, **base), mask)
     averages = [result.average(key) for _, _, key in result.runs()]
     spread = (max(averages) - min(averages)) / max(averages)
     report(

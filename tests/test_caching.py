@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,43 +118,43 @@ class TestRunOnline:
         assert avg >= oracle * 0.98
 
     def test_completion_improves_masked_stream(self):
-        observed, truth = synth_lowrank_stream(24, 3, 60, observe_fraction=0.05, seed=0)
+        truth, mask = synth_lowrank_stream(24, 3, 60, observe_fraction=0.05, seed=0)
         cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("mean",),
                            completion=(True, False), rank_budgets=(16,), shift=2)
-        result = run_online(observed, cfg, truth)
+        result = run_online(truth, cfg, mask)
         assert result.average(("mean", True, 16)) >= result.average(("mean", False, 0))
 
     def test_shared_completion_matches_single_predictor_runs(self):
-        observed, truth = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        truth, mask = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
         base = dict(tau=8, order=4, cache_size=6, rank_budgets=(16,), shift=2)
-        both = run_online(observed, OnlineConfig(predictors=("lp", "mean"), **base), truth)
-        lp = run_online(observed, OnlineConfig(predictors=("lp",), **base), truth)
-        mean = run_online(observed, OnlineConfig(predictors=("mean",), **base), truth)
+        both = run_online(truth, OnlineConfig(predictors=("lp", "mean"), **base), mask)
+        lp = run_online(truth, OnlineConfig(predictors=("lp",), **base), mask)
+        mean = run_online(truth, OnlineConfig(predictors=("mean",), **base), mask)
         assert [method for method, _, _ in both.runs()] == ["lp-completed", "mean-completed"]
         assert_same_scores(both, lp, [("lp", True, 16)])
         assert_same_scores(both, mean, [("mean", True, 16)])
 
     def test_budget_sweep_matches_single_budget_runs(self):
-        observed, truth = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        truth, mask = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
         base = dict(tau=8, order=4, cache_size=6, predictors=("lp", "mean"), shift=2)
         budgets = (16, 4, 8, 4)
-        swept = run_online(observed, OnlineConfig(rank_budgets=budgets, **base), truth)
+        swept = run_online(truth, OnlineConfig(rank_budgets=budgets, **base), mask)
         assert [(method, rank) for method, rank, _ in swept.runs()] == [
             (method, b) for method in ("lp-completed", "mean-completed") for b in budgets]
         for b in set(budgets):
-            single = run_online(observed, OnlineConfig(rank_budgets=(b,), **base), truth)
+            single = run_online(truth, OnlineConfig(rank_budgets=(b,), **base), mask)
             got = [key for _, rank, key in swept.runs() if rank == b]
             assert len(got) == 2 * budgets.count(b)
             assert_same_scores(swept, single, got)
 
     @pytest.mark.parametrize("completion", [(True, False), (False, True)])
     def test_treatments_in_one_pass_match_single_treatment_runs(self, completion):
-        observed, truth = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        truth, mask = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
         base = dict(tau=8, order=4, cache_size=6, predictors=("lp", "mean"), shift=2,
                     rank_budgets=(16, 4, 8, 4))
-        both = run_online(observed, OnlineConfig(completion=completion, **base), truth)
-        on = run_online(observed, OnlineConfig(completion=(True,), **base), truth)
-        off = run_online(observed, OnlineConfig(completion=(False,), **base), truth)
+        both = run_online(truth, OnlineConfig(completion=completion, **base), mask)
+        on = run_online(truth, OnlineConfig(completion=(True,), **base), mask)
+        off = run_online(truth, OnlineConfig(completion=(False,), **base), mask)
         assert both.cells.keys() == on.cells.keys() | off.cells.keys()
         assert_same_scores(both, on, on.cells)
         assert_same_scores(both, off, off.cells)
@@ -170,28 +172,28 @@ class TestRunOnline:
             return complete_sweep(t, fw_cfg, budgets)
 
         monkeypatch.setattr(caching_mod, "complete_sweep", counting_sweep)
-        observed, truth = synth_lowrank_stream(24, 3, 12, observe_fraction=0.05, seed=2)
+        truth, mask = synth_lowrank_stream(24, 3, 12, observe_fraction=0.05, seed=2)
         cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("lp", "mean"),
                            rank_budgets=(4, 8), shift=2)
-        result = run_online(observed, cfg, truth)
+        result = run_online(truth, cfg, mask)
         scored_slots = set(result.slots.tolist())
-        assert len(scored_slots) == len(observed) - cfg.tau
+        assert len(scored_slots) == len(truth) - cfg.tau
         assert len(calls) == len(scored_slots)
 
     @pytest.mark.parametrize("n_bs", [1, 3])
     def test_raw_reports_same_from_list_and_array_stream(self, n_bs):
-        observed, truth = synth_lowrank_stream(24, n_bs, 16, observe_fraction=0.3, seed=4)
+        truth, mask = synth_lowrank_stream(24, n_bs, 16, observe_fraction=0.3, seed=4)
         cfg = OnlineConfig(tau=5, order=3, cache_size=6, predictors=("lp", "mean"),
                            completion=(False,))
-        from_array = run_online(observed, cfg, truth)
-        from_list = run_online(list(observed), cfg, list(truth))
+        from_array = run_online(truth, cfg, mask)
+        from_list = run_online(list(truth), cfg, list(mask))
         assert len(from_array.cells) == len(from_list.cells) == 2
         assert_same_scores(from_array, from_list, from_list.cells)
 
     @pytest.mark.parametrize("n_bs", [1, 2])
     def test_raw_window_shares_equal_whole_window_normalization(self, monkeypatch, n_bs):
         # each slot is normalized once per run; every window's history must
-        # still be bitwise the shares of that window normalized whole
+        # still be bitwise the shares of that observed window normalized whole
         seen, real_fit = [], caching_mod.fit_predict
 
         def recording_fit(history, pred_cfg, bs):
@@ -199,17 +201,67 @@ class TestRunOnline:
             return real_fit(history, pred_cfg, bs)
 
         monkeypatch.setattr(caching_mod, "fit_predict", recording_fit)
-        stream = RNG.random((23, 16, 16, n_bs)) - 0.3  # negatives get clipped
-        stream[7, :, :, 0] = 0.0  # an all-zero slice reads uniform
+        stream = RNG.random((23, 16, 16, n_bs))
+        mask = RNG.random(stream.shape) < 0.3
+        mask[7, :, :, 0] = False  # an unobserved slice reads uniform
         tau = 4
         cfg = OnlineConfig(tau=tau, order=2, cache_size=3, predictors=("lp",), completion=(False,))
-        run_online(stream, cfg, np.abs(stream))
+        run_online(stream, cfg, mask)
         assert len(seen) == (len(stream) - tau) * n_bs
+        observed = np.where(mask, stream, 0.0)
         for t_idx in range(tau - 1, len(stream) - 1):
-            window = np.stack(list(stream[t_idx - tau + 1 : t_idx + 1]), axis=-1)
+            window = np.stack(list(observed[t_idx - tau + 1 : t_idx + 1]), axis=-1)
             want = normalize_demands(window).shares.tobytes()
             for b in range(n_bs):
                 assert seen.pop(0).tobytes() == want
+
+    def test_masked_stream_predicts_from_its_observed_copy(self, monkeypatch):
+        # the predictors (raw and completed histories alike) see bitwise what
+        # the zero-filled observed stream gives them without a mask, while
+        # every slot is scored against the realized demands
+        seen, real_fit = [], caching_mod.fit_predict
+
+        def recording_fit(history, pred_cfg, bs):
+            seen.append(history.shares.tobytes())
+            return real_fit(history, pred_cfg, bs)
+
+        monkeypatch.setattr(caching_mod, "fit_predict", recording_fit)
+        truth, mask = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("lp", "mean"), shift=2,
+                           completion=(True, False), rank_budgets=(16, 4))
+        masked = run_online(truth, cfg, mask)
+        masked_seen, seen[:] = seen[:], []
+        run_online(np.where(mask, truth, 0.0), cfg)
+        assert len(masked_seen) == 6 * 3 * 3 * 2 and masked_seen == seen
+        assert masked.oracle.tobytes() == run_online(truth, cfg).oracle.tobytes()
+
+    @pytest.mark.parametrize("mask, got", [
+        (np.ones((7, 4, 4, 2)), "float64 of shape (7, 4, 4, 2)"),
+        (np.ones((7, 4, 4, 1), dtype=bool), "bool of shape (7, 4, 4, 1)"),
+        (np.ones((6, 4, 4, 2), dtype=bool), "bool of shape (6, 4, 4, 2)"),
+    ], ids=["not-bool", "bs-shape", "slot-count"])
+    def test_bad_mask_rejected_naming_both_shapes(self, mask, got):
+        stream = RNG.random((7, 4, 4, 2))
+        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
+        with pytest.raises(ValueError) as info:
+            run_online(stream, cfg, mask)
+        assert str(info.value) == ("mask must be a bool array of the stream's shape "
+                                   f"(7, 4, 4, 2), got {got}")
+
+    def test_no_full_stream_copy(self):
+        # the raw shares come from one observed block of tau slots at a time
+        # and each window is solved from its observed entries, so the run's
+        # own allocations stay far below the stream's
+        truth, mask = synth_lowrank_stream(24, 3, 200)
+        cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2,
+                           completion=(True, False), rank_budgets=(16,))
+        tracemalloc.start()
+        try:
+            run_online(truth, cfg, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < truth.nbytes / 2
 
     def test_zero_demand_slots_flagged_and_excluded(self):
         stream = [RNG.random((5, 5, 2)) for _ in range(8)]

@@ -572,10 +572,10 @@ class TestManifestConfigAtDefaults:
         })
 
     def test_simulate(self, tmp_path, monkeypatch):
-        def one_window(stream, cfg, score_stream):
+        def one_window(stream, cfg, mask):
             # score one window only: the echo does not depend on how many are scored
             n = cfg.tau + 1
-            return caching_mod.run_online(stream[:n], cfg, score_stream[:n])
+            return caching_mod.run_online(stream[:n], cfg, mask[:n])
 
         monkeypatch.setattr(cli_mod, "run_online", one_window)
         assert main(["--out", str(tmp_path), "simulate"]) == 0

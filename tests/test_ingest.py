@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import RATINGS_DTYPE, ratings, reference_demand_slots, synth_request_stream
+from helpers import (
+    RATINGS_DTYPE,
+    ratings,
+    reference_demand_slots,
+    reference_lowrank_stream,
+    synth_request_stream,
+)
 from tenscache.completion import FwConfig, complete
 from tenscache.ingest import (
     IngestConfig,
@@ -436,9 +443,29 @@ class TestSynthStreams:
             assert sa.sum() == 500 * 2
 
     def test_lowrank_stream_masks_observed_fraction(self):
-        observed, truth = synth_lowrank_stream(20, 3, 10, observe_fraction=0.05, seed=2)
-        frac = np.mean([np.count_nonzero(o) / o.size for o in observed])
-        assert 0.02 <= frac <= 0.09
-        for o, t in zip(observed, truth):
-            nz = o != 0
-            np.testing.assert_array_equal(o[nz], t[nz])
+        truth, mask = synth_lowrank_stream(20, 3, 10, observe_fraction=0.05, seed=2)
+        assert mask.dtype == bool and mask.shape == truth.shape == (10, 20, 20, 3)
+        assert 0.02 <= mask.mean() <= 0.09
+        assert (truth > 0).all()  # so a zero-filled observed stream's zeros are the mask's holes
+
+    @pytest.mark.parametrize("args", [
+        (24, 3, 20, 0.05, 0), (7, 1, 5, 1.0, 3), (10, 2, 9, 0.5, 7), (3, 4, 6, 0.001, 11),
+        (128, 3, 2, 0.05, 0),
+    ])
+    def test_lowrank_stream_is_the_reference_stream_bitwise(self, args):
+        truth, mask = synth_lowrank_stream(*args)
+        observed, ref_truth = reference_lowrank_stream(*args)
+        assert truth.tobytes() == ref_truth.tobytes()
+        assert np.where(mask, truth, 0.0).tobytes() == observed.tobytes()
+        np.testing.assert_array_equal(mask, observed != 0)
+
+    def test_lowrank_stream_holds_few_buffers_beyond_its_outputs(self):
+        synth_lowrank_stream(2, 1, 1)  # numpy's lazy imports on a first call are not the stream's
+        tracemalloc.start()
+        try:
+            truth, mask = synth_lowrank_stream(24, 3, 200)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slot = truth[0].nbytes
+        assert peak <= truth.nbytes + mask.nbytes + 4 * slot

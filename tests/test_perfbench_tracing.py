@@ -2,33 +2,23 @@
 wraps, and traced CLI commands run to exit 0."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
+from helpers import load_perfbench
 import tenscache.cli as cli
 import tenscache.completion as completion
 from tenscache.tensors import read_coo
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_wrapped_names_resolve():
-    for module, attr, _, _ in load_tracing().WRAPPED:
+    for module, attr, _, _ in load_perfbench("tracing").WRAPPED:
         target = importlib.import_module(f"tenscache.{module}")
         assert callable(getattr(target, attr, None)), f"tenscache.{module}.{attr}"
 
 
 def test_traced_commands_exit_0(tmp_path, monkeypatch):
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     assert cli.main(["--out", str(tmp_path), "synth", "8,8,3,4", "--observe", "0.4"]) == 0
     for module, attr, _, _ in tracing.WRAPPED:  # put every wrapped name back afterwards
         target = importlib.import_module(f"tenscache.{module}")
@@ -83,7 +73,7 @@ def entry_lines(paths) -> int:
 
 def test_traced_coo_counts_match_the_files(tmp_path):
     # the bench's COO counters count what the readers and writers handle
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     synth = tmp_path / "synth"
     m = traced_metrics(tracing, ["--out", str(synth), "synth", "6,5,3,4", "--observe", "0.3",
                                  "--truth-out", "truth.coo"])

@@ -57,6 +57,15 @@ class TestNormalizeDemands:
         hist = normalize_demands(d)
         np.testing.assert_allclose(hist.shares[0, :, 0], [1.0, 0.0])
 
+    def test_negative_entries_read_as_their_clip_bitwise(self):
+        # a completed window is clipped here; the raw shares of an observed
+        # window go through the same clip
+        d = np.moveaxis(RNG.random((5, 16, 16, 2)) - 0.3, 0, -1)  # a window view, as run_online's
+        d[:, :, 1, 2] = -1.0  # an all-negative slice reads uniform
+        want = normalize_demands(np.clip(d, 0.0, None)).shares
+        assert normalize_demands(d).shares.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(want[2, :, 1], 1.0 / 16)
+
     def test_aggregation_axis_switch(self):
         # mass is credited to the primary (row) file, as hit_rate scores it:
         # moving it across the diagonal switches the credited file
