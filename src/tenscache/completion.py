@@ -7,7 +7,12 @@ The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
    residual at the observed positions, zero elsewhere) straight from the
    residual, never forming the dense gradient,
 2. picks the mode whose gradient unfolding has the largest dominant singular
-   value (or, with the cheap rule, the smallest matrix dimension),
+   value (or, with the cheap rule, the smallest matrix dimension). The
+   residual is scaled once by an exact power of two, and each candidate's
+   Gram matrix is built from its already-scaled unfolding. Candidates go
+   cheapest first, by the smaller unfolding dimension; one whose Frobenius
+   bound ``sigma_1 <= ||G||_F**(1/2)``, widened by ``_PRUNE_MARGIN``, falls
+   below the best sigma so far cannot win and skips its eigensolve,
 3. takes that unfolding's top singular triplets, up to the per-iteration
    rank allowance, from the eigendecomposition of the Gram matrix step 2 formed
    (accurate down to about ``sqrt(eps) * sigma_1``; triplets below
@@ -21,7 +26,11 @@ The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
 The state is the dense iterate (desk-scale tensors) and the per-mode rank
 ledger, which is all a Frank-Wolfe step reads: the step's factors are folded
 into the iterate and not kept, and the active modes are those whose ledger is
-below the smaller dimension of their unfolding.
+below the smaller dimension of their unfolding. The loop also keeps the
+iterate's values at the observed entries, ``x_obs``, for the residual: each
+step updates it with the same two roundings ``apply_update`` makes on the
+iterate, so it stays bitwise what a gather of the iterate gives, and the
+iterate is gathered only once, at the start.
 
 Mode selection and the step's SVD do not depend on the rank budget, so
 :func:`complete_sweep` solves a list of budgets in one pass, bitwise as if
@@ -37,6 +46,7 @@ floating-point rounding).
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -78,6 +88,14 @@ UPDATE_RANK_ONE = "rank1"
 # ``sigma_1`` (shapes 3x1e6 to 1280x384), so the cut sits a factor of ~4
 # above that noise.
 _SIGMA_EPS = 1e-7
+# Relative slack on the Frobenius bound before it rules a candidate out of
+# mode selection. Both the bound and the exact sigma carry rounding: the
+# Frobenius norm of an n x n Gram matrix at most ~n**2 * eps relative, the
+# eigensolve ~n * eps, and the bound's square root halves both. So 1e-6
+# covers any Gram side below ~9e4, far past desk scale, while the bound
+# separates the modes it prunes by percents (2.7% to 11% on the 128x128x3x10
+# benchmark fixture, seed 1, where it prunes 8 of 12 steps' dear candidate).
+_PRUNE_MARGIN = 1e-6
 # Observed-entry RSE below which an exactly recoverable input is done: further
 # steps would only churn at the numerical noise floor.
 _RSE_FLOOR = 1e-12
@@ -205,8 +223,10 @@ class GradientUnfoldings:
             self.positions[k] = t.indices @ weights
 
     def matrix(self, k: int, residual: np.ndarray) -> np.ndarray:
-        """Mode-``k`` gradient unfolding: bitwise and in (F-contiguous) layout
-        what :func:`unfold` gives for the dense gradient."""
+        """Mode-``k`` unfolding of the gradient whose observed values are
+        ``residual`` (:func:`select_mode` passes the residual already scaled
+        for its :class:`Gram`): bitwise and in (F-contiguous) layout what
+        :func:`unfold` gives for that dense gradient."""
         rows, cols = self.dims[k]
         flat = np.zeros(rows * cols)
         flat[self.positions[k]] = residual
@@ -224,28 +244,39 @@ def select_mode(
     smaller unfolding dimension (the cheap proxy; the two rules need not
     agree). Ties break toward the smallest mode index.
 
+    Every unfolding holds the residual's entries and zeros, so all share the
+    residual's largest entry: the residual is scaled once and each Gram is
+    made from its already-scaled unfolding. Under ``sigma`` the candidates
+    are evaluated cheapest first, by the smaller unfolding dimension (the
+    side of the Gram matrix). Each evaluated candidate's Gram is formed, but
+    its eigensolve is skipped when the Frobenius bound ``sigma_1 <=
+    ||G||_F**(1/2)`` (:mod:`tenscache.svd`), widened by ``_PRUNE_MARGIN``,
+    falls below the best sigma found so far: such a candidate cannot win,
+    nor tie. So the pick is the exhaustive argmax, whatever the order.
+
     At ``N == 2 * shift`` the mode-``k`` and mode-``(k + shift)`` unfoldings
-    are transposes, so the second reuses the first's sigma (and, tied,
-    cannot win). Only the best candidate's :class:`Gram` is kept alive.
+    are transposes, so the second inherits the first's outcome, pruned or
+    exact (and, tied, cannot win). Only the best candidate's :class:`Gram`
+    is kept alive.
     """
     if not active:
         raise ValueError("active mode set is empty")
-    modes = sorted(active)
+    exp = Gram.exponent(residual)
+    scaled = np.ldexp(residual, -exp)
     if cfg.mode_selection == MODE_MIN_DIM:
-        best = min(modes, key=lambda k: min(grads.dims[k]))
-        return best, Gram(grads.matrix(best, residual))
+        best = min(sorted(active), key=lambda k: min(grads.dims[k]))
+        return best, Gram(grads.matrix(best, scaled), exp)
     twins = len(grads.dims) == 2 * cfg.shift
-    sigma: dict[int, float] = {}
-    best, best_gram = modes[0], None
-    for k in modes:
-        twin = k - cfg.shift
-        if twins and twin in sigma:
-            sigma[k] = sigma[twin]
-            continue
-        gram = Gram(grads.matrix(k, residual))
-        sigma[k] = dominant_sigma(gram)
-        if best_gram is None or sigma[k] > sigma[best]:
-            best, best_gram = k, gram
+    best, best_sigma, best_gram = 0, -np.inf, None
+    for k in sorted(active, key=lambda j: (min(grads.dims[j]), j)):
+        if twins and k - cfg.shift in active:
+            continue  # its twin, of equal cost and smaller index, came first
+        gram = Gram(grads.matrix(k, scaled), exp)
+        bound = np.ldexp(math.sqrt(np.linalg.norm(gram.g)) * (1.0 + _PRUNE_MARGIN), exp)
+        if bound >= best_sigma:
+            sigma = dominant_sigma(gram)
+            if sigma > best_sigma or (sigma == best_sigma and k < best):
+                best, best_sigma, best_gram = k, sigma, gram
         del gram
     return best, best_gram
 
@@ -390,7 +421,8 @@ def _sweep(t, t_norm, cfg, budgets, state):
 
     start = time.perf_counter()
     grads = GradientUnfoldings(t, cfg.shift)
-    residual = t.gather(state.x) - t.values
+    x_obs = t.gather(state.x)  # the iterate at the observed entries, kept current
+    residual = x_obs - t.values
     rse = float(np.linalg.norm(residual)) / t_norm
     trace = [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)]
     for it in range(1, cfg.max_iter + 1):
@@ -413,20 +445,24 @@ def _sweep(t, t_norm, cfg, budgets, state):
             b = budgets.pop(0)
             last = gradient_step(trip, k, b - spent, cfg.beta, cfg.update_rule)
             s = last.dense(t.shape, cfg.shift)
-            gamma = line_search(residual, t.gather(s))
+            s_obs = t.gather(s)
+            gamma = line_search(residual, s_obs)
             own, own_trace = snapshot(), list(trace)
             if gamma != 0.0:
                 apply_update(own, last, gamma, s)
-                own_rse = float(np.linalg.norm(t.gather(own.x) - t.values)) / t_norm
+                own_rse = float(np.linalg.norm(x_obs + s_obs * -gamma - t.values)) / t_norm
                 own_trace.append(TraceRow(it, own_rse, time.perf_counter() - start, k, gamma,
                                           gamma * cfg.beta))
             yield b, own, own_trace
         s = step.dense(t.shape, cfg.shift)
-        gamma = line_search(residual, t.gather(s))
+        s_obs = t.gather(s)
+        gamma = line_search(residual, s_obs)
         if gamma == 0.0:
             break
         apply_update(state, step, gamma, s)
-        residual = t.gather(state.x) - t.values
+        # the same two roundings apply_update makes, so bitwise t.gather(state.x)
+        x_obs += s_obs * -gamma
+        residual = x_obs - t.values
         rse = float(np.linalg.norm(residual)) / t_norm
         trace.append(TraceRow(it, rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta))
     for b in budgets[:-1]:

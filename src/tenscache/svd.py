@@ -4,10 +4,17 @@ Both read one :class:`Gram`: the small-side Gram matrix ``G`` (``a @ a.T``
 if the matrix is wide, else ``a.T @ a``) of ``a = m * 2**-exp``, the matrix
 scaled exactly so its largest entry lies in [0.5, 1). The Gram entries then
 neither underflow nor overflow, and the scale comes back out exactly.
+Matrices that share their largest entry, such as every unfolding of one
+tensor, share ``exp``: a caller can scale the tensor once and hand each
+already-scaled matrix to ``Gram`` with that exponent.
 An eigendecomposition of ``G`` costs far less than an SVD of a skinny
 unfolding, but squares the condition number: a singular value is resolved
 only down to about ``sqrt(eps) * sigma_1`` (~1.5e-8 relative), and below
-that the triplet is rounding noise.
+that the triplet is rounding noise. Without any eigensolve, ``G`` bounds
+the dominant singular value: ``sigma_1**2``, the top eigenvalue of the
+positive semidefinite ``G``, is at most its Frobenius norm, so
+``sigma_1 <= ||G||_F**(1/2) * 2**exp``; a caller that needs only the largest
+of several sigmas can skip the eigensolve of a matrix this bound rules out.
 """
 
 from __future__ import annotations
@@ -32,17 +39,31 @@ class SvdTriplet:
 class Gram:
     """Matrix ``m`` made ready for both queries, once: ``a`` and ``exp`` with
     ``m == a * 2**exp`` exactly, and ``g``, the ``G`` of ``a`` (module docstring).
-    ``a`` is held in F order whatever ``m``'s layout, so results do not depend on it."""
+    ``a`` is held in F order whatever ``m``'s layout, so results do not depend on it.
 
-    def __init__(self, m: np.ndarray):
+    Given ``exp``, ``m`` is taken to be ``a`` itself: a matrix already scaled
+    by ``2**-exp``, with ``exp`` the :meth:`exponent` of the unscaled matrix.
+    Since the scaling is exact, the result is bitwise the ``Gram`` of the
+    unscaled matrix."""
+
+    def __init__(self, m: np.ndarray, exp: int | None = None):
         if m.ndim != 2 or m.size == 0:
             raise ValueError(f"expected a nonempty matrix, got shape {m.shape}")
+        if exp is None:
+            exp = self.exponent(m)
+            m = np.ldexp(m, -exp, order="F")
+        a = self.a = np.asfortranarray(m)
+        self.exp = exp
+        self.g = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+
+    @staticmethod
+    def exponent(m: np.ndarray) -> int:
+        """The ``exp`` that puts the largest entry of ``m * 2**-exp`` in
+        [0.5, 1); 0 for a zero ``m``."""
         peak = float(np.abs(m).max())
         if not math.isfinite(peak):  # the peak is non-finite iff some entry is
             raise ValueError("matrix contains non-finite entries")
-        self.exp = math.frexp(peak)[1]  # 0 for the zero matrix
-        a = self.a = np.ldexp(m, -self.exp, order="F")
-        self.g = a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+        return math.frexp(peak)[1]
 
     @property
     def shape(self) -> tuple[int, int]:

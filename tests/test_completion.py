@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,30 @@ def search(x, t, s):
     return line_search(t.gather(x) - t.values, t.gather(s))
 
 
+def frobenius_bound(m):
+    """The bound ``select_mode`` prunes by: ``sigma_1(m) <= ||G||_F**(1/2)``,
+    widened by the pruning margin."""
+    gram = Gram(m)
+    widened = np.sqrt(np.linalg.norm(gram.g)) * (1.0 + completion_mod._PRUNE_MARGIN)
+    return np.ldexp(widened, gram.exp)
+
+
+def exhaustive_select(grad, shift, active):
+    """Mode selection with an eigensolve of every candidate, in mode order:
+    the argmax of the dominant sigma, ties to the smallest mode. A transposed
+    twin (``N == 2 * shift``) takes its partner's sigma, since the two are
+    equal in exact arithmetic. Returns the pick, its Gram and every sigma."""
+    sigmas, grams = {}, {}
+    for k in sorted(active):
+        if grad.ndim == 2 * shift and k - shift in sigmas:
+            sigmas[k] = sigmas[k - shift]
+            continue
+        grams[k] = Gram(unfold(grad, UnfoldSpec(k, shift)))
+        sigmas[k] = float(np.ldexp(np.sqrt(np.linalg.eigvalsh(grams[k].g)[-1]), grams[k].exp))
+    best = max(sorted(active), key=sigmas.__getitem__)  # the first of equal maxima
+    return best, grams[best], sigmas
+
+
 class TestSelectMode:
     def test_min_dim_prefers_smallest_unfolding(self):
         grad = np.zeros((128, 128, 3, 10))
@@ -98,18 +124,22 @@ class TestSelectMode:
         # at shift 2 on an order-4 tensor the mode-k and mode-(k+2) unfoldings
         # are transposes of each other (here 60x27 / 27x60 and 108x15 /
         # 15x108), so their sigmas tie exactly, the smaller mode index wins,
-        # and the larger one's sigma is not computed again
+        # and the larger one is not evaluated again. The 15-side pair goes
+        # first (cheapest first); a 27-side mode after it is eigensolved
+        # unless its Frobenius bound rules it out
         rng = np.random.default_rng(seed)
         grad = rng.normal(size=(12, 9, 3, 5)) * (rng.random((12, 9, 3, 5)) < 0.05)
         cfg = FwConfig(shift=2)
         sigma = {k: dominant_sigma(Gram(unfold(grad, UnfoldSpec(k, 2)))) for k in (1, 2, 3, 4)}
+        bound = {k: frobenius_bound(unfold(grad, UnfoldSpec(k, 2))) for k in (1, 2, 3, 4)}
         assert sigma[1] == sigma[3] and sigma[2] == sigma[4]
         pick = self._counting_select(monkeypatch, grad, cfg)
         assert pick({1, 3}) == (1, 1)
         assert pick({2, 4}) == (2, 1)
         # a mode whose twin is not active is evaluated itself
-        assert pick({3, 4}) == (3 if sigma[3] >= sigma[4] else 4, 2)
-        assert pick({1, 2, 3, 4}) == (1 if sigma[1] >= sigma[2] else 2, 2)
+        assert pick({3, 4}) == (3 if sigma[3] >= sigma[4] else 4, 1 + (bound[4] >= sigma[3]))
+        assert pick({1, 2, 3, 4}) == (1 if sigma[1] >= sigma[2] else 2,
+                                      1 + (bound[2] >= sigma[1]))
 
     def test_square_twins_tie_toward_smaller_mode(self, monkeypatch):
         # the mode-2/4 unfoldings are 6x6 transposes. Evaluated apart, a @ a.T
@@ -122,6 +152,8 @@ class TestSelectMode:
         sigma = {k: dominant_sigma(Gram(unfold(grad, UnfoldSpec(k, 2)))) for k in (1, 2, 3, 4)}
         assert sigma[4] > sigma[2] > sigma[1] == sigma[3]
         pick = self._counting_select(monkeypatch, grad, FwConfig(shift=2))
+        # the 4-side mode 1 goes first; mode 2's bound is at least its sigma,
+        # above mode 1's, so it is eigensolved
         assert pick({1, 2, 3, 4}) == (2, 2)
         assert pick({2, 4}) == (2, 1)
         assert pick({4}) == (4, 1)
@@ -150,9 +182,48 @@ class TestSelectMode:
             got, want = truncated_svd(gram, min(m.shape)), truncated_svd(Gram(m), min(m.shape))
             for name in ("u", "sigma", "v"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert k == exhaustive_select(grad, cfg.shift, active)[0]
             return k, len(calls)
 
         return pick
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=5),
+    st.sampled_from([None, 0.0, 1e-14, 1e-13]),
+    st.integers(min_value=1, max_value=2**5 - 1),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_select_mode_matches_exhaustive_eigensolves(dims, tie_jitter, active_bits, seed):
+    """Pruned, cheapest-first selection picks what an eigensolve of every
+    candidate picks, and hands over the same Gram bytes, at every shift. With
+    ``tie_jitter`` set, the gradient is rank one on a random sub-box, so every
+    unfolding has the same single sigma: a near-tie within 1e-12 relative,
+    broken only by rounding and the ``tie_jitter`` relative perturbation, in
+    which the Frobenius bound meets the sigma it bounds."""
+    shape = tuple(dims)
+    rng = np.random.default_rng(seed)
+    if tie_jitter is None:
+        grad = rng.normal(size=shape) * (rng.random(shape) < 0.3)
+        grad.flat[rng.integers(grad.size)] = 1.0
+    else:
+        factors = [rng.normal(size=n) * (rng.random(n) < 0.7) for n in shape]
+        for f in factors:
+            f[rng.integers(f.size)] = 1.0 + rng.random()
+        grad = functools.reduce(np.multiply.outer, factors)
+        grad *= 1.0 + tie_jitter * rng.normal(size=shape)
+    active = {k for k in range(1, len(shape) + 1) if active_bits >> (k - 1) & 1}
+    active = active or set(range(1, len(shape) + 1))
+    t = observed(grad)
+    for shift in range(1, len(shape)):
+        grads = GradientUnfoldings(t, shift)
+        k, gram = select_mode(grads, t.values, FwConfig(shift=shift), active)
+        want, want_gram, sigmas = exhaustive_select(grad, shift, active)
+        if tie_jitter is not None:
+            assert max(sigmas.values()) <= (1.0 + 1e-12) * min(sigmas.values())
+        assert k == want
+        assert (gram.exp, gram.g.tobytes()) == (want_gram.exp, want_gram.g.tobytes())
 
 
 class TestGradientUnfoldings:
@@ -590,17 +661,20 @@ class TestCompleteSweep:
     def test_one_gram_per_candidate_evaluated_none_in_the_step(self, monkeypatch, shift,
                                                               selection):
         # order 4: at shift 2 the mode-(k + 2) unfolding of an active mode k is
-        # its transpose and reuses its sigma, so it is not evaluated
+        # its transpose and inherits its outcome, so it is not evaluated. Every
+        # evaluated candidate's Gram is formed, pruned or not, from its
+        # unfolding already scaled by the residual's exponent
         made, steps = [], []
 
         class CountingGram(Gram):
-            def __init__(self, m):
-                made.append(m.shape)
-                super().__init__(m)
+            def __init__(self, m, exp=None):
+                made.append(exp)
+                super().__init__(m, exp)
 
         def counting_select(grads, residual, cfg, active):
             before = len(made)
             k, gram = select_mode(grads, residual, cfg, active)
+            assert made[before:] == [Gram.exponent(residual)] * (len(made) - before)
             steps.append((set(active), len(made) - before, gram))
             return k, gram
 
@@ -619,6 +693,88 @@ class TestCompleteSweep:
             assert n == (1 if selection == "min-dim" else len(evaluated))
         assert steps[0][1] == {"sigma": 4 // shift, "min-dim": 1}[selection]
         assert len(made) == sum(n for _, n, _ in steps)  # none outside mode selection
+
+    def test_pruning_skips_eigensolves_on_a_benchmark_shaped_fixture(self, monkeypatch):
+        # a noisy CP-rank-2 tensor shaped like the benchmark's, at shift 2: the
+        # 30-side mode 2 is evaluated first and wins every step, and on some
+        # steps the Frobenius bound of the 96-side mode 1 rules it out, so
+        # fewer eigensolves run than candidates are evaluated; the solve is
+        # still bitwise the exhaustive one
+        shape = (32, 32, 3, 10)
+        rng = np.random.default_rng(0)
+        factors = [rng.standard_normal((n, 2)) for n in shape]
+        truth = np.einsum("ar,br,cr,dr->abcd", *(f / np.linalg.norm(f, axis=0) for f in factors))
+        flat = np.sort(rng.choice(truth.size, size=truth.size // 2, replace=False))
+        idx = np.stack(np.unravel_index(flat, shape), axis=1)
+        values = truth[tuple(idx.T)]
+        t = SparseTensor(shape, idx, values + 0.1 * values.std() * rng.standard_normal(flat.size))
+        made, solved = [], []
+
+        class CountingGram(Gram):
+            def __init__(self, m, exp=None):
+                made.append(m.shape)
+                super().__init__(m, exp)
+
+        def counting_sigma(gram):
+            solved.append(gram.shape)
+            return dominant_sigma(gram)
+
+        monkeypatch.setattr(completion_mod, "Gram", CountingGram)
+        monkeypatch.setattr(completion_mod, "dominant_sigma", counting_sigma)
+        cfg = FwConfig(shift=2, update_rule="rank1")
+        state, trace = complete(t, cfg, 12)
+        assert len(trace) - 1 == 12
+        assert len(made) == 2 * 12  # modes 1 and 2 each step; 3 and 4 are their twins
+        assert len(solved) < len(made)
+        assert solved.count((1024, 30)) == 12  # the cheap mode is never pruned
+        ref_x, ref_trace = reference_complete(t, cfg, 12)
+        assert trace_columns(trace) == repr(ref_trace)
+        assert state.x.tobytes() == ref_x.tobytes()
+
+    @pytest.mark.parametrize("case", ["rank1", "multi", "multi-drops-triplets"])
+    def test_tracked_observed_iterate_is_the_gathered_iterate(self, monkeypatch, case):
+        # the sweep updates the iterate at the observed entries alongside x
+        # instead of gathering it again: after every applied step, on the
+        # shared path and on a budget's own last step, the next residual and
+        # the trace's RSE read bitwise what a gather of the updated iterate
+        # gives. Under multi, budgets 3 and 8 take their own last step on the
+        # first step, which spends budget 12. On the near-rank-one fixture the
+        # first step drops triplets, so a second one follows and only budget 3
+        # takes its own last step there
+        cfg, forks = FwConfig(shift=2, update_rule="rank1"), 0
+        t = self.fixture()
+        if case == "multi":
+            cfg, forks = FwConfig(shift=2), 2
+        elif case == "multi-drops-triplets":
+            t = SparseTensor((6, 6, 6), np.argwhere(np.ones((6, 6, 6))),
+                             near_rank_one((6, 6, 6), np.random.default_rng(0)).ravel())
+            cfg, forks = FwConfig(), 1
+        t_norm = float(np.linalg.norm(t.values))
+        updated, residuals = [], []
+
+        def recording_update(state, step, gamma, s):
+            apply_update(state, step, gamma, s)
+            updated.append((state, t.gather(state.x)))
+
+        def recording_select(grads, residual, cfg, active):
+            residuals.append(residual.copy())
+            return select_mode(grads, residual, cfg, active)
+
+        monkeypatch.setattr(completion_mod, "apply_update", recording_update)
+        monkeypatch.setattr(completion_mod, "select_mode", recording_select)
+        results = list(complete_sweep(t, cfg, (3, 8, 12)))
+        main = results[-1][1]
+        shared = [x_obs for state, x_obs in updated if state is main]
+        assert len(updated) - len(shared) == forks
+        assert residuals[0].tobytes() == (-t.values).tobytes()
+        assert len(residuals) == len(shared)  # no step was left unapplied
+        for residual, x_obs in zip(residuals[1:], shared):
+            assert residual.tobytes() == (x_obs - t.values).tobytes()
+        for _, state, trace in results:
+            own = [x_obs for st, x_obs in updated if st is state and st is not main]
+            gathered = shared[:len(trace) - 1 - len(own)] + own
+            assert [row.rse for row in trace[1:]] == [
+                float(np.linalg.norm(x_obs - t.values)) / t_norm for x_obs in gathered]
 
     def test_rank1_budgets_share_every_step(self, monkeypatch):
         calls = self.svd_ranks(monkeypatch)

@@ -265,3 +265,24 @@ def test_memory_layout_bitwise_property(rows, cols, seed):
     assert a.sigma.tobytes() == b.sigma.tobytes()
     assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
     assert dominant_sigma(Gram(c)) == dominant_sigma(Gram(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=1, max_value=7),
+    st.sampled_from([1e-300, 1e-5, 1.0, 1e200]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_prescaled_gram_bitwise_property(rows, cols, scale, seed):
+    """``Gram(a, exp)``, with ``a`` the matrix already scaled by its own
+    :meth:`Gram.exponent`, in either layout, is bitwise ``Gram`` of the matrix:
+    the route a caller takes that scales once for several matrices."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols)) * scale * (rng.random((rows, cols)) < 0.7)
+    want, exp = Gram(m), Gram.exponent(m)
+    for a in (np.ldexp(m, -exp), np.ldexp(m, -exp, order="F")):
+        got = Gram(a, exp)
+        assert got.exp == want.exp and got.a.flags.f_contiguous
+        assert got.a.tobytes("F") == want.a.tobytes("F")
+        assert got.g.tobytes() == want.g.tobytes()
