@@ -285,9 +285,8 @@ def cmd_complete(args, config: dict) -> int:
     started = time.perf_counter()
     traces = {}
     for beta, sweep in sweeps.items():
-        for rank, state, trace in sweep:
+        for rank, _, trace in sweep:
             traces[rank, beta] = trace
-            del state  # only the trace is written; free the iterate before the sweep resumes
     rows_by_run = {}
     for rank in s["rank"]:
         for beta in s["beta"]:

@@ -16,21 +16,21 @@ The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
 3. takes that unfolding's top singular triplets, up to the per-iteration
    rank allowance, from the eigendecomposition of the Gram matrix step 2 formed
    (accurate down to about ``sqrt(eps) * sigma_1``; triplets below
-   ``_SIGMA_EPS * sigma_1`` are dropped as unresolved), normalizes them so
-   the step's unfolding has nuclear norm ``beta``, and folds them back into
-   a step tensor ``S``,
+   ``_SIGMA_EPS * sigma_1`` are dropped as unresolved), and normalizes them
+   so the step's unfolding has nuclear norm ``beta``: the step tensor ``S``
+   in factored form,
 4. takes an exact line-search step ``X <- X - gamma * S``, and
 5. charges the step's rank to that mode's ledger, which counts against the
    global budget.
 
-The state is the dense iterate (desk-scale tensors) and the per-mode rank
-ledger, which is all a Frank-Wolfe step reads: the step's factors are folded
-into the iterate and not kept, and the active modes are those whose ledger is
-below the smaller dimension of their unfolding. The loop also keeps the
-iterate's values at the observed entries, ``x_obs``, for the residual: each
-step updates it with the same two roundings ``apply_update`` makes on the
-iterate, so it stays bitwise what a gather of the iterate gives, and the
-iterate is gathered only once, at the start.
+The state is the log of applied ``(step, gamma)`` pairs and the per-mode rank
+ledger. The loop never forms the dense iterate: it evaluates each step at the
+observed entries only, straight from its factors, and keeps the iterate's
+values there, ``x_obs``, current with the same two roundings the dense update
+``X += S * -gamma`` makes, so ``x_obs`` stays bitwise what a gather of the
+iterate gives. The dense iterate is built from the log, by that same update
+per step, on the first read of :attr:`FwState.x`. The active modes are those
+whose ledger is below the smaller dimension of their unfolding.
 
 Mode selection and the step's SVD do not depend on the rank budget, so
 :func:`complete_sweep` solves a list of budgets in one pass, bitwise as if
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -162,23 +162,37 @@ class GradientStep:
     def rank(self) -> int:
         return int(self.weights.size)
 
+    def matrix(self) -> np.ndarray:
+        """The step's mode unfolding, ``(u * weights) @ v.T``."""
+        return (self.u * self.weights) @ self.v.T
+
     def dense(self, shape, shift: int) -> np.ndarray:
         """Materialize the step tensor ``S``."""
-        return fold((self.u * self.weights) @ self.v.T, UnfoldSpec(self.mode, shift), shape)
+        return fold(self.matrix(), UnfoldSpec(self.mode, shift), shape)
 
 
 @dataclass
 class FwState:
-    """Solver state: the dense iterate ``x`` and the per-mode rank ledger.
+    """Solver state: the log of applied steps and the per-mode rank ledger.
 
+    ``steps`` lists the applied ``(GradientStep, gamma)`` pairs in order,
+    as :func:`apply_update` logs them; ``shape`` and ``shift`` are what
+    replaying them takes. The iterate :attr:`x` is derived from the log.
     ``consumed[k]`` is the rank charged against the global budget by steps
     along mode ``k``; ``caps[k]``, the smaller dimension of the mode-``k``
     unfolding, is the most it can reach.
     """
 
-    x: np.ndarray
+    shape: tuple[int, ...]
+    shift: int
+    steps: list[tuple[GradientStep, float]]
     consumed: dict[int, int]
     caps: dict[int, int]
+    _x: np.ndarray | None = field(default=None, init=False, repr=False)
+    # the last logged step's unfolding product, when the loop formed it: the
+    # replay of x reads it instead of forming it again; a copy of the state
+    # shares it, since the two logs end on the same step
+    _last: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, shape, shift: int) -> "FwState":
@@ -187,7 +201,25 @@ class FwState:
         if not 1 <= shift <= n - 1:
             raise ValueError(f"shift {shift} invalid for order {n}")
         caps = {k: min(UnfoldSpec(k, shift).matrix_dims(shape)) for k in range(1, n + 1)}
-        return cls(np.zeros(shape), dict.fromkeys(caps, 0), caps)
+        return cls(shape, shift, [], dict.fromkeys(caps, 0), caps)
+
+    @property
+    def x(self) -> np.ndarray:
+        """The dense iterate ``-sum(gamma * S)`` over the log, built on the
+        first read and kept until the next step is logged. Each step is
+        replayed as the update ``x += S * -gamma`` from ``x = 0``, in log
+        order, so ``x`` does not depend on when it is read. A non-finite
+        entry raises ``FloatingPointError``."""
+        if self._x is None:
+            x = np.zeros(self.shape)
+            last = len(self.steps) - 1
+            for i, (step, gamma) in enumerate(self.steps):
+                m = step.matrix() if i < last or self._last is None else self._last
+                x += fold(m, UnfoldSpec(step.mode, self.shift), self.shape) * -gamma
+            if not np.isfinite(x).all():
+                raise FloatingPointError(f"non-finite iterate from {len(self.steps)} logged steps")
+            self._x, self._last = x, None
+        return self._x
 
     @property
     def active(self) -> set[int]:
@@ -209,11 +241,22 @@ class GradientUnfoldings:
     solve in O(nnz): an entry's place is its multi-index dotted with per-axis
     weights, the F-order strides of the unfolding's axis order
     (:meth:`UnfoldSpec.axes_order`, the order :func:`unfold` transposes to).
+
+    Every unfolding has ``prod(shape)`` entries, so the scatters recycle flat
+    buffers: :meth:`matrix` fills a zeroed spare when there is one, and
+    :meth:`release` zeroes the mode's positions again and keeps the buffer as
+    a spare. A solve thus allocates only as many buffers as it holds
+    unfoldings at once (two, in :func:`select_mode`), and again only after
+    :func:`complete_sweep` lets its spares go to hand out a budget's own last
+    step.
     """
 
     def __init__(self, t: SparseTensor, shift: int):
         self.dims: dict[int, tuple[int, int]] = {}
         self.positions: dict[int, np.ndarray] = {}
+        self._size = int(np.prod(t.shape))
+        self._spares: list[np.ndarray] = []
+        self._places: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k in range(1, len(t.shape) + 1):
             spec = UnfoldSpec(k, shift)
             self.dims[k] = spec.matrix_dims(t.shape)
@@ -227,10 +270,37 @@ class GradientUnfoldings:
         ``residual`` (:func:`select_mode` passes the residual already scaled
         for its :class:`Gram`): bitwise and in (F-contiguous) layout what
         :func:`unfold` gives for that dense gradient."""
-        rows, cols = self.dims[k]
-        flat = np.zeros(rows * cols)
+        flat = self._spares.pop() if self._spares else np.zeros(self._size)
         flat[self.positions[k]] = residual
-        return flat.reshape((rows, cols), order="F")
+        return flat.reshape(self.dims[k], order="F")
+
+    def release(self, k: int, m: np.ndarray) -> None:
+        """Take back ``m``, a mode-``k`` result of :meth:`matrix` that nothing
+        reads any more: zero the mode's positions and keep it as a spare."""
+        flat = m.reshape(-1, order="F")
+        flat[self.positions[k]] = 0.0
+        self._spares.append(flat)
+
+    def step_values(self, step: GradientStep) -> tuple[np.ndarray, np.ndarray | None]:
+        """The step tensor's values at the observed entries, equal as floats
+        (bitwise up to the sign of zero) to a gather of
+        :meth:`GradientStep.dense`, with no fold or gather; and the product
+        :meth:`GradientStep.matrix` when it was formed, else ``None``.
+
+        A rank-1 step's values are formed at the observed entries alone: at
+        row ``i`` and column ``j`` of its unfolding, the one rounding ``(u *
+        weights)[i] * v[j]`` that the product makes. A higher-rank step's are
+        read from the product. Each entry's row and column in the mode-``k``
+        unfolding are found on the first step along ``k``."""
+        k = step.mode
+        if k not in self._places:
+            cols, rows = np.divmod(self.positions[k], self.dims[k][0])
+            self._places[k] = rows, cols
+        rows, cols = self._places[k]
+        if step.rank == 1:
+            return np.take(step.u[:, 0] * step.weights[0], rows) * np.take(step.v[:, 0], cols), None
+        m = step.matrix()
+        return m[rows, cols], m
 
 
 def select_mode(
@@ -257,7 +327,9 @@ def select_mode(
     At ``N == 2 * shift`` the mode-``k`` and mode-``(k + shift)`` unfoldings
     are transposes, so the second inherits the first's outcome, pruned or
     exact (and, tied, cannot win). Only the best candidate's :class:`Gram`
-    is kept alive.
+    is kept alive: every other candidate's unfolding, and a dethroned best's,
+    goes back to ``grads`` (:meth:`GradientUnfoldings.release`); the caller
+    releases the returned one once it has factored it.
     """
     if not active:
         raise ValueError("active mode set is empty")
@@ -276,8 +348,11 @@ def select_mode(
         if bound >= best_sigma:
             sigma = dominant_sigma(gram)
             if sigma > best_sigma or (sigma == best_sigma and k < best):
+                if best_gram is not None:  # dethroned
+                    grads.release(best, best_gram.a)
                 best, best_sigma, best_gram = k, sigma, gram
-        del gram
+                continue
+        grads.release(k, gram.a)
     return best, best_gram
 
 
@@ -329,24 +404,32 @@ def line_search(residual: np.ndarray, s_obs: np.ndarray) -> float:
     return max(b_bar / a_bar, 0.0)
 
 
-def apply_update(state: FwState, step: GradientStep, gamma: float, s: np.ndarray) -> None:
-    """Apply ``x <- x - gamma * s`` to ``state`` in place, with ``s`` the
-    step's dense tensor, and charge the step's rank to its mode.
+def apply_update(state: FwState, step: GradientStep, gamma: float,
+                 matrix: np.ndarray | None = None) -> None:
+    """Apply ``x <- x - gamma * S`` to ``state``, with ``S`` the tensor of
+    ``step``: log the pair and charge the step's rank to its mode.
 
-    ``s`` is spent: it is scaled by ``-gamma`` in place and added to the
-    iterate (``x + (-gamma) * s`` is bitwise ``x - gamma * s``), so no
-    tensor-sized temporary is made.
-
-    The rank ledger always advances by the step's rank; a ``gamma == 0``
-    step leaves the iterate unchanged.
+    ``matrix``, if given, is ``step.matrix()`` already formed by the caller;
+    the state keeps it while the step is its last, for the replay of ``x``.
+    The rank ledger always advances by the step's rank. A ``gamma == 0``
+    step leaves the iterate unchanged (``x`` is never ``-0.0``), so it is not
+    logged.
     """
-    s *= -gamma
-    state.x += s
-    if not np.isfinite(state.x).all():
-        raise FloatingPointError(
-            f"non-finite iterate after mode-{step.mode} update (gamma={gamma!r})"
-        )
+    if gamma != 0.0:
+        state.steps.append((step, gamma))
+        state._x, state._last = None, matrix
     state.consumed[step.mode] += step.rank
+
+
+def _updated_obs(x_obs: np.ndarray, s_obs: np.ndarray, gamma: float, mode: int) -> np.ndarray:
+    """The iterate at the observed entries after the step ``x - gamma * S``,
+    from its values ``x_obs`` before and ``s_obs`` of ``S`` there: the two
+    roundings of :attr:`FwState.x`'s update, so bitwise a gather of the
+    updated iterate. A non-finite value raises ``FloatingPointError``."""
+    x_obs = x_obs + s_obs * -gamma
+    if not np.isfinite(x_obs).all():
+        raise FloatingPointError(f"non-finite iterate after mode-{mode} update (gamma={gamma!r})")
+    return x_obs
 
 
 def update_rank_budget(state: FwState, k: int, budget: int) -> int:
@@ -379,9 +462,10 @@ def complete_sweep(
     """Run the solver on observed tensor ``t`` with ``cfg`` once for every
     rank budget in ``budgets``.
 
-    Each step selects a mode, takes its rank allowance, builds the step
-    tensor once, line-searches it and applies it. The gradient unfoldings are
-    scattered from the residual; the step factors the selection's Gram matrix.
+    Each step selects a mode, takes its rank allowance, evaluates the step
+    at the observed entries, line-searches it and logs it. The gradient
+    unfoldings are scattered from the residual; the step factors the
+    selection's Gram matrix.
     A budget's run stops at the first of: the RSE floor, its budget spent, no
     active mode, a zero gradient, a ``gamma == 0`` step, or ``max_iter``
     steps.
@@ -390,14 +474,16 @@ def complete_sweep(
     largest budget's allowance, run once per step, and every budget with at
     least the step's rank left takes that step. A budget with less left
     (never under the rank-1 rule) takes its own last step, sliced from the
-    same triplets and applied to a copy of the iterate and ledger, which
-    spends its budget. So a sweep holds about one extra iterate at a time.
+    same triplets and applied to a copy of the step log and ledger, which
+    spends its budget. The sweep forms no dense iterate: a yielded state
+    builds its own on the first read of ``state.x``.
 
     Yields ``(budget, state, trace)`` once per distinct budget, in rising
     order, as its run ends: bitwise what :func:`complete` gives for that
     budget alone, except that ``elapsed_s`` counts from the start of the
-    sweep. Each state owns its iterate and ledger. Bad input, including an
-    empty or invalid budget list, raises ``ValueError`` at the call.
+    sweep. Each state owns its step log and ledger. Bad input, including an
+    empty or invalid budget list, raises ``ValueError`` at the call; a solve
+    that blows up raises ``FloatingPointError`` at the step.
     """
     if t.nnz == 0:
         raise ValueError("observed tensor has no entries")
@@ -417,11 +503,11 @@ def _sweep(t, t_norm, cfg, budgets, state):
     sorted list ``budgets``, from which each budget is taken as its run ends."""
 
     def snapshot():
-        return FwState(state.x.copy(), dict(state.consumed), state.caps)
+        return replace(state, steps=list(state.steps), consumed=dict(state.consumed))
 
     start = time.perf_counter()
     grads = GradientUnfoldings(t, cfg.shift)
-    x_obs = t.gather(state.x)  # the iterate at the observed entries, kept current
+    x_obs = np.zeros(t.nnz)  # the iterate at the observed entries, kept current
     residual = x_obs - t.values
     rse = float(np.linalg.norm(residual)) / t_norm
     trace = [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)]
@@ -434,7 +520,8 @@ def _sweep(t, t_norm, cfg, budgets, state):
         k, gram = select_mode(grads, residual, cfg, active)
         r = 1 if cfg.update_rule == UPDATE_RANK_ONE else update_rank_budget(state, k, budgets[-1])
         trip = truncated_svd(gram, r)
-        del gram  # free the unfolding before any step tensor is built
+        grads.release(k, gram.a)
+        del gram  # its unfolding is a spare buffer now, freed with grads
         try:
             step = gradient_step(trip, k, r, cfg.beta, cfg.update_rule)
         except ZeroGradientError:
@@ -444,27 +531,29 @@ def _sweep(t, t_norm, cfg, budgets, state):
         while budgets[0] - spent < step.rank:
             b = budgets.pop(0)
             last = gradient_step(trip, k, b - spent, cfg.beta, cfg.update_rule)
-            s = last.dense(t.shape, cfg.shift)
-            s_obs = t.gather(s)
+            s_obs, m = grads.step_values(last)
             gamma = line_search(residual, s_obs)
             own, own_trace = snapshot(), list(trace)
             if gamma != 0.0:
-                apply_update(own, last, gamma, s)
-                own_rse = float(np.linalg.norm(x_obs + s_obs * -gamma - t.values)) / t_norm
+                apply_update(own, last, gamma, m)
+                own_obs = _updated_obs(x_obs, s_obs, gamma, k)
+                own_rse = float(np.linalg.norm(own_obs - t.values)) / t_norm
                 own_trace.append(TraceRow(it, own_rse, time.perf_counter() - start, k, gamma,
                                           gamma * cfg.beta))
+            # let the spares go: this budget's caller may build its x now (simulate
+            # does), and holding them through that raised simulate's peak RSS ~6 MiB
+            grads._spares.clear()
             yield b, own, own_trace
-        s = step.dense(t.shape, cfg.shift)
-        s_obs = t.gather(s)
+        s_obs, m = grads.step_values(step)
         gamma = line_search(residual, s_obs)
         if gamma == 0.0:
             break
-        apply_update(state, step, gamma, s)
-        # the same two roundings apply_update makes, so bitwise t.gather(state.x)
-        x_obs += s_obs * -gamma
+        apply_update(state, step, gamma, m)
+        x_obs = _updated_obs(x_obs, s_obs, gamma, k)
         residual = x_obs - t.values
         rse = float(np.linalg.norm(residual)) / t_norm
         trace.append(TraceRow(it, rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta))
+    del grads  # its spares too: a state's x is built without them
     for b in budgets[:-1]:
         yield b, snapshot(), list(trace)
     yield budgets[-1], state, trace

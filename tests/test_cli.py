@@ -6,9 +6,10 @@ import pytest
 
 import tenscache.caching as caching_mod
 import tenscache.cli as cli_mod
+import tenscache.completion as completion_mod
 from tenscache.cli import main
 from tenscache.ingest import synth_low_rank
-from tenscache.tensors import write_coo_sparse
+from tenscache.tensors import fold, write_coo_sparse
 
 
 @pytest.fixture()
@@ -34,6 +35,31 @@ class TestCompleteCommand:
         assert header == ["iter", "rse", "elapsed_s", "mode", "gamma", "beta_gamma"]
         assert rows[0][0] == "0" and float(rows[0][1]) == 1.0
         assert float(rows[-1][1]) <= 1e-6
+
+    @pytest.mark.parametrize("update", ["multi", "rank1"])
+    def test_never_builds_the_dense_iterate(self, tensor_file, tmp_path, monkeypatch, update):
+        # only the traces are written, so no step tensor is ever folded
+        calls = []
+
+        def counting_fold(*args):
+            calls.append(args[1].mode)
+            return fold(*args)
+
+        monkeypatch.setattr(completion_mod, "fold", counting_fold)
+        rc = main(["--out", str(tmp_path), "complete", str(tensor_file), "--rank", "2,5,8",
+                   "--beta", "1,1e5", "--update", update])
+        assert rc == 0
+        _, rows = read_csv_rows(tmp_path / "trace-R8-beta1.csv")
+        assert len(rows) > 1  # a step was taken
+        assert calls == []
+
+    def test_blow_up_exits_1(self, tensor_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(completion_mod, "line_search", lambda residual, s_obs: np.inf)
+        with np.errstate(all="ignore"):
+            rc = main(["--out", str(tmp_path), "complete", str(tensor_file), "--rank", "8"])
+        assert rc == 1
+        assert "internal error: non-finite iterate after mode-" in capsys.readouterr().err
+        assert not list(tmp_path.glob("trace-*.csv"))
 
     def test_rank_sweep_emits_one_trace_per_rank(self, tensor_file, tmp_path):
         out = tmp_path / "out"

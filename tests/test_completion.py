@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import numpy as np
@@ -9,6 +10,7 @@ import tenscache.completion as completion_mod
 from tenscache.completion import (
     FwConfig,
     FwState,
+    GradientStep,
     GradientUnfoldings,
     ZeroGradientError,
     apply_update,
@@ -277,6 +279,77 @@ class TestGradientUnfoldings:
                 ref[entry[where] - 1] = where
                 np.testing.assert_array_equal(grads.positions[k], ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=5),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_step_values_are_the_gathered_step(self, dims, density, seed):
+        # at every shift, mode and rank 1..min(rows, cols), with zeros of
+        # either sign in the factors: what the loop line-searches is the step
+        # tensor at the observed entries, as floats (-0.0 == 0.0)
+        shape = tuple(dims)
+        rng = np.random.default_rng(seed)
+        total = int(np.prod(shape))
+        flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+        t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1),
+                         rng.normal(size=flat.size))
+        for shift in range(1, len(shape)):
+            grads = GradientUnfoldings(t, shift)
+            for k in range(1, len(shape) + 1):
+                rows, cols = grads.dims[k]
+                top = min(rows, cols)
+                for r in sorted({1, int(rng.integers(1, top + 1)), top}):
+                    u = rng.normal(size=(rows, r)) * (rng.random((rows, r)) < 0.8)
+                    v = rng.normal(size=(cols, r)) * (rng.random((cols, r)) < 0.8)
+                    step = GradientStep(k, u, rng.uniform(0.1, 10.0, size=r), v)
+                    got, m = grads.step_values(step)
+                    want = t.gather(step.dense(shape, shift))
+                    assert got.shape == want.shape and got.dtype == want.dtype
+                    assert (got == want).all()
+                    if r == 1:
+                        assert m is None
+                    else:
+                        assert m.tobytes() == step.matrix().tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=5),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_recycled_buffers_never_leak_a_residual(self, dims, density, seed):
+        # matrix and release calls alternate across modes and residuals, up to
+        # three unfoldings held at once: every unfolding handed out is still
+        # bitwise unfold of its own dense gradient, whatever a recycled buffer
+        # held before, and no more buffers exist than unfoldings held at once
+        shape = tuple(dims)
+        rng = np.random.default_rng(seed)
+        total = int(np.prod(shape))
+        flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+        idx = np.stack(np.unravel_index(flat, shape), axis=1)
+        t = SparseTensor(shape, idx, rng.normal(size=flat.size))
+        shift = int(rng.integers(1, len(shape)))
+        grads = GradientUnfoldings(t, shift)
+        held, buffers = [], set()
+        for _ in range(16):
+            if len(held) == 3 or held and rng.random() < 0.4:
+                k, m = held.pop(int(rng.integers(len(held))))
+                grads.release(k, m)
+                continue
+            k = int(rng.integers(1, len(shape) + 1))
+            residual = rng.normal(size=t.nnz)
+            grad = np.zeros(shape)
+            grad[tuple(idx.T)] = residual
+            m = grads.matrix(k, residual)
+            ref = unfold(grad, UnfoldSpec(k, shift))
+            assert m.flags.f_contiguous and m.shape == ref.shape
+            assert m.tobytes(order="F") == ref.tobytes(order="F")
+            held.append((k, m))
+            buffers.add(m.__array_interface__["data"][0])
+        assert len(buffers) <= 3
+
 
 class TestGradientStep:
     def test_multi_rank_normalization(self):
@@ -381,16 +454,19 @@ class TestApplyUpdate:
         state = FwState.initial(t.shape, 1)
         grad = -t.to_dense()
         step = step_of(unfolded(grad, 1), 1, 2, beta=1.0)
-        apply_update(state, step, 0.0, step.dense(t.shape, 1))
+        apply_update(state, step, 0.0)
+        assert state.steps == []
         assert not state.x.any()
         assert state.consumed[1] == step.rank
 
     def test_non_finite_iterate_raises(self):
+        # the log takes the step; building the dense iterate from it catches it
         t = two_cell_tensor()
         state = FwState.initial(t.shape, 1)
         step = step_of(unfolded(-t.to_dense(), 1), 1, 2, beta=1.0)
+        apply_update(state, step, np.inf)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
-            apply_update(state, step, np.inf, step.dense(t.shape, 1))
+            state.x
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -404,17 +480,26 @@ class TestApplyUpdate:
         shape = tuple(dims)
         shift = min(shift, len(shape) - 1)
         rng = np.random.default_rng(seed)
+
+        def random_step(rank):
+            k = int(rng.integers(1, len(shape) + 1))
+            m = unfold(rng.normal(size=shape), UnfoldSpec(k, shift))
+            return step_of(m, k, min(rank, *m.shape), beta=rng.uniform(0.1, 10.0))
+
+        def log(state, step, gamma):  # with or without the product the caller formed
+            apply_update(state, step, gamma, step.matrix() if rng.random() < 0.5 else None)
+
         state = FwState.initial(shape, shift)
-        state.x = rng.normal(size=shape)
+        for _ in range(int(rng.integers(0, 3))):  # x0 is what the logged steps made
+            log(state, random_step(int(rng.integers(1, 4))), rng.uniform(0.1, 10.0))
         state.consumed = {k: int(rng.integers(0, cap + 1)) for k, cap in state.caps.items()}
-        k = int(rng.integers(1, len(shape) + 1))
-        m = unfold(rng.normal(size=shape), UnfoldSpec(k, shift))
-        step = step_of(m, k, min(r, *m.shape), beta=rng.uniform(0.1, 10.0))
+        step = random_step(r)
         s0 = step.dense(shape, shift)
-        x0, consumed0 = state.x.copy(), dict(state.consumed)
-        apply_update(state, step, gamma, s0.copy())  # the update spends its s
+        x0 = dataclasses.replace(state, steps=list(state.steps)).x.copy()  # state's x unread
+        consumed0 = dict(state.consumed)
+        log(state, step, gamma)
         assert state.x.tobytes() == (x0 - gamma * s0).tobytes()
-        assert state.consumed == {**consumed0, k: consumed0[k] + step.rank}
+        assert state.consumed == {**consumed0, step.mode: consumed0[step.mode] + step.rank}
 
     def test_full_iteration_fits_two_cells(self):
         t = two_cell_tensor()
@@ -429,7 +514,7 @@ class TestApplyUpdate:
         assert all(b <= a + 1e-12 for a, b in zip(rses, rses[1:]))
 
     def test_representation_matches_iterate_every_step(self):
-        # the state (dense iterate plus rank ledger) moves by exactly what each
+        # the state (step log plus rank ledger) moves by exactly what each
         # applied step says: x by -gamma * S, the step's mode by its rank
         obs, _ = synth_low_rank((6, 5, 4), (2, 2, 1), observe_fraction=0.5, seed=9)
         cfg, budget = FwConfig(), 6
@@ -448,7 +533,7 @@ class TestApplyUpdate:
             s_dense = step.dense(obs.shape, cfg.shift)
             gamma = line_search(residual, obs.gather(s_dense))
             x_before, consumed_before = state.x.copy(), dict(state.consumed)
-            apply_update(state, step, gamma, s_dense.copy())  # the update spends its s
+            apply_update(state, step, gamma)
             np.testing.assert_array_equal(state.x, x_before - gamma * s_dense)
             assert state.consumed == {**consumed_before, k: consumed_before[k] + step.rank}
             applied += 1
@@ -522,18 +607,25 @@ class TestComplete:
             assert row.beta_gamma == pytest.approx(row.gamma * 10.0)
 
     def test_fold_runs_once_per_applied_step(self, monkeypatch):
-        # the step tensor built for the line search is the one applied
+        # the loop evaluates each step at the observed entries only; the first
+        # read of x folds every logged step once, and a second read none
         calls = []
 
         def counting_fold(*args):
-            calls.append(args[1])
+            calls.append(args[1].mode)
             return fold(*args)
 
         monkeypatch.setattr(completion_mod, "fold", counting_fold)
         obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
-        _, trace = complete(obs, FwConfig(shift=2, update_rule="rank1"), 8)
-        assert len(trace) - 1 == 8
-        assert len(calls) == len(trace) - 1
+        for rule, steps in (("rank1", 8), ("multi", 1)):
+            calls.clear()
+            state, trace = complete(obs, FwConfig(shift=2, update_rule=rule), 8)
+            assert len(trace) - 1 == len(state.steps) == steps
+            assert calls == []
+            x = state.x
+            assert calls == [row.mode for row in trace[1:]]
+            assert state.x is x
+            assert len(calls) == len(trace) - 1
 
     def test_unfold_never_runs_in_a_solve(self, monkeypatch):
         # the step's gradient unfoldings are scattered from the residual, and
@@ -549,6 +641,19 @@ class TestComplete:
         _, trace = complete(obs, FwConfig(shift=2, update_rule="rank1"), 8)
         assert len(trace) - 1 == 8
         assert calls == []
+
+    @pytest.mark.parametrize("selection, budgets", [("sigma", (8,)), ("min-dim", (2, 9))])
+    def test_blow_up_raises_mid_solve(self, monkeypatch, selection, budgets):
+        # a step that makes the observed iterate non-finite stops the solve at
+        # that step, on the shared path and on a budget's own last step
+        # (min-dim's first step has rank 3; budget 2 takes its own), before
+        # any result is yielded
+        monkeypatch.setattr(completion_mod, "line_search", lambda residual, s_obs: np.inf)
+        obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
+        cfg = FwConfig(mode_selection=selection)
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match=r"non-finite iterate after mode-\d update \(gamma=inf\)"):
+            next(complete_sweep(obs, cfg, budgets))
 
     def test_all_modes_stalled_is_clean_convergence(self, monkeypatch):
         obs, _ = synth_low_rank((4, 4, 4), (1, 1, 1), observe_fraction=0.5, seed=1)
@@ -641,6 +746,36 @@ def test_sweep_bitwise_equals_single_budget_solves(dims, shift, budgets, rule, s
         assert trace_columns(trace) == trace_columns(ref_trace)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=4),
+    st.sampled_from([1, 2]),
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4),
+    st.sampled_from(["multi", "rank1"]),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_state_x_is_a_fresh_replay_of_its_log(dims, shift, budgets, rule, seed):
+    # every state a sweep yields, a budget's own last step included: x is
+    # bitwise x - gamma * S applied from zero for each logged pair in order,
+    # the ledger is the logged ranks, and a second read returns the same array
+    shape = tuple(dims)
+    rng = np.random.default_rng(seed)
+    total = int(np.prod(shape))
+    flat = rng.choice(total, size=max(1, total // 2), replace=False)
+    values = rng.normal(size=flat.size)
+    values[0] = 1.0  # never all zero
+    t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1), values)
+    for _, state, trace in complete_sweep(t, FwConfig(shift=shift, update_rule=rule), budgets):
+        assert [gamma for _, gamma in state.steps] == [row.gamma for row in trace[1:]]
+        replay = np.zeros(shape)
+        for step, gamma in state.steps:
+            replay = replay - gamma * step.dense(shape, shift)
+        x = state.x
+        assert x.tobytes() == replay.tobytes()
+        assert state.x is x
+        assert state.consumed_total() == sum(step.rank for step, _ in state.steps)
+
+
 class TestCompleteSweep:
     def fixture(self):
         obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
@@ -731,6 +866,50 @@ class TestCompleteSweep:
         assert trace_columns(trace) == repr(ref_trace)
         assert state.x.tobytes() == ref_x.tobytes()
 
+    def test_a_benchmark_shaped_sweep_allocates_two_unfolding_buffers(self, monkeypatch):
+        # the shape, shift, rule and budgets of the benchmark's complete run at
+        # a quarter of its files: each step scatters two candidates, 24 in
+        # all, into the same two buffers (every unfolding is kept alive here,
+        # so no address can be reused by a fresh allocation)
+        shape = (32, 32, 3, 10)
+        rng = np.random.default_rng(1)
+        flat = np.sort(rng.choice(int(np.prod(shape)), size=int(np.prod(shape)) // 5,
+                                  replace=False))
+        t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1),
+                         rng.normal(size=flat.size))
+        handed = []
+        scatter = GradientUnfoldings.matrix
+
+        def recording_matrix(grads, k, residual):
+            handed.append(scatter(grads, k, residual))
+            return handed[-1]
+
+        monkeypatch.setattr(GradientUnfoldings, "matrix", recording_matrix)
+        swept = list(complete_sweep(t, FwConfig(shift=2, update_rule="rank1"), (4, 8, 12)))
+        assert [len(trace) - 1 for _, _, trace in swept] == [4, 8, 12]
+        assert len(handed) == 24
+        assert len({m.__array_interface__["data"][0] for m in handed}) == 2
+
+    def test_replay_reuses_the_products_the_loop_formed(self, monkeypatch):
+        # under multi, budgets 3 and 8 take their own last step on the first
+        # step, which spends budget 12: three one-step logs, each of whose
+        # product the loop formed for the line search, so reading every x
+        # forms none again
+        formed = []
+        product = GradientStep.matrix
+
+        def counting_matrix(step):
+            formed.append(step.rank)
+            return product(step)
+
+        monkeypatch.setattr(GradientStep, "matrix", counting_matrix)
+        swept = list(complete_sweep(self.fixture(), FwConfig(shift=2), (3, 8, 12)))
+        assert [len(state.steps) for _, state, _ in swept] == [1, 1, 1]
+        assert len(formed) == 3
+        for _, state, _ in swept:
+            state.x
+        assert len(formed) == 3
+
     @pytest.mark.parametrize("case", ["rank1", "multi", "multi-drops-triplets"])
     def test_tracked_observed_iterate_is_the_gathered_iterate(self, monkeypatch, case):
         # the sweep updates the iterate at the observed entries alongside x
@@ -752,8 +931,8 @@ class TestCompleteSweep:
         t_norm = float(np.linalg.norm(t.values))
         updated, residuals = [], []
 
-        def recording_update(state, step, gamma, s):
-            apply_update(state, step, gamma, s)
+        def recording_update(state, step, gamma, matrix):
+            apply_update(state, step, gamma, matrix)
             updated.append((state, t.gather(state.x)))
 
         def recording_select(grads, residual, cfg, active):
@@ -817,13 +996,15 @@ class TestCompleteSweep:
 def reference_complete(t, cfg, budget):
     """The solver loop as it was before the gradient unfoldings were scattered
     from the residual: a dense gradient tensor, ``unfold`` of it for every
-    active mode and again for the step, and a line search that gathers the
-    iterate by fancy indexing."""
+    active mode and again for the step, a dense iterate updated by every step
+    and a line search that gathers it by fancy indexing. ``state`` holds the
+    rank ledger only."""
     state = FwState.initial(t.shape, cfg.shift)
+    x = np.zeros(t.shape)
     mask = tuple(t.indices.T)
     t_norm = float(np.linalg.norm(t.values))
     trace = [(0, 1.0, 0, 0.0, 0.0)]
-    residual = state.x[mask] - t.values
+    residual = x[mask] - t.values
     rse = float(np.linalg.norm(residual)) / t_norm
     for it in range(1, cfg.max_iter + 1):
         active = state.active
@@ -853,15 +1034,15 @@ def reference_complete(t, cfg, budget):
         s = step.dense(t.shape, cfg.shift)
         s_obs = s[mask]
         a_bar = float(s_obs @ s_obs)
-        gamma = 0.0 if a_bar == 0.0 else max(float((state.x[mask] - t.values) @ s_obs) / a_bar, 0.0)
+        gamma = 0.0 if a_bar == 0.0 else max(float((x[mask] - t.values) @ s_obs) / a_bar, 0.0)
         if gamma == 0.0:
             break
-        state.x -= gamma * s
+        x -= gamma * s
         state.consumed[k] += step.rank
-        residual = state.x[mask] - t.values
+        residual = x[mask] - t.values
         rse = float(np.linalg.norm(residual)) / t_norm
         trace.append((it, rse, k, gamma, gamma * cfg.beta))
-    return state.x, trace
+    return x, trace
 
 
 @settings(max_examples=60, deadline=None)
