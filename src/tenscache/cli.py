@@ -118,27 +118,27 @@ SETTINGS = {
     "rank": ("8", _sweep("rank", least=1), {"help": "rank budget, comma list for a sweep"}),
     "beta": ("1e5", _sweep("beta", _real),
              {"help": "step nuclear-norm scale, comma list for a sweep"}),
-    "shift": (1, _integer("shift"), {"type": int}),
+    "shift": (1, _integer("shift"), {}),
     "mode_select": ("sigma", _as_given, {"choices": ["sigma", "min-dim"]}),
     "update": ("multi", _as_given, {"choices": ["multi", "rank1"]}),
-    "max_iter": (200, _integer("max_iter"), {"type": int}),
-    "seed": (0, _integer("seed", 0), {"type": int}),
-    "tau": (10, _integer("tau"), {"type": int}),
-    "order": (6, _integer("order", 1), {"type": int}),
-    "cache": (32, _integer("cache"), {"type": int}),
-    "bs": (3, _integer("bs", 1), {"type": int}),
-    "files": (128, _integer("files"), {"type": int}),
+    "max_iter": (200, _integer("max_iter"), {}),
+    "seed": (0, _integer("seed", 0), {}),
+    "tau": (10, _integer("tau"), {}),
+    "order": (6, _integer("order", 1), {}),
+    "cache": (32, _integer("cache"), {}),
+    "bs": (3, _integer("bs", 1), {}),
+    "files": (128, _integer("files"), {}),
     "ranks": ("8,16,24", _sweep("ranks", least=1), {"help": "comma list of completion rank budgets"}),
     "predictor": ("both", _predictors, {"choices": ["lp", "mean", "both"]}),
     "completion": ("both", _completions, {"choices": ["on", "off", "both"]}),
-    "slots": (40, _integer("slots", 1), {"type": int, "help": "synthetic stream length"}),
-    "observe": (0.05, _real("observe"), {"type": float, "help": "observed fraction of the synthetic data"}),
-    "top_f": (128, _integer("top_f"), {"type": int}),
-    "slot_days": (30, _integer("slot_days"), {"type": int}),
+    "slots": (40, _integer("slots", 1), {"help": "synthetic stream length"}),
+    "observe": (0.05, _real("observe"), {"help": "observed fraction of the synthetic data"}),
+    "top_f": (128, _integer("top_f"), {}),
+    "slot_days": (30, _integer("slot_days"), {}),
     "pairing": ("self", str, {"choices": ["self", "cosession"]}),
-    "gap_hours": (6.0, _real("gap_hours"), {"type": float}),
+    "gap_hours": (6.0, _real("gap_hours"), {}),
     "weight": ("count", str, {"choices": ["count", "stars"]}),
-    "noise": (0.0, _real("noise"), {"type": float}),
+    "noise": (0.0, _real("noise"), {}),
     "mode_ranks": (None, _mode_ranks, {"help": "per-mode ranks (default 2 each)"}),
 }
 

@@ -23,6 +23,9 @@ The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
 5. charges the step's rank to that mode's ledger, which counts against the
    global budget.
 
+Steps 4 and 5, with the finite check and the trace row, are one code path
+for every step a sweep applies; a zero gradient ends the solve at step 3.
+
 The state is the log of applied ``(step, gamma)`` pairs and the per-mode rank
 ledger. The loop never forms the dense iterate: it evaluates each step at the
 observed entries only, straight from its factors, and keeps the iterate's
@@ -64,7 +67,6 @@ __all__ = [
     "GradientStep",
     "GradientUnfoldings",
     "TraceRow",
-    "ZeroGradientError",
     "apply_update",
     "beta_invariance_check",
     "complete",
@@ -99,10 +101,6 @@ _PRUNE_MARGIN = 1e-6
 # Observed-entry RSE below which an exactly recoverable input is done: further
 # steps would only churn at the numerical noise floor.
 _RSE_FLOOR = 1e-12
-
-
-class ZeroGradientError(ValueError):
-    """The gradient is (numerically) zero: the solver has converged."""
 
 
 @dataclass
@@ -242,20 +240,19 @@ class GradientUnfoldings:
     weights, the F-order strides of the unfolding's axis order
     (:meth:`UnfoldSpec.axes_order`, the order :func:`unfold` transposes to).
 
-    Every unfolding has ``prod(shape)`` entries, so the scatters recycle flat
-    buffers: :meth:`matrix` fills a zeroed spare when there is one, and
-    :meth:`release` zeroes the mode's positions again and keeps the buffer as
-    a spare. A solve thus allocates only as many buffers as it holds
-    unfoldings at once (two, in :func:`select_mode`), and again only after
-    :func:`complete_sweep` lets its spares go to hand out a budget's own last
-    step.
+    Every unfolding has ``prod(shape)`` entries, so the scatters recycle two
+    flat buffers, the slots 0 and 1: :meth:`matrix` scatters into the slot it
+    is given, after zeroing only the positions of the unfolding that slot
+    held last, so a call overwrites the unfolding it last handed out from
+    that slot. A solve thus allocates at most two buffers (one under
+    ``min-dim``), and again only after :meth:`drop`.
     """
 
     def __init__(self, t: SparseTensor, shift: int):
         self.dims: dict[int, tuple[int, int]] = {}
         self.positions: dict[int, np.ndarray] = {}
         self._size = int(np.prod(t.shape))
-        self._spares: list[np.ndarray] = []
+        self._slots: list[tuple[np.ndarray, int] | None] = [None, None]
         self._places: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k in range(1, len(t.shape) + 1):
             spec = UnfoldSpec(k, shift)
@@ -265,21 +262,24 @@ class GradientUnfoldings:
             weights[perm] = np.cumprod([1] + [t.shape[p] for p in perm[:-1]])
             self.positions[k] = t.indices @ weights
 
-    def matrix(self, k: int, residual: np.ndarray) -> np.ndarray:
+    def matrix(self, k: int, residual: np.ndarray, slot: int) -> np.ndarray:
         """Mode-``k`` unfolding of the gradient whose observed values are
         ``residual`` (:func:`select_mode` passes the residual already scaled
-        for its :class:`Gram`): bitwise and in (F-contiguous) layout what
-        :func:`unfold` gives for that dense gradient."""
-        flat = self._spares.pop() if self._spares else np.zeros(self._size)
+        for its :class:`Gram`), held in buffer ``slot``: bitwise and in
+        (F-contiguous) layout what :func:`unfold` gives for that dense
+        gradient."""
+        if self._slots[slot] is None:
+            flat = np.zeros(self._size)
+        else:
+            flat, last = self._slots[slot]
+            flat[self.positions[last]] = 0.0
         flat[self.positions[k]] = residual
+        self._slots[slot] = flat, k
         return flat.reshape(self.dims[k], order="F")
 
-    def release(self, k: int, m: np.ndarray) -> None:
-        """Take back ``m``, a mode-``k`` result of :meth:`matrix` that nothing
-        reads any more: zero the mode's positions and keep it as a spare."""
-        flat = m.reshape(-1, order="F")
-        flat[self.positions[k]] = 0.0
-        self._spares.append(flat)
+    def drop(self) -> None:
+        """Let both buffers go; the next :meth:`matrix` allocates again."""
+        self._slots = [None, None]
 
     def step_values(self, step: GradientStep) -> tuple[np.ndarray, np.ndarray | None]:
         """The step tensor's values at the observed entries, equal as floats
@@ -326,10 +326,9 @@ def select_mode(
 
     At ``N == 2 * shift`` the mode-``k`` and mode-``(k + shift)`` unfoldings
     are transposes, so the second inherits the first's outcome, pruned or
-    exact (and, tied, cannot win). Only the best candidate's :class:`Gram`
-    is kept alive: every other candidate's unfolding, and a dethroned best's,
-    goes back to ``grads`` (:meth:`GradientUnfoldings.release`); the caller
-    releases the returned one once it has factored it.
+    exact (and, tied, cannot win). The best candidate's unfolding keeps its
+    slot of ``grads`` and each other one is scattered into the free slot, so
+    the returned :class:`Gram` reads its unfolding until the next call.
     """
     if not active:
         raise ValueError("active mode set is empty")
@@ -337,22 +336,18 @@ def select_mode(
     scaled = np.ldexp(residual, -exp)
     if cfg.mode_selection == MODE_MIN_DIM:
         best = min(sorted(active), key=lambda k: min(grads.dims[k]))
-        return best, Gram(grads.matrix(best, scaled), exp)
+        return best, Gram(grads.matrix(best, scaled, 0), exp)
     twins = len(grads.dims) == 2 * cfg.shift
-    best, best_sigma, best_gram = 0, -np.inf, None
+    best, best_sigma, best_gram, free = 0, -np.inf, None, 0
     for k in sorted(active, key=lambda j: (min(grads.dims[j]), j)):
         if twins and k - cfg.shift in active:
             continue  # its twin, of equal cost and smaller index, came first
-        gram = Gram(grads.matrix(k, scaled), exp)
+        gram = Gram(grads.matrix(k, scaled, free), exp)
         bound = np.ldexp(math.sqrt(np.linalg.norm(gram.g)) * (1.0 + _PRUNE_MARGIN), exp)
         if bound >= best_sigma:
             sigma = dominant_sigma(gram)
             if sigma > best_sigma or (sigma == best_sigma and k < best):
-                if best_gram is not None:  # dethroned
-                    grads.release(best, best_gram.a)
-                best, best_sigma, best_gram = k, sigma, gram
-                continue
-        grads.release(k, gram.a)
+                best, best_sigma, best_gram, free = k, sigma, gram, 1 - free
     return best, best_gram
 
 
@@ -379,7 +374,7 @@ def gradient_step(
     if not 1 <= r_want <= trip.sigma.size:
         raise ValueError(f"r_k {r_k} out of range 1..{trip.sigma.size}")
     if trip.sigma[0] <= 0.0:
-        raise ZeroGradientError("gradient unfolding is numerically zero")
+        raise ValueError("gradient unfolding is numerically zero")
     sigma = trip.sigma[:r_want]
     keep = sigma > sigma[0] * _SIGMA_EPS
     u, sig, v = trip.u[:, :r_want][:, keep], sigma[keep], trip.v[:, :r_want][:, keep]
@@ -421,17 +416,6 @@ def apply_update(state: FwState, step: GradientStep, gamma: float,
     state.consumed[step.mode] += step.rank
 
 
-def _updated_obs(x_obs: np.ndarray, s_obs: np.ndarray, gamma: float, mode: int) -> np.ndarray:
-    """The iterate at the observed entries after the step ``x - gamma * S``,
-    from its values ``x_obs`` before and ``s_obs`` of ``S`` there: the two
-    roundings of :attr:`FwState.x`'s update, so bitwise a gather of the
-    updated iterate. A non-finite value raises ``FloatingPointError``."""
-    x_obs = x_obs + s_obs * -gamma
-    if not np.isfinite(x_obs).all():
-        raise FloatingPointError(f"non-finite iterate after mode-{mode} update (gamma={gamma!r})")
-    return x_obs
-
-
 def update_rank_budget(state: FwState, k: int, budget: int) -> int:
     """Per-iteration rank allowance for mode ``k`` under rank budget ``budget``.
 
@@ -462,21 +446,24 @@ def complete_sweep(
     """Run the solver on observed tensor ``t`` with ``cfg`` once for every
     rank budget in ``budgets``.
 
-    Each step selects a mode, takes its rank allowance, evaluates the step
-    at the observed entries, line-searches it and logs it. The gradient
-    unfoldings are scattered from the residual; the step factors the
-    selection's Gram matrix.
-    A budget's run stops at the first of: the RSE floor, its budget spent, no
-    active mode, a zero gradient, a ``gamma == 0`` step, or ``max_iter``
-    steps.
+    Each step selects a mode, takes its rank allowance and factors the
+    selection's Gram matrix; the gradient unfoldings are scattered from the
+    residual into the two buffers :class:`GradientUnfoldings` recycles.
+    Every step, shared or a budget's own last one, is then applied in one
+    place: evaluated at the observed entries, line-searched and, unless
+    ``gamma == 0``, logged, checked finite and traced. A budget's run stops
+    at the first of: the RSE floor (read from its last trace row), its
+    budget spent, no active mode, a zero gradient (``sigma_1 == 0``), a
+    ``gamma == 0`` step, or ``max_iter`` steps.
 
     The budgets share one path: mode selection and one SVD, sized for the
     largest budget's allowance, run once per step, and every budget with at
     least the step's rank left takes that step. A budget with less left
     (never under the rank-1 rule) takes its own last step, sliced from the
     same triplets and applied to a copy of the step log and ledger, which
-    spends its budget. The sweep forms no dense iterate: a yielded state
-    builds its own on the first read of ``state.x``.
+    spends its budget; the buffers are let go before it is yielded. The
+    sweep forms no dense iterate: a yielded state builds its own on the
+    first read of ``state.x``.
 
     Yields ``(budget, state, trace)`` once per distinct budget, in rising
     order, as its run ends: bitwise what :func:`complete` gives for that
@@ -505,55 +492,60 @@ def _sweep(t, t_norm, cfg, budgets, state):
     def snapshot():
         return replace(state, steps=list(state.steps), consumed=dict(state.consumed))
 
+    def take(st, tr, step):
+        """Evaluate ``step`` at the observed entries and line-search it. At
+        ``gamma == 0`` return ``None``; else log it in ``st``, append its row
+        to ``tr`` and return the observed iterate and residual after it. The
+        iterate takes the two roundings of :attr:`FwState.x`'s update, so it
+        stays bitwise a gather of ``st.x``; a non-finite value raises
+        ``FloatingPointError``."""
+        s_obs, m = grads.step_values(step)
+        gamma = line_search(residual, s_obs)
+        if gamma == 0.0:
+            return None
+        apply_update(st, step, gamma, m)
+        obs = x_obs + s_obs * -gamma
+        if not np.isfinite(obs).all():
+            raise FloatingPointError(
+                f"non-finite iterate after mode-{step.mode} update (gamma={gamma!r})")
+        res = obs - t.values
+        tr.append(TraceRow(it, float(np.linalg.norm(res)) / t_norm, time.perf_counter() - start,
+                           step.mode, gamma, gamma * cfg.beta))
+        return obs, res
+
     start = time.perf_counter()
     grads = GradientUnfoldings(t, cfg.shift)
     x_obs = np.zeros(t.nnz)  # the iterate at the observed entries, kept current
     residual = x_obs - t.values
-    rse = float(np.linalg.norm(residual)) / t_norm
     trace = [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)]
     for it in range(1, cfg.max_iter + 1):
         active, spent = state.active, state.consumed_total()
-        if rse < _RSE_FLOOR or not active or budgets[-1] <= spent:
+        if trace[-1].rse < _RSE_FLOOR or not active or budgets[-1] <= spent:
             break
         while budgets[0] <= spent:
             yield budgets.pop(0), snapshot(), list(trace)
         k, gram = select_mode(grads, residual, cfg, active)
         r = 1 if cfg.update_rule == UPDATE_RANK_ONE else update_rank_budget(state, k, budgets[-1])
         trip = truncated_svd(gram, r)
-        grads.release(k, gram.a)
-        del gram  # its unfolding is a spare buffer now, freed with grads
-        try:
-            step = gradient_step(trip, k, r, cfg.beta, cfg.update_rule)
-        except ZeroGradientError:
-            break
+        del gram  # its unfolding stays in its slot of grads until the next selection
+        if trip.sigma[0] <= 0.0:
+            break  # a zero gradient: converged
+        step = gradient_step(trip, k, r, cfg.beta, cfg.update_rule)
         # budget b keeps min(b - spent, step.rank) triplets: with less left (never the
         # largest budget, whose allowance sized the SVD) it takes its own last step
         while budgets[0] - spent < step.rank:
             b = budgets.pop(0)
-            last = gradient_step(trip, k, b - spent, cfg.beta, cfg.update_rule)
-            s_obs, m = grads.step_values(last)
-            gamma = line_search(residual, s_obs)
             own, own_trace = snapshot(), list(trace)
-            if gamma != 0.0:
-                apply_update(own, last, gamma, m)
-                own_obs = _updated_obs(x_obs, s_obs, gamma, k)
-                own_rse = float(np.linalg.norm(own_obs - t.values)) / t_norm
-                own_trace.append(TraceRow(it, own_rse, time.perf_counter() - start, k, gamma,
-                                          gamma * cfg.beta))
-            # let the spares go: this budget's caller may build its x now (simulate
+            take(own, own_trace, gradient_step(trip, k, b - spent, cfg.beta, cfg.update_rule))
+            # let the buffers go: this budget's caller may build its x now (simulate
             # does), and holding them through that raised simulate's peak RSS ~6 MiB
-            grads._spares.clear()
+            grads.drop()
             yield b, own, own_trace
-        s_obs, m = grads.step_values(step)
-        gamma = line_search(residual, s_obs)
-        if gamma == 0.0:
+        after = take(state, trace, step)
+        if after is None:
             break
-        apply_update(state, step, gamma, m)
-        x_obs = _updated_obs(x_obs, s_obs, gamma, k)
-        residual = x_obs - t.values
-        rse = float(np.linalg.norm(residual)) / t_norm
-        trace.append(TraceRow(it, rse, time.perf_counter() - start, k, gamma, gamma * cfg.beta))
-    del grads  # its spares too: a state's x is built without them
+        x_obs, residual = after
+    del grads  # its buffers too: a state's x is built without them
     for b in budgets[:-1]:
         yield b, snapshot(), list(trace)
     yield budgets[-1], state, trace

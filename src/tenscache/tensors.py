@@ -15,8 +15,8 @@ columns. Modes are numbered 1..N throughout the public API; COO files use
 
 from __future__ import annotations
 
-import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -262,8 +262,10 @@ def _parse_coo_array(path: Path) -> SparseTensor:
     """All entry lines in one ``np.loadtxt`` call. Raises on anything the
     line parser could read differently: an entry before or a second header,
     an entry line that is not printable ASCII (numpy and Python disagree on
-    some other characters), no entries, a non-finite value, or an entry
-    ``SparseTensor`` rejects."""
+    some other characters), no entries, a ``loadtxt`` error, warning or
+    overflow (numpy < 2 reads an index such as ``1.0`` or ``1e0`` with only a
+    ``DeprecationWarning``), a non-finite value, or an entry ``SparseTensor``
+    rejects."""
     with open(path) as fh:
         shape = None
         for raw in fh:
@@ -290,13 +292,13 @@ def _parse_coo_array(path: Path) -> SparseTensor:
                     raise ValueError("entry line the array parse does not take")
                 yield line
 
-        lines = entries()
-        first = next(lines, None)
-        if first is None:
-            raise ValueError("no entries")  # loadtxt warns on no data
-        table = np.loadtxt(itertools.chain([first], lines), delimiter=",", comments=None,
-                           dtype=[("idx", np.intp, (len(shape),)), ("val", np.float64)],
-                           ndmin=1)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data" among them
+                table = np.loadtxt(entries(), delimiter=",", comments=None, ndmin=1,
+                                   dtype=[("idx", np.intp, (len(shape),)), ("val", np.float64)])
+        except (OverflowError, Warning) as exc:
+            raise ValueError(f"loadtxt: {exc}") from None
     values = np.ascontiguousarray(table["val"])
     if not np.isfinite(values).all():
         raise ValueError("non-finite value")

@@ -12,7 +12,6 @@ from tenscache.completion import (
     FwState,
     GradientStep,
     GradientUnfoldings,
-    ZeroGradientError,
     apply_update,
     beta_invariance_check,
     complete,
@@ -248,7 +247,7 @@ class TestGradientUnfoldings:
         for shift in range(1, len(shape)):
             grads = GradientUnfoldings(t, shift)
             for k in range(1, len(shape) + 1):
-                m = grads.matrix(k, residual)
+                m = grads.matrix(k, residual, k % 2)
                 ref = unfold(grad, UnfoldSpec(k, shift))
                 assert m.flags.f_contiguous
                 assert m.shape == ref.shape
@@ -320,10 +319,13 @@ class TestGradientUnfoldings:
         st.integers(min_value=0, max_value=10**6),
     )
     def test_recycled_buffers_never_leak_a_residual(self, dims, density, seed):
-        # matrix and release calls alternate across modes and residuals, up to
-        # three unfoldings held at once: every unfolding handed out is still
-        # bitwise unfold of its own dense gradient, whatever a recycled buffer
-        # held before, and no more buffers exist than unfoldings held at once
+        # matrix calls interleave over modes, residuals and the two slots,
+        # with a drop now and then: every unfolding handed out is bitwise
+        # unfold of its own dense gradient, whatever its slot held before,
+        # and the other slot's unfolding is left as it was. A slot keeps its
+        # buffer, so at most two exist between drops, and the call after a
+        # drop allocates (every unfolding is kept alive here, so no address
+        # can be reused by a fresh allocation)
         shape = tuple(dims)
         rng = np.random.default_rng(seed)
         total = int(np.prod(shape))
@@ -332,23 +334,31 @@ class TestGradientUnfoldings:
         t = SparseTensor(shape, idx, rng.normal(size=flat.size))
         shift = int(rng.integers(1, len(shape)))
         grads = GradientUnfoldings(t, shift)
-        held, buffers = [], set()
+        kept, seen, live = [], set(), {}  # live: slot -> (address, unfolding, its bytes)
         for _ in range(16):
-            if len(held) == 3 or held and rng.random() < 0.4:
-                k, m = held.pop(int(rng.integers(len(held))))
-                grads.release(k, m)
+            if live and rng.random() < 0.2:
+                grads.drop()
+                live.clear()
                 continue
-            k = int(rng.integers(1, len(shape) + 1))
+            k, slot = int(rng.integers(1, len(shape) + 1)), int(rng.integers(2))
             residual = rng.normal(size=t.nnz)
             grad = np.zeros(shape)
             grad[tuple(idx.T)] = residual
-            m = grads.matrix(k, residual)
-            ref = unfold(grad, UnfoldSpec(k, shift))
-            assert m.flags.f_contiguous and m.shape == ref.shape
-            assert m.tobytes(order="F") == ref.tobytes(order="F")
-            held.append((k, m))
-            buffers.add(m.__array_interface__["data"][0])
-        assert len(buffers) <= 3
+            m = grads.matrix(k, residual, slot)
+            ref = unfold(grad, UnfoldSpec(k, shift)).tobytes(order="F")
+            assert m.flags.f_contiguous and m.shape == grads.dims[k]
+            assert m.tobytes(order="F") == ref
+            address = m.__array_interface__["data"][0]
+            if slot in live:
+                assert address == live[slot][0]
+            else:
+                assert address not in seen
+            for other, (_, held, want) in live.items():
+                if other != slot:
+                    assert held.tobytes(order="F") == want
+            kept.append(m)
+            seen.add(address)
+            live[slot] = address, m, ref
 
 
 class TestGradientStep:
@@ -655,6 +665,33 @@ class TestComplete:
                 FloatingPointError, match=r"non-finite iterate after mode-\d update \(gamma=inf\)"):
             next(complete_sweep(obs, cfg, budgets))
 
+    def test_a_zero_gradient_ends_every_budget_where_it_stands(self, monkeypatch):
+        # step 2's SVD reports a zero gradient: every budget stops there and
+        # yields the state step 1 left, charged and traced once, bitwise a
+        # one-step solve
+        calls = []
+
+        def zero_on_step_two(gram, r):
+            trip = truncated_svd(gram, r)
+            calls.append(r)
+            if len(calls) == 2:
+                trip.sigma[:] = 0.0
+            return trip
+
+        monkeypatch.setattr(completion_mod, "truncated_svd", zero_on_step_two)
+        obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
+        cfg = FwConfig(update_rule="rank1")
+        swept = list(complete_sweep(obs, cfg, (2, 4, 8)))
+        assert len(calls) == 2
+        monkeypatch.undo()
+        ref_state, ref_trace = complete(obs, cfg, 1)
+        assert [b for b, _, _ in swept] == [2, 4, 8]
+        for _, state, trace in swept:
+            assert len(trace) == 2 and len(state.steps) == 1
+            assert state.consumed == ref_state.consumed
+            assert trace_columns(trace) == trace_columns(ref_trace)
+            assert state.x.tobytes() == ref_state.x.tobytes()
+
     def test_all_modes_stalled_is_clean_convergence(self, monkeypatch):
         obs, _ = synth_low_rank((4, 4, 4), (1, 1, 1), observe_fraction=0.5, seed=1)
         monkeypatch.setattr(completion_mod, "line_search", lambda *a, **k: 0.0)
@@ -880,8 +917,8 @@ class TestCompleteSweep:
         handed = []
         scatter = GradientUnfoldings.matrix
 
-        def recording_matrix(grads, k, residual):
-            handed.append(scatter(grads, k, residual))
+        def recording_matrix(grads, k, residual, slot):
+            handed.append(scatter(grads, k, residual, slot))
             return handed[-1]
 
         monkeypatch.setattr(GradientUnfoldings, "matrix", recording_matrix)
@@ -1026,11 +1063,11 @@ def reference_complete(t, cfg, budget):
                 if sigmas[j] > best:
                     k, best = j, sigmas[j]
         r = update_rank_budget(state, k, budget)
-        try:
-            step = step_of(unfold(grad, UnfoldSpec(k, cfg.shift)), k, r, cfg.beta,
-                           cfg.update_rule)
-        except ZeroGradientError:
+        trip = truncated_svd(Gram(unfold(grad, UnfoldSpec(k, cfg.shift))),
+                             1 if cfg.update_rule == "rank1" else r)
+        if trip.sigma[0] <= 0.0:
             break
+        step = gradient_step(trip, k, r, cfg.beta, cfg.update_rule)
         s = step.dense(t.shape, cfg.shift)
         s_obs = s[mask]
         a_bar = float(s_obs @ s_obs)

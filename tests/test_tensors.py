@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -432,6 +433,29 @@ def test_malformed_file_gets_the_line_parsers_message(tmp_path, text, message):
     with pytest.raises(ValueError) as read:
         read_coo(path)
     assert str(read.value) == str(lines.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize("effect", ["warn", "overflow"])
+def test_a_loadtxt_warning_or_overflow_is_left_to_the_line_parser(tmp_path, monkeypatch, effect):
+    # numpy < 2 reads the index "1.0" as an int with only a DeprecationWarning
+    loadtxt = np.loadtxt
+
+    def doubtful_loadtxt(*args, **kwargs):
+        if effect == "warn":
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated",
+                          DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+        raise OverflowError("Python int too large to convert to C long")
+
+    monkeypatch.setattr(np, "loadtxt", doubtful_loadtxt)
+    path = tmp_path / "t.coo"
+    path.write_text("# shape: 2x2x2\n1,1,1,2.0\n2,2,1,-0.5\n")
+    with warnings.catch_warnings(), pytest.raises(ValueError, match="loadtxt"):
+        warnings.simplefilter("ignore")  # a warning is doubt even where it would not be seen
+        _parse_coo_array(path)
+    got = read_coo(path)
+    assert got.indices.tolist() == [[0, 0, 0], [1, 1, 0]]
+    assert got.values.tolist() == [2.0, -0.5]
 
 
 @pytest.mark.filterwarnings("error")
