@@ -1,4 +1,4 @@
-"""Rank-budgeted Frank-Wolfe tensor completion with an edge-caching pipeline.
+"""Rank-budgeted tensor completion by greedy rank pursuit, with an edge-caching pipeline.
 
 The package exports the names of the documented library example; everything
 else is imported from its submodule (``tenscache.caching``,
@@ -8,7 +8,7 @@ else is imported from its submodule (``tenscache.caching``,
 
 __version__ = "0.1.0"
 
-from .completion import FwConfig, beta_invariance_check, complete
+from .completion import FwConfig, complete
 from .ingest import synth_low_rank
 
-__all__ = ["FwConfig", "beta_invariance_check", "complete", "synth_low_rank"]
+__all__ = ["FwConfig", "complete", "synth_low_rank"]

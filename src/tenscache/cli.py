@@ -20,7 +20,6 @@ import os
 import sys
 import time
 import zlib
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -71,19 +70,19 @@ def _real(name: str):
     return parse
 
 
-def _num_list(spec, name: str, kind=_integer, **bounds) -> list:
-    """A comma list of numbers, each read by ``kind(name, **bounds)``; an
+def _num_list(spec, name: str, **bounds) -> list[int]:
+    """A comma list of integers, each read by ``_integer(name, **bounds)``; an
     empty one is a usage error."""
-    parse = kind(name, **bounds)
+    parse = _integer(name, **bounds)
     items = [parse(s) for s in str(spec).split(",") if s.strip()]
     if not items:
         raise UsageError(f"{name} needs at least one value, got {str(spec)!r}")
     return items
 
 
-def _sweep(name: str, kind=_integer, **bounds):
+def _sweep(name: str, **bounds):
     """Parser of a sweep list: each value is solved and written once, at its first place."""
-    return lambda spec: list(dict.fromkeys(_num_list(spec, name, kind, **bounds)))
+    return lambda spec: list(dict.fromkeys(_num_list(spec, name, **bounds)))
 
 
 def _mode_ranks(value):
@@ -116,8 +115,6 @@ def _completions(value) -> tuple[bool, ...]:
 # key: (default, parser of the value from flag, config file or default, keywords of --key)
 SETTINGS = {
     "rank": ("8", _sweep("rank", least=1), {"help": "rank budget, comma list for a sweep"}),
-    "beta": ("1e5", _sweep("beta", _real),
-             {"help": "step nuclear-norm scale, comma list for a sweep"}),
     "shift": (1, _integer("shift"), {}),
     "mode_select": ("sigma", _as_given, {"choices": ["sigma", "min-dim"]}),
     "update": ("multi", _as_given, {"choices": ["multi", "rank1"]}),
@@ -144,7 +141,7 @@ SETTINGS = {
 
 # the settings each command reads, in the order they are parsed
 COMMAND_SETTINGS = {
-    "complete": ("rank", "beta", "shift", "mode_select", "update", "max_iter"),
+    "complete": ("rank", "shift", "mode_select", "update", "max_iter"),
     "simulate": ("tau", "order", "cache", "bs", "files", "shift", "seed", "ranks",
                  "predictor", "completion", "slots", "observe"),
     "ingest": ("top_f", "bs", "slot_days", "pairing", "gap_hours", "weight"),
@@ -246,8 +243,8 @@ def _write_csv(path: Path, manifest: str, header: str, rows) -> None:
 
 def write_trace_csv(path: Path, trace: list[TraceRow], manifest: str) -> None:
     """The RSE trace of one solve, one row per step."""
-    _write_csv(path, manifest, "iter,rse,elapsed_s,mode,gamma,beta_gamma",
-               ((r.iteration, r.rse, r.elapsed_s, r.mode, r.gamma, r.beta_gamma) for r in trace))
+    _write_csv(path, manifest, "iter,rse,elapsed_s,mode,gamma",
+               ((r.iteration, r.rse, r.elapsed_s, r.mode, r.gamma) for r in trace))
 
 
 def write_report_csv(path: Path, result: OnlineResult, manifest: str) -> None:
@@ -279,19 +276,11 @@ def cmd_complete(args, config: dict) -> int:
     t = read_coo(src)
     fw = FwConfig(shift=s["shift"], max_iter=s["max_iter"], mode_selection=s["mode_select"],
                   update_rule=s["update"])
-    # one sweep over the rank list per beta, each checking its settings against t at the call
-    sweeps = {beta: complete_sweep(t, replace(fw, beta=beta), s["rank"]) for beta in s["beta"]}
+    sweep = complete_sweep(t, fw, s["rank"])  # checks its settings against t at the call
     out_dir = _out_dir(args)
     started = time.perf_counter()
-    traces = {}
-    for beta, sweep in sweeps.items():
-        for rank, _, trace in sweep:
-            traces[rank, beta] = trace
-    rows_by_run = {}
-    for rank in s["rank"]:
-        for beta in s["beta"]:
-            name = f"trace-R{rank}" + (f"-beta{beta:g}" if len(s["beta"]) > 1 else "") + ".csv"
-            rows_by_run[name] = traces[rank, beta]
+    traces = {rank: trace for rank, _, trace in sweep}
+    rows_by_run = {f"trace-R{rank}.csv": traces[rank] for rank in s["rank"]}
     manifest_name = _write_manifest(out_dir, "complete", {**s, "tensor": str(src)},
                                     time.perf_counter() - started, list(rows_by_run))
     for name, trace in rows_by_run.items():

@@ -1,7 +1,9 @@
-"""Rank-budgeted Frank-Wolfe tensor completion over circular unfoldings.
+"""Rank-budgeted tensor completion over circular unfoldings by greedy rank pursuit.
 
 The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
-``X = 0``. Each iteration:
+``X = 0`` by FW-style (Frank-Wolfe-style) greedy rank pursuit: every step is
+taken whole with an exact, uncapped line search, with no norm ball and no
+``(1 - gamma)`` shrink. Each iteration:
 
 1. builds the circular unfoldings of the gradient tensor (the observed
    residual at the observed positions, zero elsewhere) straight from the
@@ -17,8 +19,8 @@ The solver minimizes ``F(X) = 0.5 * ||X(mask) - T(mask)||_F^2`` starting from
    rank allowance, from the eigendecomposition of the Gram matrix step 2 formed
    (accurate down to about ``sqrt(eps) * sigma_1``; triplets below
    ``_SIGMA_EPS * sigma_1`` are dropped as unresolved), and normalizes them
-   so the step's unfolding has nuclear norm ``beta``: the step tensor ``S``
-   in factored form,
+   so the step's unfolding has nuclear norm ``_STEP_SCALE``: the step tensor
+   ``S`` in factored form,
 4. takes an exact line-search step ``X <- X - gamma * S``, and
 5. charges the step's rank to that mode's ledger, which counts against the
    global budget.
@@ -42,8 +44,8 @@ each ran alone; :func:`complete` is its one-budget case.
 Each step's observed correlation with the residual is ``b_bar = <grad, S> =
 sum_i w_i sigma_i > 0`` while the gradient is nonzero, so the exact line
 search finds ``gamma > 0`` on every real input, and the loop has no retry.
-The step size scales as ``1 / beta``, so the product ``gamma * beta`` and the
-whole trajectory are invariant to the choice of ``beta`` (up to
+The step size scales as ``1 / _STEP_SCALE``, so the product ``gamma *
+_STEP_SCALE`` and the whole trajectory do not depend on the scale (up to
 floating-point rounding).
 """
 
@@ -68,7 +70,6 @@ __all__ = [
     "GradientUnfoldings",
     "TraceRow",
     "apply_update",
-    "beta_invariance_check",
     "complete",
     "complete_sweep",
     "gradient_step",
@@ -98,6 +99,10 @@ _SIGMA_EPS = 1e-7
 # separates the modes it prunes by percents (2.7% to 11% on the 128x128x3x10
 # benchmark fixture, seed 1, where it prunes 8 of 12 steps' dear candidate).
 _PRUNE_MARGIN = 1e-6
+# Nuclear norm of every step's unfolding. The line search divides it back out
+# of ``gamma``, so any positive value gives the same iterates up to rounding;
+# 1e5 keeps them bitwise what the solver has always computed.
+_STEP_SCALE = 1e5
 # Observed-entry RSE below which an exactly recoverable input is done: further
 # steps would only churn at the numerical noise floor.
 _RSE_FLOOR = 1e-12
@@ -107,21 +112,17 @@ _RSE_FLOOR = 1e-12
 class FwConfig:
     """Solver configuration, shared by every rank budget of a solve.
 
-    ``beta`` is the nuclear-norm scale of each step; results are invariant to
-    it (see :func:`beta_invariance_check`). ``shift`` is the circular-unfolding
-    shift ``d``. The rank budget, which caps the total rank charged to the
-    ledger across all modes, is an argument of each solve.
+    ``shift`` is the circular-unfolding shift ``d``. The rank budget, which
+    caps the total rank charged to the ledger across all modes, is an
+    argument of each solve.
     """
 
-    beta: float = 1e5
     shift: int = 1
     max_iter: int = 200
     mode_selection: str = MODE_SIGMA_MAX
     update_rule: str = UPDATE_MULTI
 
     def __post_init__(self):
-        if not 0 < self.beta < np.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.shift < 1:
             raise ValueError("shift must be >= 1")
         if self.max_iter < 1:
@@ -139,16 +140,17 @@ class TraceRow:
     elapsed_s: float
     mode: int
     gamma: float
-    beta_gamma: float
 
 
 @dataclass
 class GradientStep:
-    """One step tensor in factored form.
+    """One step tensor in factored form: an atom of the greedy rank pursuit,
+    not a point of a norm ball.
 
     ``weights`` are the singular values of the step's ``mode`` unfolding; they
-    sum to ``beta`` by construction (for the rank-1 rule the single weight is
-    ``beta`` itself).
+    sum to ``_STEP_SCALE`` by construction (for the rank-1 rule the single
+    weight is ``_STEP_SCALE`` itself), a scale the line search divides back
+    out of ``gamma``.
     """
 
     mode: int
@@ -355,17 +357,16 @@ def gradient_step(
     trip: SvdTriplet,
     k_star: int,
     r_k: int,
-    beta: float,
     update_rule: str = UPDATE_MULTI,
 ) -> GradientStep:
-    """Best-correlated step of nuclear norm ``beta`` along mode ``k_star``,
+    """Best-correlated step of nuclear norm ``_STEP_SCALE`` along mode ``k_star``,
     from ``trip``, the top singular triplets of the gradient's mode-``k_star``
     unfolding (at least ``r_k`` of them; one for the rank-1 rule).
 
     The multi-rank rule keeps the top ``r_k`` singular triplets of the
-    gradient unfolding, rescaled so the weights sum to ``beta``; the rank-1
-    rule keeps the leading pair with weight ``beta`` and discards the
-    singular-value structure. Trailing singular values below
+    gradient unfolding, rescaled so the weights sum to ``_STEP_SCALE``; the
+    rank-1 rule keeps the leading pair with weight ``_STEP_SCALE`` and
+    discards the singular-value structure. Trailing singular values below
     ``_SIGMA_EPS * sigma_1``, which the SVD does not resolve, are dropped, so
     the returned rank may be below ``r_k``. The triplets beyond ``r_k`` are
     not read, so one SVD serves every allowance up to its size.
@@ -379,8 +380,8 @@ def gradient_step(
     keep = sigma > sigma[0] * _SIGMA_EPS
     u, sig, v = trip.u[:, :r_want][:, keep], sigma[keep], trip.v[:, :r_want][:, keep]
     if update_rule == UPDATE_RANK_ONE:
-        return GradientStep(k_star, u, np.array([beta]), v)
-    return GradientStep(k_star, u, beta / float(sig.sum()) * sig, v)
+        return GradientStep(k_star, u, np.array([_STEP_SCALE]), v)
+    return GradientStep(k_star, u, _STEP_SCALE / float(sig.sum()) * sig, v)
 
 
 def line_search(residual: np.ndarray, s_obs: np.ndarray) -> float:
@@ -430,11 +431,14 @@ def complete(t: SparseTensor, cfg: FwConfig, budget: int) -> tuple[FwState, list
     """Run the solver on observed tensor ``t`` with rank budget ``budget``:
     the one-budget case of :func:`complete_sweep`.
 
+    The solver is FW-style greedy rank pursuit: each step adds the gradient
+    unfolding's top singular directions with an exact, uncapped line search,
+    so the step's fixed scale only rescales ``gamma``.
+
     Returns the final state and the per-iteration trace. The trace starts at
     the exact RSE 1.0 baseline (the iterate starts at zero) and records, for
     every applied step, the observed-entry RSE, wall-clock time since the
-    solve started, the selected mode, and the step size both raw and
-    multiplied by ``beta``.
+    solve started, the selected mode and the step size ``gamma``.
     """
     [(_, state, trace)] = complete_sweep(t, cfg, (budget,))
     return state, trace
@@ -510,14 +514,14 @@ def _sweep(t, t_norm, cfg, budgets, state):
                 f"non-finite iterate after mode-{step.mode} update (gamma={gamma!r})")
         res = obs - t.values
         tr.append(TraceRow(it, float(np.linalg.norm(res)) / t_norm, time.perf_counter() - start,
-                           step.mode, gamma, gamma * cfg.beta))
+                           step.mode, gamma))
         return obs, res
 
     start = time.perf_counter()
     grads = GradientUnfoldings(t, cfg.shift)
     x_obs = np.zeros(t.nnz)  # the iterate at the observed entries, kept current
     residual = x_obs - t.values
-    trace = [TraceRow(0, 1.0, 0.0, 0, 0.0, 0.0)]
+    trace = [TraceRow(0, 1.0, 0.0, 0, 0.0)]
     for it in range(1, cfg.max_iter + 1):
         active, spent = state.active, state.consumed_total()
         if trace[-1].rse < _RSE_FLOOR or not active or budgets[-1] <= spent:
@@ -530,13 +534,13 @@ def _sweep(t, t_norm, cfg, budgets, state):
         del gram  # its unfolding stays in its slot of grads until the next selection
         if trip.sigma[0] <= 0.0:
             break  # a zero gradient: converged
-        step = gradient_step(trip, k, r, cfg.beta, cfg.update_rule)
+        step = gradient_step(trip, k, r, cfg.update_rule)
         # budget b keeps min(b - spent, step.rank) triplets: with less left (never the
         # largest budget, whose allowance sized the SVD) it takes its own last step
         while budgets[0] - spent < step.rank:
             b = budgets.pop(0)
             own, own_trace = snapshot(), list(trace)
-            take(own, own_trace, gradient_step(trip, k, b - spent, cfg.beta, cfg.update_rule))
+            take(own, own_trace, gradient_step(trip, k, b - spent, cfg.update_rule))
             # let the buffers go: this budget's caller may build its x now (simulate
             # does), and holding them through that raised simulate's peak RSS ~6 MiB
             grads.drop()
@@ -549,35 +553,3 @@ def _sweep(t, t_norm, cfg, budgets, state):
     for b in budgets[:-1]:
         yield b, snapshot(), list(trace)
     yield budgets[-1], state, trace
-
-
-def beta_invariance_check(
-    t: SparseTensor, cfg: FwConfig, budget: int, betas, rel_tol: float = 1e-8
-) -> bool:
-    """True iff solver runs differing only in ``beta`` agree.
-
-    Agreement means: identical mode sequences, per-iteration ``gamma * beta``
-    products equal to ``rel_tol`` relative, and final iterates equal
-    elementwise to ``rel_tol`` relative (against the largest magnitude).
-    """
-    betas = [float(b) for b in betas]
-    if len(betas) < 2:
-        raise ValueError("need at least two beta values")
-    if any(b <= 0 for b in betas):
-        raise ValueError("beta values must be > 0")
-    runs = [complete(t, replace(cfg, beta=b), budget) for b in betas]
-    ref_state, ref_trace = runs[0]
-    ref_scale = max(float(np.abs(ref_state.x).max()), 1e-300)
-    for state, trace in runs[1:]:
-        if len(trace) != len(ref_trace):
-            return False
-        for row, ref in zip(trace, ref_trace):
-            if row.mode != ref.mode:
-                return False
-            denom = max(abs(ref.beta_gamma), abs(row.beta_gamma), 1e-300)
-            if abs(row.beta_gamma - ref.beta_gamma) / denom > rel_tol:
-                return False
-        if float(np.abs(state.x - ref_state.x).max()) > rel_tol * ref_scale:
-            return False
-    return True
-

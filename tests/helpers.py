@@ -6,6 +6,9 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+import tenscache.completion as completion_mod
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -21,6 +24,34 @@ def load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def step_scale_invariance(t, cfg, budget, scales, rel_tol=1e-8):
+    """True iff solves of ``t`` that differ only in the step scale
+    (``completion._STEP_SCALE``, set to each of ``scales`` in turn) agree:
+    identical mode sequences, per-step ``gamma * scale`` products equal to
+    ``rel_tol`` relative, and final iterates equal elementwise to ``rel_tol``
+    relative to the largest magnitude."""
+    scales = [float(c) for c in scales]
+    if len(scales) < 2:
+        raise ValueError("need at least two step scales")
+    runs = []
+    for scale in scales:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(completion_mod, "_STEP_SCALE", scale)
+            state, trace = completion_mod.complete(t, cfg, budget)
+            runs.append((state.x, [(row.mode, row.gamma * scale) for row in trace]))
+    ref_x, ref_trace = runs[0]
+    ref_size = max(float(np.abs(ref_x).max()), 1e-300)
+    for x, trace in runs[1:]:
+        if [mode for mode, _ in trace] != [mode for mode, _ in ref_trace]:
+            return False
+        for (_, product), (_, ref) in zip(trace, ref_trace):
+            if abs(product - ref) > rel_tol * max(abs(product), abs(ref), 1e-300):
+                return False
+        if float(np.abs(x - ref_x).max()) > rel_tol * ref_size:
+            return False
+    return True
 
 
 def reconstruct(trip):

@@ -10,8 +10,9 @@ import time
 import numpy as np
 import pytest
 
+from helpers import step_scale_invariance
 from tenscache.caching import OnlineConfig, run_online
-from tenscache.completion import FwConfig, beta_invariance_check, complete, line_search
+from tenscache.completion import FwConfig, complete, line_search
 from tenscache.ingest import synth_low_rank, synth_lowrank_stream
 from tenscache.prediction import DemandHistory, PredictorConfig, fit_predict
 from tenscache.tensors import SparseTensor, UnfoldSpec, fold, unfold
@@ -55,11 +56,11 @@ def test_criterion_1_exact_recovery(report):
 def test_criterion_2_beta_invariance(report):
     obs, budget = _criterion1_fixture()
     start = time.perf_counter()
-    ok = beta_invariance_check(obs, FwConfig(), budget, [1.0, 1e5, 1e9], rel_tol=1e-8)
+    ok = step_scale_invariance(obs, FwConfig(), budget, [1.0, 1e5, 1e9], rel_tol=1e-8)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     report(
-        "criterion 2: beta-invariance of iterates and gamma*beta products",
+        "criterion 2: step-scale invariance of iterates and gamma*scale products",
         ok,
         f"{elapsed:.2f}s",
     )

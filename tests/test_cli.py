@@ -32,7 +32,7 @@ class TestCompleteCommand:
         rc = main(["--out", str(out), "complete", str(tensor_file), "--rank", "8"])
         assert rc == 0
         header, rows = read_csv_rows(out / "trace-R8.csv")
-        assert header == ["iter", "rse", "elapsed_s", "mode", "gamma", "beta_gamma"]
+        assert header == ["iter", "rse", "elapsed_s", "mode", "gamma"]
         assert rows[0][0] == "0" and float(rows[0][1]) == 1.0
         assert float(rows[-1][1]) <= 1e-6
 
@@ -47,9 +47,9 @@ class TestCompleteCommand:
 
         monkeypatch.setattr(completion_mod, "fold", counting_fold)
         rc = main(["--out", str(tmp_path), "complete", str(tensor_file), "--rank", "2,5,8",
-                   "--beta", "1,1e5", "--update", update])
+                   "--update", update])
         assert rc == 0
-        _, rows = read_csv_rows(tmp_path / "trace-R8-beta1.csv")
+        _, rows = read_csv_rows(tmp_path / "trace-R8.csv")
         assert len(rows) > 1  # a step was taken
         assert calls == []
 
@@ -71,21 +71,6 @@ class TestCompleteCommand:
         assert rc == 0
         for r in ranks:
             assert (out / f"trace-R{r}.csv").exists()
-
-    def test_beta_sweep_rse_identical(self, tensor_file, tmp_path):
-        out = tmp_path / "out"
-        rc = main(
-            ["--out", str(out), "complete", str(tensor_file), "--rank", "8",
-             "--beta", "1,1e5,1e9"]
-        )
-        assert rc == 0
-        columns = []
-        for beta in ("1", "100000", "1e+09"):
-            _, rows = read_csv_rows(out / f"trace-R8-beta{beta}.csv")
-            columns.append(np.array([float(r[1]) for r in rows]))
-        for col in columns[1:]:
-            assert len(col) == len(columns[0])
-            np.testing.assert_allclose(col, columns[0], atol=1e-8)
 
     def test_non_finite_input_exits_2_naming_line(self, tmp_path, capsys):
         path = tmp_path / "nan.coo"
@@ -126,19 +111,28 @@ class TestCompleteCommand:
         assert main(["--out", str(tmp_path / "out"), "complete", str(path)]) == 2
         assert f"{path}:{message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--rank", "--beta"])
+    @pytest.mark.parametrize("flag", ["--rank"])
     def test_empty_sweep_list_exits_2(self, tensor_file, tmp_path, capsys, flag):
         out = tmp_path / "out"
         assert main(["--out", str(out), "complete", str(tensor_file), flag, ""]) == 2
         assert f"{flag[2:]} needs at least one value" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())  # no manifest without traces
 
-    @pytest.mark.parametrize("beta", ["nan", "inf"])
-    def test_non_finite_beta_exits_2(self, tensor_file, tmp_path, capsys, beta):
+    def test_beta_flag_rejected(self, tensor_file, tmp_path):
+        # the step scale is internal to the solver, not a setting
         out = tmp_path / "out"
-        assert main(["--out", str(out), "complete", str(tensor_file), "--beta", beta]) == 2
-        assert "beta must be positive and finite" in capsys.readouterr().err
-        assert not out.exists() or not list(out.iterdir())
+        with pytest.raises(SystemExit) as info:
+            main(["--out", str(out), "complete", str(tensor_file), "--beta", "1"])
+        assert info.value.code == 2
+        assert not out.exists()
+
+    def test_beta_config_key_exits_2(self, tensor_file, tmp_path, capsys):
+        cfg = tmp_path / "run.toml"
+        cfg.write_text("beta = 1e5\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out), "complete", str(tensor_file)]) == 2
+        assert f"{cfg}:1: unknown key 'beta'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path):
         assert main(["--out", str(tmp_path), "complete", str(tmp_path / "nope.coo")]) == 2
@@ -165,7 +159,7 @@ class TestCompleteCommand:
             main(["--out", str(out), "complete", str(tensor_file), "--rank", "8"])
             _, rows = read_csv_rows(out / "trace-R8.csv")
             # all numeric columns except wall-clock elapsed_s
-            cols.append([(r[0], r[1], r[3], r[4], r[5]) for r in rows])
+            cols.append([(r[0], r[1], r[3], r[4]) for r in rows])
         assert cols[0] == cols[1]
 
 
@@ -515,6 +509,7 @@ class TestConfigPrecedence:
         ("shift = 1.5", "complete"), ("max_iter = 7.9", "complete"),
         ("max_iter = true", "complete"), ('shift = "two"', "complete"),
         ("max_iter = inf", "complete"), ("seed = true", "synth"), ("seed = 0.5", "synth"),
+        ("rank = [1, false]", "complete"),
     ])
     def test_non_integer_in_config_exits_2(self, tensor_file, tmp_path, capsys, line, command):
         cfg = tmp_path / "run.toml"
@@ -528,8 +523,7 @@ class TestConfigPrecedence:
 
     @pytest.mark.parametrize("line, command", [
         ("observe = true", "synth"), ("noise = true", "synth"), ('noise = "low"', "synth"),
-        ("gap_hours = true", "ingest"), ("beta = true", "complete"),
-        ("beta = [1, false]", "complete"),
+        ("gap_hours = true", "ingest"),
     ])
     def test_non_number_in_config_exits_2(self, tensor_file, tmp_path, capsys, line, command):
         cfg = tmp_path / "run.toml"
@@ -592,7 +586,7 @@ class TestManifestConfigAtDefaults:
     def test_complete(self, tensor_file, tmp_path):
         assert main(["--out", str(tmp_path), "complete", str(tensor_file)]) == 0
         self.assert_echo(tmp_path, "complete", {
-            "tensor": str(tensor_file), "rank": [8], "beta": [100000.0], "shift": 1,
+            "tensor": str(tensor_file), "rank": [8], "shift": 1,
             "mode_select": "sigma", "update": "multi", "max_iter": 200,
         })
 
@@ -634,7 +628,7 @@ class TestCliSurface:
                         if isinstance(a, argparse._SubParsersAction)]
         common = {"-h", "--help", "--config", "--out"}
         expected = {
-            "complete": ({"tensor", "--rank", "--beta", "--shift", "--mode-select", "--update",
+            "complete": ({"tensor", "--rank", "--shift", "--mode-select", "--update",
                           "--max-iter"},
                          {"--mode-select": ["sigma", "min-dim"], "--update": ["multi", "rank1"]}),
             "simulate": ({"--ratings", "--tau", "--order", "--cache", "--bs", "--files",

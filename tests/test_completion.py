@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenscache.completion as completion_mod
+from helpers import step_scale_invariance
 from tenscache.completion import (
     FwConfig,
     FwState,
     GradientStep,
     GradientUnfoldings,
     apply_update,
-    beta_invariance_check,
     complete,
     complete_sweep,
     gradient_step,
@@ -48,11 +48,11 @@ def unfolded(grad, k):
     return unfold(grad, UnfoldSpec(k, 1))
 
 
-def step_of(m, k, r, beta, update_rule="multi"):
+def step_of(m, k, r, update_rule="multi"):
     """``gradient_step`` from the SVD of unfolding ``m``, truncated to what the
     step reads."""
     trip = truncated_svd(Gram(m), 1 if update_rule == "rank1" else r)
-    return gradient_step(trip, k, r, beta, update_rule)
+    return gradient_step(trip, k, r, update_rule)
 
 
 def search(x, t, s):
@@ -364,33 +364,39 @@ class TestGradientUnfoldings:
 class TestGradientStep:
     def test_multi_rank_normalization(self):
         grad = fold(np.diag([3.0, 1.0]), UnfoldSpec(1, 1), (2, 2, 1))
-        step = step_of(unfolded(grad, 1), 1, 2, beta=1.0)
-        s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1))
+        step = step_of(unfolded(grad, 1), 1, 2)
+        s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1)) / completion_mod._STEP_SCALE
         np.testing.assert_allclose(s_unf, np.diag([3.0, 1.0]) / 4.0, atol=1e-12)
 
     def test_rank_one_drops_sigma_structure(self):
         grad = fold(np.diag([3.0, 1.0]), UnfoldSpec(1, 1), (2, 2, 1))
-        step = step_of(unfolded(grad, 1), 1, 2, beta=1.0, update_rule="rank1")
-        s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1))
+        step = step_of(unfolded(grad, 1), 1, 2, update_rule="rank1")
+        s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1)) / completion_mod._STEP_SCALE
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(s_unf, expected, atol=1e-12)
 
-    def test_beta_linearity(self):
+    def test_beta_linearity(self, monkeypatch):
+        # the step is linear in the step scale
         grad = RNG.normal(size=(3, 4, 2))
-        s1 = step_of(unfolded(grad, 2), 2, 2, beta=1.0).dense((3, 4, 2), 1)
-        s2 = step_of(unfolded(grad, 2), 2, 2, beta=2.0).dense((3, 4, 2), 1)
+        monkeypatch.setattr(completion_mod, "_STEP_SCALE", 1.0)
+        s1 = step_of(unfolded(grad, 2), 2, 2).dense((3, 4, 2), 1)
+        monkeypatch.setattr(completion_mod, "_STEP_SCALE", 2.0)
+        s2 = step_of(unfolded(grad, 2), 2, 2).dense((3, 4, 2), 1)
         np.testing.assert_allclose(s2, 2.0 * s1, rtol=1e-12)
 
-    def test_weights_sum_to_beta(self):
+    def test_weights_sum_to_beta(self, monkeypatch):
+        # the weights sum to the step scale, at its value and at another
         grad = RNG.normal(size=(3, 4, 2))
-        for rule in ("multi", "rank1"):
-            step = step_of(unfolded(grad, 1), 1, 2, beta=37.5, update_rule=rule)
-            assert abs(step.weights.sum() - 37.5) <= 1e-9 * 37.5
+        for scale in (completion_mod._STEP_SCALE, 37.5):
+            monkeypatch.setattr(completion_mod, "_STEP_SCALE", scale)
+            for rule in ("multi", "rank1"):
+                step = step_of(unfolded(grad, 1), 1, 2, update_rule=rule)
+                assert abs(step.weights.sum() - scale) <= 1e-9 * scale
 
     def test_positive_correlation_with_gradient(self):
         grad = RNG.normal(size=(3, 4, 5))
-        step = step_of(unfolded(grad, 2), 2, 3, beta=1e5)
+        step = step_of(unfolded(grad, 2), 2, 3)
         s = step.dense((3, 4, 5), 1)
         assert float((s * grad).sum()) > 0
 
@@ -398,7 +404,7 @@ class TestGradientStep:
         # gradient unfolding of rank 1, but r_k allows 2
         spec = UnfoldSpec(1, 1)
         grad = fold(np.outer([1.0, 0.0], [1.0, 2.0]), spec, (2, 2, 1))
-        step = step_of(unfolded(grad, 1), 1, 2, beta=1.0)
+        step = step_of(unfolded(grad, 1), 1, 2)
         assert step.rank == 1
         assert (step.weights > 0).all()
 
@@ -463,7 +469,7 @@ class TestApplyUpdate:
         t = two_cell_tensor()
         state = FwState.initial(t.shape, 1)
         grad = -t.to_dense()
-        step = step_of(unfolded(grad, 1), 1, 2, beta=1.0)
+        step = step_of(unfolded(grad, 1), 1, 2)
         apply_update(state, step, 0.0)
         assert state.steps == []
         assert not state.x.any()
@@ -473,7 +479,7 @@ class TestApplyUpdate:
         # the log takes the step; building the dense iterate from it catches it
         t = two_cell_tensor()
         state = FwState.initial(t.shape, 1)
-        step = step_of(unfolded(-t.to_dense(), 1), 1, 2, beta=1.0)
+        step = step_of(unfolded(-t.to_dense(), 1), 1, 2)
         apply_update(state, step, np.inf)
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             state.x
@@ -494,7 +500,7 @@ class TestApplyUpdate:
         def random_step(rank):
             k = int(rng.integers(1, len(shape) + 1))
             m = unfold(rng.normal(size=shape), UnfoldSpec(k, shift))
-            return step_of(m, k, min(rank, *m.shape), beta=rng.uniform(0.1, 10.0))
+            return step_of(m, k, min(rank, *m.shape))
 
         def log(state, step, gamma):  # with or without the product the caller formed
             apply_update(state, step, gamma, step.matrix() if rng.random() < 0.5 else None)
@@ -513,7 +519,7 @@ class TestApplyUpdate:
 
     def test_full_iteration_fits_two_cells(self):
         t = two_cell_tensor()
-        state, trace = complete(t, FwConfig(beta=1.0), 4)
+        state, trace = complete(t, FwConfig(), 4)
         assert trace[0].rse == 1.0
         assert trace[-1].rse <= 1e-12
 
@@ -539,7 +545,7 @@ class TestApplyUpdate:
             r = update_rank_budget(state, k, budget)
             if r == 0:
                 break
-            step = gradient_step(truncated_svd(gram, r), k, r, cfg.beta)
+            step = gradient_step(truncated_svd(gram, r), k, r)
             s_dense = step.dense(obs.shape, cfg.shift)
             gamma = line_search(residual, obs.gather(s_dense))
             x_before, consumed_before = state.x.copy(), dict(state.consumed)
@@ -610,11 +616,10 @@ class TestComplete:
 
     def test_trace_modes_and_gamma_recorded(self):
         obs, _ = synth_low_rank((6, 5, 4), (1, 1, 1), observe_fraction=0.6, seed=2)
-        _, trace = complete(obs, FwConfig(beta=10.0), 3)
+        _, trace = complete(obs, FwConfig(), 3)
         for row in trace[1:]:
             assert row.mode in (1, 2, 3)
             assert row.gamma > 0
-            assert row.beta_gamma == pytest.approx(row.gamma * 10.0)
 
     def test_fold_runs_once_per_applied_step(self, monkeypatch):
         # the loop evaluates each step at the observed entries only; the first
@@ -747,7 +752,7 @@ def near_rank_one(shape, rng):
 
 def trace_columns(trace):
     """Every trace column but ``elapsed_s``."""
-    return repr([(row.iteration, row.rse, row.mode, row.gamma, row.beta_gamma) for row in trace])
+    return repr([(row.iteration, row.rse, row.mode, row.gamma) for row in trace])
 
 
 @settings(max_examples=60, deadline=None)
@@ -1040,7 +1045,7 @@ def reference_complete(t, cfg, budget):
     x = np.zeros(t.shape)
     mask = tuple(t.indices.T)
     t_norm = float(np.linalg.norm(t.values))
-    trace = [(0, 1.0, 0, 0.0, 0.0)]
+    trace = [(0, 1.0, 0, 0.0)]
     residual = x[mask] - t.values
     rse = float(np.linalg.norm(residual)) / t_norm
     for it in range(1, cfg.max_iter + 1):
@@ -1067,7 +1072,7 @@ def reference_complete(t, cfg, budget):
                              1 if cfg.update_rule == "rank1" else r)
         if trip.sigma[0] <= 0.0:
             break
-        step = gradient_step(trip, k, r, cfg.beta, cfg.update_rule)
+        step = gradient_step(trip, k, r, cfg.update_rule)
         s = step.dense(t.shape, cfg.shift)
         s_obs = s[mask]
         a_bar = float(s_obs @ s_obs)
@@ -1078,7 +1083,7 @@ def reference_complete(t, cfg, budget):
         state.consumed[k] += step.rank
         residual = x[mask] - t.values
         rse = float(np.linalg.norm(residual)) / t_norm
-        trace.append((it, rse, k, gamma, gamma * cfg.beta))
+        trace.append((it, rse, k, gamma))
     return x, trace
 
 
@@ -1106,27 +1111,32 @@ def test_complete_bitwise_equals_reference_loop(dims, shift, budget, rule, selec
     cfg = FwConfig(shift=shift, update_rule=rule, mode_selection=selection)
     state, trace = complete(t, cfg, budget)
     ref_x, ref_trace = reference_complete(t, cfg, budget)
-    got = [(row.iteration, row.rse, row.mode, row.gamma, row.beta_gamma) for row in trace]
+    got = [(row.iteration, row.rse, row.mode, row.gamma) for row in trace]
     assert repr(got) == repr(ref_trace)
     assert state.x.tobytes() == ref_x.tobytes()
 
 
 class TestBetaInvariance:
+    """Invariance of the solve to the step scale ``completion._STEP_SCALE``
+    (once the ``beta`` setting): the exact line search divides it out of
+    ``gamma``, so modes, ``gamma * scale`` products and iterates agree."""
+
     def test_across_decades(self):
         obs, _ = synth_low_rank((10, 10, 5, 5), (2, 2, 2, 2), observe_fraction=0.3, seed=7)
         cfg = FwConfig()
-        assert beta_invariance_check(obs, cfg, 8, [1.0, 1e5, 1e9])
+        assert step_scale_invariance(obs, cfg, 8, [1.0, 1e5, 1e9])
 
     def test_identical_betas_trivially_true(self):
         obs, _ = synth_low_rank((6, 5, 4), (1, 1, 1), observe_fraction=0.5, seed=4)
-        assert beta_invariance_check(obs, FwConfig(), 3, [1e5, 1e5])
+        assert step_scale_invariance(obs, FwConfig(), 3, [1e5, 1e5])
 
-    def test_gamma_beta_products_match(self):
+    def test_gamma_beta_products_match(self, monkeypatch):
         obs, _ = synth_low_rank((8, 7, 6), (2, 2, 2), observe_fraction=0.4, seed=5)
         traces = {}
-        for beta in (1.0, 1e6):
-            _, trace = complete(obs, FwConfig(beta=beta), 6)
-            traces[beta] = [row.beta_gamma for row in trace[1:]]
+        for scale in (1.0, 1e6):
+            monkeypatch.setattr(completion_mod, "_STEP_SCALE", scale)
+            _, trace = complete(obs, FwConfig(), 6)
+            traces[scale] = [row.gamma * scale for row in trace[1:]]
         a, b = traces[1.0], traces[1e6]
         assert len(a) == len(b)
         for pa, pb in zip(a, b):
@@ -1135,7 +1145,36 @@ class TestBetaInvariance:
     def test_requires_two_betas(self):
         obs, _ = synth_low_rank((4, 4, 4), (1, 1, 1), observe_fraction=0.5, seed=1)
         with pytest.raises(ValueError):
-            beta_invariance_check(obs, FwConfig(), 2, [1e5])
+            step_scale_invariance(obs, FwConfig(), 2, [1e5])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=5),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=8),
+        st.sampled_from(["multi", "rank1"]),
+        st.sampled_from(["sigma", "min-dim"]),
+        st.floats(min_value=0.1, max_value=1.0),
+        st.integers(min_value=-40, max_value=40),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_invariant_on_random_fixtures(self, dims, shift, budget, rule, selection, density,
+                                          exponent, seed):
+        # a power-of-two scale changes no rounding, so any fixture, down to
+        # steps that fit rounding noise, must agree bitwise (rel_tol=0); an
+        # absolute threshold anywhere in the loop would break this
+        shape = tuple(dims)
+        rng = np.random.default_rng(seed)
+        total = int(np.prod(shape))
+        flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+        idx = np.stack(np.unravel_index(flat, shape), axis=1)
+        values = rng.normal(size=flat.size)
+        values[0] = 1.0  # never all zero
+        t = SparseTensor(shape, idx, values)
+        cfg = FwConfig(shift=min(shift, len(shape) - 1), update_rule=rule,
+                       mode_selection=selection)
+        scales = [completion_mod._STEP_SCALE, np.ldexp(completion_mod._STEP_SCALE, exponent)]
+        assert step_scale_invariance(t, cfg, budget, scales, rel_tol=0.0)
 
 
 class TestMultiRankVsRankOne:

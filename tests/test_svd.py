@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reconstruct
-from tenscache.completion import gradient_step
+from tenscache.completion import _STEP_SCALE, gradient_step
 from tenscache.svd import Gram, dominant_sigma, truncated_svd
 
 RNG = np.random.default_rng(7)
@@ -101,7 +101,7 @@ class TestTruncatedSvd:
         assert np.isfinite(trip.u).all() and np.isfinite(trip.v).all()
         assert (reconstruct(trip) == 0.0).all()
         with pytest.raises(ValueError, match="numerically zero"):
-            gradient_step(trip, 1, 3, 1.0)
+            gradient_step(trip, 1, 3)
 
     @pytest.mark.parametrize("shape", [(30, 200), (200, 30), (3, 5000)])
     def test_rank_deficient_trailing_triplets_dropped(self, shape):
@@ -115,9 +115,10 @@ class TestTruncatedSvd:
         ref = np.linalg.svd(m, compute_uv=False)
         np.testing.assert_allclose(trip.sigma[:rank], ref[:rank], rtol=1e-10)
         assert trip.sigma[rank:].max() < 1e-7 * trip.sigma[0]
-        step = gradient_step(trip, 1, r, 1.0)
+        step = gradient_step(trip, 1, r)
         assert step.rank == rank
-        np.testing.assert_allclose(step.weights, ref[:rank] / ref[:rank].sum(), rtol=1e-10)
+        np.testing.assert_allclose(step.weights, _STEP_SCALE * ref[:rank] / ref[:rank].sum(),
+                                   rtol=1e-10)
 
 
 class TestDominantSigma:
