@@ -60,6 +60,8 @@ class OnlineConfig:
                              "need tau >= order + 1")
         if not self.predictors:
             raise ValueError("no predictor given")
+        for p in self.predictors:
+            PredictorConfig(self.order, p)  # an unknown predictor fails here, not in the loop
         if not self.completion:
             raise ValueError("no treatment given")
         if not 1 <= self.shift <= 3:
@@ -157,36 +159,28 @@ def _completed_histories(window: np.ndarray, seen: np.ndarray, fw_cfg: FwConfig,
         yield True, budget, normalize_demands(state.x)
 
 
-def _raw_shares(stream: np.ndarray, mask: np.ndarray | None, tau: int) -> np.ndarray:
+def _raw_shares(stream: np.ndarray, mask: np.ndarray, tau: int) -> np.ndarray:
     """Every slot's observed demand shares, (T, F, N_BS), normalized ``tau``
     slots at a time: a block has a window's shape, so each slot's shares are
     bitwise those of any window holding it."""
     shares = np.empty((len(stream), stream.shape[1], stream.shape[3]))
     for lo in range(0, len(stream), tau):
         lo = min(lo, len(stream) - tau)  # the last block overlaps the one before
-        block = stream[lo : lo + tau]
-        if mask is not None:
-            block = np.where(mask[lo : lo + tau], block, 0.0)
+        block = np.where(mask[lo : lo + tau], stream[lo : lo + tau], 0.0)
         shares[lo : lo + tau] = normalize_demands(np.moveaxis(block, 0, -1)).shares
     return shares
 
 
-def run_online(
-    stream: np.ndarray,
-    cfg: OnlineConfig,
-    mask: np.ndarray | None = None,
-) -> OnlineResult:
+def run_online(stream: np.ndarray, cfg: OnlineConfig, mask: np.ndarray) -> OnlineResult:
     """Run the per-slot observe / complete / predict / place / score loop.
 
     ``stream`` holds the realized (T, F, F, N_BS) demands (a sequence of
     slots is converted once); every slot is scored, and the oracle placed,
     against it. ``mask``, a bool array of the stream's shape, is True where
     an entry is observed, and the predictors and the solver read the stream
-    only there. Without a mask the observed stream is ``stream`` itself and
-    its zeros are the missing entries (on real traces the observed demands
-    are all there is). No dense observed copy of the stream is formed, nor
-    one per window: the raw shares read one observed block per ``tau``
-    slots, and each window is solved from its observed entries.
+    only there. No dense observed copy of the stream is formed, nor one per
+    window: the raw shares read one observed block per ``tau`` slots, and
+    each window is solved from its observed entries.
 
     Slots ``tau+1 .. T`` (1-based) get scored, every treatment in
     ``cfg.completion`` in the same pass: each window is completed once for
@@ -199,12 +193,10 @@ def run_online(
     ``ValueError`` before the loop; a failure inside the loop is re-raised as
     ``RuntimeError`` naming the slot.
     """
-    stream = np.asarray(stream)
-    if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype != bool or mask.shape != stream.shape:
-            raise ValueError(f"mask must be a bool array of the stream's shape {stream.shape}, "
-                             f"got {mask.dtype} of shape {mask.shape}")
+    stream, mask = np.asarray(stream), np.asarray(mask)
+    if mask.dtype != bool or mask.shape != stream.shape:
+        raise ValueError(f"mask must be a bool array of the stream's shape {stream.shape}, "
+                         f"got {mask.dtype} of shape {mask.shape}")
     if len(stream) <= cfg.tau:
         raise ValueError(f"need more than tau={cfg.tau} slots, got {len(stream)}")
     _, num_files, _, n_bs = stream.shape
@@ -232,7 +224,7 @@ def run_online(
             histories = [] if raw is None else [(False, 0, DemandHistory(raw[lo : t_idx + 1]))]
             if True in cfg.completion:
                 window = np.moveaxis(stream[lo : t_idx + 1], 0, -1)
-                seen = window != 0.0 if mask is None else np.moveaxis(mask[lo : t_idx + 1], 0, -1)
+                seen = np.moveaxis(mask[lo : t_idx + 1], 0, -1)
                 histories += _completed_histories(window, seen, fw_cfg, cfg.rank_budgets)
             for completed, budget, history in histories:
                 for b, (mass, total) in enumerate(masses):

@@ -116,9 +116,7 @@ def _completions(value) -> tuple[bool, ...]:
 SETTINGS = {
     "rank": ("8", _sweep("rank", least=1), {"help": "rank budget, comma list for a sweep"}),
     "shift": (1, _integer("shift"), {}),
-    "mode_select": ("sigma", _as_given, {"choices": ["sigma", "min-dim"]}),
     "update": ("multi", _as_given, {"choices": ["multi", "rank1"]}),
-    "max_iter": (200, _integer("max_iter"), {}),
     "seed": (0, _integer("seed", 0), {}),
     "tau": (10, _integer("tau"), {}),
     "order": (6, _integer("order", 1), {}),
@@ -141,7 +139,7 @@ SETTINGS = {
 
 # the settings each command reads, in the order they are parsed
 COMMAND_SETTINGS = {
-    "complete": ("rank", "shift", "mode_select", "update", "max_iter"),
+    "complete": ("rank", "shift", "update"),
     "simulate": ("tau", "order", "cache", "bs", "files", "shift", "seed", "ranks",
                  "predictor", "completion", "slots", "observe"),
     "ingest": ("top_f", "bs", "slot_days", "pairing", "gap_hours", "weight"),
@@ -274,8 +272,7 @@ def cmd_complete(args, config: dict) -> int:
         raise UsageError(f"input tensor file not found: {src}")
     s = _settings(args, config)
     t = read_coo(src)
-    fw = FwConfig(shift=s["shift"], max_iter=s["max_iter"], mode_selection=s["mode_select"],
-                  update_rule=s["update"])
+    fw = FwConfig(shift=s["shift"], update_rule=s["update"])
     sweep = complete_sweep(t, fw, s["rank"])  # checks its settings against t at the call
     out_dir = _out_dir(args)
     started = time.perf_counter()
@@ -300,7 +297,8 @@ def cmd_simulate(args, config: dict) -> int:
         source = Path(args.ratings)
         result = build_demand_tensor(_read_ratings(source),
                                      IngestConfig(top_f=s["files"], n_bs=s["bs"]))
-        stream, mask = result.slots, None
+        # on ratings data the observed demands are all there is: a zero is a missing entry
+        stream, mask = result.slots, result.slots != 0.0
     else:
         source = "synthetic"
         stream, mask = synth_lowrank_stream(s["files"], s["bs"], s["slots"],

@@ -9,12 +9,12 @@ taken whole with an exact, uncapped line search, with no norm ball and no
    residual at the observed positions, zero elsewhere) straight from the
    residual, never forming the dense gradient,
 2. picks the mode whose gradient unfolding has the largest dominant singular
-   value (or, with the cheap rule, the smallest matrix dimension). The
-   residual is scaled once by an exact power of two, and each candidate's
-   Gram matrix is built from its already-scaled unfolding. Candidates go
-   cheapest first, by the smaller unfolding dimension; one whose Frobenius
-   bound ``sigma_1 <= ||G||_F**(1/2)``, widened by ``_PRUNE_MARGIN``, falls
-   below the best sigma so far cannot win and skips its eigensolve,
+   value (the latent-trace-norm oracle). The residual is scaled once by an
+   exact power of two, and each candidate's Gram matrix is built from its
+   already-scaled unfolding. Candidates go cheapest first, by the smaller
+   unfolding dimension; one whose Frobenius bound ``sigma_1 <=
+   ||G||_F**(1/2)``, widened by ``_PRUNE_MARGIN``, falls below the best
+   sigma so far cannot win and skips its eigensolve,
 3. takes that unfolding's top singular triplets, up to the per-iteration
    rank allowance, from the eigendecomposition of the Gram matrix step 2 formed
    (accurate down to about ``sqrt(eps) * sigma_1``; triplets below
@@ -51,6 +51,7 @@ floating-point rounding).
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections.abc import Iterable, Iterator
@@ -78,8 +79,6 @@ __all__ = [
     "update_rank_budget",
 ]
 
-MODE_SIGMA_MAX = "sigma"
-MODE_MIN_DIM = "min-dim"
 UPDATE_MULTI = "multi"
 UPDATE_RANK_ONE = "rank1"
 
@@ -118,17 +117,11 @@ class FwConfig:
     """
 
     shift: int = 1
-    max_iter: int = 200
-    mode_selection: str = MODE_SIGMA_MAX
     update_rule: str = UPDATE_MULTI
 
     def __post_init__(self):
         if self.shift < 1:
             raise ValueError("shift must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.mode_selection not in (MODE_SIGMA_MAX, MODE_MIN_DIM):
-            raise ValueError(f"unknown mode_selection {self.mode_selection!r}")
         if self.update_rule not in (UPDATE_MULTI, UPDATE_RANK_ONE):
             raise ValueError(f"unknown update_rule {self.update_rule!r}")
 
@@ -246,8 +239,8 @@ class GradientUnfoldings:
     flat buffers, the slots 0 and 1: :meth:`matrix` scatters into the slot it
     is given, after zeroing only the positions of the unfolding that slot
     held last, so a call overwrites the unfolding it last handed out from
-    that slot. A solve thus allocates at most two buffers (one under
-    ``min-dim``), and again only after :meth:`drop`.
+    that slot. A solve thus allocates at most two buffers, and again only
+    after :meth:`drop`.
     """
 
     def __init__(self, t: SparseTensor, shift: int):
@@ -311,20 +304,19 @@ def select_mode(
     """Pick the unfolding mode for the next step; return it with the
     :class:`Gram` of its gradient unfolding, which the step factors.
 
-    ``sigma``: argmax of the dominant singular value of the gradient's
-    circular unfolding over the active modes. ``min-dim``: argmin of the
-    smaller unfolding dimension (the cheap proxy; the two rules need not
-    agree). Ties break toward the smallest mode index.
+    The pick is the argmax of the dominant singular value of the gradient's
+    circular unfolding over the active modes, ties toward the smallest mode
+    index.
 
     Every unfolding holds the residual's entries and zeros, so all share the
     residual's largest entry: the residual is scaled once and each Gram is
-    made from its already-scaled unfolding. Under ``sigma`` the candidates
-    are evaluated cheapest first, by the smaller unfolding dimension (the
-    side of the Gram matrix). Each evaluated candidate's Gram is formed, but
-    its eigensolve is skipped when the Frobenius bound ``sigma_1 <=
-    ||G||_F**(1/2)`` (:mod:`tenscache.svd`), widened by ``_PRUNE_MARGIN``,
-    falls below the best sigma found so far: such a candidate cannot win,
-    nor tie. So the pick is the exhaustive argmax, whatever the order.
+    made from its already-scaled unfolding. The candidates are evaluated
+    cheapest first, by the smaller unfolding dimension (the side of the Gram
+    matrix). Each evaluated candidate's Gram is formed, but its eigensolve
+    is skipped when the Frobenius bound ``sigma_1 <= ||G||_F**(1/2)``
+    (:mod:`tenscache.svd`), widened by ``_PRUNE_MARGIN``, falls below the
+    best sigma found so far: such a candidate cannot win, nor tie. So the
+    pick is the exhaustive argmax, whatever the order.
 
     At ``N == 2 * shift`` the mode-``k`` and mode-``(k + shift)`` unfoldings
     are transposes, so the second inherits the first's outcome, pruned or
@@ -336,9 +328,6 @@ def select_mode(
         raise ValueError("active mode set is empty")
     exp = Gram.exponent(residual)
     scaled = np.ldexp(residual, -exp)
-    if cfg.mode_selection == MODE_MIN_DIM:
-        best = min(sorted(active), key=lambda k: min(grads.dims[k]))
-        return best, Gram(grads.matrix(best, scaled, 0), exp)
     twins = len(grads.dims) == 2 * cfg.shift
     best, best_sigma, best_gram, free = 0, -np.inf, None, 0
     for k in sorted(active, key=lambda j: (min(grads.dims[j]), j)):
@@ -457,8 +446,10 @@ def complete_sweep(
     place: evaluated at the observed entries, line-searched and, unless
     ``gamma == 0``, logged, checked finite and traced. A budget's run stops
     at the first of: the RSE floor (read from its last trace row), its
-    budget spent, no active mode, a zero gradient (``sigma_1 == 0``), a
-    ``gamma == 0`` step, or ``max_iter`` steps.
+    budget spent, no active mode, a zero gradient (``sigma_1 == 0``) or a
+    ``gamma == 0`` step. Every applied step charges at least rank 1 (the
+    loop runs only while the largest budget has rank left, and a step keeps
+    its leading triplet), so a run takes at most ``max(budgets)`` steps.
 
     The budgets share one path: mode selection and one SVD, sized for the
     largest budget's allowance, run once per step, and every budget with at
@@ -522,7 +513,7 @@ def _sweep(t, t_norm, cfg, budgets, state):
     x_obs = np.zeros(t.nnz)  # the iterate at the observed entries, kept current
     residual = x_obs - t.values
     trace = [TraceRow(0, 1.0, 0.0, 0, 0.0)]
-    for it in range(1, cfg.max_iter + 1):
+    for it in itertools.count(1):
         active, spent = state.active, state.consumed_total()
         if trace[-1].rse < _RSE_FLOOR or not active or budgets[-1] <= spent:
             break

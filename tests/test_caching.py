@@ -77,7 +77,7 @@ class TestHitRate:
         stream[5][0, 1, 1] = -1.0
         cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
         with pytest.raises(ValueError, match="slot 6"):
-            run_online(stream, cfg)
+            run_observing_nonzero(stream, cfg)
 
     def test_monotone_in_capacity(self):
         d = RNG.random((8, 8))
@@ -86,6 +86,13 @@ class TestHitRate:
         for cap in range(1, 9):
             rates.append(slice_rate(d, mpc_place(shares, cap)))
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
+
+
+def run_observing_nonzero(stream, cfg):
+    """``run_online`` with the nonzero entries of ``stream`` observed: the
+    mask the CLI gives ratings data, where a zero is a missing entry."""
+    stream = np.asarray(stream)
+    return run_online(stream, cfg, stream != 0.0)
 
 
 def assert_same_scores(got, ref, keys):
@@ -103,7 +110,7 @@ class TestRunOnline:
     def test_oracle_dominates_every_slot(self):
         stream = synth_request_stream(12, 2, 20, requests_per_slot=200, seed=3)
         cfg = OnlineConfig(tau=4, order=2, cache_size=4, predictors=("lp",), completion=(False,))
-        result = run_online(stream, cfg)
+        result = run_observing_nonzero(stream, cfg)
         [rates] = result.cells.values()
         assert rates.shape == result.oracle.shape == (len(stream) - cfg.tau, 2)
         assert (result.oracle >= rates - 1e-12).all()
@@ -112,7 +119,7 @@ class TestRunOnline:
         stream = synth_request_stream(40, 3, 200, requests_per_slot=3000, zipf_a=1.0, seed=5)
         cfg = OnlineConfig(tau=8, order=4, cache_size=12, predictors=("mean",),
                            completion=(False,))
-        result = run_online(stream, cfg)
+        result = run_observing_nonzero(stream, cfg)
         avg = result.average(("mean", False, 0))
         oracle = result.average()
         assert avg >= oracle * 0.98
@@ -162,7 +169,8 @@ class TestRunOnline:
     def test_no_treatment_rejected(self):
         stream = [RNG.random((4, 4, 2)) for _ in range(6)]
         with pytest.raises(ValueError, match="no treatment"):
-            run_online(stream, OnlineConfig(tau=4, order=2, cache_size=2, completion=()))
+            run_observing_nonzero(stream, OnlineConfig(tau=4, order=2, cache_size=2,
+                                                       completion=()))
 
     def test_one_completion_per_scored_slot(self, monkeypatch):
         calls = []
@@ -217,8 +225,8 @@ class TestRunOnline:
 
     def test_masked_stream_predicts_from_its_observed_copy(self, monkeypatch):
         # the predictors (raw and completed histories alike) see bitwise what
-        # the zero-filled observed stream gives them without a mask, while
-        # every slot is scored against the realized demands
+        # the zero-filled observed stream gives them with its nonzero entries
+        # observed, while every slot is scored against the realized demands
         seen, real_fit = [], caching_mod.fit_predict
 
         def recording_fit(history, pred_cfg, bs):
@@ -231,9 +239,9 @@ class TestRunOnline:
                            completion=(True, False), rank_budgets=(16, 4))
         masked = run_online(truth, cfg, mask)
         masked_seen, seen[:] = seen[:], []
-        run_online(np.where(mask, truth, 0.0), cfg)
+        run_observing_nonzero(np.where(mask, truth, 0.0), cfg)
         assert len(masked_seen) == 6 * 3 * 3 * 2 and masked_seen == seen
-        assert masked.oracle.tobytes() == run_online(truth, cfg).oracle.tobytes()
+        assert masked.oracle.tobytes() == run_observing_nonzero(truth, cfg).oracle.tobytes()
 
     @pytest.mark.parametrize("mask, got", [
         (np.ones((7, 4, 4, 2)), "float64 of shape (7, 4, 4, 2)"),
@@ -268,7 +276,7 @@ class TestRunOnline:
         stream[6] = np.zeros((5, 5, 2))  # realized demands vanish for one scored slot
         cfg = OnlineConfig(tau=4, order=2, cache_size=2, predictors=("mean",),
                            completion=(False,))
-        result = run_online(stream, cfg)
+        result = run_observing_nonzero(stream, cfg)
         rates = result.cells["mean", False, 0]
         flagged = rates[result.zero_demand]
         assert len(flagged) == 2  # one per base station
@@ -281,7 +289,7 @@ class TestRunOnline:
         stream = [RNG.random((4, 4, 2)) for _ in range(3)]
         cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
         with pytest.raises(ValueError):
-            run_online(stream, cfg)
+            run_observing_nonzero(stream, cfg)
 
     def test_errors_carry_slot_index(self, monkeypatch):
         def failing_fit(*args):
@@ -291,7 +299,7 @@ class TestRunOnline:
         stream = [RNG.random((5, 5, 2)) for _ in range(8)]
         cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
         with pytest.raises(RuntimeError, match="slot 4") as info:
-            run_online(stream, cfg)
+            run_observing_nonzero(stream, cfg)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 

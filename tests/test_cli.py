@@ -7,8 +7,9 @@ import pytest
 import tenscache.caching as caching_mod
 import tenscache.cli as cli_mod
 import tenscache.completion as completion_mod
+from tenscache.caching import OnlineConfig, run_online
 from tenscache.cli import main
-from tenscache.ingest import synth_low_rank
+from tenscache.ingest import IngestConfig, build_demand_tensor, load_ratings, synth_low_rank
 from tenscache.tensors import fold, write_coo_sparse
 
 
@@ -126,6 +127,15 @@ class TestCompleteCommand:
         assert info.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--mode-select=sigma", "--max-iter=5"])
+    def test_removed_solver_flag_rejected(self, tensor_file, tmp_path, flag):
+        # sigma is the one mode-selection rule, and the budget bounds the steps
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["--out", str(out), "complete", str(tensor_file), flag])
+        assert info.value.code == 2
+        assert not out.exists()
+
     def test_beta_config_key_exits_2(self, tensor_file, tmp_path, capsys):
         cfg = tmp_path / "run.toml"
         cfg.write_text("beta = 1e5\n")
@@ -191,6 +201,30 @@ class TestSimulateCommand:
         assert header == ["slot", "bs", "method", "hit_rate"]
         for r in rows:
             assert 0.0 <= float(r[3]) <= 1.0
+
+    def test_ratings_stream_scores_its_nonzero_entries_as_observed(self, tmp_path):
+        # simulate --ratings end to end: its averages are run_online's on the
+        # ingested stream with the nonzero entries observed
+        rng = np.random.default_rng(5)
+        n = 600
+        days = np.sort(rng.integers(0, 6 * 30 * 86400, size=n))  # six 30-day slots
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("user_id,movie_id,rating,timestamp\n" + "".join(
+            f"{u},{m},4.0,{10**9 + t}\n" for u, m, t in
+            zip(rng.integers(1, 40, size=n), rng.integers(1, 14, size=n), days)))
+        out = tmp_path / "out"
+        assert main(["--out", str(out), "simulate", "--ratings", str(ratings), "--files", "8",
+                     "--bs", "2", "--tau", "3", "--order", "2", "--cache", "2",
+                     "--ranks", "2,5"]) == 0
+        stream = build_demand_tensor(load_ratings(ratings), IngestConfig(top_f=8, n_bs=2)).slots
+        assert len(stream) >= 4 and 0 < np.count_nonzero(stream) < stream.size
+        cfg = OnlineConfig(tau=3, order=2, cache_size=2, predictors=("lp", "mean"),
+                           completion=(True, False), rank_budgets=(2, 5))
+        result = run_online(stream, cfg, stream != 0.0)
+        want = [[method, str(rank), str(result.average(key))]
+                for method, rank, key in result.runs(repeat_raw=True)]
+        _, rows = read_csv_rows(out / "summary.csv")
+        assert rows == want + [["oracle", "0", str(result.average())]]
 
     def test_paired_methods_share_slot_column(self, tmp_path):
         out = tmp_path / "out"
@@ -317,7 +351,7 @@ class TestSimulateCommand:
 
 @pytest.mark.parametrize(
     "argv, cause",
-    [(["complete", "F", "--max-iter", "0"], "max_iter must be >= 1"),
+    [(["complete", "F", "--shift", "0"], "shift must be >= 1"),
      (["complete", "F", "--shift", "4"], "shift 4 invalid for order 4"),
      (["complete", "F", "--rank", "4,0"], "rank must be >= 1, got 0"),
      (["simulate", "--ranks", "8,0"], "ranks must be >= 1, got 0"),
@@ -340,6 +374,24 @@ def test_settings_error_exits_2_leaving_no_out_dir(tensor_file, tmp_path, capsys
     out = tmp_path / "out"
     argv = [str(tensor_file) if arg == "F" else arg for arg in argv]
     assert main(["--out", str(out), *argv]) == 2
+    assert cause in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "line, argv, cause",
+    [("mode_select = sigma", ["complete", "F"], "unknown key 'mode_select'"),
+     ("max_iter = 5", ["complete", "F"], "unknown key 'max_iter'"),
+     ('predictor = "bogus"', ["simulate", "--slots", "12", "--files", "16", "--cache", "4"],
+      "unknown predictor mode 'bogus'")],
+)
+def test_config_error_exits_2_leaving_no_out_dir(tensor_file, tmp_path, capsys, line, argv,
+                                                 cause):
+    cfg = tmp_path / "run.toml"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = [str(tensor_file) if arg == "F" else arg for arg in argv]
+    assert main(["--config", str(cfg), "--out", str(out), *argv]) == 2
     assert cause in capsys.readouterr().err
     assert not out.exists()
 
@@ -422,7 +474,7 @@ class TestSynthCommand:
 class TestConfigPrecedence:
     def test_flags_beat_config_beats_defaults(self, tensor_file, tmp_path):
         cfg = tmp_path / "run.toml"
-        cfg.write_text("rank = 4\nmax_iter = 50\n# comment\n")
+        cfg.write_text('rank = 4\nupdate = "rank1"\n# comment\n')
         out = tmp_path / "out"
         rc = main(
             ["--config", str(cfg), "--out", str(out), "complete", str(tensor_file),
@@ -432,7 +484,7 @@ class TestConfigPrecedence:
         assert (out / "trace-R8.csv").exists()  # flag wins over config
         manifests = list(out.glob("manifest-complete-*.json"))
         manifest = json.loads(manifests[0].read_text())
-        assert manifest["config"]["max_iter"] == 50  # config wins over default
+        assert manifest["config"]["update"] == "rank1"  # config wins over default
         assert manifest["config"]["shift"] == 1  # built-in default
 
     @pytest.mark.parametrize("flag, ranks",
@@ -506,10 +558,8 @@ class TestConfigPrecedence:
         assert "completion must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, command", [
-        ("shift = 1.5", "complete"), ("max_iter = 7.9", "complete"),
-        ("max_iter = true", "complete"), ('shift = "two"', "complete"),
-        ("max_iter = inf", "complete"), ("seed = true", "synth"), ("seed = 0.5", "synth"),
-        ("rank = [1, false]", "complete"),
+        ("shift = 1.5", "complete"), ('shift = "two"', "complete"), ("seed = true", "synth"),
+        ("seed = 0.5", "synth"), ("rank = [1, false]", "complete"),
     ])
     def test_non_integer_in_config_exits_2(self, tensor_file, tmp_path, capsys, line, command):
         cfg = tmp_path / "run.toml"
@@ -586,8 +636,7 @@ class TestManifestConfigAtDefaults:
     def test_complete(self, tensor_file, tmp_path):
         assert main(["--out", str(tmp_path), "complete", str(tensor_file)]) == 0
         self.assert_echo(tmp_path, "complete", {
-            "tensor": str(tensor_file), "rank": [8], "shift": 1,
-            "mode_select": "sigma", "update": "multi", "max_iter": 200,
+            "tensor": str(tensor_file), "rank": [8], "shift": 1, "update": "multi",
         })
 
     def test_simulate(self, tmp_path, monkeypatch):
@@ -628,9 +677,8 @@ class TestCliSurface:
                         if isinstance(a, argparse._SubParsersAction)]
         common = {"-h", "--help", "--config", "--out"}
         expected = {
-            "complete": ({"tensor", "--rank", "--shift", "--mode-select", "--update",
-                          "--max-iter"},
-                         {"--mode-select": ["sigma", "min-dim"], "--update": ["multi", "rank1"]}),
+            "complete": ({"tensor", "--rank", "--shift", "--update"},
+                         {"--update": ["multi", "rank1"]}),
             "simulate": ({"--ratings", "--tau", "--order", "--cache", "--bs", "--files",
                           "--shift", "--ranks", "--predictor", "--completion", "--slots",
                           "--observe", "--seed"},

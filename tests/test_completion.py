@@ -85,12 +85,6 @@ def exhaustive_select(grad, shift, active):
 
 
 class TestSelectMode:
-    def test_min_dim_prefers_smallest_unfolding(self):
-        grad = np.zeros((128, 128, 3, 10))
-        grad[0, 0, 0, 0] = 1.0
-        cfg = FwConfig(mode_selection="min-dim")
-        assert select(grad, cfg, {1, 2, 3, 4}) == 3
-
     def test_sigma_max_finds_planted_mode(self):
         # rank-1 along the mode-2 unfolding with sigma exactly 10; the premise
         # (all other modes strictly below 10) is checked with an independent
@@ -111,9 +105,7 @@ class TestSelectMode:
 
     def test_singleton_active_set(self):
         grad = RNG.normal(size=(3, 4, 5, 2))
-        for rule in ("sigma", "min-dim"):
-            cfg = FwConfig(mode_selection=rule)
-            assert select(grad, cfg, {4}) == 4
+        assert select(grad, FwConfig(), {4}) == 4
 
     def test_empty_active_set_rejected(self):
         cfg = FwConfig()
@@ -657,18 +649,17 @@ class TestComplete:
         assert len(trace) - 1 == 8
         assert calls == []
 
-    @pytest.mark.parametrize("selection, budgets", [("sigma", (8,)), ("min-dim", (2, 9))])
-    def test_blow_up_raises_mid_solve(self, monkeypatch, selection, budgets):
+    @pytest.mark.parametrize("budgets", [(8,), (2, 9)])
+    def test_blow_up_raises_mid_solve(self, monkeypatch, budgets):
         # a step that makes the observed iterate non-finite stops the solve at
-        # that step, on the shared path and on a budget's own last step
-        # (min-dim's first step has rank 3; budget 2 takes its own), before
-        # any result is yielded
+        # that step, on the shared path and on a budget's own last step (the
+        # first step spends the 4-row mode-4 unfolding's rank 4; budget 2
+        # takes its own), before any result is yielded
         monkeypatch.setattr(completion_mod, "line_search", lambda residual, s_obs: np.inf)
         obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)
-        cfg = FwConfig(mode_selection=selection)
         with np.errstate(all="ignore"), pytest.raises(
-                FloatingPointError, match=r"non-finite iterate after mode-\d update \(gamma=inf\)"):
-            next(complete_sweep(obs, cfg, budgets))
+                FloatingPointError, match=r"non-finite iterate after mode-4 update \(gamma=inf\)"):
+            next(complete_sweep(obs, FwConfig(), budgets))
 
     def test_a_zero_gradient_ends_every_budget_where_it_stands(self, monkeypatch):
         # step 2's SVD reports a zero gradient: every budget stops there and
@@ -711,10 +702,9 @@ class TestComplete:
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=1, max_value=12),
     st.sampled_from(["multi", "rank1"]),
-    st.sampled_from(["sigma", "min-dim"]),
     st.integers(min_value=0, max_value=10**6),
 )
-def test_solver_invariants(dims, shift, budget, rule, selection, seed):
+def test_solver_invariants(dims, shift, budget, rule, seed):
     shape = tuple(dims)
     shift = min(shift, len(shape) - 1)
     rng = np.random.default_rng(seed)
@@ -724,12 +714,13 @@ def test_solver_invariants(dims, shift, budget, rule, selection, seed):
     values = rng.normal(size=flat.size)
     values[0] = 1.0  # never all zero
     t = SparseTensor(shape, idx, values)
-    cfg = FwConfig(shift=shift, update_rule=rule, mode_selection=selection)
+    cfg = FwConfig(shift=shift, update_rule=rule)
     state, trace = complete(t, cfg, budget)
     min_dim = {k: min(UnfoldSpec(k, shift).matrix_dims(shape)) for k in range(1, len(shape) + 1)}
     assert state.consumed_total() <= budget
     assert all(state.consumed[k] <= min_dim[k] for k in min_dim)
-    assert len(trace) - 1 <= budget
+    # no iteration cap: the loop ends because every applied step charges rank >= 1
+    assert len(trace) - 1 <= state.consumed_total() <= budget
     for row in trace[1:]:
         assert row.gamma > 0
         assert row.mode in min_dim
@@ -761,13 +752,12 @@ def trace_columns(trace):
     st.sampled_from([1, 2]),
     st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5),
     st.sampled_from(["multi", "rank1"]),
-    st.sampled_from(["sigma", "min-dim"]),
     st.floats(min_value=0.1, max_value=1.0),
     st.integers(min_value=0, max_value=10**6),
     st.booleans(),
 )
-def test_sweep_bitwise_equals_single_budget_solves(dims, shift, budgets, rule, selection,
-                                                   density, seed, near_low_rank):
+def test_sweep_bitwise_equals_single_budget_solves(dims, shift, budgets, rule, density, seed,
+                                                   near_low_rank):
     shape = tuple(dims)
     rng = np.random.default_rng(seed)
     total = int(np.prod(shape))
@@ -778,7 +768,7 @@ def test_sweep_bitwise_equals_single_budget_solves(dims, shift, budgets, rule, s
         values = rng.normal(size=flat.size)
         values[0] = 1.0  # never all zero
     t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1), values)
-    cfg = FwConfig(shift=shift, update_rule=rule, mode_selection=selection)
+    cfg = FwConfig(shift=shift, update_rule=rule)
     swept = list(complete_sweep(t, cfg, budgets))  # every result kept while the sweep runs
     assert sorted(b for b, _, _ in swept) == sorted(set(budgets))
     for budget, state, trace in swept:
@@ -834,9 +824,8 @@ class TestCompleteSweep:
         monkeypatch.setattr(completion_mod, "truncated_svd", counting_svd)
         return calls
 
-    @pytest.mark.parametrize("shift, selection", [(1, "sigma"), (2, "sigma"), (1, "min-dim")])
-    def test_one_gram_per_candidate_evaluated_none_in_the_step(self, monkeypatch, shift,
-                                                              selection):
+    @pytest.mark.parametrize("shift", [1, 2])
+    def test_one_gram_per_candidate_evaluated_none_in_the_step(self, monkeypatch, shift):
         # order 4: at shift 2 the mode-(k + 2) unfolding of an active mode k is
         # its transpose and inherits its outcome, so it is not evaluated. Every
         # evaluated candidate's Gram is formed, pruned or not, from its
@@ -862,13 +851,12 @@ class TestCompleteSweep:
         monkeypatch.setattr(completion_mod, "Gram", CountingGram)
         monkeypatch.setattr(completion_mod, "select_mode", counting_select)
         monkeypatch.setattr(completion_mod, "truncated_svd", checking_svd)
-        cfg = FwConfig(shift=shift, mode_selection=selection, update_rule="rank1", max_iter=6)
-        complete(self.fixture(), cfg, 12)
+        complete(self.fixture(), FwConfig(shift=shift, update_rule="rank1"), 6)
         assert len(steps) > 1
         for active, n, _ in steps:
             evaluated = {k for k in active if not (shift == 2 and k - shift in active)}
-            assert n == (1 if selection == "min-dim" else len(evaluated))
-        assert steps[0][1] == {"sigma": 4 // shift, "min-dim": 1}[selection]
+            assert n == len(evaluated)
+        assert steps[0][1] == 4 // shift
         assert len(made) == sum(n for _, n, _ in steps)  # none outside mode selection
 
     def test_pruning_skips_eigensolves_on_a_benchmark_shaped_fixture(self, monkeypatch):
@@ -1007,11 +995,11 @@ class TestCompleteSweep:
 
     def test_multi_forks_where_allowances_differ(self, monkeypatch):
         calls = self.svd_ranks(monkeypatch)
-        cfg = FwConfig(mode_selection="min-dim")  # the 3-row mode-3 unfolding
-        results = list(complete_sweep(self.fixture(), cfg, (2, 5, 9)))
-        assert calls == [3]  # one SVD, sized for the largest allowance
-        ranks = {b: state.consumed[3] for b, state, _ in results}
-        assert ranks == {2: 2, 5: 3, 9: 3}
+        # the first step is along the 4-row mode-4 unfolding and spends its rank
+        results = list(complete_sweep(self.fixture(), FwConfig(), (2, 5, 9)))
+        assert calls == [4]  # one SVD, sized for the largest allowance
+        ranks = {b: state.consumed[4] for b, state, _ in results}
+        assert ranks == {2: 2, 5: 4, 9: 4}
 
     @pytest.mark.parametrize("budgets", [(3, 9), (2, 4, 9)])
     def test_budgets_stay_on_a_step_that_drops_triplets(self, monkeypatch, budgets):
@@ -1048,7 +1036,7 @@ def reference_complete(t, cfg, budget):
     trace = [(0, 1.0, 0, 0.0)]
     residual = x[mask] - t.values
     rse = float(np.linalg.norm(residual)) / t_norm
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, budget + 1):  # every step charges rank >= 1
         active = state.active
         spent = state.consumed_total() >= budget
         if rse < completion_mod._RSE_FLOOR or not active or spent:
@@ -1056,17 +1044,14 @@ def reference_complete(t, cfg, budget):
         grad = np.zeros(t.shape)
         grad[mask] = residual
         modes = sorted(active)
-        if cfg.mode_selection == "min-dim":
-            k = min(modes, key=lambda j: min(UnfoldSpec(j, cfg.shift).matrix_dims(t.shape)))
-        else:
-            k, best, sigmas = modes[0], -np.inf, {}
-            for j in modes:
-                if len(t.shape) == 2 * cfg.shift and j - cfg.shift in sigmas:
-                    sigmas[j] = sigmas[j - cfg.shift]  # transposed twin: same sigma
-                else:
-                    sigmas[j] = dominant_sigma(Gram(unfold(grad, UnfoldSpec(j, cfg.shift))))
-                if sigmas[j] > best:
-                    k, best = j, sigmas[j]
+        k, best, sigmas = modes[0], -np.inf, {}
+        for j in modes:
+            if len(t.shape) == 2 * cfg.shift and j - cfg.shift in sigmas:
+                sigmas[j] = sigmas[j - cfg.shift]  # transposed twin: same sigma
+            else:
+                sigmas[j] = dominant_sigma(Gram(unfold(grad, UnfoldSpec(j, cfg.shift))))
+            if sigmas[j] > best:
+                k, best = j, sigmas[j]
         r = update_rank_budget(state, k, budget)
         trip = truncated_svd(Gram(unfold(grad, UnfoldSpec(k, cfg.shift))),
                              1 if cfg.update_rule == "rank1" else r)
@@ -1093,12 +1078,10 @@ def reference_complete(t, cfg, budget):
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=1, max_value=12),
     st.sampled_from(["multi", "rank1"]),
-    st.sampled_from(["sigma", "min-dim"]),
     st.floats(min_value=0.1, max_value=1.0),
     st.integers(min_value=0, max_value=10**6),
 )
-def test_complete_bitwise_equals_reference_loop(dims, shift, budget, rule, selection, density,
-                                                seed):
+def test_complete_bitwise_equals_reference_loop(dims, shift, budget, rule, density, seed):
     shape = tuple(dims)
     shift = min(shift, len(shape) - 1)
     rng = np.random.default_rng(seed)
@@ -1108,7 +1091,7 @@ def test_complete_bitwise_equals_reference_loop(dims, shift, budget, rule, selec
     values = rng.normal(size=flat.size)
     values[0] = 1.0  # never all zero
     t = SparseTensor(shape, idx, values)
-    cfg = FwConfig(shift=shift, update_rule=rule, mode_selection=selection)
+    cfg = FwConfig(shift=shift, update_rule=rule)
     state, trace = complete(t, cfg, budget)
     ref_x, ref_trace = reference_complete(t, cfg, budget)
     got = [(row.iteration, row.rse, row.mode, row.gamma) for row in trace]
@@ -1116,21 +1099,21 @@ def test_complete_bitwise_equals_reference_loop(dims, shift, budget, rule, selec
     assert state.x.tobytes() == ref_x.tobytes()
 
 
-class TestBetaInvariance:
-    """Invariance of the solve to the step scale ``completion._STEP_SCALE``
-    (once the ``beta`` setting): the exact line search divides it out of
-    ``gamma``, so modes, ``gamma * scale`` products and iterates agree."""
+class TestStepScaleInvariance:
+    """Invariance of the solve to the step scale ``completion._STEP_SCALE``:
+    the exact line search divides it out of ``gamma``, so modes, ``gamma *
+    scale`` products and iterates agree."""
 
     def test_across_decades(self):
         obs, _ = synth_low_rank((10, 10, 5, 5), (2, 2, 2, 2), observe_fraction=0.3, seed=7)
         cfg = FwConfig()
         assert step_scale_invariance(obs, cfg, 8, [1.0, 1e5, 1e9])
 
-    def test_identical_betas_trivially_true(self):
+    def test_identical_scales_trivially_true(self):
         obs, _ = synth_low_rank((6, 5, 4), (1, 1, 1), observe_fraction=0.5, seed=4)
         assert step_scale_invariance(obs, FwConfig(), 3, [1e5, 1e5])
 
-    def test_gamma_beta_products_match(self, monkeypatch):
+    def test_gamma_scale_products_match(self, monkeypatch):
         obs, _ = synth_low_rank((8, 7, 6), (2, 2, 2), observe_fraction=0.4, seed=5)
         traces = {}
         for scale in (1.0, 1e6):
@@ -1142,7 +1125,7 @@ class TestBetaInvariance:
         for pa, pb in zip(a, b):
             assert abs(pa - pb) <= 1e-8 * max(abs(pa), abs(pb))
 
-    def test_requires_two_betas(self):
+    def test_requires_two_scales(self):
         obs, _ = synth_low_rank((4, 4, 4), (1, 1, 1), observe_fraction=0.5, seed=1)
         with pytest.raises(ValueError):
             step_scale_invariance(obs, FwConfig(), 2, [1e5])
@@ -1153,13 +1136,12 @@ class TestBetaInvariance:
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=8),
         st.sampled_from(["multi", "rank1"]),
-        st.sampled_from(["sigma", "min-dim"]),
         st.floats(min_value=0.1, max_value=1.0),
         st.integers(min_value=-40, max_value=40),
         st.integers(min_value=0, max_value=10**6),
     )
-    def test_invariant_on_random_fixtures(self, dims, shift, budget, rule, selection, density,
-                                          exponent, seed):
+    def test_invariant_on_random_fixtures(self, dims, shift, budget, rule, density, exponent,
+                                          seed):
         # a power-of-two scale changes no rounding, so any fixture, down to
         # steps that fit rounding noise, must agree bitwise (rel_tol=0); an
         # absolute threshold anywhere in the loop would break this
@@ -1171,8 +1153,7 @@ class TestBetaInvariance:
         values = rng.normal(size=flat.size)
         values[0] = 1.0  # never all zero
         t = SparseTensor(shape, idx, values)
-        cfg = FwConfig(shift=min(shift, len(shape) - 1), update_rule=rule,
-                       mode_selection=selection)
+        cfg = FwConfig(shift=min(shift, len(shape) - 1), update_rule=rule)
         scales = [completion_mod._STEP_SCALE, np.ldexp(completion_mod._STEP_SCALE, exponent)]
         assert step_scale_invariance(t, cfg, budget, scales, rel_tol=0.0)
 
