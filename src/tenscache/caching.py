@@ -13,6 +13,9 @@ as the per-slot upper bound.
 
 from __future__ import annotations
 
+from array import array
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,98 +148,165 @@ def hit_rate(mass: np.ndarray, total: float, c: np.ndarray) -> float:
 
 
 def _completed_histories(window: np.ndarray, seen: np.ndarray, fw_cfg: FwConfig, budgets):
-    """``(True, budget, completed window's shares)`` per distinct budget, from
-    one sweep (the first two items name the treatment and budget of a cell).
-    ``seen`` is the window's observation mask: the solver reads ``window``
-    only there."""
+    """``(keys, completed window's shares)`` per distinct completion, from
+    one sweep: ``keys`` lists the ``(True, budget)`` cells it serves. Budgets
+    whose step logs hold the same ``(step, gamma)`` pairs share one replay
+    and one normalization. ``seen`` is the window's observation mask: the
+    solver reads ``window`` only there."""
     idx = np.argwhere(seen)
     if idx.shape[0] == 0:
-        for budget in set(budgets):
-            yield True, budget, normalize_demands(np.zeros(window.shape))
+        yield [(True, b) for b in set(budgets)], normalize_demands(np.zeros(window.shape))
         return
     t = SparseTensor(window.shape, idx, window[tuple(idx.T)])
+    keys, log = [], None
     for budget, state, _ in complete_sweep(t, fw_cfg, budgets):
-        yield True, budget, normalize_demands(state.x)
+        if log is not None and not _same_log(state.steps, log):
+            yield keys, normalize_demands(shared.x)
+            keys = []
+        keys.append((True, budget))
+        shared, log = state, state.steps
+    yield keys, normalize_demands(shared.x)
 
 
-def _raw_shares(stream: np.ndarray, mask: np.ndarray, tau: int) -> np.ndarray:
-    """Every slot's observed demand shares, (T, F, N_BS), normalized ``tau``
-    slots at a time: a block has a window's shape, so each slot's shares are
-    bitwise those of any window holding it."""
-    shares = np.empty((len(stream), stream.shape[1], stream.shape[3]))
-    for lo in range(0, len(stream), tau):
-        lo = min(lo, len(stream) - tau)  # the last block overlaps the one before
-        block = np.where(mask[lo : lo + tau], stream[lo : lo + tau], 0.0)
-        shares[lo : lo + tau] = normalize_demands(np.moveaxis(block, 0, -1)).shares
-    return shares
+def _same_log(a, b) -> bool:
+    """Whether two step logs hold the same ``(step, gamma)`` pairs, hence
+    replay to bitwise the same iterate."""
+    return len(a) == len(b) and all(s is r and g == h for (s, g), (r, h) in zip(a, b))
 
 
-def run_online(stream: np.ndarray, cfg: OnlineConfig, mask: np.ndarray) -> OnlineResult:
+class _Recent:
+    """What the next scored slot needs of the ``tau`` slots before it.
+
+    With a raw treatment, each slot's observed demand shares, (F, N_BS),
+    formed once as the slot is pushed, from its observed entries alone:
+    bitwise those :func:`normalize_demands` gives any observed window holding
+    the slot. A file's mass adds its clipped observed entries in the
+    window's order (recommendation index rising); clipped entries are never
+    ``-0.0``, so skipping the unobserved ``0.0`` terms changes no partial
+    sum. With a completed treatment, one (tau, F, F, N_BS) buffer of demands
+    and one of masks, from which each pushed slot shifts the oldest out, so
+    ``np.moveaxis(buffer, 0, -1)`` is the (F, F, N_BS, tau) window.
+    """
+
+    def __init__(self, slot_shape, cfg: OnlineConfig):
+        self.cfg, self.fw_cfg, self.pushed = cfg, FwConfig(shift=cfg.shift), 0
+        self.shares = deque(maxlen=cfg.tau) if False in cfg.completion else None
+        self.window = self.seen = None
+        if True in cfg.completion:
+            self.window = np.empty((cfg.tau, *slot_shape))
+            self.seen = np.empty(self.window.shape, dtype=bool)
+
+    def push(self, realized: np.ndarray, mask: np.ndarray) -> None:
+        if self.shares is not None:
+            f, _, n_bs = realized.shape
+            seen = np.flatnonzero(mask)  # C order: per (file, bs), recommendations rising
+            observed = np.clip(realized.reshape(-1)[seen], 0.0, None)
+            # np.bincount adds each bin's weights in input order, from 0.0
+            mass = np.bincount(seen // (f * n_bs) * n_bs + seen % n_bs, weights=observed,
+                               minlength=f * n_bs).reshape(f, n_bs)
+            # the files in order, as the window's sum adds them (a plain sum over
+            # an (F, 1) mass would add them pairwise)
+            totals = np.cumsum(mass, axis=0)[-1:]
+            with np.errstate(invalid="ignore", divide="ignore"):
+                self.shares.append(np.where(totals > 0.0, mass / totals, 1.0 / f))
+        if self.window is not None:
+            if self.pushed == self.cfg.tau:  # full: shift the oldest slot out
+                for buf in (self.window, self.seen):
+                    # flat, so the overlapping copy is one move, with no temporary
+                    flat, n = buf.reshape(-1), buf[0].size
+                    flat[:-n] = flat[n:]
+            else:
+                self.pushed += 1
+            self.window[self.pushed - 1] = realized
+            self.seen[self.pushed - 1] = mask
+
+    def histories(self):
+        """``(keys, history)`` per distinct history of the window, the raw
+        one first; ``keys`` lists the ``(completed, budget)`` cells it
+        serves."""
+        if self.shares is not None:
+            yield [(False, 0)], DemandHistory(np.stack(self.shares))
+        if self.window is not None:
+            yield from _completed_histories(np.moveaxis(self.window, 0, -1),
+                                            np.moveaxis(self.seen, 0, -1),
+                                            self.fw_cfg, self.cfg.rank_budgets)
+
+
+def run_online(slots: Iterable[tuple[np.ndarray, np.ndarray]], cfg: OnlineConfig) -> OnlineResult:
     """Run the per-slot observe / complete / predict / place / score loop.
 
-    ``stream`` holds the realized (T, F, F, N_BS) demands (a sequence of
-    slots is converted once); every slot is scored, and the oracle placed,
-    against it. ``mask``, a bool array of the stream's shape, is True where
-    an entry is observed, and the predictors and the solver read the stream
-    only there. No dense observed copy of the stream is formed, nor one per
-    window: the raw shares read one observed block per ``tau`` slots, and
-    each window is solved from its observed entries.
+    ``slots`` yields one ``(realized, mask)`` pair per slot, in order: the
+    realized (F, F, N_BS) demands, against which the slot is scored and the
+    oracle placed, and a bool array of their shape, True where an entry is
+    observed. The predictors and the solver read a slot only where it is
+    observed. The loop holds only what the next scored slot needs of the
+    slots before it: the last ``tau`` slots' raw shares, each normalized
+    once as it arrives (with a raw treatment), and, with a completed one,
+    one window buffer of demands and one of masks, from which each slot in
+    turn shifts the oldest out. So its memory does not grow with the
+    stream's length beyond the hit rates it returns, and no dense observed
+    copy of a window is formed: each window is solved from its observed
+    entries.
 
     Slots ``tau+1 .. T`` (1-based) get scored, every treatment in
     ``cfg.completion`` in the same pass: each window is completed once for
-    every budget in ``cfg.rank_budgets`` (one sweep), each budget's
-    completion is normalized once, and with a raw treatment each slot is
-    normalized once per run; every such history feeds every predictor in
-    ``cfg.predictors``, and the oracle scores each (slot, bs) once. A
-    configuration the stream cannot satisfy, a mask that is not a bool array
-    of the stream's shape, or a negative realized demand raises
-    ``ValueError`` before the loop; a failure inside the loop is re-raised as
-    ``RuntimeError`` naming the slot.
+    every budget in ``cfg.rank_budgets`` (one sweep), each distinct
+    completion is normalized once, and every distinct history feeds every
+    predictor in ``cfg.predictors`` once; the oracle scores each (slot, bs)
+    once. A slot that is not a 3rd-order array of the first slot's shape, a
+    mask that is not a bool array of its slot's shape, a negative realized
+    demand in a scored slot, or a cache size the library cannot hold raises
+    ``ValueError`` at that slot, and a stream of at most ``tau`` slots at its
+    end; a failure inside the loop is re-raised as ``RuntimeError`` naming
+    the scored slot's 0-based index.
     """
-    stream, mask = np.asarray(stream), np.asarray(mask)
-    if mask.dtype != bool or mask.shape != stream.shape:
-        raise ValueError(f"mask must be a bool array of the stream's shape {stream.shape}, "
-                         f"got {mask.dtype} of shape {mask.shape}")
-    if len(stream) <= cfg.tau:
-        raise ValueError(f"need more than tau={cfg.tau} slots, got {len(stream)}")
-    _, num_files, _, n_bs = stream.shape
-    if not 1 <= cfg.cache_size <= num_files:
-        raise ValueError(f"cache size {cfg.cache_size} must be in 1..{num_files} (library size)")
-    for slot, realized in enumerate(stream[cfg.tau:], start=cfg.tau + 1):
-        if (realized < 0).any():
-            raise ValueError(f"realized demands of slot {slot} must be nonnegative")
     pred_cfgs = {p: PredictorConfig(cfg.order, p) for p in cfg.predictors}
-    fw_cfg = FwConfig(shift=cfg.shift)
-    raw = _raw_shares(stream, mask, cfg.tau) if False in cfg.completion else None
-    scored = (len(stream) - cfg.tau, n_bs)
-    zero_demand = np.zeros(scored, dtype=bool)
-    oracle = np.empty(scored)
-    cells = {(p, completed, budget): np.empty(scored) for p in cfg.predictors
+    # the hit rates, in (slot, bs) order, and each (slot, bs)'s total demand
+    cells = {(p, completed, budget): array("d") for p in cfg.predictors
              for completed in cfg.completion
              for budget in (cfg.rank_budgets if completed else (0,))}
+    oracle, totals = array("d"), array("d")
+    shape = recent = None
+    n = 0
+    for n, (realized, mask) in enumerate(slots, start=1):
+        realized, mask = np.ascontiguousarray(realized), np.asarray(mask)
+        if recent is None:
+            shape = realized.shape
+            if len(shape) != 3:
+                raise ValueError(f"slot 1 must be an (F, F, N_BS) array, got shape {shape}")
+            if not 1 <= cfg.cache_size <= shape[0]:
+                raise ValueError(f"cache size {cfg.cache_size} must be in 1..{shape[0]} "
+                                 "(library size)")
+            recent = _Recent(shape, cfg)
+        elif realized.shape != shape:
+            raise ValueError(f"slot {n} has shape {realized.shape}, expected {shape}")
+        if mask.dtype != bool or mask.shape != shape:
+            raise ValueError(f"mask of slot {n} must be a bool array of the slot's shape "
+                             f"{shape}, got {mask.dtype} of shape {mask.shape}")
+        if n > cfg.tau:
+            if (realized < 0).any():
+                raise ValueError(f"realized demands of slot {n} must be nonnegative")
+            try:
+                masses = [(realized[:, :, b].sum(axis=1), float(realized[:, :, b].sum()))
+                          for b in range(shape[2])]
+                for keys, history in recent.histories():
+                    for b, (mass, total) in enumerate(masses):
+                        for p, pred_cfg in pred_cfgs.items():
+                            c = mpc_place(fit_predict(history, pred_cfg, b).shares, cfg.cache_size)
+                            rate = hit_rate(mass, total, c)
+                            for completed, budget in keys:
+                                cells[p, completed, budget].append(rate)
+                for mass, total in masses:
+                    totals.append(total)
+                    oracle.append(hit_rate(mass, total, oracle_place(mass, total, cfg.cache_size)))
+            except Exception as exc:
+                raise RuntimeError(f"online loop failed at slot {n - 1}") from exc
+        recent.push(realized, mask)
+    if n <= cfg.tau:
+        raise ValueError(f"need more than tau={cfg.tau} slots, got {n}")
 
-    for s, t_idx in enumerate(range(cfg.tau - 1, len(stream) - 1)):
-        lo = t_idx - cfg.tau + 1
-        try:
-            realized = stream[t_idx + 1]
-            masses = [(realized[:, :, b].sum(axis=1), float(realized[:, :, b].sum()))
-                      for b in range(n_bs)]
-            histories = [] if raw is None else [(False, 0, DemandHistory(raw[lo : t_idx + 1]))]
-            if True in cfg.completion:
-                window = np.moveaxis(stream[lo : t_idx + 1], 0, -1)
-                seen = np.moveaxis(mask[lo : t_idx + 1], 0, -1)
-                histories += _completed_histories(window, seen, fw_cfg, cfg.rank_budgets)
-            for completed, budget, history in histories:
-                for b, (mass, total) in enumerate(masses):
-                    for p, pred_cfg in pred_cfgs.items():
-                        c = mpc_place(fit_predict(history, pred_cfg, b).shares, cfg.cache_size)
-                        cells[p, completed, budget][s, b] = hit_rate(mass, total, c)
-            for b, (mass, total) in enumerate(masses):
-                zero_demand[s, b] = total == 0.0
-                oracle[s, b] = hit_rate(mass, total, oracle_place(mass, total, cfg.cache_size))
-        except Exception as exc:
-            raise RuntimeError(f"online loop failed at slot {t_idx + 1}") from exc
+    def rows(values):
+        return np.array(values).reshape(-1, shape[2])
 
-    slots = np.arange(cfg.tau + 1, len(stream) + 1)
-    return OnlineResult(cfg, slots, zero_demand, oracle, cells)
-
+    return OnlineResult(cfg, np.arange(cfg.tau + 1, n + 1), rows(totals) == 0.0, rows(oracle),
+                        {key: rows(rates) for key, rates in cells.items()})

@@ -297,21 +297,27 @@ def cmd_simulate(args, config: dict) -> int:
         source = Path(args.ratings)
         result = build_demand_tensor(_read_ratings(source),
                                      IngestConfig(top_f=s["files"], n_bs=s["bs"]))
-        # on ratings data the observed demands are all there is: a zero is a missing entry
-        stream, mask = result.slots, result.slots != 0.0
+        # the loop takes the ingested slots one (demands, mask) pair at a time; on
+        # ratings data the observed demands are all there is, so a zero is a
+        # missing entry. The synthetic stream's observe and seed shape nothing
+        # here, so the echo leaves them out
+        n_slots = len(result.slots)
+        slots = ((x, x != 0.0) for x in result.slots)
+        echo = {k: v for k, v in s.items() if k not in ("observe", "seed")}
     else:
         source = "synthetic"
-        stream, mask = synth_lowrank_stream(s["files"], s["bs"], s["slots"],
-                                            s["observe"], s["seed"])
-    if len(stream) <= s["tau"]:
-        raise UsageError(f"stream has {len(stream)} slots; need more than tau={s['tau']}")
+        n_slots = s["slots"]
+        slots = synth_lowrank_stream(s["files"], s["bs"], n_slots, s["observe"], s["seed"])
+        echo = s
+    if n_slots <= s["tau"]:
+        raise UsageError(f"stream has {n_slots} slots; need more than tau={s['tau']}")
 
     out_dir = _out_dir(args)
     started = time.perf_counter()
-    result = run_online(stream, cfg, mask)
+    result = run_online(slots, cfg)
     outputs = ["slots.csv", "summary.csv"]
     manifest_name = _write_manifest(
-        out_dir, "simulate", {**s, "source": str(source), "slots": len(stream)},
+        out_dir, "simulate", {**echo, "source": str(source), "slots": n_slots},
         time.perf_counter() - started, outputs,
     )
     write_report_csv(out_dir / "slots.csv", result, manifest_name)

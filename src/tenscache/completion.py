@@ -201,14 +201,23 @@ class FwState:
         """The dense iterate ``-sum(gamma * S)`` over the log, built on the
         first read and kept until the next step is logged. Each step is
         replayed as the update ``x += S * -gamma`` from ``x = 0``, in log
-        order, so ``x`` does not depend on when it is read. A non-finite
-        entry raises ``FloatingPointError``."""
+        order, so ``x`` does not depend on when it is read. The first step's
+        product is written straight into ``x``, then ``0.0`` is added to it:
+        bitwise the sum from zero, whose ``-0.0`` entries read ``+0.0``. A
+        non-finite entry raises ``FloatingPointError``."""
         if self._x is None:
-            x = np.zeros(self.shape)
+            x = None
             last = len(self.steps) - 1
             for i, (step, gamma) in enumerate(self.steps):
                 m = step.matrix() if i < last or self._last is None else self._last
-                x += fold(m, UnfoldSpec(step.mode, self.shift), self.shape) * -gamma
+                s = fold(m, UnfoldSpec(step.mode, self.shift), self.shape)
+                if x is None:
+                    x = np.multiply(s, -gamma, out=np.empty(self.shape))
+                    x += 0.0
+                else:
+                    x += s * -gamma
+            if x is None:
+                x = np.zeros(self.shape)
             if not np.isfinite(x).all():
                 raise FloatingPointError(f"non-finite iterate from {len(self.steps)} logged steps")
             self._x, self._last = x, None

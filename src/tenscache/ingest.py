@@ -23,6 +23,7 @@ import io
 import math
 import warnings
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,21 +285,30 @@ def synth_lowrank_stream(
     n_slots: int,
     observe_fraction: float = 0.05,
     seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked separable demand stream: ``(truth, mask)``, the realized
-    (n_slots, F, F, N_BS) demands and a bool array of the same shape that is
-    True where an entry is observed.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Masked separable demand stream, one slot at a time: an iterator of
+    ``n_slots`` pairs ``(realized, mask)``, the slot's (F, F, N_BS) demands
+    and a bool array of the same shape that is True where an entry is
+    observed.
 
     The truth is a two-component separable process (two popularity/
     recommendation profiles with per-BS weights and fluctuating slot scales),
     so every window tensor is low rank in its circular unfoldings. It is
-    positive, so ``np.where(mask, truth, 0.0)`` is the observed stream with
+    positive, so ``np.where(mask, realized, 0.0)`` is the observed slot with
     its zeros the missing entries. Each slot observes a fresh uniform random
-    fraction of entries. Both arrays are filled slot by slot in place, so
-    beyond them the generator holds a few slot-sized buffers.
+    fraction of entries.
+
+    The arguments are checked and the profiles drawn at the call; each slot's
+    draws are taken as it is produced, in the same order as over the whole
+    stream. Each pair is a new pair of arrays; beyond them the iterator holds
+    the two profile tensors and one scratch buffer, three slots' worth, so
+    draining it holds O(1) slots whatever ``n_slots`` is.
     """
     if not 0.0 < observe_fraction <= 1.0:
         raise ValueError("observe_fraction must be in (0, 1]")
+    if num_files < 1 or n_bs < 1 or n_slots < 0:
+        raise ValueError(f"need num_files, n_bs >= 1 and n_slots >= 0, "
+                         f"got {num_files}, {n_bs}, {n_slots}")
     rng = np.random.default_rng(seed)
 
     def profile(exponent: float) -> np.ndarray:
@@ -312,15 +322,16 @@ def synth_lowrank_stream(
     w2 = 0.5 + 0.5 * rng.random(n_bs)
     component1 = np.einsum("f,i,b->fib", pop1, rec1, w1)
     component2 = np.einsum("f,i,b->fib", pop2, rec2, w2)
-    truth = np.empty((n_slots, num_files, num_files, n_bs))
-    mask = np.empty(truth.shape, dtype=bool)
-    scratch = np.empty(component1.shape)  # z2's term, then the slot's uniform draws
-    for t, slot in enumerate(truth):
-        z1 = abs(1.0 + 0.1 * rng.standard_normal())
-        z2 = abs(0.6 + 0.1 * rng.standard_normal())
-        # 100 * (z1 * component1 + z2 * component2), one rounding per operation
-        np.multiply(z1, component1, out=slot)
-        slot += np.multiply(z2, component2, out=scratch)
-        slot *= 100.0
-        np.less(rng.random(out=scratch), observe_fraction, out=mask[t])
-    return truth, mask
+
+    def slots():
+        scratch = np.empty(component1.shape)  # z2's term, then the slot's uniform draws
+        for _ in range(n_slots):
+            z1 = abs(1.0 + 0.1 * rng.standard_normal())
+            z2 = abs(0.6 + 0.1 * rng.standard_normal())
+            # 100 * (z1 * component1 + z2 * component2), one rounding per operation
+            realized = np.multiply(z1, component1)
+            realized += np.multiply(z2, component2, out=scratch)
+            realized *= 100.0
+            yield realized, np.less(rng.random(out=scratch), observe_fraction)
+
+    return slots()

@@ -145,10 +145,18 @@ def synth_request_stream(
     return stream
 
 
+def stacked(pairs):
+    """A stream of ``(realized, mask)`` slot pairs as two arrays, each stacked
+    along a new first (slot) axis; ``zip(*stacked(pairs))`` gives the pairs
+    back."""
+    realized, masks = zip(*pairs)
+    return np.stack(realized), np.stack(masks)
+
+
 def reference_lowrank_stream(num_files, n_bs, n_slots, observe_fraction=0.05, seed=0):
-    """The generator ``synth_lowrank_stream`` replaced, which held the
-    observed stream as a second dense array: ``(observed, truth)``, with the
-    unobserved entries of ``observed`` zero."""
+    """An eager generator ``synth_lowrank_stream`` replaced, which held the
+    whole stream, and the observed stream as a second dense array:
+    ``(observed, truth)``, with the unobserved entries of ``observed`` zero."""
     rng = np.random.default_rng(seed)
 
     def profile(exponent):

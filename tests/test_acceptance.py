@@ -192,10 +192,9 @@ def test_criterion_8_predictor_recovery(report):
 
 
 def _paired_caching_runs(seed):
-    truth, mask = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=seed)
     cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2,
                        completion=(True, False), rank_budgets=(16,))
-    return run_online(truth, cfg, mask)
+    return run_online(synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=seed), cfg)
 
 
 def test_criterion_9_caching_dominance(report):
@@ -216,10 +215,10 @@ def test_criterion_9_caching_dominance(report):
 
 
 def test_criterion_10_rank_insensitive_hit_rate(report):
-    truth, mask = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=0)
+    slots = synth_lowrank_stream(24, 3, 200, observe_fraction=0.05, seed=0)
     base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2, completion=(True,))
     budgets = (8, 16, 24)  # 2N, 4N, 6N at N=4
-    result = run_online(truth, OnlineConfig(rank_budgets=budgets, **base), mask)
+    result = run_online(slots, OnlineConfig(rank_budgets=budgets, **base))
     averages = [result.average(key) for _, _, key in result.runs()]
     spread = (max(averages) - min(averages)) / max(averages)
     report(

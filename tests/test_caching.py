@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import synth_request_stream
+from helpers import stacked, synth_request_stream
 import tenscache.caching as caching_mod
 from tenscache.caching import (
     OnlineConfig,
@@ -89,10 +89,10 @@ class TestHitRate:
 
 
 def run_observing_nonzero(stream, cfg):
-    """``run_online`` with the nonzero entries of ``stream`` observed: the
-    mask the CLI gives ratings data, where a zero is a missing entry."""
-    stream = np.asarray(stream)
-    return run_online(stream, cfg, stream != 0.0)
+    """``run_online`` with the nonzero entries of each slot of ``stream``
+    observed: the mask the CLI gives ratings data, where a zero is a missing
+    entry."""
+    return run_online(((x, x != 0.0) for x in stream), cfg)
 
 
 def assert_same_scores(got, ref, keys):
@@ -125,43 +125,42 @@ class TestRunOnline:
         assert avg >= oracle * 0.98
 
     def test_completion_improves_masked_stream(self):
-        truth, mask = synth_lowrank_stream(24, 3, 60, observe_fraction=0.05, seed=0)
         cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("mean",),
                            completion=(True, False), rank_budgets=(16,), shift=2)
-        result = run_online(truth, cfg, mask)
+        result = run_online(synth_lowrank_stream(24, 3, 60, observe_fraction=0.05, seed=0), cfg)
         assert result.average(("mean", True, 16)) >= result.average(("mean", False, 0))
 
     def test_shared_completion_matches_single_predictor_runs(self):
-        truth, mask = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        truth, mask = stacked(synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1))
         base = dict(tau=8, order=4, cache_size=6, rank_budgets=(16,), shift=2)
-        both = run_online(truth, OnlineConfig(predictors=("lp", "mean"), **base), mask)
-        lp = run_online(truth, OnlineConfig(predictors=("lp",), **base), mask)
-        mean = run_online(truth, OnlineConfig(predictors=("mean",), **base), mask)
+        both = run_online(zip(truth, mask), OnlineConfig(predictors=("lp", "mean"), **base))
+        lp = run_online(zip(truth, mask), OnlineConfig(predictors=("lp",), **base))
+        mean = run_online(zip(truth, mask), OnlineConfig(predictors=("mean",), **base))
         assert [method for method, _, _ in both.runs()] == ["lp-completed", "mean-completed"]
         assert_same_scores(both, lp, [("lp", True, 16)])
         assert_same_scores(both, mean, [("mean", True, 16)])
 
     def test_budget_sweep_matches_single_budget_runs(self):
-        truth, mask = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        truth, mask = stacked(synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1))
         base = dict(tau=8, order=4, cache_size=6, predictors=("lp", "mean"), shift=2)
         budgets = (16, 4, 8, 4)
-        swept = run_online(truth, OnlineConfig(rank_budgets=budgets, **base), mask)
+        swept = run_online(zip(truth, mask), OnlineConfig(rank_budgets=budgets, **base))
         assert [(method, rank) for method, rank, _ in swept.runs()] == [
             (method, b) for method in ("lp-completed", "mean-completed") for b in budgets]
         for b in set(budgets):
-            single = run_online(truth, OnlineConfig(rank_budgets=(b,), **base), mask)
+            single = run_online(zip(truth, mask), OnlineConfig(rank_budgets=(b,), **base))
             got = [key for _, rank, key in swept.runs() if rank == b]
             assert len(got) == 2 * budgets.count(b)
             assert_same_scores(swept, single, got)
 
     @pytest.mark.parametrize("completion", [(True, False), (False, True)])
     def test_treatments_in_one_pass_match_single_treatment_runs(self, completion):
-        truth, mask = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        truth, mask = stacked(synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1))
         base = dict(tau=8, order=4, cache_size=6, predictors=("lp", "mean"), shift=2,
                     rank_budgets=(16, 4, 8, 4))
-        both = run_online(truth, OnlineConfig(completion=completion, **base), mask)
-        on = run_online(truth, OnlineConfig(completion=(True,), **base), mask)
-        off = run_online(truth, OnlineConfig(completion=(False,), **base), mask)
+        both = run_online(zip(truth, mask), OnlineConfig(completion=completion, **base))
+        on = run_online(zip(truth, mask), OnlineConfig(completion=(True,), **base))
+        off = run_online(zip(truth, mask), OnlineConfig(completion=(False,), **base))
         assert both.cells.keys() == on.cells.keys() | off.cells.keys()
         assert_same_scores(both, on, on.cells)
         assert_same_scores(both, off, off.cells)
@@ -180,21 +179,36 @@ class TestRunOnline:
             return complete_sweep(t, fw_cfg, budgets)
 
         monkeypatch.setattr(caching_mod, "complete_sweep", counting_sweep)
-        truth, mask = synth_lowrank_stream(24, 3, 12, observe_fraction=0.05, seed=2)
+        truth, mask = stacked(synth_lowrank_stream(24, 3, 12, observe_fraction=0.05, seed=2))
         cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("lp", "mean"),
                            rank_budgets=(4, 8), shift=2)
-        result = run_online(truth, cfg, mask)
+        result = run_online(zip(truth, mask), cfg)
         scored_slots = set(result.slots.tolist())
         assert len(scored_slots) == len(truth) - cfg.tau
         assert len(calls) == len(scored_slots)
 
+    @pytest.mark.parametrize("shift", [1, 2])
+    @pytest.mark.parametrize("completion", [(False,), (True,)], ids=["raw", "completed"])
+    def test_generator_list_and_stacked_streams_score_alike(self, completion, shift):
+        # 17 slots at tau=5: the windows do not tile the stream
+        args = (16, 2, 17, 0.2, 3)
+        cfg = OnlineConfig(tau=5, order=3, cache_size=4, predictors=("lp", "mean"),
+                           completion=completion, rank_budgets=(3, 6), shift=shift)
+        from_generator = run_online(synth_lowrank_stream(*args), cfg)
+        from_list = run_online(list(synth_lowrank_stream(*args)), cfg)
+        from_stacked = run_online(zip(*stacked(synth_lowrank_stream(*args))), cfg)
+        for got in (from_list, from_stacked):
+            assert got.cells.keys() == from_generator.cells.keys()
+            assert_same_scores(got, from_generator, from_generator.cells)
+        assert from_generator.slots.tolist() == list(range(6, 18))
+
     @pytest.mark.parametrize("n_bs", [1, 3])
     def test_raw_reports_same_from_list_and_array_stream(self, n_bs):
-        truth, mask = synth_lowrank_stream(24, n_bs, 16, observe_fraction=0.3, seed=4)
+        truth, mask = stacked(synth_lowrank_stream(24, n_bs, 16, observe_fraction=0.3, seed=4))
         cfg = OnlineConfig(tau=5, order=3, cache_size=6, predictors=("lp", "mean"),
                            completion=(False,))
-        from_array = run_online(truth, cfg, mask)
-        from_list = run_online(list(truth), cfg, list(mask))
+        from_array = run_online(zip(truth, mask), cfg)
+        from_list = run_online(list(zip(list(truth), list(mask))), cfg)
         assert len(from_array.cells) == len(from_list.cells) == 2
         assert_same_scores(from_array, from_list, from_list.cells)
 
@@ -209,12 +223,14 @@ class TestRunOnline:
             return real_fit(history, pred_cfg, bs)
 
         monkeypatch.setattr(caching_mod, "fit_predict", recording_fit)
+        tau = 4
         stream = RNG.random((23, 16, 16, n_bs))
+        stream[RNG.random(stream.shape) < 0.1] = 0.0  # observed zeros
+        stream[:tau] -= 0.5  # negative demands, in slots never scored, read as their clip
         mask = RNG.random(stream.shape) < 0.3
         mask[7, :, :, 0] = False  # an unobserved slice reads uniform
-        tau = 4
         cfg = OnlineConfig(tau=tau, order=2, cache_size=3, predictors=("lp",), completion=(False,))
-        run_online(stream, cfg, mask)
+        run_online(zip(stream, mask), cfg)
         assert len(seen) == (len(stream) - tau) * n_bs
         observed = np.where(mask, stream, 0.0)
         for t_idx in range(tau - 1, len(stream) - 1):
@@ -234,42 +250,60 @@ class TestRunOnline:
             return real_fit(history, pred_cfg, bs)
 
         monkeypatch.setattr(caching_mod, "fit_predict", recording_fit)
-        truth, mask = synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1)
+        truth, mask = stacked(synth_lowrank_stream(24, 3, 14, observe_fraction=0.05, seed=1))
         cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("lp", "mean"), shift=2,
                            completion=(True, False), rank_budgets=(16, 4))
-        masked = run_online(truth, cfg, mask)
+        masked = run_online(zip(truth, mask), cfg)
         masked_seen, seen[:] = seen[:], []
         run_observing_nonzero(np.where(mask, truth, 0.0), cfg)
         assert len(masked_seen) == 6 * 3 * 3 * 2 and masked_seen == seen
         assert masked.oracle.tobytes() == run_observing_nonzero(truth, cfg).oracle.tobytes()
 
-    @pytest.mark.parametrize("mask, got", [
-        (np.ones((7, 4, 4, 2)), "float64 of shape (7, 4, 4, 2)"),
-        (np.ones((7, 4, 4, 1), dtype=bool), "bool of shape (7, 4, 4, 1)"),
-        (np.ones((6, 4, 4, 2), dtype=bool), "bool of shape (6, 4, 4, 2)"),
-    ], ids=["not-bool", "bs-shape", "slot-count"])
-    def test_bad_mask_rejected_naming_both_shapes(self, mask, got):
+    @pytest.mark.parametrize("slot, mask, got", [
+        (1, np.ones((4, 4, 2)), "float64 of shape (4, 4, 2)"),
+        (1, np.ones((4, 4, 1), dtype=bool), "bool of shape (4, 4, 1)"),
+        (6, np.ones((3, 4, 2), dtype=bool), "bool of shape (3, 4, 2)"),
+    ], ids=["not-bool", "bs-shape", "later-slot"])
+    def test_bad_mask_rejected_naming_both_shapes(self, slot, mask, got):
+        # every slot's mask is checked as the slot arrives
         stream = RNG.random((7, 4, 4, 2))
+        masks = [np.ones((4, 4, 2), dtype=bool) for _ in stream]
+        masks[slot - 1] = mask
         cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
         with pytest.raises(ValueError) as info:
-            run_online(stream, cfg, mask)
-        assert str(info.value) == ("mask must be a bool array of the stream's shape "
-                                   f"(7, 4, 4, 2), got {got}")
+            run_online(zip(stream, masks), cfg)
+        assert str(info.value) == (f"mask of slot {slot} must be a bool array of the slot's "
+                                   f"shape (4, 4, 2), got {got}")
+
+    def test_slot_of_another_shape_rejected(self):
+        stream = [RNG.random((4, 4, 2)) for _ in range(7)]
+        stream[2] = RNG.random((4, 4, 3))
+        cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
+        with pytest.raises(ValueError, match=r"slot 3 has shape \(4, 4, 3\), expected \(4, 4, 2\)"):
+            run_observing_nonzero(stream, cfg)
 
     def test_no_full_stream_copy(self):
-        # the raw shares come from one observed block of tau slots at a time
-        # and each window is solved from its observed entries, so the run's
-        # own allocations stay far below the stream's
-        truth, mask = synth_lowrank_stream(24, 3, 200)
-        cfg = OnlineConfig(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2,
-                           completion=(True, False), rank_budgets=(16,))
-        tracemalloc.start()
-        try:
-            run_online(truth, cfg, mask)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < truth.nbytes / 2
+        # the stream yields one slot at a time and the loop holds the last tau
+        # slots' raw shares, plus, with completion, one window of demands and
+        # masks and the solver's few window-sized arrays: a whole run,
+        # generation included, stays within the same bound in slot units at
+        # 60 and at 200 slots (with the whole stream held, a 60-slot run peaks
+        # above both)
+        slot_nbytes = 24 * 24 * 3 * 8
+        base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2,
+                    rank_budgets=(16,))
+        raw = OnlineConfig(completion=(False,), **base)
+        both = OnlineConfig(completion=(True, False), **base)
+        run_online(synth_lowrank_stream(24, 3, 12), both)  # numpy's lazy first calls
+        for cfg, bound in ((raw, base["tau"] + 4), (both, 10 * base["tau"])):
+            for n_slots in (60, 200):
+                tracemalloc.start()
+                try:
+                    run_online(synth_lowrank_stream(24, 3, n_slots), cfg)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < bound * slot_nbytes, (cfg.completion, n_slots, peak / slot_nbytes)
 
     def test_zero_demand_slots_flagged_and_excluded(self):
         stream = [RNG.random((5, 5, 2)) for _ in range(8)]

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 
 import numpy as np
@@ -220,7 +221,7 @@ class TestSimulateCommand:
         assert len(stream) >= 4 and 0 < np.count_nonzero(stream) < stream.size
         cfg = OnlineConfig(tau=3, order=2, cache_size=2, predictors=("lp", "mean"),
                            completion=(True, False), rank_budgets=(2, 5))
-        result = run_online(stream, cfg, stream != 0.0)
+        result = run_online(((x, x != 0.0) for x in stream), cfg)
         want = [[method, str(rank), str(result.average(key))]
                 for method, rank, key in result.runs(repeat_raw=True)]
         _, rows = read_csv_rows(out / "summary.csv")
@@ -640,10 +641,9 @@ class TestManifestConfigAtDefaults:
         })
 
     def test_simulate(self, tmp_path, monkeypatch):
-        def one_window(stream, cfg, mask):
+        def one_window(slots, cfg):
             # score one window only: the echo does not depend on how many are scored
-            n = cfg.tau + 1
-            return caching_mod.run_online(stream[:n], cfg, mask[:n])
+            return caching_mod.run_online(itertools.islice(slots, cfg.tau + 1), cfg)
 
         monkeypatch.setattr(cli_mod, "run_online", one_window)
         assert main(["--out", str(tmp_path), "simulate"]) == 0
@@ -651,6 +651,20 @@ class TestManifestConfigAtDefaults:
             "source": "synthetic", "tau": 10, "order": 6, "cache": 32, "bs": 3,
             "files": 128, "shift": 1, "ranks": [8, 16, 24], "predictor": ["lp", "mean"],
             "completion": [True, False], "slots": 40, "observe": 0.05, "seed": 0,
+        })
+
+    def test_simulate_ratings(self, tmp_path):
+        # a ratings run reads no synthetic-stream setting, so echoes none
+        # (observe, seed), and its slot count is the ingested stream's
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("".join(f"{u},{m},4.0,{10**9 + 4 * 86400 * (u + m)}\n"
+                                   for u in range(1, 40) for m in range(1, 9)))
+        assert main(["--out", str(tmp_path / "out"), "simulate", "--ratings", str(ratings),
+                     "--files", "8", "--tau", "3", "--order", "2", "--cache", "2"]) == 0
+        self.assert_echo(tmp_path / "out", "simulate", {
+            "source": str(ratings), "tau": 3, "order": 2, "cache": 2, "bs": 3,
+            "files": 8, "shift": 1, "ranks": [8, 16, 24], "predictor": ["lp", "mean"],
+            "completion": [True, False], "slots": 7,
         })
 
     def test_ingest(self, tmp_path):

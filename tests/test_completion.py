@@ -509,6 +509,30 @@ class TestApplyUpdate:
         assert state.x.tobytes() == (x0 - gamma * s0).tobytes()
         assert state.consumed == {**consumed0, step.mode: consumed0[step.mode] + step.rank}
 
+    @pytest.mark.parametrize("n_steps", [0, 1, 3])
+    def test_x_is_the_zero_started_replay_signs_of_zero_included(self, n_steps):
+        # x starts from the first step's product, not from zeros, yet must be
+        # bitwise the replay from x = 0: where a step's unfolding is zero its
+        # product with -gamma is -0.0, and 0.0 + -0.0 reads +0.0
+        shape, shift = (3, 4, 2, 5), 2
+        rng = np.random.default_rng(n_steps)
+        state = FwState.initial(shape, shift)
+        for i, (k, rank) in enumerate([(1, 2), (3, 1), (1, 3)][:n_steps]):
+            rows, cols = UnfoldSpec(k, shift).matrix_dims(shape)
+            u, v = rng.normal(size=(rows, rank)), rng.normal(size=(cols, rank))
+            u[0] = 0.0  # a zero row of the step's unfolding
+            step = GradientStep(k, u, np.full(rank, 1e5 / rank), v)
+            apply_update(state, step, rng.uniform(0.1, 2.0),
+                         step.matrix() if i == n_steps - 1 else None)
+        replay = np.zeros(shape)
+        for step, gamma in state.steps:
+            replay += step.dense(shape, shift) * -gamma
+        x = state.x
+        assert len(state.steps) == n_steps
+        assert x.tobytes() == replay.tobytes()
+        np.testing.assert_array_equal(np.signbit(x), np.signbit(replay))
+        assert (replay == 0.0).any()  # where the products hold -0.0, if there are steps
+
     def test_full_iteration_fits_two_cells(self):
         t = two_cell_tensor()
         state, trace = complete(t, FwConfig(), 4)

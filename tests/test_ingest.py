@@ -12,6 +12,7 @@ from helpers import (
     ratings,
     reference_demand_slots,
     reference_lowrank_stream,
+    stacked,
     synth_request_stream,
 )
 from tenscache.completion import FwConfig, complete
@@ -443,7 +444,7 @@ class TestSynthStreams:
             assert sa.sum() == 500 * 2
 
     def test_lowrank_stream_masks_observed_fraction(self):
-        truth, mask = synth_lowrank_stream(20, 3, 10, observe_fraction=0.05, seed=2)
+        truth, mask = stacked(synth_lowrank_stream(20, 3, 10, observe_fraction=0.05, seed=2))
         assert mask.dtype == bool and mask.shape == truth.shape == (10, 20, 20, 3)
         assert 0.02 <= mask.mean() <= 0.09
         assert (truth > 0).all()  # so a zero-filled observed stream's zeros are the mask's holes
@@ -453,19 +454,28 @@ class TestSynthStreams:
         (128, 3, 2, 0.05, 0),
     ])
     def test_lowrank_stream_is_the_reference_stream_bitwise(self, args):
-        truth, mask = synth_lowrank_stream(*args)
+        truth, mask = stacked(synth_lowrank_stream(*args))
         observed, ref_truth = reference_lowrank_stream(*args)
         assert truth.tobytes() == ref_truth.tobytes()
         assert np.where(mask, truth, 0.0).tobytes() == observed.tobytes()
         np.testing.assert_array_equal(mask, observed != 0)
 
+    @pytest.mark.parametrize("observe", [0.0, -0.5, 1.5, float("nan")])
+    def test_lowrank_stream_checks_its_arguments_at_the_call(self, observe):
+        with pytest.raises(ValueError, match=r"observe_fraction must be in \(0, 1\]"):
+            synth_lowrank_stream(8, 2, 5, observe)  # raises before any slot is asked for
+
     def test_lowrank_stream_holds_few_buffers_beyond_its_outputs(self):
+        # draining the stream holds O(1) slots: the pairs in hand, the two
+        # profiles and the scratch slot, however many slots it yields
         synth_lowrank_stream(2, 1, 1)  # numpy's lazy imports on a first call are not the stream's
-        tracemalloc.start()
-        try:
-            truth, mask = synth_lowrank_stream(24, 3, 200)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        slot = truth[0].nbytes
-        assert peak <= truth.nbytes + mask.nbytes + 4 * slot
+        slot = 24 * 24 * 3 * 8
+        for n_slots in (20, 200):
+            tracemalloc.start()
+            try:
+                for realized, mask in synth_lowrank_stream(24, 3, n_slots):
+                    assert realized.nbytes == slot and mask.shape == realized.shape
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 7 * slot, (n_slots, peak / slot)
