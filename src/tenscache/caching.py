@@ -258,7 +258,7 @@ def run_online(slots: Iterable[tuple[np.ndarray, np.ndarray]], cfg: OnlineConfig
     demand in a scored slot, or a cache size the library cannot hold raises
     ``ValueError`` at that slot, and a stream of at most ``tau`` slots at its
     end; a failure inside the loop is re-raised as ``RuntimeError`` naming
-    the scored slot's 0-based index.
+    the scored slot, 1-based like every other slot error.
     """
     pred_cfgs = {p: PredictorConfig(cfg.order, p) for p in cfg.predictors}
     # the hit rates, in (slot, bs) order, and each (slot, bs)'s total demand
@@ -300,7 +300,7 @@ def run_online(slots: Iterable[tuple[np.ndarray, np.ndarray]], cfg: OnlineConfig
                     totals.append(total)
                     oracle.append(hit_rate(mass, total, oracle_place(mass, total, cfg.cache_size)))
             except Exception as exc:
-                raise RuntimeError(f"online loop failed at slot {n - 1}") from exc
+                raise RuntimeError(f"online loop failed at slot {n}") from exc
         recent.push(realized, mask)
     if n <= cfg.tau:
         raise ValueError(f"need more than tau={cfg.tau} slots, got {n}")

@@ -247,9 +247,10 @@ class GradientUnfoldings:
     Every unfolding has ``prod(shape)`` entries, so the scatters recycle two
     flat buffers, the slots 0 and 1: :meth:`matrix` scatters into the slot it
     is given, after zeroing only the positions of the unfolding that slot
-    held last, so a call overwrites the unfolding it last handed out from
-    that slot. A solve thus allocates at most two buffers, and again only
-    after :meth:`drop`.
+    held last, unless the slot held the same mode (the scatter then
+    overwrites each of those positions), so a call overwrites the unfolding
+    it last handed out from that slot. A solve thus allocates at most two
+    buffers, and again only after :meth:`drop`.
     """
 
     def __init__(self, t: SparseTensor, shift: int):
@@ -276,7 +277,8 @@ class GradientUnfoldings:
             flat = np.zeros(self._size)
         else:
             flat, last = self._slots[slot]
-            flat[self.positions[last]] = 0.0
+            if last != k:  # the scatter overwrites every position of mode k
+                flat[self.positions[last]] = 0.0
         flat[self.positions[k]] = residual
         self._slots[slot] = flat, k
         return flat.reshape(self.dims[k], order="F")

@@ -166,6 +166,8 @@ class SparseTensor:
 
 _CHUNK_LINES = 8192  # entry lines formed per write: whole-file buffers cost memory
 _VALUE_WIDTH = 24  # bytes of the longest float64 repr, e.g. -2.2250738585072014e-308
+# what a plain COO body holds: printable ASCII but the space and "#", and newlines
+_PLAIN = bytes(range(0x21, 0x7F)).replace(b"#", b"") + b"\n"
 
 
 def _format_header(shape) -> str:
@@ -265,7 +267,16 @@ def _parse_coo_array(path: Path) -> SparseTensor:
     some other characters), no entries, a ``loadtxt`` error, warning or
     overflow (numpy < 2 reads an index such as ``1.0`` or ``1e0`` with only a
     ``DeprecationWarning``), a non-finite value, or an entry ``SparseTensor``
-    rejects."""
+    rejects.
+
+    The body after the header is read at once. A plain body (ASCII, no
+    ``#`` and no space, printable once its newlines are removed: nothing but
+    the bytes of ``_PLAIN``) has no comment and nothing to strip, so its
+    lines go to ``loadtxt`` as they are (it skips the empty ones); any other
+    body's lines pass :func:`_entry_lines` first. Lines are split at
+    newlines alone, as iterating the file splits them (``str.splitlines``
+    would also split at vertical tabs, file separators and other control
+    characters)."""
     with open(path) as fh:
         shape = None
         for raw in fh:
@@ -278,31 +289,37 @@ def _parse_coo_array(path: Path) -> SparseTensor:
                 raise ValueError("entry before the header")
         if shape is None:
             raise ValueError("no header")
-
-        def entries():
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line[0] == "#":
-                    if _is_header(line):
-                        raise ValueError("second header")
-                    continue
-                if not (line.isascii() and line.isprintable()):
-                    raise ValueError("entry line the array parse does not take")
-                yield line
-
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # "input contained no data" among them
-                table = np.loadtxt(entries(), delimiter=",", comments=None, ndmin=1,
-                                   dtype=[("idx", np.intp, (len(shape),)), ("val", np.float64)])
-        except (OverflowError, Warning) as exc:
-            raise ValueError(f"loadtxt: {exc}") from None
+        body = fh.read()
+    lines = body.split("\n")
+    plain = body.isascii() and not body.encode("ascii").translate(None, _PLAIN)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" among them
+            table = np.loadtxt(lines if plain else _entry_lines(lines), delimiter=",",
+                               comments=None, ndmin=1,
+                               dtype=[("idx", np.intp, (len(shape),)), ("val", np.float64)])
+    except (OverflowError, Warning) as exc:
+        raise ValueError(f"loadtxt: {exc}") from None
     values = np.ascontiguousarray(table["val"])
     if not np.isfinite(values).all():
         raise ValueError("non-finite value")
     return SparseTensor(shape, table["idx"] - 1, values)
+
+
+def _entry_lines(lines):
+    """The entry lines among ``lines``, stripped; raises on a second header
+    or an entry line that is not printable ASCII."""
+    for raw in lines:
+        line = raw.strip()
+        if not line:
+            continue
+        if line[0] == "#":
+            if _is_header(line):
+                raise ValueError("second header")
+            continue
+        if not (line.isascii() and line.isprintable()):
+            raise ValueError("entry line the array parse does not take")
+        yield line
 
 
 def _parse_coo_lines(path: Path) -> SparseTensor:

@@ -332,7 +332,7 @@ class TestRunOnline:
         monkeypatch.setattr(caching_mod, "fit_predict", failing_fit)
         stream = [RNG.random((5, 5, 2)) for _ in range(8)]
         cfg = OnlineConfig(tau=4, order=2, cache_size=2, completion=(False,))
-        with pytest.raises(RuntimeError, match="slot 4") as info:
+        with pytest.raises(RuntimeError, match="slot 5") as info:
             run_observing_nonzero(stream, cfg)
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 

@@ -323,7 +323,7 @@ class TestSimulateCommand:
                    "--completion", "off"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "internal error: online loop failed at slot 3" in err
+        assert "internal error: online loop failed at slot 4" in err
         assert "solver blew up" in err
 
     def test_summary_reproducible_across_runs(self, tmp_path):

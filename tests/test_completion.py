@@ -352,6 +352,29 @@ class TestGradientUnfoldings:
             seen.add(address)
             live[slot] = address, m, ref
 
+    def test_same_mode_again_overwrites_every_position(self):
+        # a slot scattered again along the mode it holds is not zeroed first:
+        # the scatter alone leaves no trace of the earlier residual and keeps
+        # each zero's sign. A change of mode in between zeroes the old places
+        shape = (3, 4, 2, 5)
+        rng = np.random.default_rng(5)
+        flat = rng.choice(120, size=40, replace=False)
+        idx = np.stack(np.unravel_index(flat, shape), axis=1)
+        t = SparseTensor(shape, idx, rng.normal(size=40))
+        r1, r2 = rng.normal(size=40), rng.normal(size=40)
+        r2[::3], r2[1::3] = 0.0, -0.0
+        first, second = (r1, t.to_dense(r1)), (r2, t.to_dense(r2))
+        for shift in range(1, len(shape)):
+            grads = GradientUnfoldings(t, shift)
+            for k in range(1, len(shape) + 1):
+                other = k % len(shape) + 1
+                for slot in (0, 1):
+                    for mode, (residual, grad) in ((k, first), (k, second), (other, first),
+                                                   (k, second)):
+                        m = grads.matrix(mode, residual, slot)
+                        ref = unfold(grad, UnfoldSpec(mode, shift))
+                        assert m.tobytes(order="F") == ref.tobytes(order="F")
+
 
 class TestGradientStep:
     def test_multi_rank_normalization(self):

@@ -388,6 +388,37 @@ def fuzzed_entries(draw):
     return line
 
 
+class FilterRan(Exception):
+    pass
+
+
+def test_plain_bodies_skip_the_line_filter(tmp_path, monkeypatch):
+    # a body with no comment, space or other character to strip goes straight
+    # to loadtxt, whatever its newlines; any other body passes the filter
+    def no_filter(lines):
+        raise FilterRan
+
+    monkeypatch.setattr(tensors, "_entry_lines", no_filter)
+    rng = np.random.default_rng(3)
+    shape = (7, 5, 3, 4)
+    flat = rng.choice(420, size=60, replace=False)
+    values = rng.normal(size=60)
+    values[:len(EDGE_VALUES)] = EDGE_VALUES
+    t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1), values)
+    path = tmp_path / "t.coo"
+    write_coo_sparse(path, t)
+    assert_bitwise_equal(_parse_coo_array(path), t)
+    text = path.read_text()
+    with open(path, "w", newline="\r\n") as fh:
+        fh.write(text.replace("\n", "\n\n"))  # blank lines too
+    assert_bitwise_equal(_parse_coo_array(path), t)
+    head, body = text.split("\n", 1)
+    for other in (f"{head}\n#note\n{body}", f"{head}\n{body.replace(',', ', ', 1)}"):
+        path.write_text(other)
+        with pytest.raises(FilterRan):
+            _parse_coo_array(path)
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(fuzzed_entries(), min_size=1, max_size=2))
 def test_array_parse_never_accepts_what_the_line_parser_rejects(coo_path, entries):
