@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # ``complete`` is not called here; perfbench/tracing.py wraps it in this namespace
-from .completion import FwConfig, complete, complete_sweep  # noqa: F401
-from .prediction import DemandHistory, PredictorConfig, fit_predict, normalize_demands
+from .completion import FwConfig, _Workspace, complete, complete_sweep  # noqa: F401
+from .prediction import (DemandHistory, PredictorConfig, _clipped_shares, fit_predict,
+                         normalize_demands)
 from .tensors import SparseTensor
 
 __all__ = [
@@ -147,25 +148,45 @@ def hit_rate(mass: np.ndarray, total: float, c: np.ndarray) -> float:
     return float(mass @ c / total)
 
 
-def _completed_histories(window: np.ndarray, seen: np.ndarray, fw_cfg: FwConfig, budgets):
+def _window_entries(entries, shape) -> tuple[np.ndarray, np.ndarray]:
+    """The observed entries of the (F, F, N_BS, tau) window of ``shape``
+    from its slots': ``entries`` holds each slot's observed C-order flat
+    positions (rising) and their values, oldest slot first. Returns their
+    indices and values in ``np.argwhere``'s order over the window: the
+    window's C-order flat index is the position in the slot times ``tau``
+    plus the slot's place ``t``, so the slots' lists are merged, the time
+    index fastest."""
+    tau = len(entries)
+    flat = np.concatenate([seen * tau + t for t, (seen, _) in enumerate(entries)])
+    order = np.argsort(flat, kind="stable")
+    indices = np.stack(np.unravel_index(flat[order], shape), axis=1)
+    return indices, np.concatenate([values for _, values in entries])[order]
+
+
+def _completed_histories(shape, entries, fw_cfg: FwConfig, budgets, workspace: _Workspace):
     """``(keys, completed window's shares)`` per distinct completion, from
     one sweep: ``keys`` lists the ``(True, budget)`` cells it serves. Budgets
     whose step logs hold the same ``(step, gamma)`` pairs share one replay
-    and one normalization. ``seen`` is the window's observation mask: the
-    solver reads ``window`` only there."""
-    idx = np.argwhere(seen)
-    if idx.shape[0] == 0:
-        yield [(True, b) for b in set(budgets)], normalize_demands(np.zeros(window.shape))
+    and one normalization. ``entries`` are the window's slots' observed
+    entries (:func:`_window_entries`), the solver's only input; the sweep
+    works in ``workspace``, so each state's ``x`` is read as the state
+    arrives, clipped in place and dropped."""
+    indices, values = _window_entries(entries, shape)
+    if values.size == 0:
+        yield [(True, b) for b in set(budgets)], normalize_demands(np.zeros(shape))
         return
-    t = SparseTensor(window.shape, idx, window[tuple(idx.T)])
+    t = SparseTensor(shape, indices, values)
     keys, log = [], None
-    for budget, state, _ in complete_sweep(t, fw_cfg, budgets):
+    for budget, state, _ in complete_sweep(t, fw_cfg, budgets, _workspace=workspace):
         if log is not None and not _same_log(state.steps, log):
-            yield keys, normalize_demands(shared.x)
+            yield keys, history
             keys = []
+        if not keys:
+            x = state.x
+            history = _clipped_shares(np.clip(x, 0.0, None, out=x))
         keys.append((True, budget))
-        shared, log = state, state.steps
-    yield keys, normalize_demands(shared.x)
+        log = state.steps
+    yield keys, history
 
 
 def _same_log(a, b) -> bool:
@@ -177,48 +198,44 @@ def _same_log(a, b) -> bool:
 class _Recent:
     """What the next scored slot needs of the ``tau`` slots before it.
 
-    With a raw treatment, each slot's observed demand shares, (F, N_BS),
-    formed once as the slot is pushed, from its observed entries alone:
-    bitwise those :func:`normalize_demands` gives any observed window holding
-    the slot. A file's mass adds its clipped observed entries in the
-    window's order (recommendation index rising); clipped entries are never
-    ``-0.0``, so skipping the unobserved ``0.0`` terms changes no partial
-    sum. With a completed treatment, one (tau, F, F, N_BS) buffer of demands
-    and one of masks, from which each pushed slot shifts the oldest out, so
-    ``np.moveaxis(buffer, 0, -1)`` is the (F, F, N_BS, tau) window.
+    Each pushed slot's observed entries are found once, by one
+    ``np.flatnonzero`` of its mask, in C order: per (file, bs), the
+    recommendations rising. With a raw treatment, the slot's observed demand
+    shares, (F, N_BS), are formed from them as it is pushed: bitwise those
+    :func:`normalize_demands` gives any observed window holding the slot. A
+    file's mass adds its clipped observed entries in the window's order;
+    clipped entries are never ``-0.0``, so skipping the unobserved ``0.0``
+    terms changes no partial sum. With a completed treatment, a ring keeps
+    the last ``tau`` slots' observed positions and values, from which each
+    window's observed tensor is merged, and one :class:`_Workspace` holds
+    the window-sized arrays of every window's solve for the whole run.
     """
 
     def __init__(self, slot_shape, cfg: OnlineConfig):
-        self.cfg, self.fw_cfg, self.pushed = cfg, FwConfig(shift=cfg.shift), 0
+        self.cfg, self.fw_cfg = cfg, FwConfig(shift=cfg.shift)
+        self.shape = (*slot_shape, cfg.tau)
         self.shares = deque(maxlen=cfg.tau) if False in cfg.completion else None
-        self.window = self.seen = None
+        self.entries = self.workspace = None
         if True in cfg.completion:
-            self.window = np.empty((cfg.tau, *slot_shape))
-            self.seen = np.empty(self.window.shape, dtype=bool)
+            self.entries = deque(maxlen=cfg.tau)
+            self.workspace = _Workspace(self.shape)
 
     def push(self, realized: np.ndarray, mask: np.ndarray) -> None:
+        seen = np.flatnonzero(mask)
+        observed = realized.reshape(-1)[seen]
         if self.shares is not None:
             f, _, n_bs = realized.shape
-            seen = np.flatnonzero(mask)  # C order: per (file, bs), recommendations rising
-            observed = np.clip(realized.reshape(-1)[seen], 0.0, None)
             # np.bincount adds each bin's weights in input order, from 0.0
-            mass = np.bincount(seen // (f * n_bs) * n_bs + seen % n_bs, weights=observed,
+            mass = np.bincount(seen // (f * n_bs) * n_bs + seen % n_bs,
+                               weights=np.clip(observed, 0.0, None),
                                minlength=f * n_bs).reshape(f, n_bs)
             # the files in order, as the window's sum adds them (a plain sum over
             # an (F, 1) mass would add them pairwise)
             totals = np.cumsum(mass, axis=0)[-1:]
             with np.errstate(invalid="ignore", divide="ignore"):
                 self.shares.append(np.where(totals > 0.0, mass / totals, 1.0 / f))
-        if self.window is not None:
-            if self.pushed == self.cfg.tau:  # full: shift the oldest slot out
-                for buf in (self.window, self.seen):
-                    # flat, so the overlapping copy is one move, with no temporary
-                    flat, n = buf.reshape(-1), buf[0].size
-                    flat[:-n] = flat[n:]
-            else:
-                self.pushed += 1
-            self.window[self.pushed - 1] = realized
-            self.seen[self.pushed - 1] = mask
+        if self.entries is not None:
+            self.entries.append((seen, np.asarray(observed, dtype=np.float64)))
 
     def histories(self):
         """``(keys, history)`` per distinct history of the window, the raw
@@ -226,10 +243,9 @@ class _Recent:
         serves."""
         if self.shares is not None:
             yield [(False, 0)], DemandHistory(np.stack(self.shares))
-        if self.window is not None:
-            yield from _completed_histories(np.moveaxis(self.window, 0, -1),
-                                            np.moveaxis(self.seen, 0, -1),
-                                            self.fw_cfg, self.cfg.rank_budgets)
+        if self.entries is not None:
+            yield from _completed_histories(self.shape, self.entries, self.fw_cfg,
+                                            self.cfg.rank_budgets, self.workspace)
 
 
 def run_online(slots: Iterable[tuple[np.ndarray, np.ndarray]], cfg: OnlineConfig) -> OnlineResult:
@@ -242,11 +258,13 @@ def run_online(slots: Iterable[tuple[np.ndarray, np.ndarray]], cfg: OnlineConfig
     observed. The loop holds only what the next scored slot needs of the
     slots before it: the last ``tau`` slots' raw shares, each normalized
     once as it arrives (with a raw treatment), and, with a completed one,
-    one window buffer of demands and one of masks, from which each slot in
-    turn shifts the oldest out. So its memory does not grow with the
-    stream's length beyond the hit rates it returns, and no dense observed
-    copy of a window is formed: each window is solved from its observed
-    entries.
+    the last ``tau`` slots' observed entries (positions and values), plus
+    one workspace of window-sized arrays that every window's solve reuses.
+    So its memory does not grow with the stream's length beyond the hit
+    rates it returns, no dense copy of a window is formed, and after the
+    first window the only window-sized array allocated is the SVD factor a
+    step keeps: each window is solved from its observed entries, merged
+    from its slots'.
 
     Slots ``tau+1 .. T`` (1-based) get scored, every treatment in
     ``cfg.completion`` in the same pass: each window is completed once for

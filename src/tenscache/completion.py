@@ -155,9 +155,10 @@ class GradientStep:
     def rank(self) -> int:
         return int(self.weights.size)
 
-    def matrix(self) -> np.ndarray:
-        """The step's mode unfolding, ``(u * weights) @ v.T``."""
-        return (self.u * self.weights) @ self.v.T
+    def matrix(self, out: np.ndarray | None = None) -> np.ndarray:
+        """The step's mode unfolding, ``(u * weights) @ v.T``, written into
+        ``out`` (a C-contiguous matrix of its shape) if given."""
+        return np.matmul(self.u * self.weights, self.v.T, out=out)
 
     def dense(self, shape, shift: int) -> np.ndarray:
         """Materialize the step tensor ``S``."""
@@ -174,6 +175,11 @@ class FwState:
     ``consumed[k]`` is the rank charged against the global budget by steps
     along mode ``k``; ``caps[k]``, the smaller dimension of the mode-``k``
     unfolding, is the most it can reach.
+
+    A state owns its :attr:`x` unless the online loop lent it a
+    :class:`_Workspace` (see :func:`complete_sweep`): its ``x`` then lives
+    in the workspace, and the next replay of any state of that workspace
+    overwrites it.
     """
 
     shape: tuple[int, ...]
@@ -186,6 +192,8 @@ class FwState:
     # replay of x reads it instead of forming it again; a copy of the state
     # shares it, since the two logs end on the same step
     _last: np.ndarray | None = field(default=None, repr=False)
+    # the arrays the replay of x writes, lent by the online loop; None: fresh ones
+    _ws: _Workspace | None = field(default=None, repr=False)
 
     @classmethod
     def initial(cls, shape, shift: int) -> "FwState":
@@ -204,18 +212,26 @@ class FwState:
         order, so ``x`` does not depend on when it is read. The first step's
         product is written straight into ``x``, then ``0.0`` is added to it:
         bitwise the sum from zero, whose ``-0.0`` entries read ``+0.0``. A
-        non-finite entry raises ``FloatingPointError``."""
+        product formed for the replay is scaled in place; the kept last one,
+        which other states may share, into another array. A non-finite entry
+        raises ``FloatingPointError``."""
         if self._x is None:
-            x = None
+            ws, x = self._ws, None
             last = len(self.steps) - 1
             for i, (step, gamma) in enumerate(self.steps):
-                m = step.matrix() if i < last or self._last is None else self._last
-                s = fold(m, UnfoldSpec(step.mode, self.shift), self.shape)
+                spec = UnfoldSpec(step.mode, self.shift)
+                if i == last and self._last is not None:
+                    s = fold(self._last, spec, self.shape)
+                    out = None if ws is None else ws.tmp
+                else:
+                    m = (step.matrix() if ws is None else
+                         step.matrix(ws.tmp.reshape(spec.matrix_dims(self.shape))))
+                    s = out = fold(m, spec, self.shape)
                 if x is None:
-                    x = np.multiply(s, -gamma, out=np.empty(self.shape))
+                    x = np.multiply(s, -gamma, out=np.empty(self.shape) if ws is None else ws.x)
                     x += 0.0
                 else:
-                    x += s * -gamma
+                    x += np.multiply(s, -gamma, out=out)
             if x is None:
                 x = np.zeros(self.shape)
             if not np.isfinite(x).all():
@@ -250,17 +266,32 @@ class GradientUnfoldings:
     held last, unless the slot held the same mode (the scatter then
     overwrites each of those positions), so a call overwrites the unfolding
     it last handed out from that slot. A solve thus allocates at most two
-    buffers, and again only after :meth:`drop`.
+    buffers, and again only after :meth:`drop`. :meth:`point` turns the
+    unfoldings to another tensor of the same shape and keeps the buffers, so
+    the online loop scatters every window of a run into the same two.
     """
 
     def __init__(self, t: SparseTensor, shift: int):
+        self.shift = shift
+        self._slots: list[tuple[np.ndarray, int | None] | None] = [None, None]
+        self.point(t)
+
+    def point(self, t: SparseTensor) -> None:
+        """Index the observed entries of ``t``, of the shape the buffers
+        were made for, and zero each buffer where it held an unfolding of the
+        tensor pointed at before."""
+        for i, held in enumerate(self._slots):
+            if held is not None:
+                flat, last = held
+                if last is not None:
+                    flat[self.positions[last]] = 0.0
+                self._slots[i] = flat, None
         self.dims: dict[int, tuple[int, int]] = {}
         self.positions: dict[int, np.ndarray] = {}
         self._size = int(np.prod(t.shape))
-        self._slots: list[tuple[np.ndarray, int] | None] = [None, None]
         self._places: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for k in range(1, len(t.shape) + 1):
-            spec = UnfoldSpec(k, shift)
+            spec = UnfoldSpec(k, self.shift)
             self.dims[k] = spec.matrix_dims(t.shape)
             perm = spec.axes_order(len(t.shape))
             weights = np.empty(len(perm), dtype=np.intp)
@@ -277,7 +308,7 @@ class GradientUnfoldings:
             flat = np.zeros(self._size)
         else:
             flat, last = self._slots[slot]
-            if last != k:  # the scatter overwrites every position of mode k
+            if last not in (k, None):  # the scatter overwrites every position of mode k
                 flat[self.positions[last]] = 0.0
         flat[self.positions[k]] = residual
         self._slots[slot] = flat, k
@@ -287,11 +318,13 @@ class GradientUnfoldings:
         """Let both buffers go; the next :meth:`matrix` allocates again."""
         self._slots = [None, None]
 
-    def step_values(self, step: GradientStep) -> tuple[np.ndarray, np.ndarray | None]:
+    def step_values(self, step: GradientStep,
+                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
         """The step tensor's values at the observed entries, equal as floats
         (bitwise up to the sign of zero) to a gather of
         :meth:`GradientStep.dense`, with no fold or gather; and the product
-        :meth:`GradientStep.matrix` when it was formed, else ``None``.
+        :meth:`GradientStep.matrix` when it was formed (in the flat ``out``,
+        if given), else ``None``.
 
         A rank-1 step's values are formed at the observed entries alone: at
         row ``i`` and column ``j`` of its unfolding, the one rounding ``(u *
@@ -305,7 +338,7 @@ class GradientUnfoldings:
         rows, cols = self._places[k]
         if step.rank == 1:
             return np.take(step.u[:, 0] * step.weights[0], rows) * np.take(step.v[:, 0], cols), None
-        m = step.matrix()
+        m = step.matrix() if out is None else step.matrix(out.reshape(self.dims[k]))
         return m[rows, cols], m
 
 
@@ -369,7 +402,9 @@ def gradient_step(
     discards the singular-value structure. Trailing singular values below
     ``_SIGMA_EPS * sigma_1``, which the SVD does not resolve, are dropped, so
     the returned rank may be below ``r_k``. The triplets beyond ``r_k`` are
-    not read, so one SVD serves every allowance up to its size.
+    not read, so one SVD serves every allowance up to its size. ``sigma`` is
+    nonincreasing, so the kept triplets are a prefix: the step's ``u`` and
+    ``v`` are views of the triplets' columns, not copies.
     """
     r_want = 1 if update_rule == UPDATE_RANK_ONE else r_k
     if not 1 <= r_want <= trip.sigma.size:
@@ -377,8 +412,8 @@ def gradient_step(
     if trip.sigma[0] <= 0.0:
         raise ValueError("gradient unfolding is numerically zero")
     sigma = trip.sigma[:r_want]
-    keep = sigma > sigma[0] * _SIGMA_EPS
-    u, sig, v = trip.u[:, :r_want][:, keep], sigma[keep], trip.v[:, :r_want][:, keep]
+    n = int(np.count_nonzero(sigma > sigma[0] * _SIGMA_EPS))
+    u, sig, v = trip.u[:, :n], sigma[:n], trip.v[:, :n]
     if update_rule == UPDATE_RANK_ONE:
         return GradientStep(k_star, u, np.array([_STEP_SCALE]), v)
     return GradientStep(k_star, u, _STEP_SCALE / float(sig.sum()) * sig, v)
@@ -445,7 +480,7 @@ def complete(t: SparseTensor, cfg: FwConfig, budget: int) -> tuple[FwState, list
 
 
 def complete_sweep(
-    t: SparseTensor, cfg: FwConfig, budgets: Iterable[int]
+    t: SparseTensor, cfg: FwConfig, budgets: Iterable[int], *, _workspace: _Workspace | None = None
 ) -> Iterator[tuple[int, FwState, list[TraceRow]]]:
     """Run the solver on observed tensor ``t`` with ``cfg`` once for every
     rank budget in ``budgets``.
@@ -474,9 +509,18 @@ def complete_sweep(
     Yields ``(budget, state, trace)`` once per distinct budget, in rising
     order, as its run ends: bitwise what :func:`complete` gives for that
     budget alone, except that ``elapsed_s`` counts from the start of the
-    sweep. Each state owns its step log and ledger. Bad input, including an
-    empty or invalid budget list, raises ``ValueError`` at the call; a solve
-    that blows up raises ``FloatingPointError`` at the step.
+    sweep. Each state owns its step log and ledger, and the ``x`` it
+    builds. Bad input, including an empty or invalid budget list, raises
+    ``ValueError`` at the call; a solve that blows up raises
+    ``FloatingPointError`` at the step.
+
+    The online loop alone passes ``_workspace``, a :class:`_Workspace` it
+    keeps for the run, and the sweep then allocates none of the arrays the
+    workspace holds: the scatter buffers are kept (never let go), each step
+    product is formed in the workspace, and every yielded state builds its
+    ``x`` there. A yielded state's ``x`` must then be read before the sweep
+    is resumed, if at all, and is overwritten by the next state's; the
+    caller drops the states before the next window.
     """
     if t.nnz == 0:
         raise ValueError("observed tensor has no entries")
@@ -488,12 +532,43 @@ def complete_sweep(
         raise ValueError("no rank budget given")
     if budgets[0] < 1:
         raise ValueError(f"rank budgets must be >= 1, got {budgets}")
-    return _sweep(t, t_norm, cfg, budgets, FwState.initial(t.shape, cfg.shift))
+    state = FwState.initial(t.shape, cfg.shift)
+    state._ws = _workspace
+    return _sweep(t, t_norm, cfg, budgets, state)
+
+
+class _Workspace:
+    """The window-sized arrays an online run lends each solve of its
+    windows, all of one shape and shift: made once, kept for the run.
+
+    - ``grads``: the :class:`GradientUnfoldings` with its two scatter
+      buffers, pointed at each window in turn;
+    - ``product``: each step's unfolding product, flat;
+    - ``x``: the replayed iterate;
+    - ``tmp``: the replay's products and scaled products, and
+      :func:`truncated_svd`'s per-column products. A replay runs only while
+      the sweep waits at a yield, so the two uses never meet.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.grads: GradientUnfoldings | None = None
+        self.product = np.empty(math.prod(shape))
+        self.x = np.empty(shape)
+        self.tmp = np.empty(shape)
+
+    def unfoldings(self, t: SparseTensor, shift: int) -> GradientUnfoldings:
+        """The gradient unfoldings of ``t``, in the buffers of the last window's."""
+        if self.grads is None:
+            self.grads = GradientUnfoldings(t, shift)
+        else:
+            self.grads.point(t)
+        return self.grads
 
 
 def _sweep(t, t_norm, cfg, budgets, state):
     """The loop of :func:`complete_sweep` from the zero ``state`` over the
-    sorted list ``budgets``, from which each budget is taken as its run ends."""
+    sorted list ``budgets``, from which each budget is taken as its run ends;
+    in the arrays of ``state``'s workspace, if it has one."""
 
     def snapshot():
         return replace(state, steps=list(state.steps), consumed=dict(state.consumed))
@@ -505,9 +580,11 @@ def _sweep(t, t_norm, cfg, budgets, state):
         iterate takes the two roundings of :attr:`FwState.x`'s update, so it
         stays bitwise a gather of ``st.x``; a non-finite value raises
         ``FloatingPointError``."""
-        s_obs, m = grads.step_values(step)
+        s_obs, m = grads.step_values(step, None if ws is None else ws.product)
         gamma = line_search(residual, s_obs)
         if gamma == 0.0:
+            if m is not None and ws is not None:
+                st._last = None  # the workspace's product is no longer st's last step's
             return None
         apply_update(st, step, gamma, m)
         obs = x_obs + s_obs * -gamma
@@ -520,7 +597,8 @@ def _sweep(t, t_norm, cfg, budgets, state):
         return obs, res
 
     start = time.perf_counter()
-    grads = GradientUnfoldings(t, cfg.shift)
+    ws = state._ws
+    grads = GradientUnfoldings(t, cfg.shift) if ws is None else ws.unfoldings(t, cfg.shift)
     x_obs = np.zeros(t.nnz)  # the iterate at the observed entries, kept current
     residual = x_obs - t.values
     trace = [TraceRow(0, 1.0, 0.0, 0, 0.0)]
@@ -532,7 +610,10 @@ def _sweep(t, t_norm, cfg, budgets, state):
             yield budgets.pop(0), snapshot(), list(trace)
         k, gram = select_mode(grads, residual, cfg, active)
         r = 1 if cfg.update_rule == UPDATE_RANK_ONE else update_rank_budget(state, k, budgets[-1])
-        trip = truncated_svd(gram, r)
+        if ws is None:
+            trip = truncated_svd(gram, r)
+        else:
+            trip = truncated_svd(gram, r, _work=ws.tmp.reshape(-1))
         del gram  # its unfolding stays in its slot of grads until the next selection
         if trip.sigma[0] <= 0.0:
             break  # a zero gradient: converged
@@ -543,15 +624,16 @@ def _sweep(t, t_norm, cfg, budgets, state):
             b = budgets.pop(0)
             own, own_trace = snapshot(), list(trace)
             take(own, own_trace, gradient_step(trip, k, b - spent, cfg.update_rule))
-            # let the buffers go: this budget's caller may build its x now (simulate
-            # does), and holding them through that raised simulate's peak RSS ~6 MiB
-            grads.drop()
+            if ws is None:
+                # let the buffers go: this budget's caller may build its x now, and
+                # holding them through that raised simulate's peak RSS ~6 MiB
+                grads.drop()
             yield b, own, own_trace
         after = take(state, trace, step)
         if after is None:
             break
         x_obs, residual = after
-    del grads  # its buffers too: a state's x is built without them
+    del grads  # its buffers too, unless lent: a state's x is built without them
     for b in budgets[:-1]:
         yield b, snapshot(), list(trace)
     yield budgets[-1], state, trace

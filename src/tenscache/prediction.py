@@ -92,7 +92,13 @@ def normalize_demands(d: np.ndarray) -> DemandHistory:
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 4:
         raise ValueError(f"expected a 4th-order demand tensor, got shape {d.shape}")
-    d = np.clip(d, 0.0, None, order="C")  # C order: a view sums as its copy would
+    # C order: a view sums as its copy would
+    return _clipped_shares(np.clip(d, 0.0, None, order="C"))
+
+
+def _clipped_shares(d: np.ndarray) -> DemandHistory:
+    """:func:`normalize_demands` of a C-contiguous (F, F, N_BS, window)
+    tensor already clipped at zero, such as one the caller clipped in place."""
     mass = d.sum(axis=1)  # (F, N_BS, window)
     totals = mass.sum(axis=0, keepdims=True)
     f = mass.shape[0]

@@ -70,7 +70,7 @@ class Gram:
         return self.a.shape
 
 
-def truncated_svd(gram: Gram, r: int) -> SvdTriplet:
+def truncated_svd(gram: Gram, r: int, *, _work: np.ndarray | None = None) -> SvdTriplet:
     """Top-``r`` singular triplets of the matrix ``m`` of ``gram``.
 
     The small side's vectors are the top ``r`` eigenvectors of the Gram
@@ -81,7 +81,12 @@ def truncated_svd(gram: Gram, r: int) -> SvdTriplet:
     the first ``r`` columns of the result for any larger rank. Triplets below
     the resolution floor (see the module docstring) are not singular
     triplets; callers drop them. Signs are fixed by making the
-    largest-magnitude entry of each left singular vector positive.
+    largest-magnitude entry of each left singular vector positive, one
+    column at a time, in place.
+
+    ``_work``, a flat float64 array at least as long as the larger side,
+    receives each column's product ``m @ vector`` and magnitudes instead of
+    fresh arrays: the online loop lends one for the whole run.
     """
     if not 1 <= r <= min(gram.shape):
         raise ValueError(f"rank {r} out of range 1..{min(gram.shape)}")
@@ -91,12 +96,18 @@ def truncated_svd(gram: Gram, r: int) -> SvdTriplet:
     s = np.sqrt(np.maximum(lam, 0.0))
     b = gram.a.T if wide else gram.a
     other = np.zeros((b.shape[0], r))
+    product = None if _work is None else _work[: b.shape[0]]
     for j in np.flatnonzero(s):  # one product per column: independent of r
-        other[:, j] = (b @ vec[:, j]) / s[j]
+        np.divide(np.matmul(b, vec[:, j], out=product), s[j], out=other[:, j])
+    # contiguous, so the factors a step keeps of it multiply through BLAS
+    # without a hidden copy
+    vec = np.ascontiguousarray(vec)
     u, v = (vec, other) if wide else (other, vec)
-    flip = u[np.argmax(np.abs(u), axis=0), np.arange(r)] < 0
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
+    for j in range(r):
+        col = u[:, j]
+        if col[np.argmax(np.abs(col, out=None if product is None else product[: col.size]))] < 0:
+            col *= -1.0
+            v[:, j] *= -1.0
     return SvdTriplet(u, np.ldexp(s, gram.exp), v)
 
 

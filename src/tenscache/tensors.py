@@ -292,6 +292,7 @@ def _parse_coo_array(path: Path) -> SparseTensor:
         body = fh.read()
     lines = body.split("\n")
     plain = body.isascii() and not body.encode("ascii").translate(None, _PLAIN)
+    del body  # the lines hold it all: the parse below does not also hold the text
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # "input contained no data" among them

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import stacked, synth_request_stream
 import tenscache.caching as caching_mod
@@ -12,9 +14,10 @@ from tenscache.caching import (
     oracle_place,
     run_online,
 )
-from tenscache.completion import complete_sweep
+from tenscache.completion import FwConfig, complete_sweep
 from tenscache.ingest import synth_lowrank_stream
-from tenscache.prediction import normalize_demands
+from tenscache.prediction import PredictorConfig, fit_predict, normalize_demands
+from tenscache.tensors import SparseTensor
 
 RNG = np.random.default_rng(31)
 
@@ -106,7 +109,98 @@ def assert_same_scores(got, ref, keys):
         assert got.average(key) == ref.average(key)
 
 
+def reference_completed_online(pairs, cfg):
+    """The completed cells of ``run_online`` from a loop that holds the
+    whole stream: each window is stacked dense, its observed entries found by
+    ``np.argwhere`` on the stacked masks, and completed by a
+    ``complete_sweep`` from fresh arrays whose states are all held until it
+    ends, each budget's ``x`` normalized on its own. Also returns how many
+    windows had more than one distinct step log (a budget forked)."""
+    realized, masks = stacked(pairs)
+    cells = {(p, True, b): [] for p in cfg.predictors for b in cfg.rank_budgets}
+    forked = 0
+    for n in range(cfg.tau, len(realized)):
+        window = np.stack(list(realized[n - cfg.tau:n]), axis=-1)
+        idx = np.argwhere(np.stack(list(masks[n - cfg.tau:n]), axis=-1))
+        t = SparseTensor(window.shape, idx, window[tuple(idx.T)])
+        swept = list(complete_sweep(t, FwConfig(shift=cfg.shift), cfg.rank_budgets))
+        forked += len({tuple(id(step) for step, _ in state.steps) for _, state, _ in swept}) > 1
+        histories = {b: normalize_demands(state.x) for b, state, _ in swept}
+        for bs in range(window.shape[2]):
+            d = realized[n][:, :, bs]
+            for p in cfg.predictors:
+                for b in cfg.rank_budgets:
+                    forecast = fit_predict(histories[b], PredictorConfig(cfg.order, p), bs)
+                    cells[p, True, b].append(
+                        slice_rate(d, mpc_place(forecast.shares, cfg.cache_size)))
+    n_bs = realized.shape[3]
+    return {key: np.array(rates).reshape(-1, n_bs) for key, rates in cells.items()}, forked
+
+
+def window_of(kinds, files, n_bs, seed):
+    """One (realized, mask) slot pair per entry of ``kinds``: ``empty`` and
+    ``full`` slots and ``part``ly observed ones, whose values include observed
+    ``0.0`` and ``-0.0`` entries."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for kind in kinds:
+        realized = rng.normal(size=(files, files, n_bs))
+        realized[rng.random(realized.shape) < 0.2] = 0.0
+        realized[rng.random(realized.shape) < 0.2] = -0.0
+        mask = {"empty": np.zeros(realized.shape, dtype=bool),
+                "full": np.ones(realized.shape, dtype=bool),
+                "part": rng.random(realized.shape) < 0.4}[kind]
+        pairs.append((realized, mask))
+    return pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.sampled_from(["empty", "full", "part"]), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_window_from_slot_entries_is_argwhere_of_the_dense_window(kinds, files, n_bs, seed):
+    # tau = len(kinds) slots, n_bs = 1 among them: the entries merged from
+    # each slot's flatnonzero are np.argwhere of the stacked (F, F, N_BS, tau)
+    # window, in the same order, with bitwise the same values, -0.0 and
+    # observed zeros included
+    pairs = window_of(kinds, files, n_bs, seed)
+    entries = [(np.flatnonzero(mask), realized.reshape(-1)[np.flatnonzero(mask)])
+               for realized, mask in pairs]
+    shape = (files, files, n_bs, len(pairs))
+    indices, values = caching_mod._window_entries(entries, shape)
+    window = np.stack([realized for realized, _ in pairs], axis=-1)
+    want = np.argwhere(np.stack([mask for _, mask in pairs], axis=-1))
+    assert indices.dtype == want.dtype and indices.shape == want.shape
+    assert (indices == want).all()
+    assert values.tobytes() == window[tuple(want.T)].tobytes()
+
+
 class TestRunOnline:
+    @pytest.mark.parametrize("shift", [1, 2, 3])
+    @pytest.mark.parametrize("observed", ["masked", "nonzero"])
+    def test_lent_workspace_scores_as_fresh_arrays_do(self, shift, observed):
+        # every window solved in the run's one workspace scores bitwise what
+        # a loop completing each window from fresh arrays scores: budget 1
+        # forks its last step whenever a step has rank 2 or more, and the
+        # nonzero stream is observed where it is nonzero (the ratings path)
+        rng = np.random.default_rng(shift)
+        if observed == "masked":
+            pairs = list(synth_lowrank_stream(12, 2, 11, observe_fraction=0.3, seed=shift))
+        else:
+            counts = rng.poisson(0.4, size=(11, 12, 12, 2)).astype(float)
+            pairs = [(x, x != 0.0) for x in counts]
+        cfg = OnlineConfig(tau=6, order=3, cache_size=4, predictors=("lp", "mean"),
+                           rank_budgets=(1, 3, 7), shift=shift)
+        got = run_online(pairs, cfg)
+        want, forked = reference_completed_online(pairs, cfg)
+        assert forked > 0
+        assert got.cells.keys() == want.keys()
+        for key, rates in want.items():
+            assert got.cells[key].tobytes() == rates.tobytes(), key
+
     def test_oracle_dominates_every_slot(self):
         stream = synth_request_stream(12, 2, 20, requests_per_slot=200, seed=3)
         cfg = OnlineConfig(tau=4, order=2, cache_size=4, predictors=("lp",), completion=(False,))
@@ -174,9 +268,9 @@ class TestRunOnline:
     def test_one_completion_per_scored_slot(self, monkeypatch):
         calls = []
 
-        def counting_sweep(t, fw_cfg, budgets):
+        def counting_sweep(t, fw_cfg, budgets, **lent):
             calls.append(t.shape)
-            return complete_sweep(t, fw_cfg, budgets)
+            return complete_sweep(t, fw_cfg, budgets, **lent)
 
         monkeypatch.setattr(caching_mod, "complete_sweep", counting_sweep)
         truth, mask = stacked(synth_lowrank_stream(24, 3, 12, observe_fraction=0.05, seed=2))
@@ -284,18 +378,22 @@ class TestRunOnline:
 
     def test_no_full_stream_copy(self):
         # the stream yields one slot at a time and the loop holds the last tau
-        # slots' raw shares, plus, with completion, one window of demands and
-        # masks and the solver's few window-sized arrays: a whole run,
-        # generation included, stays within the same bound in slot units at
-        # 60 and at 200 slots (with the whole stream held, a 60-slot run peaks
-        # above both)
+        # slots' raw shares, plus, with completion, the last tau slots'
+        # observed entries and the run's workspace: 5 window-sized arrays (two
+        # scatter buffers, the step product, the replayed x and its scratch).
+        # At this small shape the solve's transients take up to 5 windows more:
+        # a rank-16 SVD factor, its scaled copy and numpy's buffer for that
+        # product each take 2/3 of a window, the Gram matrices, eigensolves and
+        # the entries' indices as much again. A whole run, generation
+        # included, stays within those 5 + 5 windows at 60 and at 200 slots
+        # (with the whole stream held, a 60-slot run peaks above both)
         slot_nbytes = 24 * 24 * 3 * 8
         base = dict(tau=8, order=4, cache_size=6, predictors=("mean",), shift=2,
                     rank_budgets=(16,))
         raw = OnlineConfig(completion=(False,), **base)
         both = OnlineConfig(completion=(True, False), **base)
         run_online(synth_lowrank_stream(24, 3, 12), both)  # numpy's lazy first calls
-        for cfg, bound in ((raw, base["tau"] + 4), (both, 10 * base["tau"])):
+        for cfg, bound in ((raw, base["tau"] + 4), (both, (5 + 5) * base["tau"])):
             for n_slots in (60, 200):
                 tracemalloc.start()
                 try:

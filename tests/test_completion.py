@@ -22,7 +22,7 @@ from tenscache.completion import (
     update_rank_budget,
 )
 from tenscache.ingest import synth_low_rank
-from tenscache.svd import Gram, dominant_sigma, truncated_svd
+from tenscache.svd import Gram, SvdTriplet, dominant_sigma, truncated_svd
 from tenscache.tensors import SparseTensor, UnfoldSpec, fold, unfold
 
 RNG = np.random.default_rng(11)
@@ -376,6 +376,38 @@ class TestGradientUnfoldings:
                         assert m.tobytes(order="F") == ref.tobytes(order="F")
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=5),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_pointed_at_another_tensor_keeps_its_buffers(self, dims, density, seed):
+        # scattered along every mode from both slots, then pointed at a tensor
+        # of the same shape with other entries: each unfolding handed out is
+        # bitwise unfold of the new dense gradient, in the same two buffers
+        shape = tuple(dims)
+        rng = np.random.default_rng(seed)
+        total = int(np.prod(shape))
+
+        def tensor():
+            flat = np.sort(rng.choice(total, size=max(1, round(density * total)), replace=False))
+            idx = np.stack(np.unravel_index(flat, shape), axis=1)
+            return SparseTensor(shape, idx, rng.normal(size=flat.size))
+
+        shift = int(rng.integers(1, len(shape)))
+        first, second = tensor(), tensor()
+        grads = GradientUnfoldings(first, shift)
+        held = [grads.matrix(k, first.values, k % 2) for k in range(1, len(shape) + 1)]
+        addresses = {m.__array_interface__["data"][0] for m in held}
+        grads.point(second)
+        for k in range(len(shape), 0, -1):
+            m = grads.matrix(k, second.values, k % 2)
+            ref = unfold(second.to_dense(), UnfoldSpec(k, shift))
+            assert m.tobytes(order="F") == ref.tobytes(order="F")
+            assert m.__array_interface__["data"][0] in addresses
+
+
 class TestGradientStep:
     def test_multi_rank_normalization(self):
         grad = fold(np.diag([3.0, 1.0]), UnfoldSpec(1, 1), (2, 2, 1))
@@ -422,6 +454,45 @@ class TestGradientStep:
         step = step_of(unfolded(grad, 1), 1, 2)
         assert step.rank == 1
         assert (step.weights > 0).all()
+
+
+    @pytest.mark.parametrize("rule", ["multi", "rank1"])
+    def test_step_factors_are_views_of_the_triplets(self, rule):
+        # the kept triplets are a prefix, so the step holds views of the
+        # triplets' factors, wide (u the small side) or tall, never copies
+        for shape in ((3, 40), (40, 3)):
+            trip = truncated_svd(Gram(RNG.normal(size=shape)), 3)
+            step = gradient_step(trip, 1, 2, rule)
+            assert step.rank == (1 if rule == "rank1" else 2)
+            assert np.shares_memory(step.u, trip.u) and np.shares_memory(step.v, trip.v)
+            assert (step.u == trip.u[:, :step.rank]).all()
+            assert (step.v == trip.v[:, :step.rank]).all()
+
+    @pytest.mark.parametrize("tail", [
+        [2.0, 0.0, 0.0],  # exact zeros
+        [2.0, 1e-9, 0.0],  # below the cut
+        [5e-7, 0.0, 0.0],  # at the cut: sigma_1 * _SIGMA_EPS itself, not above it
+        ["next", 0.0, 0.0],  # the float just above the cut
+        [3.0, 2.0, 1.0],  # nothing to drop
+    ])
+    def test_sigma_tails_dropped_as_the_boolean_mask_dropped_them(self, tail):
+        # what the step keeps, at every allowance and under both rules, is
+        # bitwise what the boolean-mask selection of the kept triplets gave
+        cut = 5.0 * completion_mod._SIGMA_EPS
+        sigma = np.array([5.0] + [np.nextafter(cut, np.inf) if s == "next" else
+                                  (cut if s == 5e-7 else s) for s in tail])
+        trip = SvdTriplet(RNG.normal(size=(6, 4)), sigma, RNG.normal(size=(9, 4)))
+        for rule in ("multi", "rank1"):
+            for r_k in range(1, 5):
+                step = gradient_step(trip, 2, r_k, rule)
+                r = 1 if rule == "rank1" else r_k
+                keep = sigma[:r] > sigma[0] * completion_mod._SIGMA_EPS
+                assert step.u.tobytes() == trip.u[:, :r][:, keep].tobytes()
+                assert step.v.tobytes() == trip.v[:, :r][:, keep].tobytes()
+                if rule == "multi":
+                    kept = sigma[:r][keep]
+                    want = completion_mod._STEP_SCALE / float(kept.sum()) * kept
+                    assert step.weights.tobytes() == want.tobytes()
 
 
 class TestLineSearch:
@@ -966,6 +1037,43 @@ class TestCompleteSweep:
         assert [len(trace) - 1 for _, _, trace in swept] == [4, 8, 12]
         assert len(handed) == 24
         assert len({m.__array_interface__["data"][0] for m in handed}) == 2
+
+    def test_states_held_by_a_library_caller_own_their_x(self):
+        # under multi, budgets 3 and 8 take their own last step on the first
+        # step, which spends budget 12: three logs, all held until the sweep
+        # is done. No two states' x share memory, and each is bitwise the
+        # replay of its log from fresh arrays
+        shape, shift = (8, 7, 3, 4), 2
+        swept = list(complete_sweep(self.fixture(), FwConfig(shift=shift), (3, 8, 12)))
+        assert len({id(state.steps[-1][0]) for _, state, _ in swept}) == 3
+        xs = [state.x for _, state, _ in swept]
+        for i, a in enumerate(xs):
+            assert not any(np.shares_memory(a, b) for b in xs[i + 1:])
+        for (_, state, _), x in zip(swept, xs):
+            replay = np.zeros(shape)
+            for step, gamma in state.steps:
+                replay = replay - gamma * step.dense(shape, shift)
+            assert x.tobytes() == replay.tobytes()
+
+    @pytest.mark.parametrize("rule", ["multi", "rank1"])
+    def test_a_lent_sweep_read_on_arrival_is_the_library_sweep(self, rule):
+        # two windows of one shape through one workspace, each state's x read
+        # as it arrives: the traces, logs and iterates are bitwise what a
+        # sweep from fresh arrays gives, forking budgets included, and every
+        # lent x lives in the workspace
+        cfg = FwConfig(shift=2, update_rule=rule)
+        workspace = completion_mod._Workspace((8, 7, 3, 4))
+        for seed in (6, 7):
+            t, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=seed)
+            fresh = [(b, state.x, trace) for b, state, trace in complete_sweep(t, cfg, (3, 8, 12))]
+            lent = []
+            for b, state, trace in complete_sweep(t, cfg, (3, 8, 12), _workspace=workspace):
+                x = state.x
+                assert x is workspace.x
+                lent.append((b, x.copy(), trace))
+            for (b, x, trace), (b_ref, x_ref, trace_ref) in zip(lent, fresh, strict=True):
+                assert b == b_ref and x.tobytes() == x_ref.tobytes()
+                assert trace_columns(trace) == trace_columns(trace_ref)
 
     def test_replay_reuses_the_products_the_loop_formed(self, monkeypatch):
         # under multi, budgets 3 and 8 take their own last step on the first

@@ -46,10 +46,10 @@ def test_traced_commands_exit_0(tmp_path, monkeypatch):
 def recording(fn, flops, name):
     """``fn`` adding ``rows * cols * min(rows, cols)`` of each call's
     unfolding (the scaled copy its Gram holds) to ``flops[name]``."""
-    def call(gram, *args):
+    def call(gram, *args, **kwargs):
         rows, cols = gram.a.shape
         flops[name] += rows * cols * min(rows, cols)
-        return fn(gram, *args)
+        return fn(gram, *args, **kwargs)
     return call
 
 

@@ -287,3 +287,24 @@ def test_prescaled_gram_bitwise_property(rows, cols, scale, seed):
         assert got.exp == want.exp and got.a.flags.f_contiguous
         assert got.a.tobytes("F") == want.a.tobytes("F")
         assert got.g.tobytes() == want.g.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10**6),
+    st.data(),
+)
+def test_lent_work_buffer_bitwise_property(rows, cols, density, seed, data):
+    """With a work buffer lent for the per-column products and magnitudes
+    (its old contents NaN, and longer than needed), the triplets are bitwise
+    those made with fresh arrays, zero columns and sign flips included."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    r = data.draw(st.integers(min_value=1, max_value=min(rows, cols)))
+    work = np.full(max(rows, cols) + 3, np.nan)
+    fresh, lent = truncated_svd(Gram(m), r), truncated_svd(Gram(m), r, _work=work)
+    for got, want in ((lent.u, fresh.u), (lent.sigma, fresh.sigma), (lent.v, fresh.v)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
