@@ -208,7 +208,9 @@ class _Recent:
     terms changes no partial sum. With a completed treatment, a ring keeps
     the last ``tau`` slots' observed positions and values, from which each
     window's observed tensor is merged, and one :class:`_Workspace` holds
-    the window-sized arrays of every window's solve for the whole run.
+    the window-sized arrays of every window's solve for the whole run. The
+    ring takes 16 B per observed entry, a dense window and mask 9 B per
+    entry: it is the smaller while under about 56% of a slot is observed.
     """
 
     def __init__(self, slot_shape, cfg: OnlineConfig):

@@ -211,29 +211,30 @@ class FwState:
         replayed as the update ``x += S * -gamma`` from ``x = 0``, in log
         order, so ``x`` does not depend on when it is read. The first step's
         product is written straight into ``x``, then ``0.0`` is added to it:
-        bitwise the sum from zero, whose ``-0.0`` entries read ``+0.0``. A
-        product formed for the replay is scaled in place; the kept last one,
-        which other states may share, into another array. A non-finite entry
-        raises ``FloatingPointError``."""
+        bitwise the sum from zero, whose ``-0.0`` entries read ``+0.0``. The
+        replay writes ``x`` and one scratch array of its shape, fresh ones
+        unless the state was lent a workspace: a product formed for the
+        replay is scaled in place, and the kept last one, which other states
+        may share, into the scratch array. A non-finite entry raises
+        ``FloatingPointError``."""
         if self._x is None:
-            ws, x = self._ws, None
+            ws = self._ws
+            x, tmp = (ws.x, ws.tmp) if ws else (np.empty(self.shape), np.empty(self.shape))
             last = len(self.steps) - 1
             for i, (step, gamma) in enumerate(self.steps):
                 spec = UnfoldSpec(step.mode, self.shift)
                 if i == last and self._last is not None:
-                    s = fold(self._last, spec, self.shape)
-                    out = None if ws is None else ws.tmp
+                    s, out = fold(self._last, spec, self.shape), tmp
                 else:
-                    m = (step.matrix() if ws is None else
-                         step.matrix(ws.tmp.reshape(spec.matrix_dims(self.shape))))
+                    m = step.matrix(tmp.reshape(spec.matrix_dims(self.shape)))
                     s = out = fold(m, spec, self.shape)
-                if x is None:
-                    x = np.multiply(s, -gamma, out=np.empty(self.shape) if ws is None else ws.x)
+                if i == 0:
+                    np.multiply(s, -gamma, out=x)
                     x += 0.0
                 else:
                     x += np.multiply(s, -gamma, out=out)
-            if x is None:
-                x = np.zeros(self.shape)
+            if last < 0:
+                x.fill(0.0)
             if not np.isfinite(x).all():
                 raise FloatingPointError(f"non-finite iterate from {len(self.steps)} logged steps")
             self._x, self._last = x, None
@@ -610,10 +611,7 @@ def _sweep(t, t_norm, cfg, budgets, state):
             yield budgets.pop(0), snapshot(), list(trace)
         k, gram = select_mode(grads, residual, cfg, active)
         r = 1 if cfg.update_rule == UPDATE_RANK_ONE else update_rank_budget(state, k, budgets[-1])
-        if ws is None:
-            trip = truncated_svd(gram, r)
-        else:
-            trip = truncated_svd(gram, r, _work=ws.tmp.reshape(-1))
+        trip = truncated_svd(gram, r, _work=None if ws is None else ws.tmp.reshape(-1))
         del gram  # its unfolding stays in its slot of grads until the next selection
         if trip.sigma[0] <= 0.0:
             break  # a zero gradient: converged

@@ -84,9 +84,10 @@ def truncated_svd(gram: Gram, r: int, *, _work: np.ndarray | None = None) -> Svd
     largest-magnitude entry of each left singular vector positive, one
     column at a time, in place.
 
-    ``_work``, a flat float64 array at least as long as the larger side,
-    receives each column's product ``m @ vector`` and magnitudes instead of
-    fresh arrays: the online loop lends one for the whole run.
+    Each column's product ``m @ vector`` and magnitudes are written into
+    one array as long as the larger side: ``_work``'s leading part, if given
+    (a flat float64 array the online loop lends for the whole run), else a
+    fresh one.
     """
     if not 1 <= r <= min(gram.shape):
         raise ValueError(f"rank {r} out of range 1..{min(gram.shape)}")
@@ -96,7 +97,7 @@ def truncated_svd(gram: Gram, r: int, *, _work: np.ndarray | None = None) -> Svd
     s = np.sqrt(np.maximum(lam, 0.0))
     b = gram.a.T if wide else gram.a
     other = np.zeros((b.shape[0], r))
-    product = None if _work is None else _work[: b.shape[0]]
+    product = np.empty(b.shape[0]) if _work is None else _work[: b.shape[0]]
     for j in np.flatnonzero(s):  # one product per column: independent of r
         np.divide(np.matmul(b, vec[:, j], out=product), s[j], out=other[:, j])
     # contiguous, so the factors a step keeps of it multiply through BLAS
@@ -105,7 +106,7 @@ def truncated_svd(gram: Gram, r: int, *, _work: np.ndarray | None = None) -> Svd
     u, v = (vec, other) if wide else (other, vec)
     for j in range(r):
         col = u[:, j]
-        if col[np.argmax(np.abs(col, out=None if product is None else product[: col.size]))] < 0:
+        if col[np.argmax(np.abs(col, out=product[: col.size]))] < 0:
             col *= -1.0
             v[:, j] *= -1.0
     return SvdTriplet(u, np.ldexp(s, gram.exp), v)

@@ -785,8 +785,8 @@ class TestComplete:
         # one-step solve
         calls = []
 
-        def zero_on_step_two(gram, r):
-            trip = truncated_svd(gram, r)
+        def zero_on_step_two(gram, r, **lent):
+            trip = truncated_svd(gram, r, **lent)
             calls.append(r)
             if len(calls) == 2:
                 trip.sigma[:] = 0.0
@@ -935,9 +935,9 @@ class TestCompleteSweep:
         """The rank of every ``truncated_svd`` call the solver makes from now on."""
         calls = []
 
-        def counting_svd(gram, r):
+        def counting_svd(gram, r, **lent):
             calls.append(r)
-            return truncated_svd(gram, r)
+            return truncated_svd(gram, r, **lent)
 
         monkeypatch.setattr(completion_mod, "truncated_svd", counting_svd)
         return calls
@@ -962,9 +962,9 @@ class TestCompleteSweep:
             steps.append((set(active), len(made) - before, gram))
             return k, gram
 
-        def checking_svd(gram, r):
+        def checking_svd(gram, r, **lent):
             assert gram is steps[-1][2]  # the step factors the selection's Gram
-            return truncated_svd(gram, r)
+            return truncated_svd(gram, r, **lent)
 
         monkeypatch.setattr(completion_mod, "Gram", CountingGram)
         monkeypatch.setattr(completion_mod, "select_mode", counting_select)
