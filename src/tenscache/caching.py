@@ -155,12 +155,18 @@ def _window_entries(entries, shape) -> tuple[np.ndarray, np.ndarray]:
     indices and values in ``np.argwhere``'s order over the window: the
     window's C-order flat index is the position in the slot times ``tau``
     plus the slot's place ``t``, so the slots' lists are merged, the time
-    index fastest."""
+    index fastest. The indices are written into one array, a column per
+    axis, the last axis first, as the sorted positions are divided down."""
     tau = len(entries)
     flat = np.concatenate([seen * tau + t for t, (seen, _) in enumerate(entries)])
     order = np.argsort(flat, kind="stable")
-    indices = np.stack(np.unravel_index(flat[order], shape), axis=1)
-    return indices, np.concatenate([values for _, values in entries])[order]
+    flat = flat[order]
+    values = np.concatenate([v for _, v in entries])[order]
+    del order  # let it go before the indices are made
+    indices = np.empty((flat.size, len(shape)), dtype=np.intp)
+    for axis in reversed(range(len(shape))):
+        np.divmod(flat, shape[axis], out=(flat, indices[:, axis]))
+    return indices, values
 
 
 def _completed_histories(shape, entries, fw_cfg: FwConfig, budgets, workspace: _Workspace):

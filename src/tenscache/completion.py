@@ -51,9 +51,11 @@ floating-point rounding).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
+import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
@@ -64,20 +66,7 @@ from .svd import Gram, SvdTriplet, dominant_sigma, truncated_svd
 # ``unfold`` is not called here; perfbench/tracing.py wraps it in this namespace
 from .tensors import SparseTensor, UnfoldSpec, fold, unfold, validate_shape  # noqa: F401
 
-__all__ = [
-    "FwConfig",
-    "FwState",
-    "GradientStep",
-    "GradientUnfoldings",
-    "TraceRow",
-    "apply_update",
-    "complete",
-    "complete_sweep",
-    "gradient_step",
-    "line_search",
-    "select_mode",
-    "update_rank_budget",
-]
+__all__ = ["FwConfig", "FwState", "GradientStep", "TraceRow", "complete", "complete_sweep"]
 
 UPDATE_MULTI = "multi"
 UPDATE_RANK_ONE = "rank1"
@@ -174,12 +163,8 @@ class FwState:
     replaying them takes. The iterate :attr:`x` is derived from the log.
     ``consumed[k]`` is the rank charged against the global budget by steps
     along mode ``k``; ``caps[k]``, the smaller dimension of the mode-``k``
-    unfolding, is the most it can reach.
-
-    A state owns its :attr:`x` unless the online loop lent it a
-    :class:`_Workspace` (see :func:`complete_sweep`): its ``x`` then lives
-    in the workspace, and the next replay of any state of that workspace
-    overwrites it.
+    unfolding, is the most it can reach. The replay of ``x`` works in the
+    state's :class:`_Workspace`, which a copy of the state shares.
     """
 
     shape: tuple[int, ...]
@@ -187,22 +172,20 @@ class FwState:
     steps: list[tuple[GradientStep, float]]
     consumed: dict[int, int]
     caps: dict[int, int]
+    _ws: _Workspace = field(repr=False)
     _x: np.ndarray | None = field(default=None, init=False, repr=False)
-    # the last logged step's unfolding product, when the loop formed it: the
-    # replay of x reads it instead of forming it again; a copy of the state
-    # shares it, since the two logs end on the same step
-    _last: np.ndarray | None = field(default=None, repr=False)
-    # the arrays the replay of x writes, lent by the online loop; None: fresh ones
-    _ws: _Workspace | None = field(default=None, repr=False)
 
     @classmethod
-    def initial(cls, shape, shift: int) -> "FwState":
+    def initial(cls, shape, shift: int, ws: _Workspace | None = None) -> "FwState":
+        """The zero state, working in ``ws``, else in a workspace of its own
+        that gives it (and each copy of it) a fresh ``x``."""
         shape = validate_shape(shape)
         n = len(shape)
         if not 1 <= shift <= n - 1:
             raise ValueError(f"shift {shift} invalid for order {n}")
         caps = {k: min(UnfoldSpec(k, shift).matrix_dims(shape)) for k in range(1, n + 1)}
-        return cls(shape, shift, [], dict.fromkeys(caps, 0), caps)
+        ws = ws or _Workspace(shape, lend_x=False)
+        return cls(shape, shift, [], dict.fromkeys(caps, 0), caps, ws)
 
     @property
     def x(self) -> np.ndarray:
@@ -212,22 +195,22 @@ class FwState:
         order, so ``x`` does not depend on when it is read. The first step's
         product is written straight into ``x``, then ``0.0`` is added to it:
         bitwise the sum from zero, whose ``-0.0`` entries read ``+0.0``. The
-        replay writes ``x`` and one scratch array of its shape, fresh ones
-        unless the state was lent a workspace: a product formed for the
-        replay is scaled in place, and the kept last one, which other states
-        may share, into the scratch array. A non-finite entry raises
-        ``FloatingPointError``."""
+        replay forms each product in the workspace's scratch array and scales
+        it there, except the last step's while the workspace's product still
+        holds it. ``x`` is the workspace's own array if it lends one, so the
+        next replay in that workspace overwrites it, else a fresh one. A
+        non-finite entry raises ``FloatingPointError``."""
         if self._x is None:
             ws = self._ws
-            x, tmp = (ws.x, ws.tmp) if ws else (np.empty(self.shape), np.empty(self.shape))
+            x = np.empty(self.shape) if ws.x is None else ws.x
             last = len(self.steps) - 1
             for i, (step, gamma) in enumerate(self.steps):
                 spec = UnfoldSpec(step.mode, self.shift)
-                if i == last and self._last is not None:
-                    s, out = fold(self._last, spec, self.shape), tmp
+                dims = spec.matrix_dims(self.shape)
+                if i == last and ws.formed() is step:
+                    s, out = fold(ws.product.reshape(dims), spec, self.shape), ws.tmp
                 else:
-                    m = step.matrix(tmp.reshape(spec.matrix_dims(self.shape)))
-                    s = out = fold(m, spec, self.shape)
+                    s = out = fold(step.matrix(ws.tmp.reshape(dims)), spec, self.shape)
                 if i == 0:
                     np.multiply(s, -gamma, out=x)
                     x += 0.0
@@ -237,7 +220,7 @@ class FwState:
                 x.fill(0.0)
             if not np.isfinite(x).all():
                 raise FloatingPointError(f"non-finite iterate from {len(self.steps)} logged steps")
-            self._x, self._last = x, None
+            self._x = x
         return self._x
 
     @property
@@ -266,10 +249,10 @@ class GradientUnfoldings:
     is given, after zeroing only the positions of the unfolding that slot
     held last, unless the slot held the same mode (the scatter then
     overwrites each of those positions), so a call overwrites the unfolding
-    it last handed out from that slot. A solve thus allocates at most two
-    buffers, and again only after :meth:`drop`. :meth:`point` turns the
-    unfoldings to another tensor of the same shape and keeps the buffers, so
-    the online loop scatters every window of a run into the same two.
+    it last handed out from that slot. So at most two buffers are ever
+    allocated. :meth:`point` turns the unfoldings to another tensor of the
+    same shape and keeps the buffers, so a :class:`_Workspace` kept for an
+    online run scatters every window into the same two.
     """
 
     def __init__(self, t: SparseTensor, shift: int):
@@ -315,17 +298,13 @@ class GradientUnfoldings:
         self._slots[slot] = flat, k
         return flat.reshape(self.dims[k], order="F")
 
-    def drop(self) -> None:
-        """Let both buffers go; the next :meth:`matrix` allocates again."""
-        self._slots = [None, None]
-
     def step_values(self, step: GradientStep,
-                    out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+                    out: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The step tensor's values at the observed entries, equal as floats
         (bitwise up to the sign of zero) to a gather of
         :meth:`GradientStep.dense`, with no fold or gather; and the product
-        :meth:`GradientStep.matrix` when it was formed (in the flat ``out``,
-        if given), else ``None``.
+        :meth:`GradientStep.matrix` when it was formed (in the flat ``out``),
+        else ``None``.
 
         A rank-1 step's values are formed at the observed entries alone: at
         row ``i`` and column ``j`` of its unfolding, the one rounding ``(u *
@@ -339,7 +318,7 @@ class GradientUnfoldings:
         rows, cols = self._places[k]
         if step.rank == 1:
             return np.take(step.u[:, 0] * step.weights[0], rows) * np.take(step.v[:, 0], cols), None
-        m = step.matrix() if out is None else step.matrix(out.reshape(self.dims[k]))
+        m = step.matrix(out.reshape(self.dims[k]))
         return m[rows, cols], m
 
 
@@ -436,20 +415,17 @@ def line_search(residual: np.ndarray, s_obs: np.ndarray) -> float:
     return max(b_bar / a_bar, 0.0)
 
 
-def apply_update(state: FwState, step: GradientStep, gamma: float,
-                 matrix: np.ndarray | None = None) -> None:
+def apply_update(state: FwState, step: GradientStep, gamma: float) -> None:
     """Apply ``x <- x - gamma * S`` to ``state``, with ``S`` the tensor of
     ``step``: log the pair and charge the step's rank to its mode.
 
-    ``matrix``, if given, is ``step.matrix()`` already formed by the caller;
-    the state keeps it while the step is its last, for the replay of ``x``.
     The rank ledger always advances by the step's rank. A ``gamma == 0``
     step leaves the iterate unchanged (``x`` is never ``-0.0``), so it is not
     logged.
     """
     if gamma != 0.0:
         state.steps.append((step, gamma))
-        state._x, state._last = None, matrix
+        state._x = None
     state.consumed[step.mode] += step.rank
 
 
@@ -503,25 +479,22 @@ def complete_sweep(
     least the step's rank left takes that step. A budget with less left
     (never under the rank-1 rule) takes its own last step, sliced from the
     same triplets and applied to a copy of the step log and ledger, which
-    spends its budget; the buffers are let go before it is yielded. The
-    sweep forms no dense iterate: a yielded state builds its own on the
-    first read of ``state.x``.
+    spends its budget. The sweep forms no dense iterate: a yielded state
+    builds its own on the first read of ``state.x``.
 
     Yields ``(budget, state, trace)`` once per distinct budget, in rising
     order, as its run ends: bitwise what :func:`complete` gives for that
     budget alone, except that ``elapsed_s`` counts from the start of the
-    sweep. Each state owns its step log and ledger, and the ``x`` it
-    builds. Bad input, including an empty or invalid budget list, raises
-    ``ValueError`` at the call; a solve that blows up raises
-    ``FloatingPointError`` at the step.
+    sweep. Each state owns its step log and ledger. Bad input, including
+    an empty or invalid budget list, raises ``ValueError`` at the call; a
+    solve that blows up raises ``FloatingPointError`` at the step.
 
-    The online loop alone passes ``_workspace``, a :class:`_Workspace` it
-    keeps for the run, and the sweep then allocates none of the arrays the
-    workspace holds: the scatter buffers are kept (never let go), each step
-    product is formed in the workspace, and every yielded state builds its
-    ``x`` there. A yielded state's ``x`` must then be read before the sweep
-    is resumed, if at all, and is overwritten by the next state's; the
-    caller drops the states before the next window.
+    The sweep works in a :class:`_Workspace`: ``_workspace``, which the
+    online loop keeps for its run, else one made for the sweep. A sweep's
+    own workspace gives each state a fresh ``x``, which the state owns. The
+    online loop's lends its ``x``: a yielded state's ``x`` must then be read
+    before the sweep is resumed, if at all, the next state's overwrites it,
+    and the caller drops the states before the next window.
     """
     if t.nnz == 0:
         raise ValueError("observed tensor has no entries")
@@ -533,32 +506,49 @@ def complete_sweep(
         raise ValueError("no rank budget given")
     if budgets[0] < 1:
         raise ValueError(f"rank budgets must be >= 1, got {budgets}")
-    state = FwState.initial(t.shape, cfg.shift)
-    state._ws = _workspace
-    return _sweep(t, t_norm, cfg, budgets, state)
+    return _sweep(t, t_norm, cfg, budgets, FwState.initial(t.shape, cfg.shift, _workspace))
 
 
 class _Workspace:
-    """The window-sized arrays an online run lends each solve of its
-    windows, all of one shape and shift: made once, kept for the run.
+    """The window-sized arrays a solve works in, all of one shape and shift:
+    made for one sweep, or once for an online run and lent to the solve of
+    each of its windows.
 
     - ``grads``: the :class:`GradientUnfoldings` with its two scatter
-      buffers, pointed at each window in turn;
-    - ``product``: each step's unfolding product, flat;
-    - ``x``: the replayed iterate;
+      buffers, pointed at each solve's tensor in turn;
+    - ``product``: a multi-rank step's unfolding product, flat, and
+      ``formed``, a weak reference to the step it was formed for (dead
+      before the first), so a replay reuses it without keeping that step
+      alive after the states that logged it;
+    - ``x``: the replayed iterate if ``lend_x``, else ``None``: each replay
+      then makes its own;
     - ``tmp``: the replay's products and scaled products, and
       :func:`truncated_svd`'s per-column products. A replay runs only while
-      the sweep waits at a yield, so the two uses never meet.
+      the sweep waits at a yield or has ended, so the two uses never meet.
+
+    ``product`` and ``tmp`` are made on first use. Made up front, the two
+    took heap memory freed before the solve, which its first transients
+    would have reused: a rank-1 sweep of the benchmark's ``complete``
+    fixture, after the input had been read and dropped once, took ~1,400
+    more minor page faults.
     """
 
-    def __init__(self, shape: tuple[int, ...]):
+    def __init__(self, shape: tuple[int, ...], lend_x: bool = True):
+        self.shape = shape
         self.grads: GradientUnfoldings | None = None
-        self.product = np.empty(math.prod(shape))
-        self.x = np.empty(shape)
-        self.tmp = np.empty(shape)
+        self.formed = lambda: None
+        self.x = np.empty(shape) if lend_x else None
+
+    @functools.cached_property
+    def product(self) -> np.ndarray:
+        return np.empty(math.prod(self.shape))
+
+    @functools.cached_property
+    def tmp(self) -> np.ndarray:
+        return np.empty(self.shape)
 
     def unfoldings(self, t: SparseTensor, shift: int) -> GradientUnfoldings:
-        """The gradient unfoldings of ``t``, in the buffers of the last window's."""
+        """The gradient unfoldings of ``t``, in the buffers of the last solve's."""
         if self.grads is None:
             self.grads = GradientUnfoldings(t, shift)
         else:
@@ -568,8 +558,8 @@ class _Workspace:
 
 def _sweep(t, t_norm, cfg, budgets, state):
     """The loop of :func:`complete_sweep` from the zero ``state`` over the
-    sorted list ``budgets``, from which each budget is taken as its run ends;
-    in the arrays of ``state``'s workspace, if it has one."""
+    sorted list ``budgets``, from which each budget is taken as its run ends,
+    in the arrays of ``state``'s workspace."""
 
     def snapshot():
         return replace(state, steps=list(state.steps), consumed=dict(state.consumed))
@@ -581,13 +571,13 @@ def _sweep(t, t_norm, cfg, budgets, state):
         iterate takes the two roundings of :attr:`FwState.x`'s update, so it
         stays bitwise a gather of ``st.x``; a non-finite value raises
         ``FloatingPointError``."""
-        s_obs, m = grads.step_values(step, None if ws is None else ws.product)
+        s_obs, m = grads.step_values(step, ws.product)
+        if m is not None:
+            ws.formed = weakref.ref(step)
         gamma = line_search(residual, s_obs)
         if gamma == 0.0:
-            if m is not None and ws is not None:
-                st._last = None  # the workspace's product is no longer st's last step's
             return None
-        apply_update(st, step, gamma, m)
+        apply_update(st, step, gamma)
         obs = x_obs + s_obs * -gamma
         if not np.isfinite(obs).all():
             raise FloatingPointError(
@@ -599,7 +589,7 @@ def _sweep(t, t_norm, cfg, budgets, state):
 
     start = time.perf_counter()
     ws = state._ws
-    grads = GradientUnfoldings(t, cfg.shift) if ws is None else ws.unfoldings(t, cfg.shift)
+    grads = ws.unfoldings(t, cfg.shift)
     x_obs = np.zeros(t.nnz)  # the iterate at the observed entries, kept current
     residual = x_obs - t.values
     trace = [TraceRow(0, 1.0, 0.0, 0, 0.0)]
@@ -611,7 +601,7 @@ def _sweep(t, t_norm, cfg, budgets, state):
             yield budgets.pop(0), snapshot(), list(trace)
         k, gram = select_mode(grads, residual, cfg, active)
         r = 1 if cfg.update_rule == UPDATE_RANK_ONE else update_rank_budget(state, k, budgets[-1])
-        trip = truncated_svd(gram, r, _work=None if ws is None else ws.tmp.reshape(-1))
+        trip = truncated_svd(gram, r, _work=ws.tmp.reshape(-1))
         del gram  # its unfolding stays in its slot of grads until the next selection
         if trip.sigma[0] <= 0.0:
             break  # a zero gradient: converged
@@ -622,16 +612,11 @@ def _sweep(t, t_norm, cfg, budgets, state):
             b = budgets.pop(0)
             own, own_trace = snapshot(), list(trace)
             take(own, own_trace, gradient_step(trip, k, b - spent, cfg.update_rule))
-            if ws is None:
-                # let the buffers go: this budget's caller may build its x now, and
-                # holding them through that raised simulate's peak RSS ~6 MiB
-                grads.drop()
             yield b, own, own_trace
         after = take(state, trace, step)
         if after is None:
             break
         x_obs, residual = after
-    del grads  # its buffers too, unless lent: a state's x is built without them
     for b in budgets[:-1]:
         yield b, snapshot(), list(trace)
     yield budgets[-1], state, trace

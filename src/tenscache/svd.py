@@ -86,8 +86,8 @@ def truncated_svd(gram: Gram, r: int, *, _work: np.ndarray | None = None) -> Svd
 
     Each column's product ``m @ vector`` and magnitudes are written into
     one array as long as the larger side: ``_work``'s leading part, if given
-    (a flat float64 array the online loop lends for the whole run), else a
-    fresh one.
+    (a flat float64 array; the solver passes its workspace's scratch), else
+    a fresh one.
     """
     if not 1 <= r <= min(gram.shape):
         raise ValueError(f"rank {r} out of range 1..{min(gram.shape)}")

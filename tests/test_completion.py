@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import weakref
 
 import numpy as np
 import pytest
@@ -295,7 +296,7 @@ class TestGradientUnfoldings:
                     u = rng.normal(size=(rows, r)) * (rng.random((rows, r)) < 0.8)
                     v = rng.normal(size=(cols, r)) * (rng.random((cols, r)) < 0.8)
                     step = GradientStep(k, u, rng.uniform(0.1, 10.0, size=r), v)
-                    got, m = grads.step_values(step)
+                    got, m = grads.step_values(step, np.empty(total))
                     want = t.gather(step.dense(shape, shift))
                     assert got.shape == want.shape and got.dtype == want.dtype
                     assert (got == want).all()
@@ -312,25 +313,32 @@ class TestGradientUnfoldings:
     )
     def test_recycled_buffers_never_leak_a_residual(self, dims, density, seed):
         # matrix calls interleave over modes, residuals and the two slots,
-        # with a drop now and then: every unfolding handed out is bitwise
-        # unfold of its own dense gradient, whatever its slot held before,
-        # and the other slot's unfolding is left as it was. A slot keeps its
-        # buffer, so at most two exist between drops, and the call after a
-        # drop allocates (every unfolding is kept alive here, so no address
-        # can be reused by a fresh allocation)
+        # with a point at another observed set of the shape now and then:
+        # every unfolding handed out is bitwise unfold of its own dense
+        # gradient, whatever its slot held before, and the other slot's
+        # unfolding is left as it was until a point zeroes both. A slot keeps
+        # its buffer across points, so at most two exist (every unfolding is
+        # kept alive here, so no address can be reused by a fresh allocation)
         shape = tuple(dims)
         rng = np.random.default_rng(seed)
         total = int(np.prod(shape))
-        flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
-        idx = np.stack(np.unravel_index(flat, shape), axis=1)
-        t = SparseTensor(shape, idx, rng.normal(size=flat.size))
+
+        def observed_set():
+            flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+            idx = np.stack(np.unravel_index(flat, shape), axis=1)
+            return SparseTensor(shape, idx, rng.normal(size=flat.size)), idx
+
+        t, idx = observed_set()
         shift = int(rng.integers(1, len(shape)))
         grads = GradientUnfoldings(t, shift)
         kept, seen, live = [], set(), {}  # live: slot -> (address, unfolding, its bytes)
         for _ in range(16):
             if live and rng.random() < 0.2:
-                grads.drop()
-                live.clear()
+                t, idx = observed_set()
+                grads.point(t)
+                for slot, (address, held, _) in live.items():
+                    assert not held.any()
+                    live[slot] = address, held, held.tobytes(order="F")
                 continue
             k, slot = int(rng.integers(1, len(shape) + 1)), int(rng.integers(2))
             residual = rng.normal(size=t.nnz)
@@ -550,6 +558,14 @@ def _random_line_search_fixture(rng):
     return t, x, s * (gamma0 / target)
 
 
+def form_in_workspace(state, step):
+    """Form ``step``'s product in ``state``'s workspace, as the sweep does to
+    line-search a multi-rank step, so the replay of ``x`` reads it there."""
+    ws = state._ws
+    step.matrix(ws.product.reshape(UnfoldSpec(step.mode, state.shift).matrix_dims(state.shape)))
+    ws.formed = weakref.ref(step)
+
+
 class TestApplyUpdate:
     def test_zero_gamma_advances_ledger_without_append(self):
         t = two_cell_tensor()
@@ -588,8 +604,10 @@ class TestApplyUpdate:
             m = unfold(rng.normal(size=shape), UnfoldSpec(k, shift))
             return step_of(m, k, min(rank, *m.shape))
 
-        def log(state, step, gamma):  # with or without the product the caller formed
-            apply_update(state, step, gamma, step.matrix() if rng.random() < 0.5 else None)
+        def log(state, step, gamma):  # with or without its product in the workspace
+            if rng.random() < 0.5:
+                form_in_workspace(state, step)
+            apply_update(state, step, gamma)
 
         state = FwState.initial(shape, shift)
         for _ in range(int(rng.integers(0, 3))):  # x0 is what the logged steps made
@@ -616,8 +634,9 @@ class TestApplyUpdate:
             u, v = rng.normal(size=(rows, rank)), rng.normal(size=(cols, rank))
             u[0] = 0.0  # a zero row of the step's unfolding
             step = GradientStep(k, u, np.full(rank, 1e5 / rank), v)
-            apply_update(state, step, rng.uniform(0.1, 2.0),
-                         step.matrix() if i == n_steps - 1 else None)
+            if i == n_steps - 1:
+                form_in_workspace(state, step)
+            apply_update(state, step, rng.uniform(0.1, 2.0))
         replay = np.zeros(shape)
         for step, gamma in state.steps:
             replay += step.dense(shape, shift) * -gamma
@@ -1078,22 +1097,66 @@ class TestCompleteSweep:
     def test_replay_reuses_the_products_the_loop_formed(self, monkeypatch):
         # under multi, budgets 3 and 8 take their own last step on the first
         # step, which spends budget 12: three one-step logs, each of whose
-        # product the loop formed for the line search, so reading every x
-        # forms none again
-        formed = []
+        # product the loop formed for the line search, so reading every x as
+        # its state arrives forms none again
+        formed, replayed, logs = [], 0, []
         product = GradientStep.matrix
 
-        def counting_matrix(step):
+        def counting_matrix(step, out=None):
             formed.append(step.rank)
-            return product(step)
+            return product(step, out)
 
         monkeypatch.setattr(GradientStep, "matrix", counting_matrix)
-        swept = list(complete_sweep(self.fixture(), FwConfig(shift=2), (3, 8, 12)))
-        assert [len(state.steps) for _, state, _ in swept] == [1, 1, 1]
-        assert len(formed) == 3
-        for _, state, _ in swept:
+        for _, state, _ in complete_sweep(self.fixture(), FwConfig(shift=2), (3, 8, 12)):
+            before = len(formed)
             state.x
-        assert len(formed) == 3
+            replayed += len(formed) - before
+            logs.append(len(state.steps))
+        assert logs == [1, 1, 1]
+        assert len(formed) == 3 and replayed == 0
+
+    @pytest.mark.parametrize("lent", [False, True])
+    def test_replay_after_an_unlogged_step_forms_the_last_logged_product(self, monkeypatch,
+                                                                         lent):
+        # near CP rank 2: the first step keeps 2 triplets and the second
+        # would take 4 more, but its line search returns 0, so the state
+        # logs the first alone while the workspace's product holds the
+        # second's. x, read on arrival from a lent workspace or after a
+        # library sweep, is bitwise the replay of the log from fresh arrays
+        rng = np.random.default_rng(0)
+        shape = (6, 6, 6)
+        dense = near_rank_one(shape, rng) + near_rank_one(shape, rng)
+        t = SparseTensor(shape, np.argwhere(np.ones(shape)), dense.ravel())
+        searched = []
+
+        def zero_on_second(residual, s_obs):
+            searched.append(s_obs.size)
+            return 0.0 if len(searched) == 2 else line_search(residual, s_obs)
+
+        monkeypatch.setattr(completion_mod, "line_search", zero_on_second)
+        workspace = completion_mod._Workspace(shape) if lent else None
+        [(state, trace, held, x)] = [
+            (st, tr, st._ws.formed(), st.x.copy() if lent else None)
+            for _, st, tr in complete_sweep(t, FwConfig(), (12,), _workspace=workspace)]
+        x = x if lent else state.x
+        assert len(searched) == 2 and len(trace) == 2
+        [(step, gamma)] = state.steps
+        assert step.rank == 2 and held.rank == 4
+        replay = np.zeros(shape) - gamma * step.dense(shape, 1)
+        assert x.tobytes() == replay.tobytes()
+
+    def test_a_lent_workspace_keeps_no_step_alive_between_windows(self):
+        # the workspace knows which step its product holds without holding
+        # that step: once the states of a lent sweep are dropped, its last
+        # logged step is gone
+        workspace = completion_mod._Workspace((8, 7, 3, 4))
+        for _, state, _ in complete_sweep(self.fixture(), FwConfig(shift=2), (3, 8, 12),
+                                          _workspace=workspace):
+            state.x
+            last = weakref.ref(state.steps[-1][0])
+        assert workspace.formed() is last() is not None
+        del state
+        assert last() is None and workspace.formed() is None
 
     @pytest.mark.parametrize("case", ["rank1", "multi", "multi-drops-triplets"])
     def test_tracked_observed_iterate_is_the_gathered_iterate(self, monkeypatch, case):
@@ -1116,8 +1179,8 @@ class TestCompleteSweep:
         t_norm = float(np.linalg.norm(t.values))
         updated, residuals = [], []
 
-        def recording_update(state, step, gamma, matrix):
-            apply_update(state, step, gamma, matrix)
+        def recording_update(state, step, gamma):
+            apply_update(state, step, gamma)
             updated.append((state, t.gather(state.x)))
 
         def recording_select(grads, residual, cfg, active):
