@@ -149,10 +149,6 @@ class GradientStep:
         ``out`` (a C-contiguous matrix of its shape) if given."""
         return np.matmul(self.u * self.weights, self.v.T, out=out)
 
-    def dense(self, shape, shift: int) -> np.ndarray:
-        """Materialize the step tensor ``S``."""
-        return fold(self.matrix(), UnfoldSpec(self.mode, shift), shape)
-
 
 @dataclass
 class FwState:
@@ -301,10 +297,9 @@ class GradientUnfoldings:
     def step_values(self, step: GradientStep,
                     out: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The step tensor's values at the observed entries, equal as floats
-        (bitwise up to the sign of zero) to a gather of
-        :meth:`GradientStep.dense`, with no fold or gather; and the product
-        :meth:`GradientStep.matrix` when it was formed (in the flat ``out``),
-        else ``None``.
+        (bitwise up to the sign of zero) to a gather of the step tensor (its
+        :meth:`GradientStep.matrix` folded back), with no fold or gather; and
+        that product when it was formed (in the flat ``out``), else ``None``.
 
         A rank-1 step's values are formed at the observed entries alone: at
         row ``i`` and column ``j`` of its unfolding, the one rounding ``(u *
@@ -491,7 +486,8 @@ def complete_sweep(
 
     The sweep works in a :class:`_Workspace`: ``_workspace``, which the
     online loop keeps for its run, else one made for the sweep. A sweep's
-    own workspace gives each state a fresh ``x``, which the state owns. The
+    own workspace gives each state a fresh ``x``, which the state owns, and
+    lets its scatter buffers go when the sweep ends or is closed. The
     online loop's lends its ``x``: a yielded state's ``x`` must then be read
     before the sweep is resumed, if at all, the next state's overwrites it,
     and the caller drops the states before the next window.
@@ -515,7 +511,8 @@ class _Workspace:
     each of its windows.
 
     - ``grads``: the :class:`GradientUnfoldings` with its two scatter
-      buffers, pointed at each solve's tensor in turn;
+      buffers, pointed at each solve's tensor in turn; a sweep's own
+      workspace drops it as the sweep ends, since a replay does not use it;
     - ``product``: a multi-rank step's unfolding product, flat, and
       ``formed``, a weak reference to the step it was formed for (dead
       before the first), so a replay reuses it without keeping that step
@@ -559,7 +556,9 @@ class _Workspace:
 def _sweep(t, t_norm, cfg, budgets, state):
     """The loop of :func:`complete_sweep` from the zero ``state`` over the
     sorted list ``budgets``, from which each budget is taken as its run ends,
-    in the arrays of ``state``'s workspace."""
+    in the arrays of ``state``'s workspace. A workspace made for the sweep
+    (one that lends no ``x``) lets its gradient unfoldings go when the sweep
+    ends, is closed or raises."""
 
     def snapshot():
         return replace(state, steps=list(state.steps), consumed=dict(state.consumed))
@@ -590,33 +589,38 @@ def _sweep(t, t_norm, cfg, budgets, state):
     start = time.perf_counter()
     ws = state._ws
     grads = ws.unfoldings(t, cfg.shift)
-    x_obs = np.zeros(t.nnz)  # the iterate at the observed entries, kept current
-    residual = x_obs - t.values
-    trace = [TraceRow(0, 1.0, 0.0, 0, 0.0)]
-    for it in itertools.count(1):
-        active, spent = state.active, state.consumed_total()
-        if trace[-1].rse < _RSE_FLOOR or not active or budgets[-1] <= spent:
-            break
-        while budgets[0] <= spent:
-            yield budgets.pop(0), snapshot(), list(trace)
-        k, gram = select_mode(grads, residual, cfg, active)
-        r = 1 if cfg.update_rule == UPDATE_RANK_ONE else update_rank_budget(state, k, budgets[-1])
-        trip = truncated_svd(gram, r, _work=ws.tmp.reshape(-1))
-        del gram  # its unfolding stays in its slot of grads until the next selection
-        if trip.sigma[0] <= 0.0:
-            break  # a zero gradient: converged
-        step = gradient_step(trip, k, r, cfg.update_rule)
-        # budget b keeps min(b - spent, step.rank) triplets: with less left (never the
-        # largest budget, whose allowance sized the SVD) it takes its own last step
-        while budgets[0] - spent < step.rank:
-            b = budgets.pop(0)
-            own, own_trace = snapshot(), list(trace)
-            take(own, own_trace, gradient_step(trip, k, b - spent, cfg.update_rule))
-            yield b, own, own_trace
-        after = take(state, trace, step)
-        if after is None:
-            break
-        x_obs, residual = after
-    for b in budgets[:-1]:
-        yield b, snapshot(), list(trace)
-    yield budgets[-1], state, trace
+    try:
+        x_obs = np.zeros(t.nnz)  # the iterate at the observed entries, kept current
+        residual = x_obs - t.values
+        trace = [TraceRow(0, 1.0, 0.0, 0, 0.0)]
+        for it in itertools.count(1):
+            active, spent = state.active, state.consumed_total()
+            if trace[-1].rse < _RSE_FLOOR or not active or budgets[-1] <= spent:
+                break
+            while budgets[0] <= spent:
+                yield budgets.pop(0), snapshot(), list(trace)
+            k, gram = select_mode(grads, residual, cfg, active)
+            r = (1 if cfg.update_rule == UPDATE_RANK_ONE
+                 else update_rank_budget(state, k, budgets[-1]))
+            trip = truncated_svd(gram, r, _work=ws.tmp.reshape(-1))
+            del gram  # its unfolding stays in its slot of grads until the next selection
+            if trip.sigma[0] <= 0.0:
+                break  # a zero gradient: converged
+            step = gradient_step(trip, k, r, cfg.update_rule)
+            # budget b keeps min(b - spent, step.rank) triplets: with less left (never the
+            # largest budget, whose allowance sized the SVD) it takes its own last step
+            while budgets[0] - spent < step.rank:
+                b = budgets.pop(0)
+                own, own_trace = snapshot(), list(trace)
+                take(own, own_trace, gradient_step(trip, k, b - spent, cfg.update_rule))
+                yield b, own, own_trace
+            after = take(state, trace, step)
+            if after is None:
+                break
+            x_obs, residual = after
+        for b in budgets[:-1]:
+            yield b, snapshot(), list(trace)
+        yield budgets[-1], state, trace
+    finally:
+        if ws.x is None:  # the sweep's own workspace: a replay needs no scatter buffer
+            ws.grads = None

@@ -15,8 +15,10 @@ columns. Modes are numbered 1..N throughout the public API; COO files use
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,12 +146,6 @@ class SparseTensor:
     def nnz(self) -> int:
         return int(self.values.size)
 
-    def gather(self, x: np.ndarray) -> np.ndarray:
-        """Values of dense ``x`` at the observed positions."""
-        if x.shape != self.shape:
-            raise ValueError(f"shape mismatch {x.shape} vs {self.shape}")
-        return np.take(x, self._flat)
-
     def to_dense(self, values=None) -> np.ndarray:
         """Dense tensor of ``values``' dtype with ``values`` (default: the
         observed values) at the observed positions and zeros elsewhere."""
@@ -182,7 +178,21 @@ def _byte_rows(strings: list[str], width: int) -> np.ndarray:
 def _write_coo(path, shape, columns, values) -> None:
     """Write the header and one line per entry. ``columns`` holds the
     entries' 0-based indices, one array per dimension; values are written as
-    the ``repr`` of Python floats, so they read back bitwise.
+    the ``repr`` of Python floats, so they read back bitwise. The lines are
+    formed by :func:`_coo_body`, which also forms the all-zero body that
+    :func:`write_coo_dense` splices a mostly-zero tensor's values into."""
+    _write_text(path, shape, _coo_body(shape, columns, values))
+
+
+def _write_text(path, shape, body) -> None:
+    """Write the header line, then the strings of ``body``."""
+    with open(path, "w") as fh:
+        fh.write(_format_header(shape) + "\n")
+        fh.writelines(body)
+
+
+def _coo_body(shape, columns, values) -> Iterator[str]:
+    """The entry lines of :func:`_write_coo`, a chunk of them at a time.
 
     Each chunk of lines is one uint8 matrix with a fixed-width slot per field
     and the commas and newline in between. A dimension's index strings are
@@ -203,20 +213,32 @@ def _write_coo(path, shape, columns, values) -> None:
     lines[:, -1] = ord("\n")
     slots = [lines[:, end - width - 1 : end - 1] for end, width in zip(ends, widths)]
     bits = values.view(np.int64)
-    with open(path, "w") as fh:
-        fh.write(_format_header(shape) + "\n")
-        for lo in range(0, nnz, _CHUNK_LINES):
-            hi = min(lo + _CHUNK_LINES, nnz)
-            for table, col, slot, width in zip(tables, columns, slots, widths):
-                if table is None:
-                    slot[: hi - lo] = _byte_rows([str(i + 1) for i in col[lo:hi].tolist()], width)
-                else:
-                    np.take(table, col[lo:hi], axis=0, out=slot[: hi - lo])
-            distinct, inverse = np.unique(bits[lo:hi], return_inverse=True)
-            table = _byte_rows(list(map(repr, distinct.view(np.float64).tolist())), _VALUE_WIDTH)
-            np.take(table, inverse, axis=0, out=slots[-1][: hi - lo])
-            block = lines[: hi - lo]
-            fh.write(block[block != 0].tobytes().decode("ascii"))
+    for lo in range(0, nnz, _CHUNK_LINES):
+        hi = min(lo + _CHUNK_LINES, nnz)
+        for table, col, slot, width in zip(tables, columns, slots, widths):
+            if table is None:
+                slot[: hi - lo] = _byte_rows([str(i + 1) for i in col[lo:hi].tolist()], width)
+            else:
+                np.take(table, col[lo:hi], axis=0, out=slot[: hi - lo])
+        distinct, inverse = np.unique(bits[lo:hi], return_inverse=True)
+        table = _byte_rows(list(map(repr, distinct.view(np.float64).tolist())), _VALUE_WIDTH)
+        np.take(table, inverse, axis=0, out=slots[-1][: hi - lo])
+        block = lines[: hi - lo]
+        yield block[block != 0].tobytes().decode("ascii")
+
+
+@functools.lru_cache(maxsize=1)
+def _zero_body(shape: tuple[int, ...]) -> tuple[str, np.ndarray]:
+    """The entry lines of an all-zero dense tensor of ``shape``, each
+    ``i1,...,iN,0.0`` and first index fastest, as one string, and the offset
+    of each line's newline in it (read-only). Only the last shape's are
+    kept (~1 MiB for a 128x128x3 slot)."""
+    size = math.prod(shape)
+    body = "".join(_coo_body(shape, np.unravel_index(np.arange(size), shape, order="F"),
+                             np.zeros(size)))
+    newlines = np.flatnonzero(np.frombuffer(body.encode("ascii"), dtype=np.uint8) == ord("\n"))
+    newlines.flags.writeable = False
+    return body, newlines
 
 
 def write_coo_sparse(path, t: SparseTensor) -> None:
@@ -226,10 +248,29 @@ def write_coo_sparse(path, t: SparseTensor) -> None:
 
 def write_coo_dense(path, x: np.ndarray) -> None:
     """Write a dense tensor with full support in the COO text format,
-    first index fastest."""
+    first index fastest.
+
+    A tensor at most half of whose entries have a nonzero bit pattern
+    (``-0.0`` and every NaN count as nonzero), such as a demand slot, is
+    written as the all-zero body of its shape with each nonzero entry's
+    ``0.0`` replaced by the ``repr`` of its value. That body is formed by
+    the chunked writer and kept until a tensor of another shape takes this
+    path (:func:`_zero_body`), so the slots of one shape share one
+    formatting pass. Any other tensor goes through :func:`_write_coo`.
+    Both ways write the same bytes."""
     dims = validate_shape(x.shape)
-    _write_coo(path, dims, np.unravel_index(np.arange(x.size), dims, order="F"),
-               x.ravel(order="F"))
+    values = np.asarray(x, dtype=np.float64).ravel(order="F")
+    nonzero = np.flatnonzero(values.view(np.int64))
+    if 2 * nonzero.size > values.size:
+        _write_coo(path, dims, np.unravel_index(np.arange(values.size), dims, order="F"), values)
+        return
+    body, newlines = _zero_body(dims)
+    pieces, at = [], 0
+    for end, value in zip(newlines[nonzero].tolist(), values[nonzero].tolist()):
+        pieces += body[at : end - 3], repr(value)  # end - 3: where the line's "0.0" starts
+        at = end
+    pieces.append(body[at:])
+    _write_text(path, dims, ["".join(pieces)])  # one write: a write per piece takes longer
 
 
 def read_coo(path) -> SparseTensor:

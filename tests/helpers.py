@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tenscache.completion as completion_mod
+from tenscache.tensors import UnfoldSpec, fold
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,6 +53,19 @@ def step_scale_invariance(t, cfg, budget, scales, rel_tol=1e-8):
         if float(np.abs(x - ref_x).max()) > rel_tol * ref_size:
             return False
     return True
+
+
+def gather(t, x):
+    """Values of dense ``x`` at the observed positions of ``t``, a
+    :class:`tenscache.tensors.SparseTensor`, in ``t``'s entry order."""
+    assert x.shape == t.shape, f"shape mismatch {x.shape} vs {t.shape}"
+    return x[tuple(t.indices.T)]
+
+
+def dense_step(step, shape, shift):
+    """The step tensor ``S`` of a :class:`tenscache.completion.GradientStep`
+    for a solve of ``shape`` and ``shift``: its mode unfolding folded back."""
+    return fold(step.matrix(), UnfoldSpec(step.mode, shift), shape)
 
 
 def reconstruct(trip):

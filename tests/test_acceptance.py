@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import step_scale_invariance
+from helpers import gather, step_scale_invariance
 from tenscache.caching import OnlineConfig, run_online
 from tenscache.completion import FwConfig, complete, line_search
 from tenscache.ingest import synth_low_rank, synth_lowrank_stream
@@ -96,13 +96,13 @@ def test_criterion_4_line_search_matches_grid_oracle(report):
         t = SparseTensor(shape, idx, rng.normal(size=25))
         x = rng.normal(size=shape)
         s = rng.normal(size=shape)
-        residual = t.gather(x) - t.values
-        gamma0 = line_search(residual, t.gather(s))
+        residual = gather(t, x) - t.values
+        gamma0 = line_search(residual, gather(t, s))
         if gamma0 == 0.0:
-            s, gamma0 = -s, line_search(residual, t.gather(-s))
+            s, gamma0 = -s, line_search(residual, gather(t, -s))
         s *= gamma0 / rng.uniform(0.1, 9.0)
-        gamma = line_search(residual, t.gather(s))
-        obs_x, obs_s = t.gather(x), t.gather(s)
+        gamma = line_search(residual, gather(t, s))
+        obs_x, obs_s = gather(t, x), gather(t, s)
         objective = ((obs_x[None, :] - gammas[:, None] * obs_s[None, :] - t.values) ** 2).sum(axis=1)
         worst = max(worst, abs(gamma - gammas[int(np.argmin(objective))]))
     report(

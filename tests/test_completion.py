@@ -1,5 +1,8 @@
 import dataclasses
 import functools
+import inspect
+import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tenscache.completion as completion_mod
-from helpers import step_scale_invariance
+from helpers import dense_step, gather, step_scale_invariance
 from tenscache.completion import (
     FwConfig,
     FwState,
@@ -58,7 +61,7 @@ def step_of(m, k, r, update_rule="multi"):
 
 def search(x, t, s):
     """``line_search`` for the dense iterate ``x`` and step ``s``."""
-    return line_search(t.gather(x) - t.values, t.gather(s))
+    return line_search(gather(t, x) - t.values, gather(t, s))
 
 
 def frobenius_bound(m):
@@ -297,7 +300,7 @@ class TestGradientUnfoldings:
                     v = rng.normal(size=(cols, r)) * (rng.random((cols, r)) < 0.8)
                     step = GradientStep(k, u, rng.uniform(0.1, 10.0, size=r), v)
                     got, m = grads.step_values(step, np.empty(total))
-                    want = t.gather(step.dense(shape, shift))
+                    want = gather(t, dense_step(step, shape, shift))
                     assert got.shape == want.shape and got.dtype == want.dtype
                     assert (got == want).all()
                     if r == 1:
@@ -420,13 +423,13 @@ class TestGradientStep:
     def test_multi_rank_normalization(self):
         grad = fold(np.diag([3.0, 1.0]), UnfoldSpec(1, 1), (2, 2, 1))
         step = step_of(unfolded(grad, 1), 1, 2)
-        s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1)) / completion_mod._STEP_SCALE
+        s_unf = unfold(dense_step(step, (2, 2, 1), 1), UnfoldSpec(1, 1)) / completion_mod._STEP_SCALE
         np.testing.assert_allclose(s_unf, np.diag([3.0, 1.0]) / 4.0, atol=1e-12)
 
     def test_rank_one_drops_sigma_structure(self):
         grad = fold(np.diag([3.0, 1.0]), UnfoldSpec(1, 1), (2, 2, 1))
         step = step_of(unfolded(grad, 1), 1, 2, update_rule="rank1")
-        s_unf = unfold(step.dense((2, 2, 1), 1), UnfoldSpec(1, 1)) / completion_mod._STEP_SCALE
+        s_unf = unfold(dense_step(step, (2, 2, 1), 1), UnfoldSpec(1, 1)) / completion_mod._STEP_SCALE
         expected = np.zeros((2, 2))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(s_unf, expected, atol=1e-12)
@@ -435,9 +438,9 @@ class TestGradientStep:
         # the step is linear in the step scale
         grad = RNG.normal(size=(3, 4, 2))
         monkeypatch.setattr(completion_mod, "_STEP_SCALE", 1.0)
-        s1 = step_of(unfolded(grad, 2), 2, 2).dense((3, 4, 2), 1)
+        s1 = dense_step(step_of(unfolded(grad, 2), 2, 2), (3, 4, 2), 1)
         monkeypatch.setattr(completion_mod, "_STEP_SCALE", 2.0)
-        s2 = step_of(unfolded(grad, 2), 2, 2).dense((3, 4, 2), 1)
+        s2 = dense_step(step_of(unfolded(grad, 2), 2, 2), (3, 4, 2), 1)
         np.testing.assert_allclose(s2, 2.0 * s1, rtol=1e-12)
 
     def test_weights_sum_to_beta(self, monkeypatch):
@@ -452,7 +455,7 @@ class TestGradientStep:
     def test_positive_correlation_with_gradient(self):
         grad = RNG.normal(size=(3, 4, 5))
         step = step_of(unfolded(grad, 2), 2, 3)
-        s = step.dense((3, 4, 5), 1)
+        s = dense_step(step, (3, 4, 5), 1)
         assert float((s * grad).sum()) > 0
 
     def test_zero_weight_components_never_returned(self):
@@ -512,7 +515,7 @@ class TestLineSearch:
         gamma = search(x, t, s)
         assert gamma == pytest.approx(1.0, abs=1e-12)
         fitted = x - gamma * s
-        np.testing.assert_allclose(t.gather(fitted), t.values, atol=1e-12)
+        np.testing.assert_allclose(gather(t, fitted), t.values, atol=1e-12)
 
     def test_anticorrelated_clamps_to_zero(self):
         t = two_cell_tensor()
@@ -533,7 +536,7 @@ class TestLineSearch:
         for trial in range(20):
             t, x, s = _random_line_search_fixture(rng)
             gamma = search(x, t, s)
-            obs_x, obs_s = t.gather(x), t.gather(s)
+            obs_x, obs_s = gather(t, x), gather(t, s)
             objective = ((obs_x[None, :] - gammas[:, None] * obs_s[None, :] - t.values) ** 2).sum(
                 axis=1
             )
@@ -614,7 +617,7 @@ class TestApplyUpdate:
             log(state, random_step(int(rng.integers(1, 4))), rng.uniform(0.1, 10.0))
         state.consumed = {k: int(rng.integers(0, cap + 1)) for k, cap in state.caps.items()}
         step = random_step(r)
-        s0 = step.dense(shape, shift)
+        s0 = dense_step(step, shape, shift)
         x0 = dataclasses.replace(state, steps=list(state.steps)).x.copy()  # state's x unread
         consumed0 = dict(state.consumed)
         log(state, step, gamma)
@@ -639,7 +642,7 @@ class TestApplyUpdate:
             apply_update(state, step, rng.uniform(0.1, 2.0))
         replay = np.zeros(shape)
         for step, gamma in state.steps:
-            replay += step.dense(shape, shift) * -gamma
+            replay += dense_step(step, shape, shift) * -gamma
         x = state.x
         assert len(state.steps) == n_steps
         assert x.tobytes() == replay.tobytes()
@@ -667,7 +670,7 @@ class TestApplyUpdate:
         grads = GradientUnfoldings(obs, cfg.shift)
         applied = 0
         for _ in range(4):
-            residual = obs.gather(state.x) - obs.values
+            residual = gather(obs, state.x) - obs.values
             if np.linalg.norm(residual) / np.linalg.norm(obs.values) < 1e-12:
                 break
             k, gram = select_mode(grads, residual, cfg, state.active)
@@ -675,8 +678,8 @@ class TestApplyUpdate:
             if r == 0:
                 break
             step = gradient_step(truncated_svd(gram, r), k, r)
-            s_dense = step.dense(obs.shape, cfg.shift)
-            gamma = line_search(residual, obs.gather(s_dense))
+            s_dense = dense_step(step, obs.shape, cfg.shift)
+            gamma = line_search(residual, gather(obs, s_dense))
             x_before, consumed_before = state.x.copy(), dict(state.consumed)
             apply_update(state, step, gamma)
             np.testing.assert_array_equal(state.x, x_before - gamma * s_dense)
@@ -938,7 +941,7 @@ def test_state_x_is_a_fresh_replay_of_its_log(dims, shift, budgets, rule, seed):
         assert [gamma for _, gamma in state.steps] == [row.gamma for row in trace[1:]]
         replay = np.zeros(shape)
         for step, gamma in state.steps:
-            replay = replay - gamma * step.dense(shape, shift)
+            replay = replay - gamma * dense_step(step, shape, shift)
         x = state.x
         assert x.tobytes() == replay.tobytes()
         assert state.x is x
@@ -1071,7 +1074,7 @@ class TestCompleteSweep:
         for (_, state, _), x in zip(swept, xs):
             replay = np.zeros(shape)
             for step, gamma in state.steps:
-                replay = replay - gamma * step.dense(shape, shift)
+                replay = replay - gamma * dense_step(step, shape, shift)
             assert x.tobytes() == replay.tobytes()
 
     @pytest.mark.parametrize("rule", ["multi", "rank1"])
@@ -1142,7 +1145,7 @@ class TestCompleteSweep:
         assert len(searched) == 2 and len(trace) == 2
         [(step, gamma)] = state.steps
         assert step.rank == 2 and held.rank == 4
-        replay = np.zeros(shape) - gamma * step.dense(shape, 1)
+        replay = np.zeros(shape) - gamma * dense_step(step, shape, 1)
         assert x.tobytes() == replay.tobytes()
 
     def test_a_lent_workspace_keeps_no_step_alive_between_windows(self):
@@ -1157,6 +1160,52 @@ class TestCompleteSweep:
         assert workspace.formed() is last() is not None
         del state
         assert last() is None and workspace.formed() is None
+
+    def test_a_sweeps_own_scatter_buffers_go_when_it_ends(self):
+        # a state held by a library caller keeps its workspace (the replay's
+        # arrays) but not the two prod(shape) * 8-byte scatter buffers, which
+        # the sweep made for itself, whether it ran to its end or was closed
+        # after its first state; the online loop's lent workspace keeps them
+        # for its next window
+        shape = (16, 12, 3, 5)
+        t, _ = synth_low_rank(shape, (2, 2, 2, 2), observe_fraction=0.3, seed=1)
+        lines, first = inspect.getsourcelines(GradientUnfoldings.matrix)
+        scatter = range(first, first + len(lines))
+
+        def scatter_buffers_held_after(run):
+            tracemalloc.start(8)
+            try:
+                held = run()
+                traces = tracemalloc.take_snapshot().traces
+            finally:
+                tracemalloc.stop()
+            del held
+            return sum(trace.size == math.prod(shape) * 8
+                       and any(frame.filename == completion_mod.__file__
+                               and frame.lineno in scatter for frame in trace.traceback)
+                       for trace in traces)
+
+        def library():
+            state, _ = complete(t, FwConfig(), 8)
+            state.x
+            return state
+
+        def closed():
+            sweep = complete_sweep(t, FwConfig(), (2, 8))
+            _, state, _ = next(sweep)
+            sweep.close()
+            state.x
+            return state
+
+        def lent():
+            workspace = completion_mod._Workspace(shape)
+            for _, state, _ in complete_sweep(t, FwConfig(), (8,), _workspace=workspace):
+                state.x
+            return workspace
+
+        assert scatter_buffers_held_after(library) == 0
+        assert scatter_buffers_held_after(closed) == 0
+        assert scatter_buffers_held_after(lent) == 2
 
     @pytest.mark.parametrize("case", ["rank1", "multi", "multi-drops-triplets"])
     def test_tracked_observed_iterate_is_the_gathered_iterate(self, monkeypatch, case):
@@ -1181,7 +1230,7 @@ class TestCompleteSweep:
 
         def recording_update(state, step, gamma):
             apply_update(state, step, gamma)
-            updated.append((state, t.gather(state.x)))
+            updated.append((state, gather(t, state.x)))
 
         def recording_select(grads, residual, cfg, active):
             residuals.append(residual.copy())
@@ -1276,7 +1325,7 @@ def reference_complete(t, cfg, budget):
         if trip.sigma[0] <= 0.0:
             break
         step = gradient_step(trip, k, r, cfg.update_rule)
-        s = step.dense(t.shape, cfg.shift)
+        s = dense_step(step, t.shape, cfg.shift)
         s_obs = s[mask]
         a_bar = float(s_obs @ s_obs)
         gamma = 0.0 if a_bar == 0.0 else max(float((x[mask] - t.values) @ s_obs) / a_bar, 0.0)

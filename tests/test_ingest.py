@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     RATINGS_DTYPE,
+    gather,
     ratings,
     reference_demand_slots,
     reference_lowrank_stream,
@@ -425,8 +426,8 @@ class TestSynthLowRank:
         state, trace = complete(obs, FwConfig(), 8)
         # solver fits the noisy observations, so its error against the clean
         # truth at the observed cells sits at the injected noise level
-        truth_obs = obs.gather(truth)
-        err = np.linalg.norm(obs.gather(state.x) - truth_obs)
+        truth_obs = gather(obs, truth)
+        err = np.linalg.norm(gather(obs, state.x) - truth_obs)
         expected = np.linalg.norm(obs.values - truth_obs)
         assert 0.5 * expected <= err <= 1.5 * expected
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_coo_text
+from helpers import gather, reference_coo_text
 from tenscache import tensors
 from tenscache.tensors import (
     SparseTensor,
@@ -153,9 +154,11 @@ class TestSparseTensor:
             SparseTensor((3, 3, 3), [[0, 1, 3]], [1.0])
 
     def test_gather(self):
+        # the tests' gather reads the entries to_dense places
         t = SparseTensor((2, 2, 2), [[0, 0, 0], [1, 1, 1]], [1.0, 2.0])
         x = np.arange(8, dtype=float).reshape(2, 2, 2)
-        np.testing.assert_array_equal(t.gather(x), [x[0, 0, 0], x[1, 1, 1]])
+        np.testing.assert_array_equal(gather(t, x), [x[0, 0, 0], x[1, 1, 1]])
+        assert gather(t, t.to_dense()).tobytes() == t.values.tobytes()
 
 
 class TestCooFormat:
@@ -328,6 +331,46 @@ def test_write_coo_matches_the_per_line_formatter_over_many_chunks(coo_path):
     columns = np.unravel_index(np.arange(x.size), shape, order="F")
     assert coo_path.read_bytes() == reference_coo_text(shape, columns, x.ravel(order="F")).encode()
     assert x.size > 2 * tensors._CHUNK_LINES
+
+
+@st.composite
+def dense_shapes(draw):
+    """Order 3-4: short dimensions and one up to 120 long, anywhere."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    dims.insert(draw(st.integers(0, len(dims))), draw(st.integers(1, 120)))
+    return tuple(dims)
+
+
+@st.composite
+def mostly_zero_tensors(draw, shape):
+    """A dense tensor of ``shape`` whose nonzero bit patterns are a drawn
+    share of its entries, at most half or one past half; the values cycle
+    through a few drawn from ``WRITE_VALUES`` or counts, so they repeat."""
+    size = math.prod(shape)
+    count = draw(st.integers(0, size // 2) | st.sampled_from([size // 2, size // 2 + 1]))
+    nonzero = draw(st.lists(WRITE_VALUES.filter(lambda v: math.copysign(1.0, v) < 0 or v != 0)
+                            | st.integers(1, 9).map(float), min_size=1, max_size=6))
+    x = np.zeros(size)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x[rng.permutation(size)[:count]] = np.resize(np.array(nonzero), count)
+    return x.reshape(shape, order="F")
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_shapes(), st.data())
+def test_mostly_zero_dense_write_matches_the_per_line_formatter(coo_path, first, data):
+    # writes alternate two shapes, the second one of the same size in another order or any
+    # other, so a kept zero body serves only its own shape; up to half the entries nonzero
+    # take the zero body, one past half the chunked writer
+    second = tuple(data.draw(st.permutations(first) | dense_shapes()))
+    for shape in (first, second, first, second):
+        x = data.draw(mostly_zero_tensors(shape))
+        values = x.ravel(order="F")
+        with mock.patch.object(tensors, "_write_coo", wraps=_write_coo) as writer:
+            write_coo_dense(coo_path, x)
+        assert writer.called == (2 * np.count_nonzero(values.view(np.int64)) > x.size)
+        columns = np.unravel_index(np.arange(x.size), shape, order="F")
+        assert coo_path.read_bytes() == reference_coo_text(shape, columns, values).encode()
 
 
 def test_header_only_file_round_trips(coo_path):
