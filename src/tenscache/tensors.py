@@ -15,7 +15,7 @@ columns. Modes are numbered 1..N throughout the public API; COO files use
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 import warnings
 from collections.abc import Iterator
@@ -161,6 +161,7 @@ class SparseTensor:
 # Entry lines:  i1,i2,...,iN,value      (1-based indices)
 
 _CHUNK_LINES = 8192  # entry lines formed per write: whole-file buffers cost memory
+_LEAD_LINES = 64  # a dense write's block holds at least this many lines: each costs a join
 _VALUE_WIDTH = 24  # bytes of the longest float64 repr, e.g. -2.2250738585072014e-308
 # what a plain COO body holds: printable ASCII but the space and "#", and newlines
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b"#", b"") + b"\n"
@@ -178,21 +179,7 @@ def _byte_rows(strings: list[str], width: int) -> np.ndarray:
 def _write_coo(path, shape, columns, values) -> None:
     """Write the header and one line per entry. ``columns`` holds the
     entries' 0-based indices, one array per dimension; values are written as
-    the ``repr`` of Python floats, so they read back bitwise. The lines are
-    formed by :func:`_coo_body`, which also forms the all-zero body that
-    :func:`write_coo_dense` splices a mostly-zero tensor's values into."""
-    _write_text(path, shape, _coo_body(shape, columns, values))
-
-
-def _write_text(path, shape, body) -> None:
-    """Write the header line, then the strings of ``body``."""
-    with open(path, "w") as fh:
-        fh.write(_format_header(shape) + "\n")
-        fh.writelines(body)
-
-
-def _coo_body(shape, columns, values) -> Iterator[str]:
-    """The entry lines of :func:`_write_coo`, a chunk of them at a time.
+    the ``repr`` of Python floats, so they read back bitwise.
 
     Each chunk of lines is one uint8 matrix with a fixed-width slot per field
     and the commas and newline in between. A dimension's index strings are
@@ -213,32 +200,66 @@ def _coo_body(shape, columns, values) -> Iterator[str]:
     lines[:, -1] = ord("\n")
     slots = [lines[:, end - width - 1 : end - 1] for end, width in zip(ends, widths)]
     bits = values.view(np.int64)
-    for lo in range(0, nnz, _CHUNK_LINES):
-        hi = min(lo + _CHUNK_LINES, nnz)
-        for table, col, slot, width in zip(tables, columns, slots, widths):
-            if table is None:
-                slot[: hi - lo] = _byte_rows([str(i + 1) for i in col[lo:hi].tolist()], width)
-            else:
-                np.take(table, col[lo:hi], axis=0, out=slot[: hi - lo])
-        distinct, inverse = np.unique(bits[lo:hi], return_inverse=True)
-        table = _byte_rows(list(map(repr, distinct.view(np.float64).tolist())), _VALUE_WIDTH)
-        np.take(table, inverse, axis=0, out=slots[-1][: hi - lo])
-        block = lines[: hi - lo]
-        yield block[block != 0].tobytes().decode("ascii")
+    with open(path, "w") as fh:
+        fh.write(_format_header(shape) + "\n")
+        for lo in range(0, nnz, _CHUNK_LINES):
+            hi = min(lo + _CHUNK_LINES, nnz)
+            for table, col, slot, width in zip(tables, columns, slots, widths):
+                if table is None:
+                    slot[: hi - lo] = _byte_rows([str(i + 1) for i in col[lo:hi].tolist()], width)
+                else:
+                    np.take(table, col[lo:hi], axis=0, out=slot[: hi - lo])
+            distinct, inverse = np.unique(bits[lo:hi], return_inverse=True)
+            table = _byte_rows(list(map(repr, distinct.view(np.float64).tolist())), _VALUE_WIDTH)
+            np.take(table, inverse, axis=0, out=slots[-1][: hi - lo])
+            block = lines[: hi - lo]
+            fh.write(block[block != 0].tobytes().decode("ascii"))
 
 
-@functools.lru_cache(maxsize=1)
-def _zero_body(shape: tuple[int, ...]) -> tuple[str, np.ndarray]:
-    """The entry lines of an all-zero dense tensor of ``shape``, each
-    ``i1,...,iN,0.0`` and first index fastest, as one string, and the offset
-    of each line's newline in it (read-only). Only the last shape's are
-    kept (~1 MiB for a 128x128x3 slot)."""
-    size = math.prod(shape)
-    body = "".join(_coo_body(shape, np.unravel_index(np.arange(size), shape, order="F"),
-                             np.zeros(size)))
-    newlines = np.flatnonzero(np.frombuffer(body.encode("ascii"), dtype=np.uint8) == ord("\n"))
-    newlines.flags.writeable = False
-    return body, newlines
+def _dense_lines(shape, values) -> Iterator[str]:
+    """The entry lines of a dense tensor of ``shape`` whose entries, first
+    index fastest, are ``values``: a batch of at least ``_CHUNK_LINES`` of
+    them at a time (the last batch may be shorter).
+
+    The lead modes are the fewest first modes whose index strings
+    ``i1,...,im`` number at least ``_LEAD_LINES`` (all modes if they number
+    fewer); a block is the lines that share their other, trailing indices.
+    A block line whose value has an all-zero bit pattern reads
+    ``lead,trail,0.0``, so a run of them is one ``str.join`` of the lead
+    strings with the block's ``,trail,0.0`` line end between them. Every
+    other line (``-0.0`` and each NaN among them) is formed on its own with
+    the ``repr`` of its value. A mostly-zero tensor, such as a demand slot,
+    thus costs about a join per block and per nonzero entry, and a format
+    per nonzero entry; nothing is kept between calls."""
+    lead = [str(i) for i in range(1, shape[0] + 1)]
+    modes = 1
+    while modes < len(shape) and len(lead) < _LEAD_LINES:
+        lead = [f"{a},{i}" for i in range(1, shape[modes] + 1) for a in lead]
+        modes += 1
+    n = len(lead)
+    blocks = values.size // n
+    per_batch = -(-_CHUNK_LINES // n)
+    nonzero = np.flatnonzero(values.view(np.int64))
+    starts = np.searchsorted(nonzero, np.arange(0, values.size + 1, n)).tolist()  # per block
+    trails = itertools.product(*(range(1, s + 1) for s in reversed(shape[modes:])))
+    for first in range(0, blocks, per_batch):
+        last = min(first + per_batch, blocks)
+        batch = nonzero[starts[first] : starts[last]]
+        offsets, entries = (batch % n).tolist(), values[batch].tolist()
+        pieces = []
+        for b, trail in zip(range(first, last), trails):
+            tail = "".join(f",{i}" for i in reversed(trail)) + ","
+            line_end = tail + "0.0\n"
+            at = 0
+            lo, hi = starts[b] - starts[first], starts[b + 1] - starts[first]
+            for j, value in zip(offsets[lo:hi], entries[lo:hi]):
+                if j > at:
+                    pieces += line_end.join(lead[at:j]), line_end
+                pieces.append(f"{lead[j]}{tail}{value!r}\n")
+                at = j + 1
+            if at < n:
+                pieces += line_end.join(lead[at:]), line_end
+        yield "".join(pieces)
 
 
 def write_coo_sparse(path, t: SparseTensor) -> None:
@@ -248,29 +269,12 @@ def write_coo_sparse(path, t: SparseTensor) -> None:
 
 def write_coo_dense(path, x: np.ndarray) -> None:
     """Write a dense tensor with full support in the COO text format,
-    first index fastest.
-
-    A tensor at most half of whose entries have a nonzero bit pattern
-    (``-0.0`` and every NaN count as nonzero), such as a demand slot, is
-    written as the all-zero body of its shape with each nonzero entry's
-    ``0.0`` replaced by the ``repr`` of its value. That body is formed by
-    the chunked writer and kept until a tensor of another shape takes this
-    path (:func:`_zero_body`), so the slots of one shape share one
-    formatting pass. Any other tensor goes through :func:`_write_coo`.
-    Both ways write the same bytes."""
+    first index fastest, its lines formed by :func:`_dense_lines`: the same
+    bytes :func:`_write_coo` writes for them."""
     dims = validate_shape(x.shape)
-    values = np.asarray(x, dtype=np.float64).ravel(order="F")
-    nonzero = np.flatnonzero(values.view(np.int64))
-    if 2 * nonzero.size > values.size:
-        _write_coo(path, dims, np.unravel_index(np.arange(values.size), dims, order="F"), values)
-        return
-    body, newlines = _zero_body(dims)
-    pieces, at = [], 0
-    for end, value in zip(newlines[nonzero].tolist(), values[nonzero].tolist()):
-        pieces += body[at : end - 3], repr(value)  # end - 3: where the line's "0.0" starts
-        at = end
-    pieces.append(body[at:])
-    _write_text(path, dims, ["".join(pieces)])  # one write: a write per piece takes longer
+    with open(path, "w") as fh:
+        fh.write(_format_header(dims) + "\n")
+        fh.writelines(_dense_lines(dims, np.asarray(x, dtype=np.float64).ravel(order="F")))
 
 
 def read_coo(path) -> SparseTensor:

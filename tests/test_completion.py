@@ -1,8 +1,5 @@
 import dataclasses
 import functools
-import inspect
-import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -1163,49 +1160,38 @@ class TestCompleteSweep:
 
     def test_a_sweeps_own_scatter_buffers_go_when_it_ends(self):
         # a state held by a library caller keeps its workspace (the replay's
-        # arrays) but not the two prod(shape) * 8-byte scatter buffers, which
+        # arrays) but not the gradient unfoldings, whose two scatter buffers
         # the sweep made for itself, whether it ran to its end or was closed
         # after its first state; the online loop's lent workspace keeps them
-        # for its next window
+        # for its next window. Weak references to the buffers show that
+        # nothing else keeps them alive
         shape = (16, 12, 3, 5)
         t, _ = synth_low_rank(shape, (2, 2, 2, 2), observe_fraction=0.3, seed=1)
-        lines, first = inspect.getsourcelines(GradientUnfoldings.matrix)
-        scatter = range(first, first + len(lines))
 
-        def scatter_buffers_held_after(run):
-            tracemalloc.start(8)
-            try:
-                held = run()
-                traces = tracemalloc.take_snapshot().traces
-            finally:
-                tracemalloc.stop()
-            del held
-            return sum(trace.size == math.prod(shape) * 8
-                       and any(frame.filename == completion_mod.__file__
-                               and frame.lineno in scatter for frame in trace.traceback)
-                       for trace in traces)
+        def buffers(grads):
+            return [weakref.ref(flat) for flat, _ in grads._slots]
 
-        def library():
-            state, _ = complete(t, FwConfig(), 8)
-            state.x
-            return state
+        state, _ = complete(t, FwConfig(), 8)
+        state.x
+        assert state._ws.grads is None
 
-        def closed():
+        for close in (False, True):
             sweep = complete_sweep(t, FwConfig(), (2, 8))
             _, state, _ = next(sweep)
-            sweep.close()
+            held = buffers(state._ws.grads)
+            if close:
+                sweep.close()
+            else:
+                [(_, state, _)] = sweep
             state.x
-            return state
+            assert state._ws.grads is None
+            assert [ref() for ref in held] == [None, None]
 
-        def lent():
-            workspace = completion_mod._Workspace(shape)
-            for _, state, _ in complete_sweep(t, FwConfig(), (8,), _workspace=workspace):
-                state.x
-            return workspace
-
-        assert scatter_buffers_held_after(library) == 0
-        assert scatter_buffers_held_after(closed) == 0
-        assert scatter_buffers_held_after(lent) == 2
+        workspace = completion_mod._Workspace(shape)
+        for _, state, _ in complete_sweep(t, FwConfig(), (8,), _workspace=workspace):
+            state.x
+        assert workspace.grads is not None
+        assert all(ref() is not None for ref in buffers(workspace.grads))
 
     @pytest.mark.parametrize("case", ["rank1", "multi", "multi-drops-triplets"])
     def test_tracked_observed_iterate_is_the_gathered_iterate(self, monkeypatch, case):

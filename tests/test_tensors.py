@@ -322,14 +322,19 @@ def test_write_coo_matches_the_per_line_formatter(coo_path, dims, chunk, data):
 
 
 def test_write_coo_matches_the_per_line_formatter_over_many_chunks(coo_path):
-    # distinct normal values, repeated counts and both zeros, over ten chunks
+    # distinct normal values, repeated counts and both zeros, over ten chunks,
+    # by the chunked writer and by the dense writer's batches
     shape = (40, 9, 3, 70)
     x = np.random.default_rng(7).standard_normal(shape)
     x[:, :3] = np.round(x[:, :3] * 2)
     x[:, 3:5] = -0.0
-    write_coo_dense(coo_path, x)
+    x[:, 5:7] = 0.0
     columns = np.unravel_index(np.arange(x.size), shape, order="F")
-    assert coo_path.read_bytes() == reference_coo_text(shape, columns, x.ravel(order="F")).encode()
+    expected = reference_coo_text(shape, columns, x.ravel(order="F")).encode()
+    _write_coo(coo_path, shape, columns, x.ravel(order="F"))
+    assert coo_path.read_bytes() == expected
+    write_coo_dense(coo_path, x)
+    assert coo_path.read_bytes() == expected
     assert x.size > 2 * tensors._CHUNK_LINES
 
 
@@ -342,12 +347,12 @@ def dense_shapes(draw):
 
 
 @st.composite
-def mostly_zero_tensors(draw, shape):
-    """A dense tensor of ``shape`` whose nonzero bit patterns are a drawn
-    share of its entries, at most half or one past half; the values cycle
-    through a few drawn from ``WRITE_VALUES`` or counts, so they repeat."""
+def dense_tensors(draw, shape):
+    """A dense tensor of ``shape`` with a drawn share of nonzero bit patterns,
+    mostly small; the nonzero values cycle through a few drawn from
+    ``WRITE_VALUES`` or counts, so they repeat."""
     size = math.prod(shape)
-    count = draw(st.integers(0, size // 2) | st.sampled_from([size // 2, size // 2 + 1]))
+    count = draw(st.integers(0, size // 20) | st.integers(0, size))
     nonzero = draw(st.lists(WRITE_VALUES.filter(lambda v: math.copysign(1.0, v) < 0 or v != 0)
                             | st.integers(1, 9).map(float), min_size=1, max_size=6))
     x = np.zeros(size)
@@ -357,20 +362,15 @@ def mostly_zero_tensors(draw, shape):
 
 
 @settings(max_examples=150, deadline=None)
-@given(dense_shapes(), st.data())
-def test_mostly_zero_dense_write_matches_the_per_line_formatter(coo_path, first, data):
-    # writes alternate two shapes, the second one of the same size in another order or any
-    # other, so a kept zero body serves only its own shape; up to half the entries nonzero
-    # take the zero body, one past half the chunked writer
-    second = tuple(data.draw(st.permutations(first) | dense_shapes()))
-    for shape in (first, second, first, second):
-        x = data.draw(mostly_zero_tensors(shape))
-        values = x.ravel(order="F")
-        with mock.patch.object(tensors, "_write_coo", wraps=_write_coo) as writer:
-            write_coo_dense(coo_path, x)
-        assert writer.called == (2 * np.count_nonzero(values.view(np.int64)) > x.size)
-        columns = np.unravel_index(np.arange(x.size), shape, order="F")
-        assert coo_path.read_bytes() == reference_coo_text(shape, columns, values).encode()
+@given(dense_shapes(), st.integers(1, 70), st.integers(1, 40), st.data())
+def test_dense_write_matches_the_per_line_formatter(coo_path, shape, lead, chunk, data):
+    # blocks of one lead mode up to all modes and batches of one block up to many, so
+    # runs of zero lines start and end at blocks' edges and inside them
+    x = data.draw(dense_tensors(shape))
+    with mock.patch.multiple(tensors, _LEAD_LINES=lead, _CHUNK_LINES=chunk):
+        write_coo_dense(coo_path, x)
+    columns = np.unravel_index(np.arange(x.size), shape, order="F")
+    assert coo_path.read_bytes() == reference_coo_text(shape, columns, x.ravel(order="F")).encode()
 
 
 def test_header_only_file_round_trips(coo_path):
