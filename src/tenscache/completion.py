@@ -13,7 +13,8 @@ taken whole with an exact, uncapped line search, with no norm ball and no
    exact power of two, and each candidate's Gram matrix is built from its
    already-scaled unfolding. Candidates go cheapest first, by the smaller
    unfolding dimension; one whose Frobenius bound ``sigma_1 <=
-   ||G||_F**(1/2)``, widened by ``_PRUNE_MARGIN``, falls below the best
+   ||G||_F**(1/2)``, or failing that whose squared-Gram bound ``sigma_1 <=
+   ||G @ G||_F**(1/4)``, widened by ``_PRUNE_MARGIN``, falls below the best
    sigma so far cannot win and skips its eigensolve,
 3. takes that unfolding's top singular triplets, up to the per-iteration
    rank allowance, from the eigendecomposition of the Gram matrix step 2 formed
@@ -79,13 +80,16 @@ UPDATE_RANK_ONE = "rank1"
 # ``sigma_1`` (shapes 3x1e6 to 1280x384), so the cut sits a factor of ~4
 # above that noise.
 _SIGMA_EPS = 1e-7
-# Relative slack on the Frobenius bound before it rules a candidate out of
-# mode selection. Both the bound and the exact sigma carry rounding: the
-# Frobenius norm of an n x n Gram matrix at most ~n**2 * eps relative, the
-# eigensolve ~n * eps, and the bound's square root halves both. So 1e-6
-# covers any Gram side below ~9e4, far past desk scale, while the bound
-# separates the modes it prunes by percents (2.7% to 11% on the 128x128x3x10
-# benchmark fixture, seed 1, where it prunes 8 of 12 steps' dear candidate).
+# Relative slack on the Frobenius and squared-Gram bounds before either
+# rules a candidate out of mode selection. Both bounds and the exact sigma
+# carry rounding: the Frobenius norm of an n x n Gram matrix at most ~n**2 *
+# eps relative, the eigensolve ~n * eps, and the bound's square root halves
+# both; ``||G @ G||_F`` carries its product's rounding too, again ~n**2 * eps
+# relative, which its fourth root quarters. So 1e-6 covers any Gram side
+# below ~1e5, far past desk scale, while the bounds separate the modes they
+# prune by percents (on the 128x128x3x10 benchmark fixture, seed 1, the
+# Frobenius bound prunes 8 of 12 steps' dear candidate and the squared-Gram
+# bound the other 4, each at most 0.69 of the best sigma).
 _PRUNE_MARGIN = 1e-6
 # Nuclear norm of every step's unfolding. The line search divides it back out
 # of ``gamma``, so any positive value gives the same iterates up to rounding;
@@ -249,6 +253,14 @@ class GradientUnfoldings:
     allocated. :meth:`point` turns the unfoldings to another tensor of the
     same shape and keeps the buffers, so a :class:`_Workspace` kept for an
     online run scatters every window into the same two.
+
+    A mode's first scatter in a solve writes in entry order. From its second
+    on, it writes through the mode's positions, sorted on that second call,
+    with the residual permuted to match, so the writes sweep the buffer in
+    address order: in entry order, a scatter into a buffer that the last
+    Gram product evicted from cache cost ~3x as much. :meth:`point` drops
+    the sorted orders. A solve that scatters each mode once, as each window
+    of an online run does, sorts nothing.
     """
 
     def __init__(self, t: SparseTensor, shift: int):
@@ -270,6 +282,8 @@ class GradientUnfoldings:
         self.positions: dict[int, np.ndarray] = {}
         self._size = int(np.prod(t.shape))
         self._places: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # mode -> None after its first scatter, (order, sorted positions) after its second
+        self._sorted: dict[int, tuple[np.ndarray, np.ndarray] | None] = {}
         for k in range(1, len(t.shape) + 1):
             spec = UnfoldSpec(k, self.shift)
             self.dims[k] = spec.matrix_dims(t.shape)
@@ -290,7 +304,15 @@ class GradientUnfoldings:
             flat, last = self._slots[slot]
             if last not in (k, None):  # the scatter overwrites every position of mode k
                 flat[self.positions[last]] = 0.0
-        flat[self.positions[k]] = residual
+        if k not in self._sorted:  # the mode's first scatter in this solve
+            flat[self.positions[k]] = residual
+            self._sorted[k] = None
+        else:
+            if self._sorted[k] is None:
+                order = np.argsort(self.positions[k])
+                self._sorted[k] = order, self.positions[k][order]
+            order, places = self._sorted[k]
+            flat[places] = residual[order]
         self._slots[slot] = flat, k
         return flat.reshape(self.dims[k], order="F")
 
@@ -332,9 +354,12 @@ def select_mode(
     made from its already-scaled unfolding. The candidates are evaluated
     cheapest first, by the smaller unfolding dimension (the side of the Gram
     matrix). Each evaluated candidate's Gram is formed, but its eigensolve
-    is skipped when the Frobenius bound ``sigma_1 <= ||G||_F**(1/2)``
-    (:mod:`tenscache.svd`), widened by ``_PRUNE_MARGIN``, falls below the
-    best sigma found so far: such a candidate cannot win, nor tie. So the
+    is skipped when a bound on its sigma (:mod:`tenscache.svd`), widened by
+    ``_PRUNE_MARGIN``, falls below the best sigma found so far: the
+    Frobenius bound ``sigma_1 <= ||G||_F**(1/2)``, and where that fails the
+    squared-Gram bound ``sigma_1 <= ||G @ G||_F**(1/4)``, which costs one
+    symmetric product of the Gram matrix (the first candidate, with no best
+    to beat, tries neither). Such a candidate cannot win, nor tie. So the
     pick is the exhaustive argmax, whatever the order.
 
     At ``N == 2 * shift`` the mode-``k`` and mode-``(k + shift)`` unfoldings
@@ -353,11 +378,14 @@ def select_mode(
         if twins and k - cfg.shift in active:
             continue  # its twin, of equal cost and smaller index, came first
         gram = Gram(grads.matrix(k, scaled, free), exp)
-        bound = np.ldexp(math.sqrt(np.linalg.norm(gram.g)) * (1.0 + _PRUNE_MARGIN), exp)
-        if bound >= best_sigma:
-            sigma = dominant_sigma(gram)
-            if sigma > best_sigma or (sigma == best_sigma and k < best):
-                best, best_sigma, best_gram, free = k, sigma, gram, 1 - free
+        g, widen = gram.g, 1.0 + _PRUNE_MARGIN
+        if best_sigma > -math.inf and (  # g @ g.T, the symmetric g @ g, is one syrk
+                np.ldexp(math.sqrt(np.linalg.norm(g)) * widen, exp) < best_sigma
+                or np.ldexp(np.linalg.norm(g @ g.T) ** 0.25 * widen, exp) < best_sigma):
+            continue  # it cannot win, nor tie
+        sigma = dominant_sigma(gram)
+        if sigma > best_sigma or (sigma == best_sigma and k < best):
+            best, best_sigma, best_gram, free = k, sigma, gram, 1 - free
     return best, best_gram
 
 

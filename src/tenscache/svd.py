@@ -13,8 +13,13 @@ only down to about ``sqrt(eps) * sigma_1`` (~1.5e-8 relative), and below
 that the triplet is rounding noise. Without any eigensolve, ``G`` bounds
 the dominant singular value: ``sigma_1**2``, the top eigenvalue of the
 positive semidefinite ``G``, is at most its Frobenius norm, so
-``sigma_1 <= ||G||_F**(1/2) * 2**exp``; a caller that needs only the largest
-of several sigmas can skip the eigensolve of a matrix this bound rules out.
+``sigma_1 <= ||G||_F**(1/2) * 2**exp``. One product tighter,
+``sigma_1**4``, the top eigenvalue of ``G @ G``, is at most that matrix's
+Frobenius norm, so ``sigma_1 <= ||G @ G||_F**(1/4) * 2**exp``: with ``n``
+equal singular values the two bounds are ``n**(1/4)`` and ``n**(1/8)``
+times sigma, and at rank one both are exact. A caller that needs only the
+largest of several sigmas can skip the eigensolve of a matrix these bounds
+rule out.
 """
 
 from __future__ import annotations

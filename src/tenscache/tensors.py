@@ -15,6 +15,7 @@ columns. Modes are numbered 1..N throughout the public API; COO files use
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -165,6 +166,7 @@ _LEAD_LINES = 64  # a dense write's block holds at least this many lines: each c
 _VALUE_WIDTH = 24  # bytes of the longest float64 repr, e.g. -2.2250738585072014e-308
 # what a plain COO body holds: printable ASCII but the space and "#", and newlines
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b"#", b"") + b"\n"
+_PLAIN_CHUNK = 1 << 16  # characters of a body checked at a time
 
 
 def _format_header(shape) -> str:
@@ -314,17 +316,19 @@ def _parse_coo_array(path: Path) -> SparseTensor:
     ``DeprecationWarning``), a non-finite value, or an entry ``SparseTensor``
     rejects.
 
-    The body after the header is read at once. A plain body (ASCII, no
-    ``#`` and no space, printable once its newlines are removed: nothing but
-    the bytes of ``_PLAIN``) has no comment and nothing to strip, so its
-    lines go to ``loadtxt`` as they are (it skips the empty ones); any other
-    body's lines pass :func:`_entry_lines` first. Lines are split at
-    newlines alone, as iterating the file splits them (``str.splitlines``
-    would also split at vertical tabs, file separators and other control
-    characters)."""
+    The body after the header is checked ``_PLAIN_CHUNK`` characters at a
+    time, then read again from its start. A plain body (ASCII, no ``#`` and
+    no space, printable once its newlines are removed: nothing but the bytes
+    of ``_PLAIN``) has no comment and nothing to strip, so ``loadtxt`` reads
+    it from the open file, its lines as they are (it skips the empty ones);
+    any other body's lines pass :func:`_entry_lines` first. So the text is
+    never held whole. Lines are split as iterating the file splits them: at
+    newlines alone, once universal newlines have turned each CR LF and lone
+    CR into one (``str.splitlines`` would also split at vertical tabs, file
+    separators and other control characters)."""
     with open(path) as fh:
         shape = None
-        for raw in fh:
+        for raw in iter(fh.readline, ""):  # not ``for raw in fh``, which disables ``tell``
             line = raw.strip()
             if line.startswith("#"):
                 if _is_header(line):
@@ -334,22 +338,24 @@ def _parse_coo_array(path: Path) -> SparseTensor:
                 raise ValueError("entry before the header")
         if shape is None:
             raise ValueError("no header")
-        body = fh.read()
-    lines = body.split("\n")
-    plain = body.isascii() and not body.encode("ascii").translate(None, _PLAIN)
-    del body  # the lines hold it all: the parse below does not also hold the text
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data" among them
-            table = np.loadtxt(lines if plain else _entry_lines(lines), delimiter=",",
-                               comments=None, ndmin=1,
-                               dtype=[("idx", np.intp, (len(shape),)), ("val", np.float64)])
-    except (OverflowError, Warning) as exc:
-        raise ValueError(f"loadtxt: {exc}") from None
+        start = fh.tell()
+        plain = all(chunk.isascii() and not chunk.encode("ascii").translate(None, _PLAIN)
+                    for chunk in iter(functools.partial(fh.read, _PLAIN_CHUNK), ""))
+        fh.seek(start)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data" among them
+                table = np.loadtxt(fh if plain else _entry_lines(fh), delimiter=",",
+                                   comments=None, ndmin=1,
+                                   dtype=[("idx", np.intp, (len(shape),)), ("val", np.float64)])
+        except (OverflowError, Warning) as exc:
+            raise ValueError(f"loadtxt: {exc}") from None
     values = np.ascontiguousarray(table["val"])
     if not np.isfinite(values).all():
         raise ValueError("non-finite value")
-    return SparseTensor(shape, table["idx"] - 1, values)
+    indices = table["idx"] - 1
+    del table  # the tensor's checks below do not also hold the parsed rows
+    return SparseTensor(shape, indices, values)
 
 
 def _entry_lines(lines):

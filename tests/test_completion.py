@@ -61,12 +61,13 @@ def search(x, t, s):
     return line_search(gather(t, x) - t.values, gather(t, s))
 
 
-def frobenius_bound(m):
-    """The bound ``select_mode`` prunes by: ``sigma_1(m) <= ||G||_F**(1/2)``,
-    widened by the pruning margin."""
+def pruning_bound(m):
+    """The bound ``select_mode`` prunes by: the smaller of the Frobenius bound
+    ``sigma_1(m) <= ||G||_F**(1/2)`` and the squared-Gram bound ``sigma_1(m)
+    <= ||G @ G||_F**(1/4)``, each widened by the pruning margin."""
     gram = Gram(m)
-    widened = np.sqrt(np.linalg.norm(gram.g)) * (1.0 + completion_mod._PRUNE_MARGIN)
-    return np.ldexp(widened, gram.exp)
+    root = min(np.sqrt(np.linalg.norm(gram.g)), np.linalg.norm(gram.g @ gram.g) ** 0.25)
+    return np.ldexp(root * (1.0 + completion_mod._PRUNE_MARGIN), gram.exp)
 
 
 def exhaustive_select(grad, shift, active):
@@ -116,24 +117,27 @@ class TestSelectMode:
     @pytest.mark.parametrize("seed", range(5))
     def test_shift2_transposed_pairs_tie_toward_smaller_mode(self, monkeypatch, seed):
         # at shift 2 on an order-4 tensor the mode-k and mode-(k+2) unfoldings
-        # are transposes of each other (here 60x27 / 27x60 and 108x15 /
-        # 15x108), so their sigmas tie exactly, the smaller mode index wins,
-        # and the larger one is not evaluated again. The 15-side pair goes
-        # first (cheapest first); a 27-side mode after it is eigensolved
-        # unless its Frobenius bound rules it out
+        # are transposes of each other (here 60x27 / 27x60 for modes 1 / 3 and
+        # 108x15 / 15x108 for modes 2 / 4), so their sigmas tie exactly, the
+        # smaller mode index wins, and the larger one is not evaluated again.
+        # The 15-side pair goes first (cheapest first); a 27-side mode after
+        # it is eigensolved unless its pruning bound rules it out. The
+        # Frobenius bound never does here; the squared-Gram bound does on
+        # seeds 3 and 4
         rng = np.random.default_rng(seed)
         grad = rng.normal(size=(12, 9, 3, 5)) * (rng.random((12, 9, 3, 5)) < 0.05)
         cfg = FwConfig(shift=2)
         sigma = {k: dominant_sigma(Gram(unfold(grad, UnfoldSpec(k, 2)))) for k in (1, 2, 3, 4)}
-        bound = {k: frobenius_bound(unfold(grad, UnfoldSpec(k, 2))) for k in (1, 2, 3, 4)}
+        bound = {k: pruning_bound(unfold(grad, UnfoldSpec(k, 2))) for k in (1, 2, 3, 4)}
         assert sigma[1] == sigma[3] and sigma[2] == sigma[4]
+        solves = 1 + (bound[1] >= sigma[2])
+        assert solves == 1 + (bound[3] >= sigma[4]) == {0: 2, 1: 2, 2: 2, 3: 1, 4: 1}[seed]
         pick = self._counting_select(monkeypatch, grad, cfg)
         assert pick({1, 3}) == (1, 1)
         assert pick({2, 4}) == (2, 1)
         # a mode whose twin is not active is evaluated itself
-        assert pick({3, 4}) == (3 if sigma[3] >= sigma[4] else 4, 1 + (bound[4] >= sigma[3]))
-        assert pick({1, 2, 3, 4}) == (1 if sigma[1] >= sigma[2] else 2,
-                                      1 + (bound[2] >= sigma[1]))
+        assert pick({3, 4}) == (3 if sigma[3] >= sigma[4] else 4, solves)
+        assert pick({1, 2, 3, 4}) == (1 if sigma[1] >= sigma[2] else 2, solves)
 
     def test_square_twins_tie_toward_smaller_mode(self, monkeypatch):
         # the mode-2/4 unfoldings are 6x6 transposes. Evaluated apart, a @ a.T
@@ -218,6 +222,101 @@ def test_select_mode_matches_exhaustive_eigensolves(dims, tie_jitter, active_bit
             assert max(sigmas.values()) <= (1.0 + 1e-12) * min(sigmas.values())
         assert k == want
         assert (gram.exp, gram.g.tobytes()) == (want_gram.exp, want_gram.g.tobytes())
+
+
+def frobenius_only_solves(grad, shift, active):
+    """The eigensolves ``select_mode`` ran with the Frobenius bound alone: the
+    same candidates in the same order, each eigensolved unless its widened
+    bound ``||G||_F**(1/2)`` falls below the best sigma so far."""
+    dims = {k: UnfoldSpec(k, shift).matrix_dims(grad.shape) for k in active}
+    best, solves = -np.inf, 0
+    for k in sorted(active, key=lambda j: (min(dims[j]), j)):
+        if grad.ndim == 2 * shift and k - shift in active:
+            continue
+        gram = Gram(unfold(grad, UnfoldSpec(k, shift)))
+        widened = np.sqrt(np.linalg.norm(gram.g)) * (1.0 + completion_mod._PRUNE_MARGIN)
+        if np.ldexp(widened, gram.exp) >= best:
+            solves += 1
+            best = max(best, dominant_sigma(gram))
+    return solves
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=5),
+    st.sampled_from(["sparse", "duplicated", "rank-one"]),
+    st.sampled_from([-600, 0, 600]),
+    st.integers(min_value=1, max_value=2**5 - 1),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_squared_gram_pruning_is_exact_and_never_dearer(dims, kind, scale, active_bits, seed):
+    """With the squared-Gram bound, selection still picks bitwise what an
+    eigensolve of every candidate picks, with its Gram bytes, at every shift
+    (twins included), and runs no more eigensolves than the Frobenius bound
+    alone. ``duplicated`` copies one slice along a random axis into all
+    slices along it, so each unfolding repeats rows or columns; ``rank-one``
+    gives every unfolding one sigma, a near-tie within 1e-12 relative in which
+    the squared-Gram bound meets the sigma it bounds (up to rounding). Each
+    gradient is scaled by ``2**scale``."""
+    shape = tuple(dims)
+    rng = np.random.default_rng(seed)
+    if kind == "rank-one":
+        factors = [rng.normal(size=n) * (rng.random(n) < 0.7) for n in shape]
+        for f in factors:
+            f[rng.integers(f.size)] = 1.0 + rng.random()
+        grad = functools.reduce(np.multiply.outer, factors)
+    else:
+        grad = rng.normal(size=shape) * (rng.random(shape) < 0.4)
+        if kind == "duplicated":
+            axis = int(rng.integers(len(shape)))
+            grad = np.repeat(np.take(grad, [0], axis=axis), shape[axis], axis=axis)
+        grad.flat[0] = 1.0
+    grad = np.ldexp(grad, scale)
+    active = {k for k in range(1, len(shape) + 1) if active_bits >> (k - 1) & 1}
+    active = active or set(range(1, len(shape) + 1))
+    t = observed(grad)
+    solved = []
+
+    def counting_sigma(gram):
+        solved.append(gram.shape)
+        return dominant_sigma(gram)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(completion_mod, "dominant_sigma", counting_sigma)
+        for shift in range(1, len(shape)):
+            solved.clear()
+            k, gram = select_mode(GradientUnfoldings(t, shift), t.values,
+                                  FwConfig(shift=shift), active)
+            want, want_gram, _ = exhaustive_select(grad, shift, active)
+            assert k == want
+            assert (gram.exp, gram.g.tobytes()) == (want_gram.exp, want_gram.g.tobytes())
+            assert 1 <= len(solved) <= frobenius_only_solves(grad, shift, active)
+
+
+@pytest.mark.parametrize("shape", [(3, 7), (30, 16384), (384, 1280), (1280, 384)])
+@pytest.mark.parametrize("kind", ["normal", "rank-one", "equal-sigmas"])
+def test_widened_squared_gram_bound_is_at_least_sigma(kind, shape):
+    """``||G @ G||_F**(1/4) * (1 + _PRUNE_MARGIN)`` bounds the eigensolved
+    sigma from above, both where it is tight (rank one: equal in exact
+    arithmetic, so only the margin covers the rounding of the two sides) and
+    where it is loosest (all ``n`` singular values equal: ``n**(1/8)``
+    times sigma, against ``n**(1/4)`` for the Frobenius bound)."""
+    rng = np.random.default_rng(7)
+    small = min(shape)
+    if kind == "normal":
+        m = rng.normal(size=shape)
+    elif kind == "rank-one":
+        m = np.outer(rng.normal(size=shape[0]), rng.normal(size=shape[1]))
+    else:
+        q = np.linalg.qr(rng.normal(size=(max(shape), small)))[0] * 3.0
+        m = q if shape[0] >= shape[1] else q.T
+    gram = Gram(m)
+    sigma = dominant_sigma(gram)
+    root = np.linalg.norm(gram.g @ gram.g) ** 0.25
+    assert np.ldexp(root * (1.0 + completion_mod._PRUNE_MARGIN), gram.exp) >= sigma
+    ratio = {"rank-one": 1.0, "equal-sigmas": small ** 0.125}.get(kind)
+    if ratio is not None:
+        assert np.ldexp(root, gram.exp) == pytest.approx(ratio * sigma, rel=1e-12)
 
 
 class TestGradientUnfoldings:
@@ -383,6 +482,43 @@ class TestGradientUnfoldings:
                         ref = unfold(grad, UnfoldSpec(mode, shift))
                         assert m.tobytes(order="F") == ref.tobytes(order="F")
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=5),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=10**6),
+    )
+    def test_repeated_scatters_of_a_mode_are_unfold(self, dims, density, seed):
+        # every mode is scattered three times per observed set, round robin
+        # over the modes and alternating slots, so its 2nd and 3rd scatters
+        # go through its sorted positions; then the unfoldings are pointed at
+        # another observed set (other entries, listed in another order) and
+        # the rounds repeat. Each unfolding handed out is bitwise unfold of
+        # its own dense gradient
+        shape = tuple(dims)
+        rng = np.random.default_rng(seed)
+        total = int(np.prod(shape))
+
+        def observed_set():  # entries in drawn order, not in any unfolding's
+            flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+            idx = np.stack(np.unravel_index(flat, shape), axis=1)
+            return SparseTensor(shape, idx, rng.normal(size=flat.size)), idx
+
+        shift = int(rng.integers(1, len(shape)))
+        t, idx = observed_set()
+        grads = GradientUnfoldings(t, shift)
+        for _ in range(2):
+            for round_ in range(3):
+                for k in range(1, len(shape) + 1):
+                    residual = rng.normal(size=t.nnz)
+                    grad = np.zeros(shape)
+                    grad[tuple(idx.T)] = residual
+                    m = grads.matrix(k, residual, (k + round_) % 2)
+                    ref = unfold(grad, UnfoldSpec(k, shift))
+                    assert m.tobytes(order="F") == ref.tobytes(order="F")
+            t, idx = observed_set()
+            grads.point(t)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -998,10 +1134,10 @@ class TestCompleteSweep:
 
     def test_pruning_skips_eigensolves_on_a_benchmark_shaped_fixture(self, monkeypatch):
         # a noisy CP-rank-2 tensor shaped like the benchmark's, at shift 2: the
-        # 30-side mode 2 is evaluated first and wins every step, and on some
-        # steps the Frobenius bound of the 96-side mode 1 rules it out, so
-        # fewer eigensolves run than candidates are evaluated; the solve is
-        # still bitwise the exhaustive one
+        # 30-side mode 2 is evaluated first and wins every step, and on all but
+        # one step the pruning bound of the 96-side mode 1 rules it out (the
+        # Frobenius bound alone did on 5 of 12), so fewer eigensolves run than
+        # candidates are evaluated; the solve is still bitwise the exhaustive one
         shape = (32, 32, 3, 10)
         rng = np.random.default_rng(0)
         factors = [rng.standard_normal((n, 2)) for n in shape]
@@ -1027,7 +1163,7 @@ class TestCompleteSweep:
         state, trace = complete(t, cfg, 12)
         assert len(trace) - 1 == 12
         assert len(made) == 2 * 12  # modes 1 and 2 each step; 3 and 4 are their twins
-        assert len(solved) < len(made)
+        assert len(solved) == 13
         assert solved.count((1024, 30)) == 12  # the cheap mode is never pruned
         ref_x, ref_trace = reference_complete(t, cfg, 12)
         assert trace_columns(trace) == repr(ref_trace)

@@ -475,11 +475,12 @@ def _traced_peak(fn):
 
 
 def test_read_coo_lets_the_body_text_go_before_the_parse(tmp_path):
-    # the body text is let go once it is split into lines, so the parse holds
-    # the line list and loadtxt's table but not the text as well. The bound
-    # is the traced peak of the same parse that keeps the text to the end,
-    # less half the text, so loadtxt's own use, which varies with numpy's
-    # version, is in both sides (numpy 2.4: 6.3 file sizes against 7.3)
+    # the body text is never held whole: it is checked a chunk at a time and
+    # parsed from the open file, so the parse does not hold the text beside
+    # loadtxt's table. The bound is the traced peak of the same parse that
+    # keeps the text and its lines to the end, less half the text, so
+    # loadtxt's own use, which varies with numpy's version, is in both sides
+    # (numpy 2.4: 3.0 file sizes against 7.3)
     rng = np.random.default_rng(1)
     shape = (32, 32, 3, 10)
     flat = np.sort(rng.choice(30720, size=9830, replace=False))
@@ -503,6 +504,27 @@ def test_read_coo_lets_the_body_text_go_before_the_parse(tmp_path):
     assert_bitwise_equal(want, t)
     assert_bitwise_equal(got, t)
     assert peak < held - len(body) / 2, (peak / len(body), held / len(body))
+
+
+def test_read_coo_peaks_at_its_rows_held_twice(tmp_path):
+    # on the benchmark's complete fixture shape and density, a plain body goes
+    # to loadtxt as the open file, so the parse holds at most loadtxt's rows
+    # (nnz * (N + 1) * 8 bytes) and the tensor's copy of them, as many bytes,
+    # plus buffers: a quarter of the text bounds them (0.02 of it measured on
+    # numpy 2.4). Parsing a list of the body's lines peaked at 6.1 texts,
+    # 4.6 times the rows
+    rng = np.random.default_rng(1)
+    shape = (128, 128, 3, 10)
+    flat = np.sort(rng.choice(491520, size=98304, replace=False))
+    t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1),
+                     rng.normal(size=flat.size))
+    path = tmp_path / "t.coo"
+    write_coo_sparse(path, t)
+    rows = t.nnz * (len(shape) + 1) * 8
+    read_coo(path)  # numpy's lazy first calls
+    got, peak = _traced_peak(lambda: read_coo(path))
+    assert_bitwise_equal(got, t)
+    assert peak < 2 * rows + path.stat().st_size / 4, (peak / rows, peak / path.stat().st_size)
 
 
 @settings(max_examples=500, deadline=None)
