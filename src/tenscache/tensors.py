@@ -20,7 +20,7 @@ import itertools
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -118,7 +118,6 @@ class SparseTensor:
     shape: tuple[int, ...]
     indices: np.ndarray  # (nnz, N) int
     values: np.ndarray  # (nnz,) float
-    _flat: np.ndarray = field(init=False, repr=False)  # C-order flat positions
 
     def __post_init__(self):
         self.shape = validate_shape(self.shape)
@@ -134,11 +133,10 @@ class SparseTensor:
         ):
             raise ValueError("index out of range")
         multi = tuple(self.indices.T)
-        self._flat = np.ravel_multi_index(multi, self.shape)
         # entries listed in C order (np.argwhere) or first-index-fastest order
         # (every dense tensor written to COO) have strictly increasing
         # positions in that order, which rules out duplicates without a sort
-        if not (np.diff(self._flat) > 0).all():
+        if not (np.diff(np.ravel_multi_index(multi, self.shape)) > 0).all():
             f_order = np.ravel_multi_index(multi, self.shape, order="F")
             if not (np.diff(f_order) > 0).all() and np.unique(f_order).size != self.nnz:
                 raise ValueError("duplicate indices in sparse tensor")
@@ -152,7 +150,7 @@ class SparseTensor:
         observed values) at the observed positions and zeros elsewhere."""
         values = self.values if values is None else np.asarray(values)
         out = np.zeros(self.shape, dtype=values.dtype)
-        np.put(out, self._flat, values)
+        out[tuple(self.indices.T)] = values
         return out
 
 
@@ -163,7 +161,6 @@ class SparseTensor:
 
 _CHUNK_LINES = 8192  # entry lines formed per write: whole-file buffers cost memory
 _LEAD_LINES = 64  # a dense write's block holds at least this many lines: each costs a join
-_VALUE_WIDTH = 24  # bytes of the longest float64 repr, e.g. -2.2250738585072014e-308
 # what a plain COO body holds: printable ASCII but the space and "#", and newlines
 _PLAIN = bytes(range(0x21, 0x7F)).replace(b"#", b"") + b"\n"
 _PLAIN_CHUNK = 1 << 16  # characters of a body checked at a time
@@ -171,51 +168,6 @@ _PLAIN_CHUNK = 1 << 16  # characters of a body checked at a time
 
 def _format_header(shape) -> str:
     return "# shape: " + "x".join(str(s) for s in shape)
-
-
-def _byte_rows(strings: list[str], width: int) -> np.ndarray:
-    """ASCII ``strings`` as the rows of a ``(len, width)`` uint8 matrix, zero padded."""
-    return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(len(strings), width)
-
-
-def _write_coo(path, shape, columns, values) -> None:
-    """Write the header and one line per entry. ``columns`` holds the
-    entries' 0-based indices, one array per dimension; values are written as
-    the ``repr`` of Python floats, so they read back bitwise.
-
-    Each chunk of lines is one uint8 matrix with a fixed-width slot per field
-    and the commas and newline in between. A dimension's index strings are
-    formed once, as a table of byte rows, and taken by index; a dimension
-    longer than the entry list formats its chunk's indices instead. The
-    values' table holds the ``repr`` of each distinct bit pattern in the
-    chunk (so ``-0.0`` stays apart from ``0.0``): a few strings for a
-    demand count, one per entry when every value differs. Dropping the zero
-    pad bytes leaves the lines."""
-    values = np.asarray(values, dtype=np.float64)
-    nnz = values.size
-    widths = [len(str(s)) for s in shape] + [_VALUE_WIDTH]
-    tables = [_byte_rows([str(i) for i in range(1, s + 1)], width) if s <= nnz else None
-              for s, width in zip(shape, widths)]
-    ends = np.cumsum(np.add(widths, 1))  # the column after each field: a comma, last a newline
-    lines = np.zeros((min(nnz, _CHUNK_LINES), ends[-1]), dtype=np.uint8)
-    lines[:, ends[:-1] - 1] = ord(",")
-    lines[:, -1] = ord("\n")
-    slots = [lines[:, end - width - 1 : end - 1] for end, width in zip(ends, widths)]
-    bits = values.view(np.int64)
-    with open(path, "w") as fh:
-        fh.write(_format_header(shape) + "\n")
-        for lo in range(0, nnz, _CHUNK_LINES):
-            hi = min(lo + _CHUNK_LINES, nnz)
-            for table, col, slot, width in zip(tables, columns, slots, widths):
-                if table is None:
-                    slot[: hi - lo] = _byte_rows([str(i + 1) for i in col[lo:hi].tolist()], width)
-                else:
-                    np.take(table, col[lo:hi], axis=0, out=slot[: hi - lo])
-            distinct, inverse = np.unique(bits[lo:hi], return_inverse=True)
-            table = _byte_rows(list(map(repr, distinct.view(np.float64).tolist())), _VALUE_WIDTH)
-            np.take(table, inverse, axis=0, out=slots[-1][: hi - lo])
-            block = lines[: hi - lo]
-            fh.write(block[block != 0].tobytes().decode("ascii"))
 
 
 def _dense_lines(shape, values) -> Iterator[str]:
@@ -265,14 +217,26 @@ def _dense_lines(shape, values) -> Iterator[str]:
 
 
 def write_coo_sparse(path, t: SparseTensor) -> None:
-    """Write a sparse tensor in the COO text format."""
-    _write_coo(path, t.shape, t.indices.T, t.values)
+    """Write a sparse tensor in the COO text format: one line per entry, in
+    ``t``'s entry order, its value the ``repr`` of a Python float, so it
+    reads back bitwise. Each dimension's table holds the 1-based strings of
+    the indices its entries use (so a dimension far longer than the entry
+    list costs no more than a short one) and each entry's place in it,
+    formed once per call; ``_CHUNK_LINES`` lines are joined per write."""
+    tables = [(np.array([str(i) for i in (used + 1).tolist()], dtype=object), places)
+              for used, places in (np.unique(col, return_inverse=True) for col in t.indices.T)]
+    with open(path, "w") as fh:
+        fh.write(_format_header(t.shape) + "\n")
+        for lo in range(0, t.nnz, _CHUNK_LINES):
+            fields = [strings[places[lo : lo + _CHUNK_LINES]].tolist() for strings, places in tables]
+            fields.append(map(repr, t.values[lo : lo + _CHUNK_LINES].tolist()))
+            fh.write("\n".join(map(",".join, zip(*fields))) + "\n")
 
 
 def write_coo_dense(path, x: np.ndarray) -> None:
     """Write a dense tensor with full support in the COO text format,
-    first index fastest, its lines formed by :func:`_dense_lines`: the same
-    bytes :func:`_write_coo` writes for them."""
+    first index fastest, its lines formed by :func:`_dense_lines`: the
+    lines :func:`write_coo_sparse` forms for the same entries in that order."""
     dims = validate_shape(x.shape)
     with open(path, "w") as fh:
         fh.write(_format_header(dims) + "\n")

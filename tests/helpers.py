@@ -74,9 +74,11 @@ def reconstruct(trip):
 
 
 def reference_coo_text(shape, columns, values) -> str:
-    """The COO text ``tenscache.tensors._write_coo`` writes, formed one line
-    at a time: the ``# shape:`` header, then ``i1,...,iN,value`` per entry
-    with 1-based indices and the ``repr`` of the value as a Python float."""
+    """The COO text of a tensor of ``shape`` whose entries have the 0-based
+    indices ``columns`` (one array per dimension) and ``values``, formed one
+    line at a time: the ``# shape:`` header, then ``i1,...,iN,value`` per
+    entry with 1-based indices and the ``repr`` of the value as a Python
+    float. Both COO writers must write exactly these bytes."""
     lines = ["# shape: " + "x".join(str(s) for s in shape)]
     entries = zip(*(np.asarray(col).tolist() for col in columns),
                   np.asarray(values, dtype=np.float64).tolist())

@@ -1081,6 +1081,41 @@ def test_state_x_is_a_fresh_replay_of_its_log(dims, shift, budgets, rule, seed):
         assert state.consumed_total() == sum(step.rank for step, _ in state.steps)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=5),
+    st.data(),
+    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3),
+    st.sampled_from(["multi", "rank1"]),
+    st.floats(min_value=0.05, max_value=0.6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_every_step_is_zero_off_the_observed_lines_of_its_unfolding(dims, data, budgets, rule,
+                                                                    density, seed):
+    # truncated_svd forms the long side from the zero-filled gradient G: along a
+    # wide unfolding a step is c * U U^T G, along a tall one c * G V V^T, so every
+    # column (row, if tall) of the step's unfolding that holds no observed entry
+    # is exactly zero, for every applied step of every budget
+    shape = tuple(dims)
+    shift = data.draw(st.integers(min_value=1, max_value=len(shape) - 1))
+    rng = np.random.default_rng(seed)
+    total = int(np.prod(shape))
+    flat = rng.choice(total, size=max(1, round(density * total)), replace=False)
+    values = rng.normal(size=flat.size)
+    values[0] = 1.0  # never all zero
+    t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1), values)
+    observed = t.to_dense(np.ones(t.nnz, dtype=bool))
+    for _, state, _ in complete_sweep(t, FwConfig(shift=shift, update_rule=rule), budgets):
+        for step, _ in state.steps:
+            spec = UnfoldSpec(step.mode, shift)
+            seen, m = unfold(observed, spec), step.matrix()
+            rows, cols = spec.matrix_dims(shape)
+            if rows <= cols:  # truncated_svd's wide rule
+                assert not m[:, ~seen.any(axis=0)].any()
+            else:
+                assert not m[~seen.any(axis=1)].any()
+
+
 class TestCompleteSweep:
     def fixture(self):
         obs, _ = synth_low_rank((8, 7, 3, 4), (2, 2, 2, 2), observe_fraction=0.4, seed=6)

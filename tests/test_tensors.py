@@ -14,7 +14,6 @@ from tenscache.tensors import (
     SparseTensor,
     _parse_coo_array,
     _parse_coo_lines,
-    _write_coo,
     UnfoldSpec,
     fold,
     read_coo,
@@ -309,21 +308,22 @@ WRITE_VALUES = st.one_of(
 @given(st.lists(st.integers(1, 12) | st.integers(13, 1200), min_size=3, max_size=5),
        st.integers(1, 5), st.data())
 def test_write_coo_matches_the_per_line_formatter(coo_path, dims, chunk, data):
-    # dimensions both within and longer than the entry list; chunks of 1-5 lines
+    # dimensions both within and longer than the entry list; chunks of 1-5 lines;
+    # distinct positions in any order
     shape = tuple(dims)
-    nnz = data.draw(st.integers(0, 12))
-    columns = [np.array(data.draw(st.lists(st.integers(0, s - 1), min_size=nnz, max_size=nnz)),
-                        dtype=np.intp) for s in shape]
-    values = np.array(data.draw(st.lists(WRITE_VALUES, min_size=nnz, max_size=nnz)),
-                      dtype=np.float64)
+    size = math.prod(shape)
+    flat = data.draw(st.lists(st.integers(0, size - 1), max_size=min(12, size), unique=True))
+    columns = np.unravel_index(np.array(flat, dtype=np.intp), shape)
+    values = data.draw(st.lists(WRITE_VALUES, min_size=len(flat), max_size=len(flat)))
+    t = SparseTensor(shape, np.stack(columns, axis=1), values)
     with mock.patch.object(tensors, "_CHUNK_LINES", chunk):
-        _write_coo(coo_path, shape, columns, values)
+        write_coo_sparse(coo_path, t)
     assert coo_path.read_bytes() == reference_coo_text(shape, columns, values).encode()
 
 
 def test_write_coo_matches_the_per_line_formatter_over_many_chunks(coo_path):
     # distinct normal values, repeated counts and both zeros, over ten chunks,
-    # by the chunked writer and by the dense writer's batches
+    # by the sparse writer and by the dense writer's batches
     shape = (40, 9, 3, 70)
     x = np.random.default_rng(7).standard_normal(shape)
     x[:, :3] = np.round(x[:, :3] * 2)
@@ -331,11 +331,24 @@ def test_write_coo_matches_the_per_line_formatter_over_many_chunks(coo_path):
     x[:, 5:7] = 0.0
     columns = np.unravel_index(np.arange(x.size), shape, order="F")
     expected = reference_coo_text(shape, columns, x.ravel(order="F")).encode()
-    _write_coo(coo_path, shape, columns, x.ravel(order="F"))
+    write_coo_sparse(coo_path, SparseTensor(shape, np.stack(columns, axis=1), x.ravel(order="F")))
     assert coo_path.read_bytes() == expected
     write_coo_dense(coo_path, x)
     assert coo_path.read_bytes() == expected
     assert x.size > 2 * tensors._CHUNK_LINES
+
+
+def test_sparse_write_forms_only_the_index_strings_in_use(coo_path):
+    # a table of every index of a million-long dimension would take ~60 MiB
+    t = SparseTensor((10**6, 3, 3), [[5, 1, 2], [999_999, 0, 0], [42, 2, 1]], [1.0, -0.0, 2.5])
+    tracemalloc.start()
+    try:
+        write_coo_sparse(coo_path, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coo_path.read_text() == "# shape: 1000000x3x3\n6,2,3,1.0\n1000000,1,1,-0.0\n43,3,2,2.5\n"
+    assert peak < 2**20
 
 
 @st.composite
