@@ -161,10 +161,11 @@ class FwState:
     ``steps`` lists the applied ``(GradientStep, gamma)`` pairs in order,
     as :func:`apply_update` logs them; ``shape`` and ``shift`` are what
     replaying them takes. The iterate :attr:`x` is derived from the log.
-    ``consumed[k]`` is the rank charged against the global budget by steps
-    along mode ``k``; ``caps[k]``, the smaller dimension of the mode-``k``
-    unfolding, is the most it can reach. The replay of ``x`` works in the
-    state's :class:`_Workspace`, which a copy of the state shares.
+    ``consumed[k]`` is the rank charged against the global budget by the
+    logged steps along mode ``k``; ``caps[k]``, the smaller dimension of the
+    mode-``k`` unfolding, is the most it can reach. The replay of ``x``
+    works in the state's :class:`_Workspace`, which a copy of the state
+    shares.
     """
 
     shape: tuple[int, ...]
@@ -440,15 +441,11 @@ def line_search(residual: np.ndarray, s_obs: np.ndarray) -> float:
 
 def apply_update(state: FwState, step: GradientStep, gamma: float) -> None:
     """Apply ``x <- x - gamma * S`` to ``state``, with ``S`` the tensor of
-    ``step``: log the pair and charge the step's rank to its mode.
-
-    The rank ledger always advances by the step's rank. A ``gamma == 0``
-    step leaves the iterate unchanged (``x`` is never ``-0.0``), so it is not
-    logged.
+    ``step``: log the pair and charge the step's rank to its mode, so the
+    ledger is always the per-mode sum of the logged steps' ranks.
     """
-    if gamma != 0.0:
-        state.steps.append((step, gamma))
-        state._x = None
+    state.steps.append((step, gamma))
+    state._x = None
     state.consumed[step.mode] += step.rank
 
 

@@ -246,9 +246,10 @@ def write_coo_dense(path, x: np.ndarray) -> None:
 def read_coo(path) -> SparseTensor:
     """Read a tensor in the COO text format (see module docstring).
 
-    The entries are parsed as one array. A file that parse does not take,
-    or whose entries fail a check, is read again line by line; a malformed
-    header or entry then raises ``ValueError`` naming ``path:line``.
+    A file in the form the writers give it (the header on its first line,
+    then a plain body) is parsed as one array. Any other file, or one whose
+    entries fail a check, is read line by line; a malformed header or entry
+    then raises ``ValueError`` naming ``path:line``.
     """
     path = Path(path)
     try:
@@ -272,45 +273,36 @@ def _parse_shape(line: str) -> tuple[int, ...]:
 
 
 def _parse_coo_array(path: Path) -> SparseTensor:
-    """All entry lines in one ``np.loadtxt`` call. Raises on anything the
-    line parser could read differently: an entry before or a second header,
-    an entry line that is not printable ASCII (numpy and Python disagree on
-    some other characters), no entries, a ``loadtxt`` error, warning or
-    overflow (numpy < 2 reads an index such as ``1.0`` or ``1e0`` with only a
-    ``DeprecationWarning``), a non-finite value, or an entry ``SparseTensor``
-    rejects.
+    """The file in the form the writers give it, its entry lines in one
+    ``np.loadtxt`` call. Raises on any other file, which :func:`read_coo`
+    then leaves to the line parser: a first line that is not a ``# shape:``
+    header, a body that is not plain, no entries, a ``loadtxt`` error,
+    warning or overflow (numpy < 2 reads an index such as ``1.0`` or ``1e0``
+    with only a ``DeprecationWarning``), a non-finite value, or an entry
+    ``SparseTensor`` rejects.
 
     The body after the header is checked ``_PLAIN_CHUNK`` characters at a
     time, then read again from its start. A plain body (ASCII, no ``#`` and
     no space, printable once its newlines are removed: nothing but the bytes
     of ``_PLAIN``) has no comment and nothing to strip, so ``loadtxt`` reads
-    it from the open file, its lines as they are (it skips the empty ones);
-    any other body's lines pass :func:`_entry_lines` first. So the text is
-    never held whole. Lines are split as iterating the file splits them: at
-    newlines alone, once universal newlines have turned each CR LF and lone
-    CR into one (``str.splitlines`` would also split at vertical tabs, file
-    separators and other control characters)."""
+    it from the open file, its lines as they are (it skips the empty ones),
+    and the text is never held whole. Lines are split as iterating the file
+    splits them: at newlines alone, once universal newlines have turned each
+    CR LF and lone CR into one."""
     with open(path) as fh:
-        shape = None
-        for raw in iter(fh.readline, ""):  # not ``for raw in fh``, which disables ``tell``
-            line = raw.strip()
-            if line.startswith("#"):
-                if _is_header(line):
-                    shape = _parse_shape(line)
-                    break
-            elif line:
-                raise ValueError("entry before the header")
-        if shape is None:
-            raise ValueError("no header")
+        line = fh.readline().strip()
+        if not (line.startswith("#") and _is_header(line)):
+            raise ValueError("first line is not the header")
+        shape = _parse_shape(line)
         start = fh.tell()
-        plain = all(chunk.isascii() and not chunk.encode("ascii").translate(None, _PLAIN)
-                    for chunk in iter(functools.partial(fh.read, _PLAIN_CHUNK), ""))
+        if not all(chunk.isascii() and not chunk.encode("ascii").translate(None, _PLAIN)
+                   for chunk in iter(functools.partial(fh.read, _PLAIN_CHUNK), "")):
+            raise ValueError("body is not plain")
         fh.seek(start)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # "input contained no data" among them
-                table = np.loadtxt(fh if plain else _entry_lines(fh), delimiter=",",
-                                   comments=None, ndmin=1,
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
                                    dtype=[("idx", np.intp, (len(shape),)), ("val", np.float64)])
         except (OverflowError, Warning) as exc:
             raise ValueError(f"loadtxt: {exc}") from None
@@ -320,22 +312,6 @@ def _parse_coo_array(path: Path) -> SparseTensor:
     indices = table["idx"] - 1
     del table  # the tensor's checks below do not also hold the parsed rows
     return SparseTensor(shape, indices, values)
-
-
-def _entry_lines(lines):
-    """The entry lines among ``lines``, stripped; raises on a second header
-    or an entry line that is not printable ASCII."""
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] == "#":
-            if _is_header(line):
-                raise ValueError("second header")
-            continue
-        if not (line.isascii() and line.isprintable()):
-            raise ValueError("entry line the array parse does not take")
-        yield line
 
 
 def _parse_coo_lines(path: Path) -> SparseTensor:

@@ -1,6 +1,10 @@
 import argparse
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -470,6 +474,33 @@ class TestSynthCommand:
         assert main(["--out", str(out), "synth", "6,5,4", f"--noise={noise}"]) == 2
         assert "noise must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
+
+
+class TestModuleEntryPoint:
+    """``python -m tenscache`` exits with ``main``'s return code."""
+
+    @staticmethod
+    def run(tmp_path, *argv):
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [sys.executable, "-m", "tenscache", "--out", str(tmp_path / "out"), *argv]
+        return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_synth_exits_0(self, tmp_path):
+        done = self.run(tmp_path, "synth", "6,5,3,4")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out" / "observed.coo").exists()
+
+    def test_missing_input_exits_2(self, tmp_path):
+        assert self.run(tmp_path, "complete", "missing.coo").returncode == 2
+
+    def test_bad_entry_exits_2_naming_line(self, tmp_path):
+        path = tmp_path / "bad.coo"
+        path.write_text("# shape: 2x2x2\n1,1,1,1.0\n1,x,1,2.0\n")
+        done = self.run(tmp_path, "complete", str(path))
+        assert done.returncode == 2
+        assert f"{path}:3: bad index" in done.stderr
 
 
 class TestConfigPrecedence:

@@ -703,16 +703,6 @@ def form_in_workspace(state, step):
 
 
 class TestApplyUpdate:
-    def test_zero_gamma_advances_ledger_without_append(self):
-        t = two_cell_tensor()
-        state = FwState.initial(t.shape, 1)
-        grad = -t.to_dense()
-        step = step_of(unfolded(grad, 1), 1, 2)
-        apply_update(state, step, 0.0)
-        assert state.steps == []
-        assert not state.x.any()
-        assert state.consumed[1] == step.rank
-
     def test_non_finite_iterate_raises(self):
         # the log takes the step; building the dense iterate from it catches it
         t = two_cell_tensor()
@@ -1000,6 +990,9 @@ def test_solver_invariants(dims, shift, budget, rule, seed):
     rses = [row.rse for row in trace]
     assert all(b <= a + 1e-12 for a, b in zip(rses, rses[1:]))
     assert state.active == {k for k in min_dim if state.consumed[k] < min_dim[k]}
+    # the ledger is the per-mode sum of the logged steps' ranks
+    for k in min_dim:
+        assert state.consumed[k] == sum(step.rank for step, _ in state.steps if step.mode == k)
     for k, c in state.consumed.items():
         rows, cols = UnfoldSpec(k, shift).matrix_dims(shape)
         allowance = max(min(rows - c, cols - c, budget - state.consumed_total()), 0)

@@ -393,14 +393,16 @@ def test_header_only_file_round_trips(coo_path):
     assert_bitwise_equal(read_coo(coo_path), t)
 
 
-BLANK_OR_COMMENT = st.sampled_from(["", "   ", "\t", " \t ", "#", "# a note", "  # 1,2,3,4.0"])
+DECORATIONS = ["   ", "\t", " \t ", "#", "# a note", "  # 1,2,3,4.0"]
+BLANK_OR_COMMENT = st.sampled_from(["", *DECORATIONS])
 SPACES = st.sampled_from(["", " ", "  "])
 
 
 @st.composite
 def decorated_coo_texts(draw):
     """A valid file with comment, blank and whitespace-only lines, spaces
-    around fields and other spellings of the same numbers."""
+    around fields and other spellings of the same numbers; at least one
+    comment or whitespace-only line, anywhere, so no writer makes it."""
     t = draw(sparse_tensors(min_entries=1))
     lines = draw(st.lists(BLANK_OR_COMMENT, max_size=2))
     lines.append(draw(st.sampled_from(["# shape: ", "#shape:", "  #  shape:  "]))
@@ -411,18 +413,49 @@ def decorated_coo_texts(draw):
         value_text = draw(st.sampled_from(["{!r}", "{:.17e}", "{:+.17g}"]))
         fields = [index_text.format(i + 1) for i in row] + [value_text.format(value)]
         lines.append(",".join(draw(SPACES) + f + draw(SPACES) for f in fields))
+    lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(DECORATIONS)))
     return t, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(decorated_coo_texts(), st.sampled_from(["\n", "\r\n"]))
-def test_array_parse_equals_line_parser_on_valid_files(coo_path, case, newline):
+def test_decorated_files_are_read_by_the_line_parser(coo_path, case, newline):
     t, text = case
     with open(coo_path, "w", newline=newline) as fh:
         fh.write(text)
-    fast = _parse_coo_array(coo_path)  # takes every such file
-    assert_bitwise_equal(fast, _parse_coo_lines(coo_path))
-    assert_bitwise_equal(fast, t)
+    with pytest.raises(ValueError):
+        _parse_coo_array(coo_path)  # takes only the writers' form
+    got = read_coo(coo_path)
+    assert_bitwise_equal(got, _parse_coo_lines(coo_path))
+    assert_bitwise_equal(got, t)
+
+
+class LineParserRan(Exception):
+    pass
+
+
+def no_line_parser(path):
+    raise LineParserRan
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_tensors(min_entries=1), st.booleans(), st.sampled_from(["\n", "\r\n"]))
+def test_every_written_file_is_read_by_the_array_parse(coo_path, t, dense, newline):
+    # the header-only file of a tensor without entries is the one a writer
+    # makes that loadtxt would misread (test_files_loadtxt_alone_would_misread)
+    if dense:
+        x = t.to_dense()
+        t = SparseTensor(t.shape, np.stack(np.unravel_index(np.arange(x.size), t.shape, order="F"),
+                                           axis=1), x.ravel(order="F"))
+        write_coo_dense(coo_path, x)
+    else:
+        write_coo_sparse(coo_path, t)
+    if newline != "\n":
+        text = coo_path.read_text()
+        with open(coo_path, "w", newline=newline) as fh:
+            fh.write(text)
+    with mock.patch.object(tensors, "_parse_coo_lines", no_line_parser):
+        assert_bitwise_equal(read_coo(coo_path), t)
 
 
 # characters that make the number parsers of numpy and Python disagree, or
@@ -445,17 +478,11 @@ def fuzzed_entries(draw):
     return line
 
 
-class FilterRan(Exception):
-    pass
-
-
-def test_plain_bodies_skip_the_line_filter(tmp_path, monkeypatch):
-    # a body with no comment, space or other character to strip goes straight
-    # to loadtxt, whatever its newlines; any other body passes the filter
-    def no_filter(lines):
-        raise FilterRan
-
-    monkeypatch.setattr(tensors, "_entry_lines", no_filter)
+def test_only_the_writers_form_skips_the_line_parser(tmp_path, monkeypatch):
+    # a first-line header and a plain body go straight to loadtxt, whatever
+    # the newlines; a comment, a space, or a line before the header sends
+    # the file to the line parser
+    monkeypatch.setattr(tensors, "_parse_coo_lines", no_line_parser)
     rng = np.random.default_rng(3)
     shape = (7, 5, 3, 4)
     flat = rng.choice(420, size=60, replace=False)
@@ -464,16 +491,17 @@ def test_plain_bodies_skip_the_line_filter(tmp_path, monkeypatch):
     t = SparseTensor(shape, np.stack(np.unravel_index(flat, shape), axis=1), values)
     path = tmp_path / "t.coo"
     write_coo_sparse(path, t)
-    assert_bitwise_equal(_parse_coo_array(path), t)
+    assert_bitwise_equal(read_coo(path), t)
     text = path.read_text()
     with open(path, "w", newline="\r\n") as fh:
         fh.write(text.replace("\n", "\n\n"))  # blank lines too
-    assert_bitwise_equal(_parse_coo_array(path), t)
+    assert_bitwise_equal(read_coo(path), t)
     head, body = text.split("\n", 1)
-    for other in (f"{head}\n#note\n{body}", f"{head}\n{body.replace(',', ', ', 1)}"):
+    for other in (f"{head}\n#note\n{body}", f"{head}\n{body.replace(',', ', ', 1)}",
+                  f"\n{text}", f"# note\n{text}"):
         path.write_text(other)
-        with pytest.raises(FilterRan):
-            _parse_coo_array(path)
+        with pytest.raises(LineParserRan):
+            read_coo(path)
 
 
 def _traced_peak(fn):
