@@ -196,30 +196,35 @@ class FwState:
         order, so ``x`` does not depend on when it is read. The first step's
         product is written straight into ``x``, then ``0.0`` is added to it:
         bitwise the sum from zero, whose ``-0.0`` entries read ``+0.0``. The
-        replay forms each product in the workspace's scratch array and scales
-        it there, except the last step's while the workspace's product still
-        holds it. ``x`` is the workspace's own array if it lends one, so the
-        next replay in that workspace overwrites it, else a fresh one. A
-        non-finite entry raises ``FloatingPointError``."""
+        replay forms each product in the workspace's ``product`` array and
+        scales it there, except that a one-step log reuses the product the
+        workspace still holds for its step. Once the sweep has let its
+        scatter buffers go, the replay lets ``product`` go too. ``x`` is the
+        workspace's own array if it lends one, so the next replay in that
+        workspace overwrites it, else a fresh one. A non-finite entry raises
+        ``FloatingPointError``."""
         if self._x is None:
             ws = self._ws
             x = np.empty(self.shape) if ws.x is None else ws.x
-            last = len(self.steps) - 1
+            reuse = len(self.steps) == 1 and ws.formed() is self.steps[0][0]
+            if not reuse:  # the replay overwrites the product
+                ws.formed = lambda: None
             for i, (step, gamma) in enumerate(self.steps):
                 spec = UnfoldSpec(step.mode, self.shift)
-                dims = spec.matrix_dims(self.shape)
-                if i == last and ws.formed() is step:
-                    s, out = fold(ws.product.reshape(dims), spec, self.shape), ws.tmp
-                else:
-                    s = out = fold(step.matrix(ws.tmp.reshape(dims)), spec, self.shape)
+                product = ws.product.reshape(spec.matrix_dims(self.shape))
+                s = fold(product if reuse else step.matrix(product), spec, self.shape)
                 if i == 0:
                     np.multiply(s, -gamma, out=x)
                     x += 0.0
                 else:
-                    x += np.multiply(s, -gamma, out=out)
-            if last < 0:
+                    x += np.multiply(s, -gamma, out=s)
+            if not self.steps:
                 x.fill(0.0)
-            if not np.isfinite(x).all():
+            if ws.grads is None:  # the sweep has ended: no step will be formed here again
+                vars(ws).pop("product", None)
+                ws.formed = lambda: None
+            # min and max are NaN if any entry is, and infinite if one is: no mask needed
+            if not (math.isfinite(x.min()) and math.isfinite(x.max())):
                 raise FloatingPointError(f"non-finite iterate from {len(self.steps)} logged steps")
             self._x = x
         return self._x
@@ -533,26 +538,22 @@ def complete_sweep(
 class _Workspace:
     """The window-sized arrays a solve works in, all of one shape and shift:
     made for one sweep, or once for an online run and lent to the solve of
-    each of its windows.
+    each of its windows. It holds four: the two scatter buffers, ``product``
+    and the lent ``x``.
 
     - ``grads``: the :class:`GradientUnfoldings` with its two scatter
       buffers, pointed at each solve's tensor in turn; a sweep's own
       workspace drops it as the sweep ends, since a replay does not use it;
     - ``product``: a multi-rank step's unfolding product, flat, and
       ``formed``, a weak reference to the step it was formed for (dead
-      before the first), so a replay reuses it without keeping that step
-      alive after the states that logged it;
+      before the first and once a replay overwrites it), so a replay reuses
+      it without keeping that step alive after the states that logged it.
+      The replay forms and scales its products here: it runs only while the
+      sweep waits at a yield or has ended. ``product`` is made on first use
+      and, in a sweep's own workspace, let go by the replays after the sweep
+      ends;
     - ``x``: the replayed iterate if ``lend_x``, else ``None``: each replay
-      then makes its own;
-    - ``tmp``: the replay's products and scaled products, and
-      :func:`truncated_svd`'s per-column products. A replay runs only while
-      the sweep waits at a yield or has ended, so the two uses never meet.
-
-    ``product`` and ``tmp`` are made on first use. Made up front, the two
-    took heap memory freed before the solve, which its first transients
-    would have reused: a rank-1 sweep of the benchmark's ``complete``
-    fixture, after the input had been read and dropped once, took ~1,400
-    more minor page faults.
+      then makes its own.
     """
 
     def __init__(self, shape: tuple[int, ...], lend_x: bool = True):
@@ -564,10 +565,6 @@ class _Workspace:
     @functools.cached_property
     def product(self) -> np.ndarray:
         return np.empty(math.prod(self.shape))
-
-    @functools.cached_property
-    def tmp(self) -> np.ndarray:
-        return np.empty(self.shape)
 
     def unfoldings(self, t: SparseTensor, shift: int) -> GradientUnfoldings:
         """The gradient unfoldings of ``t``, in the buffers of the last solve's."""
@@ -627,7 +624,7 @@ def _sweep(t, t_norm, cfg, budgets, state):
             k, gram = select_mode(grads, residual, cfg, active)
             r = (1 if cfg.update_rule == UPDATE_RANK_ONE
                  else update_rank_budget(state, k, budgets[-1]))
-            trip = truncated_svd(gram, r, _work=ws.tmp.reshape(-1))
+            trip = truncated_svd(gram, r)
             del gram  # its unfolding stays in its slot of grads until the next selection
             if trip.sigma[0] <= 0.0:
                 break  # a zero gradient: converged

@@ -19,7 +19,8 @@ Frobenius norm, so ``sigma_1 <= ||G @ G||_F**(1/4) * 2**exp``: with ``n``
 equal singular values the two bounds are ``n**(1/4)`` and ``n**(1/8)``
 times sigma, and at rank one both are exact. A caller that needs only the
 largest of several sigmas can skip the eigensolve of a matrix these bounds
-rule out.
+rule out. Neither query takes a scratch array: beyond the small side's
+arrays, ``truncated_svd`` allocates only its long-side factor.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class Gram:
         return self.a.shape
 
 
-def truncated_svd(gram: Gram, r: int, *, _work: np.ndarray | None = None) -> SvdTriplet:
+def truncated_svd(gram: Gram, r: int) -> SvdTriplet:
     """Top-``r`` singular triplets of the matrix ``m`` of ``gram``.
 
     The small side's vectors are the top ``r`` eigenvectors of the Gram
@@ -85,14 +86,14 @@ def truncated_svd(gram: Gram, r: int, *, _work: np.ndarray | None = None) -> Svd
     Each column is computed on its own, so the result for ``r`` is bitwise
     the first ``r`` columns of the result for any larger rank. Triplets below
     the resolution floor (see the module docstring) are not singular
-    triplets; callers drop them. Signs are fixed by making the
+    triplets; callers drop them. Signs are fixed by making the first
     largest-magnitude entry of each left singular vector positive, one
     column at a time, in place.
 
-    Each column's product ``m @ vector`` and magnitudes are written into
-    one array as long as the larger side: ``_work``'s leading part, if given
-    (a flat float64 array; the solver passes its workspace's scratch), else
-    a fresh one.
+    The other-side factor is held in F order, so each column's product
+    ``m @ vector`` is written straight into its own contiguous column and
+    divided there: the call allocates no array beyond its factors and the
+    eigendecomposition's.
     """
     if not 1 <= r <= min(gram.shape):
         raise ValueError(f"rank {r} out of range 1..{min(gram.shape)}")
@@ -101,17 +102,18 @@ def truncated_svd(gram: Gram, r: int, *, _work: np.ndarray | None = None) -> Svd
     lam, vec = lam[::-1][:r], vec[:, ::-1][:, :r]
     s = np.sqrt(np.maximum(lam, 0.0))
     b = gram.a.T if wide else gram.a
-    other = np.zeros((b.shape[0], r))
-    product = np.empty(b.shape[0]) if _work is None else _work[: b.shape[0]]
+    other = np.zeros((b.shape[0], r), order="F")
     for j in np.flatnonzero(s):  # one product per column: independent of r
-        np.divide(np.matmul(b, vec[:, j], out=product), s[j], out=other[:, j])
+        np.divide(np.matmul(b, vec[:, j], out=other[:, j]), s[j], out=other[:, j])
     # contiguous, so the factors a step keeps of it multiply through BLAS
     # without a hidden copy
     vec = np.ascontiguousarray(vec)
     u, v = (vec, other) if wide else (other, vec)
     for j in range(r):
         col = u[:, j]
-        if col[np.argmax(np.abs(col, out=product[: col.size]))] < 0:
+        hi, lo = col.max(), col.min()
+        # the first entry of largest magnitude is negative: np.argmax(np.abs(col))'s pick
+        if -lo > hi or (-lo == hi and np.argmin(col) < np.argmax(col)):
             col *= -1.0
             v[:, j] *= -1.0
     return SvdTriplet(u, np.ldexp(s, gram.exp), v)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reconstruct
-from tenscache.completion import _STEP_SCALE, gradient_step
+from tenscache.completion import _STEP_SCALE, GradientStep, gradient_step
 from tenscache.svd import Gram, dominant_sigma, truncated_svd
 
 RNG = np.random.default_rng(7)
@@ -69,6 +71,13 @@ class TestTruncatedSvd:
         for j in range(4):
             i = np.argmax(np.abs(trip.u[:, j]))
             assert trip.u[i, j] > 0
+        # rows 0 and 1 are negatives, so the left singular vector holds +x
+        # and -x as its largest entries, in one order for m and the other for
+        # -m (same Gram, negated product): the first of the two decides
+        tied = np.array([[3.0, 1.0], [-3.0, -1.0], [0.5, -0.2], [0.1, 0.3]])
+        for m in (tied, -tied):
+            col = truncated_svd(Gram(m), 1).u[:, 0]
+            assert col[0] == -col[1] == np.abs(col).max() > 0
 
     def test_rank_out_of_range(self):
         m = RNG.normal(size=(4, 6))
@@ -291,20 +300,42 @@ def test_prescaled_gram_bitwise_property(rows, cols, scale, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=30),
-    st.integers(min_value=1, max_value=30),
-    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=13, max_value=400),
+    st.booleans(),
+    st.sampled_from(["multi", "rank1"]),
     st.integers(min_value=0, max_value=10**6),
     st.data(),
 )
-def test_lent_work_buffer_bitwise_property(rows, cols, density, seed, data):
-    """With a work buffer lent for the per-column products and magnitudes
-    (its old contents NaN, and longer than needed), the triplets are bitwise
-    those made with fresh arrays, zero columns and sign flips included."""
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < density)
-    r = data.draw(st.integers(min_value=1, max_value=min(rows, cols)))
-    work = np.full(max(rows, cols) + 3, np.nan)
-    fresh, lent = truncated_svd(Gram(m), r), truncated_svd(Gram(m), r, _work=work)
-    for got, want in ((lent.u, fresh.u), (lent.sigma, fresh.sigma), (lent.v, fresh.v)):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+def test_f_ordered_factor_products_bitwise_property(small, large, wide, rule, seed, data):
+    """A step built from ``truncated_svd``'s factors, whose long side is held
+    in F order, forms bitwise the product that C-ordered copies of the same
+    factors form, fresh or into a buffer: BLAS rounds a product the same
+    whatever its operands' layouts, which keeps every step byte-identical."""
+    m = np.random.default_rng(seed).normal(size=(small, large) if wide else (large, small))
+    r = data.draw(st.integers(min_value=2, max_value=small))
+    trip = truncated_svd(Gram(m), r)
+    assert (trip.v if wide else trip.u).flags.f_contiguous
+    step = gradient_step(trip, 1, r, rule)
+    copy = GradientStep(step.mode, np.ascontiguousarray(step.u), step.weights,
+                        np.ascontiguousarray(step.v))
+    want = copy.matrix()
+    assert step.matrix().tobytes() == want.tobytes()
+    assert step.matrix(np.full(m.shape, np.nan)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("wide", [True, False])
+def test_allocates_only_its_factors(wide):
+    """Beyond its factors, ``truncated_svd`` of a base-station-window-sized
+    matrix allocates only the small side's arrays: the other-side products
+    are written straight into the factor, and no array is spent on fixing
+    the signs."""
+    m = np.random.default_rng(3).normal(size=(3, 163_840))
+    gram = Gram(m if wide else m.T)
+    tracemalloc.start()
+    try:
+        trip = truncated_svd(gram, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - (trip.v if wide else trip.u).nbytes < 16 * 2**10
